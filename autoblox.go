@@ -565,22 +565,12 @@ func (f *Framework) WhatIfContext(ctx context.Context, goal WhatIfGoal) (*WhatIf
 	return core.WhatIf(ctx, f.Space, f.validator, f.grader, goal, []Config{f.refCfg}, opts)
 }
 
-// Simulate runs a trace against an explicit device configuration — the
-// standalone simulator entry point (cmd/ssdsim uses it).
-func Simulate(dev DeviceParams, tr *Trace) (*SimResult, error) {
-	return SimulateSource(dev, tr.Source())
-}
-
-// SimulateSource runs a streaming trace against an explicit device
+// Simulate runs a streaming trace against an explicit device
 // configuration without materializing it; per-run memory is O(device
-// state), independent of trace length.
-func SimulateSource(dev DeviceParams, src Source) (*SimResult, error) {
-	return SimulateSourceContext(context.Background(), dev, src)
-}
-
-// SimulateSourceContext is SimulateSource with cooperative
-// cancellation (polled every 1024 requests inside the simulator).
-func SimulateSourceContext(ctx context.Context, dev DeviceParams, src Source) (*SimResult, error) {
+// state), independent of trace length. ctx is polled every 1024
+// requests inside the simulator. Pass tr.Source() to run a
+// materialized *Trace.
+func Simulate(ctx context.Context, dev DeviceParams, src Source) (*SimResult, error) {
 	sim, err := ssd.NewSimulator(dev)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package autoblox
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestModelPersistsAcrossReopen(t *testing.T) {
 
 func TestSimulateConvenience(t *testing.T) {
 	tr := workload.MustGenerate(workload.Recomm, workload.Options{Requests: 2000, Seed: 3})
-	res, err := Simulate(Intel750(), tr)
+	res, err := Simulate(context.Background(), Intel750(), tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestSimulateConvenience(t *testing.T) {
 	}
 	bad := Intel750()
 	bad.Channels = 0
-	if _, err := Simulate(bad, tr); err == nil {
+	if _, err := Simulate(context.Background(), bad, tr.Source()); err == nil {
 		t.Fatal("invalid device should fail")
 	}
 }

@@ -151,13 +151,13 @@ type Validator struct {
 	sigCache string        // memoized Space.Signature() (lazy)
 
 	simRuns   atomic.Int64
-	simWall   atomic.Int64 // aggregate per-worker in-simulator ns
+	simBusy   atomic.Int64 // aggregate per-worker in-simulator ns
 	cacheHits atomic.Int64
 	coalesced atomic.Int64
 	remote    atomic.Int64 // results measured by a remote Backend
 	// firstStartNS/lastEndNS bracket the real wall-clock span covered by
 	// simulations (unix ns): lastEnd-firstStart is elapsed time, not the
-	// per-worker sum simWall accumulates.
+	// per-worker sum simBusy accumulates.
 	firstStartNS atomic.Int64
 	lastEndNS    atomic.Int64
 }
@@ -168,19 +168,6 @@ func NewValidator(space *ssdconf.Space, workloads map[string]*trace.Trace) *Vali
 	m := make(map[string][]trace.SourceFactory, len(workloads))
 	for k, tr := range workloads {
 		m[k] = []trace.SourceFactory{tr.Factory()}
-	}
-	return NewValidatorSources(space, m)
-}
-
-// NewValidatorGroups builds a validator with multiple traces per cluster.
-func NewValidatorGroups(space *ssdconf.Space, groups map[string][]*trace.Trace) *Validator {
-	m := make(map[string][]trace.SourceFactory, len(groups))
-	for k, traces := range groups {
-		fs := make([]trace.SourceFactory, len(traces))
-		for i, tr := range traces {
-			fs[i] = tr.Factory()
-		}
-		m[k] = fs
 	}
 	return NewValidatorSources(space, m)
 }
@@ -200,15 +187,6 @@ func NewValidatorSources(space *ssdconf.Space, groups map[string][]trace.SourceF
 // SimRuns reports how many simulator invocations were not served from
 // cache (the paper's dominant overhead, Table 6).
 func (v *Validator) SimRuns() int { return int(v.simRuns.Load()) }
-
-// SimWall reports the cumulative time spent inside the SSD simulator,
-// summed over all workers (efficiency validation time, Table 6).
-//
-// Deprecated: the name suggests wall-clock time, but under parallel
-// validation the per-worker sum exceeds the real elapsed span. Use
-// Stats(), which reports both quantities unambiguously (SimBusy vs
-// WallSpan).
-func (v *Validator) SimWall() time.Duration { return time.Duration(v.simWall.Load()) }
 
 // ValidatorStats is a point-in-time snapshot of the validator's
 // always-on counters (kept regardless of whether Obs is set).
@@ -255,7 +233,7 @@ func (v *Validator) Stats() ValidatorStats {
 		CacheHits:      v.cacheHits.Load(),
 		CoalescedWaits: v.coalesced.Load(),
 		RemoteResults:  v.remote.Load(),
-		SimBusy:        time.Duration(v.simWall.Load()),
+		SimBusy:        time.Duration(v.simBusy.Load()),
 	}
 	be, _ := v.backend()
 	st.Backend = be.Stats()
@@ -470,7 +448,7 @@ func (v *Validator) simulateOnce(ctx context.Context, cfg ssdconf.Config, f trac
 	}
 	t1 := time.Now()
 	v.simRuns.Add(1)
-	v.simWall.Add(t1.Sub(t0).Nanoseconds())
+	v.simBusy.Add(t1.Sub(t0).Nanoseconds())
 	v.markSimSpan(t0, t1)
 	v.Obs.Counter(MetricSimRuns).Inc()
 	v.Obs.Histogram(MetricSimTime).Record(t1.Sub(t0).Nanoseconds())
@@ -654,7 +632,7 @@ func (v *Validator) Clusters() []string {
 	for k := range v.Workloads {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
@@ -666,16 +644,8 @@ func (v *Validator) NonTargetClusters(target string) []string {
 			out = append(out, k)
 		}
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Grader evaluates Formulas 1 and 2.

@@ -124,7 +124,7 @@ func TestValidatorGroups(t *testing.T) {
 	space := ssdconf.NewSpace(ssdconf.DefaultConstraints())
 	a := workload.MustGenerate(workload.Database, workload.Options{Requests: 2000, Seed: 1})
 	b := workload.MustGenerate(workload.Database, workload.Options{Requests: 2000, Seed: 2})
-	v := NewValidatorGroups(space, map[string][]*trace.Trace{"Database": {a, b}})
+	v := NewValidatorSources(space, map[string][]trace.SourceFactory{"Database": {a.Factory(), b.Factory()}})
 	ref := space.FromDevice(ssd.Intel750())
 	ps, err := v.MeasureCluster(context.Background(), ref, "Database")
 	if err != nil || len(ps) != 2 {

@@ -657,10 +657,6 @@ func (t *Tuner) overPowerBudget(perfs []autodb.Perf) bool {
 	return false
 }
 
-// pickRoot selects a random search root and returns its index into the
-// validated set: among the top-K grades in scalar mode, among the up-to-K
-// least-crowded members of the non-dominated front in Pareto mode. Both
-// modes spend exactly one RNG draw, keeping the shared stream aligned.
 // pickRoot selects the scalar-mode search root: a random member of the
 // top-K grades. Pareto mode does not use it — every front lineage is
 // advanced per iteration instead (see the iteration body).

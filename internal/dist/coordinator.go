@@ -39,7 +39,8 @@ func MetricWorkerBusy(worker string) string {
 	return fmt.Sprintf(`dist_worker_busy_ns{worker=%q}`, worker)
 }
 
-// CoordinatorOptions tunes the lease machinery.
+// CoordinatorOptions tunes the lease machinery. The policy constants
+// below fix everything else.
 type CoordinatorOptions struct {
 	// LeaseTTL is how long a worker may hold a lease before the job is
 	// reassigned (default 30s).
@@ -48,8 +49,6 @@ type CoordinatorOptions struct {
 	// empty grant tells the worker to ask again (default 250ms). It is
 	// also the granularity at which expired leases are detected.
 	PollInterval time.Duration
-	// BatchMax caps leases per grant (default 16).
-	BatchMax int
 	// Obs, when set, receives fleet counters and per-worker busy
 	// histograms. Never influences results.
 	Obs *obs.Registry
@@ -59,122 +58,52 @@ type CoordinatorOptions struct {
 	Clock Clock
 
 	// Hedge enables hedged re-leases: a job whose oldest active lease
-	// has aged past a completion-latency quantile is granted to a
-	// second worker too; the first valid result wins (results apply
+	// has aged past the hedgeQuantile of recent grant→result latencies
+	// (once hedgeMinSamples completions are seen, floored at
+	// PollInterval) is granted to another worker too, up to hedgeMax
+	// concurrent leases; the first valid result wins (results apply
 	// idempotently, so the loser is just a duplicate).
 	Hedge bool
-	// HedgeAfter, when positive, is a fixed straggler age threshold.
-	// When zero, the threshold is the HedgeQuantile of observed
-	// completion latencies (needing HedgeMinSamples completions first).
-	HedgeAfter time.Duration
-	// HedgeQuantile picks the completion-latency quantile used as the
-	// straggler threshold (default 0.95).
-	HedgeQuantile float64
-	// HedgeMinSamples is how many completions must be observed before
-	// quantile-based hedging kicks in (default 8).
-	HedgeMinSamples int
-	// HedgeMax caps concurrent leases per job, primary included
-	// (default 2).
-	HedgeMax int
-
 	// Quarantine enables per-worker health scoring: errors, timeouts,
 	// and lease expiries feed a failure EWMA; a worker crossing
-	// QuarantineThreshold is refused leases for QuarantineDuration
-	// (doubling per re-offense), then re-admitted on probation —
-	// single-lease grants until ProbationSuccesses clean results.
+	// quarantineThreshold (after quarantineMinEvents samples) is
+	// refused leases for quarantineFirst (doubling per re-offense),
+	// then re-admitted on probation — single-lease grants until
+	// probationSuccesses clean results.
 	Quarantine bool
-	// QuarantineThreshold is the failure-EWMA score that triggers
-	// quarantine (default 0.7).
-	QuarantineThreshold float64
-	// QuarantineMinEvents is the minimum number of health events
-	// before a worker may be quarantined (default 4).
-	QuarantineMinEvents int
-	// QuarantineDuration is the first quarantine's length (default
-	// 30s); each subsequent quarantine doubles it.
-	QuarantineDuration time.Duration
-	// ProbationSuccesses is how many clean results end probation
-	// (default 3).
-	ProbationSuccesses int
-
 	// CrossCheck is the fraction of successful remote results that are
 	// re-simulated locally before being released to waiters (0 = off,
-	// 1 = every result). The sample is seeded per key, so whether a
+	// 1 = every result). The sample is a hash of the key, so whether a
 	// key is checked is deterministic. A worker whose result diverges
 	// from the local re-simulation is marked byzantine — permanently
 	// quarantined, its unverified results requeued.
 	CrossCheck float64
-	// CrossCheckSeed keys the sampling hash.
-	CrossCheckSeed int64
 }
 
-func (o CoordinatorOptions) leaseTTL() time.Duration {
-	if o.LeaseTTL > 0 {
-		return o.LeaseTTL
-	}
-	return 30 * time.Second
-}
+// Coordinator policy constants.
+const (
+	batchMax            = 16               // leases per grant
+	hedgeQuantile       = 0.95             // completion-latency quantile past which a lease straggles
+	hedgeMinSamples     = 8                // completions seen before hedging may fire
+	hedgeMax            = 2                // concurrent leases per job, primary included
+	quarantineThreshold = 0.7              // failure-EWMA score that triggers quarantine
+	quarantineMinEvents = 4                // health events before a worker may be quarantined
+	quarantineFirst     = 30 * time.Second // first quarantine's length; each re-offense doubles it
+	probationSuccesses  = 3                // clean results that end probation
+)
 
-func (o CoordinatorOptions) pollInterval() time.Duration {
-	if o.PollInterval > 0 {
-		return o.PollInterval
+// withDefaults fills the unset options.
+func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
+	if o.LeaseTTL <= 0 {
+		o.LeaseTTL = 30 * time.Second
 	}
-	return 250 * time.Millisecond
-}
-
-func (o CoordinatorOptions) batchMax() int {
-	if o.BatchMax > 0 {
-		return o.BatchMax
+	if o.PollInterval <= 0 {
+		o.PollInterval = 250 * time.Millisecond
 	}
-	return 16
-}
-
-func (o CoordinatorOptions) hedgeQuantile() float64 {
-	if o.HedgeQuantile > 0 {
-		return o.HedgeQuantile
+	if o.Clock == nil {
+		o.Clock = realClock{}
 	}
-	return 0.95
-}
-
-func (o CoordinatorOptions) hedgeMinSamples() int {
-	if o.HedgeMinSamples > 0 {
-		return o.HedgeMinSamples
-	}
-	return 8
-}
-
-func (o CoordinatorOptions) hedgeMax() int {
-	if o.HedgeMax > 1 {
-		return o.HedgeMax
-	}
-	return 2
-}
-
-func (o CoordinatorOptions) quarantineThreshold() float64 {
-	if o.QuarantineThreshold > 0 {
-		return o.QuarantineThreshold
-	}
-	return 0.7
-}
-
-func (o CoordinatorOptions) quarantineMinEvents() int {
-	if o.QuarantineMinEvents > 0 {
-		return o.QuarantineMinEvents
-	}
-	return 4
-}
-
-func (o CoordinatorOptions) quarantineDuration() time.Duration {
-	if o.QuarantineDuration > 0 {
-		return o.QuarantineDuration
-	}
-	return 30 * time.Second
-}
-
-func (o CoordinatorOptions) probationSuccesses() int {
-	if o.ProbationSuccesses > 0 {
-		return o.ProbationSuccesses
-	}
-	return 3
+	return o
 }
 
 // FleetCounters is a point-in-time snapshot of the coordinator's
@@ -340,7 +269,7 @@ type Coordinator struct {
 func NewCoordinator(env *Env, opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		env:     env,
-		opts:    opts,
+		opts:    opts.withDefaults(),
 		leased:  make(map[uint64]*leaseInfo),
 		byKey:   make(map[simKey]*distJob),
 		tallies: make(map[string]*workerTally),
@@ -352,12 +281,7 @@ func NewCoordinator(env *Env, opts CoordinatorOptions) *Coordinator {
 }
 
 // now reads the injected clock (wall clock by default).
-func (c *Coordinator) now() time.Time {
-	if c.opts.Clock != nil {
-		return c.opts.Clock.Now()
-	}
-	return time.Now()
-}
+func (c *Coordinator) now() time.Time { return c.opts.Clock.Now() }
 
 // Env returns the coordinator's environment.
 func (c *Coordinator) Env() *Env { return c.env }
@@ -534,7 +458,7 @@ func (c *Coordinator) healthEventLocked(name string, fail bool, now time.Time) {
 	}
 	// A failure during probation re-quarantines immediately; otherwise
 	// the EWMA must cross the threshold with enough samples behind it.
-	if t.probation || (t.healthEvents >= int64(c.opts.quarantineMinEvents()) && t.health >= c.opts.quarantineThreshold()) {
+	if t.probation || (t.healthEvents >= quarantineMinEvents && t.health >= quarantineThreshold) {
 		c.quarantineLocked(name, t, now, "health")
 	}
 }
@@ -542,7 +466,7 @@ func (c *Coordinator) healthEventLocked(name string, fail bool, now time.Time) {
 // quarantineLocked places a worker in quarantine; c.mu held.
 func (c *Coordinator) quarantineLocked(name string, t *workerTally, now time.Time, reason string) {
 	t.quarCount++
-	dur := c.opts.quarantineDuration()
+	dur := quarantineFirst
 	for i := int64(1); i < t.quarCount && i < 6; i++ {
 		dur *= 2
 	}
@@ -560,7 +484,7 @@ func (c *Coordinator) quarantineLocked(name string, t *workerTally, now time.Tim
 func (c *Coordinator) readmitLocked(name string, t *workerTally) {
 	t.quarantined = false
 	t.probation = true
-	t.probationLeft = c.opts.probationSuccesses()
+	t.probationLeft = probationSuccesses
 	t.health = 0
 	t.healthEvents = 0
 	c.quarActive--
@@ -693,35 +617,11 @@ func (c *Coordinator) isClosed() bool {
 	return c.closed
 }
 
-// expireLocked returns every overdue lease to the pending queue,
-// attributing the expiry to the worker that held it. A hedged job
-// only requeues once its last active lease is gone. A job fully
-// expiring for the second time records a "warn-flaky-job" flight
-// event — two workers (or the same worker twice) sat on the same
-// deterministic job, which usually means a wedged or overloaded
-// worker, not a bad job.
+// expireLocked returns every overdue lease to the pending queue.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for id, li := range c.leased {
-		if now.Before(li.expiry) {
-			continue
-		}
-		j := li.job
-		owner := li.sess.name
-		c.releaseLeaseLocked(id, li)
-		c.tallyLocked(owner).expired++
-		c.healthEventLocked(owner, true, now)
-		c.expired.Add(1)
-		c.obsInc(MetricLeasesExpired)
-		obs.RecordEvent("lease-expired",
-			"lease", fmt.Sprint(id), "worker", owner, "trace", j.key.name, "expiries", fmt.Sprint(j.expiries))
-		if j.state == jobLeased && len(j.leases) == 0 {
-			j.state = jobPending
-			j.expiries++
-			c.pending = append(c.pending, j)
-			if j.expiries == 2 {
-				obs.RecordEvent("warn-flaky-job",
-					"trace", j.key.name, "cfg", j.key.cfg, "worker", owner, "expiries", "2")
-			}
+		if !now.Before(li.expiry) {
+			c.expireLeaseLocked(id, li, now, false)
 		}
 	}
 }
@@ -732,21 +632,8 @@ func (c *Coordinator) dropSession(sess *session) {
 	defer c.mu.Unlock()
 	now := c.now()
 	for id, li := range sess.leases {
-		j := li.job
-		c.releaseLeaseLocked(id, li)
-		c.expired.Add(1)
-		c.obsInc(MetricLeasesExpired)
-		c.tallyLocked(sess.name).expired++
-		c.healthEventLocked(sess.name, true, now)
-		obs.RecordEvent("lease-expired",
-			"lease", fmt.Sprint(id), "worker", sess.name, "trace", j.key.name, "reason", "disconnect")
-		if j.state == jobLeased && len(j.leases) == 0 {
-			j.state = jobPending
-			j.expiries++
-			c.pending = append(c.pending, j)
-		}
+		c.expireLeaseLocked(id, li, now, true)
 	}
-	sess.leases = make(map[uint64]*leaseInfo)
 	t := c.tallyLocked(sess.name)
 	t.sessions--
 	if t.cur == sess {
@@ -760,10 +647,44 @@ func (c *Coordinator) dropSession(sess *session) {
 	c.cond.Broadcast()
 }
 
+// expireLeaseLocked releases one lease, charges the expiry to the
+// worker that held it, and requeues the job once its last active lease
+// is gone (a hedged job keeps running on its other lease). A TTL
+// expiry records the job's prior expiry count, and a job fully
+// expiring for the second time records a "warn-flaky-job" flight
+// event — two workers (or the same worker twice) sat on the same
+// deterministic job, which usually means a wedged or overloaded
+// worker, not a bad job. A disconnect records its reason instead.
+// c.mu held.
+func (c *Coordinator) expireLeaseLocked(id uint64, li *leaseInfo, now time.Time, disconnect bool) {
+	j, owner := li.job, li.sess.name
+	c.releaseLeaseLocked(id, li)
+	c.tallyLocked(owner).expired++
+	c.healthEventLocked(owner, true, now)
+	c.expired.Add(1)
+	c.obsInc(MetricLeasesExpired)
+	why, val := "expiries", fmt.Sprint(j.expiries)
+	if disconnect {
+		why, val = "reason", "disconnect"
+	}
+	obs.RecordEvent("lease-expired",
+		"lease", fmt.Sprint(id), "worker", owner, "trace", j.key.name, why, val)
+	if j.state != jobLeased || len(j.leases) > 0 {
+		return
+	}
+	j.state = jobPending
+	j.expiries++
+	c.pending = append(c.pending, j)
+	if !disconnect && j.expiries == 2 {
+		obs.RecordEvent("warn-flaky-job",
+			"trace", j.key.name, "cfg", j.key.cfg, "worker", owner, "expiries", "2")
+	}
+}
+
 // grantLocked issues one lease of j to sess; c.mu held.
 func (c *Coordinator) grantLocked(j *distJob, sess *session, now time.Time, hedged bool) Lease {
 	c.nextLease++
-	li := &leaseInfo{job: j, sess: sess, expiry: now.Add(c.opts.leaseTTL()), hedged: hedged}
+	li := &leaseInfo{job: j, sess: sess, expiry: now.Add(c.opts.LeaseTTL), hedged: hedged}
 	if len(j.leases) == 0 {
 		j.firstGrant = now
 	}
@@ -793,25 +714,24 @@ func (c *Coordinator) grantLocked(j *distJob, sess *session, now time.Time, hedg
 }
 
 // hedgeThresholdLocked resolves the straggler age past which a leased
-// job is eligible for a duplicate grant; 0 disables hedging for now.
+// job is eligible for a duplicate grant: the hedgeQuantile of the last
+// completionWindow grant→result latencies, floored at PollInterval;
+// 0 (fewer than hedgeMinSamples completions) disables hedging for now.
 // c.mu held.
 func (c *Coordinator) hedgeThresholdLocked() time.Duration {
-	if c.opts.HedgeAfter > 0 {
-		return c.opts.HedgeAfter
-	}
 	n := c.compN
 	if n > completionWindow {
 		n = completionWindow
 	}
-	if n < c.opts.hedgeMinSamples() {
+	if n < hedgeMinSamples {
 		return 0
 	}
 	buf := make([]time.Duration, n)
 	copy(buf, c.completions[:n])
 	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	th := buf[int(c.opts.hedgeQuantile()*float64(n-1))]
-	if pi := c.opts.pollInterval(); th < pi {
-		th = pi
+	th := buf[int(hedgeQuantile*float64(n-1))]
+	if th < c.opts.PollInterval {
+		th = c.opts.PollInterval
 	}
 	return th
 }
@@ -830,7 +750,7 @@ func (c *Coordinator) hedgeLocked(sess *session, now time.Time, room int) []Leas
 	var out []Lease
 	for _, li := range c.leased {
 		j := li.job
-		if seen[j] || j.state != jobLeased || len(j.leases) >= c.opts.hedgeMax() {
+		if seen[j] || j.state != jobLeased || len(j.leases) >= hedgeMax {
 			continue
 		}
 		seen[j] = true
@@ -868,13 +788,13 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 	if max <= 0 {
 		max = 1
 	}
-	if bm := c.opts.batchMax(); max > bm {
-		max = bm
+	if max > batchMax {
+		max = batchMax
 	}
 	// The poll deadline is transport liveness (how long a worker's
 	// request may block), not lease semantics — it stays on the wall
 	// clock so that a frozen fake Clock still gets empty grants back.
-	deadline := time.Now().Add(c.opts.pollInterval())
+	deadline := time.Now().Add(c.opts.PollInterval)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -931,9 +851,9 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 	}
 }
 
-// pickCrossCheck reports whether a key falls in the seeded
-// cross-validation sample — a pure function of (seed, key), so the
-// same key is either always or never checked within a run.
+// pickCrossCheck reports whether a key falls in the cross-validation
+// sample — a pure function of the key, so the same key is either
+// always or never checked.
 func (c *Coordinator) pickCrossCheck(k simKey) bool {
 	if c.opts.CrossCheck <= 0 {
 		return false
@@ -942,7 +862,7 @@ func (c *Coordinator) pickCrossCheck(k simKey) bool {
 		return true
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s", c.opts.CrossCheckSeed, k.cfg, k.name)
+	fmt.Fprintf(h, "%s|%s", k.cfg, k.name)
 	z := h.Sum64()
 	// splitmix64 finalizer whitens the fnv hash into a uniform draw.
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -1215,7 +1135,7 @@ func (c *Coordinator) ServeConn(conn net.Conn) error {
 	t1 := c.now()
 	welcome := &Welcome{
 		Env:           *c.env,
-		LeaseTTLMS:    c.opts.leaseTTL().Milliseconds(),
+		LeaseTTLMS:    c.opts.LeaseTTL.Milliseconds(),
 		CoordUnixNano: t1.UnixNano(),
 		TraceID:       c.traceID,
 	}
@@ -1271,7 +1191,7 @@ func (c *Coordinator) ServeConn(conn net.Conn) error {
 		// lease TTL. (Kernel read deadlines are wall-clock by definition,
 		// so this deliberately bypasses the injectable Clock.)
 		if c.isClosed() {
-			_ = conn.SetReadDeadline(time.Now().Add(c.opts.leaseTTL()))
+			_ = conn.SetReadDeadline(time.Now().Add(c.opts.LeaseTTL))
 		}
 		m, err := Decode(r)
 		if err != nil {

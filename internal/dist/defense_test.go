@@ -30,18 +30,20 @@ func eventsByKind(rec *obs.FlightRecorder, kind string) []obs.FlightEvent {
 	return out
 }
 
-// TestHedgedLeaseRescuesStraggler pins the hedging policy on a fake
-// clock: a job whose lease has aged past HedgeAfter is granted to a
-// second worker too, the duplicate grant is counted as hedged (not
-// reassigned), a third worker gets nothing (HedgeMax caps concurrent
-// leases), and whichever result lands first wins while the loser is a
-// duplicate.
+// TestHedgedLeaseRescuesStraggler pins the quantile hedging trigger on
+// a fake clock. Completions aged 1s..7s are not enough samples: a job
+// leased far longer is still not hedged. The eighth completion (aged
+// 8s) arms the trigger at the hedgeQuantile of the window, which is the
+// 7s sample and not the 8s maximum. A fresh job is then not hedged
+// 1ns below 7s and is granted to a second worker at 7s; the duplicate
+// grant counts as hedged (not reassigned), a third worker gets nothing
+// (hedgeMax caps concurrent leases), and whichever result lands first
+// wins while the loser is a duplicate.
 func TestHedgedLeaseRescuesStraggler(t *testing.T) {
 	rec := obs.NewFlightRecorder(256)
 	obs.SetFlightRecorder(rec)
 	defer obs.SetFlightRecorder(nil)
 
-	const after = 10 * time.Second
 	clk := newFakeClock()
 	env := testEnv(t, 600, ssd.FaultProfile{}, workload.Database)
 	coord := NewCoordinator(env, CoordinatorOptions{
@@ -49,27 +51,67 @@ func TestHedgedLeaseRescuesStraggler(t *testing.T) {
 		PollInterval: time.Millisecond,
 		Clock:        clk,
 		Hedge:        true,
-		HedgeAfter:   after,
 	})
 	t.Cleanup(coord.Close)
-
-	cfgs := distinctConfigs(t, env.Space(), 1)
-	done := measureOne(coord, cfgs[0])
+	cfgs := distinctConfigs(t, env.Space(), 9)
 
 	holder := dialFake(t, coord)
 	holder.mustAccept("holder", env.SpaceSig)
-	leases := holder.leaseAtLeast(1)
-
-	// Below the straggler threshold no duplicate is issued.
 	probe := dialFake(t, coord)
 	probe.mustAccept("probe", env.SpaceSig)
-	probe.send(&Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: 1}})
-	if m := probe.recv(); len(m.LeaseGrant.Leases) != 0 {
-		t.Fatalf("hedged before threshold: %+v", m.LeaseGrant.Leases)
+	noLease := func(w *fakeWorker, why string) {
+		t.Helper()
+		w.send(&Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: 1}})
+		if m := w.recv(); len(m.LeaseGrant.Leases) != 0 {
+			t.Fatalf("%s: granted %+v", why, m.LeaseGrant.Leases)
+		}
+	}
+	answer := func(w *fakeWorker, name string, l Lease) {
+		t.Helper()
+		w.send(&Message{Type: MsgResult, Result: &ResultMsg{Worker: name, Results: []JobResult{
+			{LeaseID: l.ID, CfgKey: l.CfgKey, Name: l.Name,
+				Perf: autodb.Perf{LatencyNS: 42, ThroughputBps: 1}, SimNS: 1},
+		}}})
+	}
+	// complete runs job i through the holder with a grant→result age of
+	// (i+1) seconds.
+	complete := func(i int) {
+		t.Helper()
+		done := measureOne(coord, cfgs[i])
+		l := holder.leaseAtLeast(1)[0]
+		clk.Advance(time.Duration(i+1) * time.Second)
+		answer(holder, "holder", l)
+		if err := <-done; err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+
+	for i := 0; i < 7; i++ {
+		complete(i)
+	}
+	// Seven samples: a job leased for 8s (longer than any completion so
+	// far) is still not hedged.
+	done := measureOne(coord, cfgs[7])
+	last := holder.leaseAtLeast(1)[0]
+	clk.Advance(8 * time.Second)
+	noLease(probe, "hedged with only 7 completions")
+	answer(holder, "holder", last)
+	if err := <-done; err != nil {
+		t.Fatalf("job 7: %v", err)
+	}
+
+	// Eight samples (1s..8s): the 0.95 quantile of the window is 7s.
+	const threshold = 7 * time.Second
+	done = measureOne(coord, cfgs[8])
+	leases := holder.leaseAtLeast(1)
+	clk.Advance(threshold - time.Nanosecond)
+	noLease(probe, "hedged below the threshold")
+	if fc := coord.Counters(); fc.Hedged != 0 {
+		t.Fatalf("Hedged = %d before the threshold, want 0", fc.Hedged)
 	}
 
 	// At the threshold the probe gets a duplicate lease for the same job.
-	clk.Advance(after)
+	clk.Advance(time.Nanosecond)
 	hedged := probe.leaseAtLeast(1)
 	if hedged[0].CfgKey != leases[0].CfgKey || hedged[0].Name != leases[0].Name {
 		t.Fatalf("hedge is a different job: %+v vs %+v", hedged[0], leases[0])
@@ -84,32 +126,30 @@ func TestHedgedLeaseRescuesStraggler(t *testing.T) {
 	if fc.Reassigned != 0 || fc.Expired != 0 {
 		t.Fatalf("hedge misattributed: %+v (want no reassignments or expiries)", fc)
 	}
-	if evs := eventsByKind(rec, "lease-hedged"); len(evs) != 1 {
+	evs := eventsByKind(rec, "lease-hedged")
+	if len(evs) != 1 {
 		t.Fatalf("lease-hedged events = %d, want 1", len(evs))
 	}
-
-	// HedgeMax (default 2) caps concurrent leases: a third worker gets
-	// nothing even though the job is still outstanding.
-	third := dialFake(t, coord)
-	third.mustAccept("third", env.SpaceSig)
-	third.send(&Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: 1}})
-	if m := third.recv(); len(m.LeaseGrant.Leases) != 0 {
-		t.Fatalf("third lease for a twice-leased job: %+v", m.LeaseGrant.Leases)
+	for _, kv := range evs[0].Fields {
+		if kv.Key == "threshold" && kv.Value != threshold.String() {
+			t.Fatalf("lease-hedged threshold = %q, want %q", kv.Value, threshold)
+		}
 	}
 
+	// hedgeMax (2) caps concurrent leases: a third worker gets nothing
+	// even though the job is still outstanding.
+	third := dialFake(t, coord)
+	third.mustAccept("third", env.SpaceSig)
+	noLease(third, "third lease for a twice-leased job")
+
 	// The hedge wins; the original holder's late answer is a duplicate.
-	probe.send(&Message{Type: MsgResult, Result: &ResultMsg{Worker: "probe", Results: []JobResult{
-		{LeaseID: hedged[0].ID, CfgKey: hedged[0].CfgKey, Name: hedged[0].Name,
-			Perf: autodb.Perf{LatencyNS: 42, ThroughputBps: 1}, SimNS: 1},
-	}}})
+	dups := coord.Counters().Duplicates
+	answer(probe, "probe", hedged[0])
 	if err := <-done; err != nil {
 		t.Fatalf("Measure via hedged lease: %v", err)
 	}
-	holder.send(&Message{Type: MsgResult, Result: &ResultMsg{Worker: "holder", Results: []JobResult{
-		{LeaseID: leases[0].ID, CfgKey: leases[0].CfgKey, Name: leases[0].Name,
-			Perf: autodb.Perf{LatencyNS: 42, ThroughputBps: 1}, SimNS: 1},
-	}}})
-	waitFor(t, func() bool { return coord.Counters().Duplicates >= 1 },
+	answer(holder, "holder", leases[0])
+	waitFor(t, func() bool { return coord.Counters().Duplicates == dups+1 },
 		"straggler's result counted as duplicate")
 }
 
@@ -124,15 +164,13 @@ func TestQuarantineAndProbationCycle(t *testing.T) {
 	obs.SetFlightRecorder(rec)
 	defer obs.SetFlightRecorder(nil)
 
-	const quarDur = 10 * time.Second
 	clk := newFakeClock()
 	env := testEnv(t, 600, ssd.FaultProfile{}, workload.Database)
 	coord := NewCoordinator(env, CoordinatorOptions{
-		LeaseTTL:           time.Minute,
-		PollInterval:       time.Millisecond,
-		Clock:              clk,
-		Quarantine:         true,
-		QuarantineDuration: quarDur,
+		LeaseTTL:     time.Minute,
+		PollInterval: time.Millisecond,
+		Clock:        clk,
+		Quarantine:   true,
 	})
 	t.Cleanup(coord.Close)
 	cfgs := distinctConfigs(t, env.Space(), 5)
@@ -188,11 +226,17 @@ func TestQuarantineAndProbationCycle(t *testing.T) {
 		t.Fatalf("quarantined worker granted leases: %+v", m.LeaseGrant.Leases)
 	}
 
-	// Exactly at the end of the window the worker is readmitted — on
+	// The first quarantine lasts 30s: 1ns short of it the worker is
+	// still refused; exactly at the end it is readmitted — on
 	// probation, so a Max=8 pull over 3 pending jobs yields one lease.
 	// (Grant order is queue order, not submission order, so completions
 	// are drained only after all three probation rounds.)
-	clk.Advance(quarDur)
+	clk.Advance(quarantineFirst - time.Nanosecond)
+	bad.send(&Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: 8}})
+	if m := bad.recv(); len(m.LeaseGrant.Leases) != 0 {
+		t.Fatalf("worker readmitted before the window ended: %+v", m.LeaseGrant.Leases)
+	}
+	clk.Advance(time.Nanosecond)
 	for i := range probation {
 		bad.send(&Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: 8}})
 		m := bad.recv()

@@ -23,28 +23,19 @@ type FleetOptions struct {
 	// WorkerParallel bounds each loopback worker's concurrent
 	// simulations (0 = GOMAXPROCS).
 	WorkerParallel int
-	// BatchSize caps leases per pull on loopback workers.
-	BatchSize int
 	// SimTimeout/MaxRetries configure the loopback workers' validators.
 	SimTimeout time.Duration
 	MaxRetries int
-	// LeaseTTL/PollInterval/BatchMax tune the coordinator (see
+	// LeaseTTL/PollInterval tune the coordinator (see
 	// CoordinatorOptions).
 	LeaseTTL     time.Duration
 	PollInterval time.Duration
-	BatchMax     int
 	// Obs, when set, receives fleet counters, per-worker busy
 	// histograms, and the loopback workers' validator metrics.
 	Obs *obs.Registry
-	// Clock/Hedge/HedgeAfter/Quarantine/CrossCheck/CrossCheckSeed pass
-	// straight through to CoordinatorOptions (defenses are opt-in; see
-	// the field docs there).
-	Clock          Clock
-	Hedge          bool
-	HedgeAfter     time.Duration
-	Quarantine     bool
-	CrossCheck     float64
-	CrossCheckSeed int64
+	// Hedge enables the coordinator's hedged re-leases (see
+	// CoordinatorOptions).
+	Hedge bool
 	// WrapConn, when set, wraps every accepted remote connection before
 	// the coordinator serves it — the chaos-harness hook
 	// (chaos.Transport.Wrap injects deterministic faults on the server
@@ -70,16 +61,10 @@ func StartFleet(env *Env, opts FleetOptions) (*Fleet, error) {
 		return nil, fmt.Errorf("dist: fleet needs loopback workers or a listen address")
 	}
 	coord := NewCoordinator(env, CoordinatorOptions{
-		LeaseTTL:       opts.LeaseTTL,
-		PollInterval:   opts.PollInterval,
-		BatchMax:       opts.BatchMax,
-		Obs:            opts.Obs,
-		Clock:          opts.Clock,
-		Hedge:          opts.Hedge,
-		HedgeAfter:     opts.HedgeAfter,
-		Quarantine:     opts.Quarantine,
-		CrossCheck:     opts.CrossCheck,
-		CrossCheckSeed: opts.CrossCheckSeed,
+		LeaseTTL:     opts.LeaseTTL,
+		PollInterval: opts.PollInterval,
+		Obs:          opts.Obs,
+		Hedge:        opts.Hedge,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Fleet{coord: coord, cancel: cancel}
@@ -89,14 +74,13 @@ func StartFleet(env *Env, opts FleetOptions) (*Fleet, error) {
 			cancel()
 			return nil, fmt.Errorf("dist: fleet listen: %w", err)
 		}
+		if opts.WrapConn != nil {
+			ln = wrapListener{ln, opts.WrapConn}
+		}
 		f.ln = ln
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()
-			if wrap := opts.WrapConn; wrap != nil {
-				f.serveWrapped(ln, wrap)
-				return
-			}
 			_ = coord.Serve(ln)
 		}()
 	}
@@ -105,7 +89,6 @@ func StartFleet(env *Env, opts FleetOptions) (*Fleet, error) {
 		w := &Worker{
 			Name:       fmt.Sprintf("loopback-%d", i),
 			Parallel:   opts.WorkerParallel,
-			BatchSize:  opts.BatchSize,
 			SimTimeout: opts.SimTimeout,
 			MaxRetries: opts.MaxRetries,
 			Obs:        opts.Obs,
@@ -123,22 +106,18 @@ func StartFleet(env *Env, opts FleetOptions) (*Fleet, error) {
 	return f, nil
 }
 
-// serveWrapped is Coordinator.Serve with every accepted conn passed
-// through the WrapConn hook first.
-func (f *Fleet) serveWrapped(ln net.Listener, wrap func(net.Conn) net.Conn) {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = f.coord.ServeConn(wrap(conn))
-		}()
+// wrapListener passes every accepted conn through a WrapConn hook.
+type wrapListener struct {
+	net.Listener
+	wrap func(net.Conn) net.Conn
+}
+
+func (l wrapListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
 	}
+	return l.wrap(conn), nil
 }
 
 // Backend returns the fleet's coordinator as a validator backend.
