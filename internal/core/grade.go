@@ -707,9 +707,17 @@ func (g *Grader) Grade(targetPerf float64, nonTarget map[string]float64, numClus
 	if numClusters <= 1 {
 		return targetPerf
 	}
+	// Sum in key order: float addition is not associative, and map
+	// iteration order would make equal inputs grade differently in the
+	// last bits.
+	names := make([]string, 0, len(nonTarget))
+	for name := range nonTarget {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var sum float64
-	for _, p := range nonTarget {
-		sum += p
+	for _, name := range names {
+		sum += nonTarget[name]
 	}
 	return (1-g.Beta)*targetPerf + g.Beta*sum/float64(numClusters-1)
 }

@@ -70,6 +70,29 @@ func TestGradeFormula(t *testing.T) {
 	}
 }
 
+// TestGradeIsBitDeterministic grades one map of six non-target
+// clusters, whose float sum depends on addition order, 1000 times: the
+// grade must come out bit-identical, summed in sorted-key order.
+func TestGradeIsBitDeterministic(t *testing.T) {
+	g := &Grader{Beta: 0.5}
+	nonTarget := map[string]float64{
+		"Database": 1e16, "FIU": 0.1, "KVStore": -1e16,
+		"LiveMaps": 0.7, "VDI": 3.3, "WebSearch": 1e-3,
+	}
+	// Sorted-key order: Database, FIU, KVStore, LiveMaps, VDI, WebSearch.
+	sum := 1e16 + 0.1
+	sum += -1e16
+	sum += 0.7
+	sum += 3.3
+	sum += 1e-3
+	want := 0.5*0.25 + 0.5*sum/6
+	for i := 0; i < 1000; i++ {
+		if got := g.Grade(0.25, nonTarget, 7); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("grade %d = %v, want %v bit for bit", i, got, want)
+		}
+	}
+}
+
 func TestSpeedups(t *testing.T) {
 	ref := autodb.Perf{LatencyNS: 300, ThroughputBps: 100}
 	tgt := autodb.Perf{LatencyNS: 100, ThroughputBps: 150}

@@ -2,7 +2,10 @@ package ssd
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // targetSimPages caps the number of physical flash pages the simulator
@@ -15,16 +18,44 @@ import (
 // down. GC pressure depends on the *ratios*, which scaling preserves.
 const targetSimPages = 1 << 20
 
-// unmapped marks a logical page with no physical location.
-const unmapped = int64(-1)
+// unmapped marks a logical page with no physical location. Packed
+// addresses are stored plus one, so a freshly made mapping table is
+// all-unmapped without a fill pass.
+const unmapped = uint32(0)
 
-// ppa packs a physical page address: plane(16) | block(24) | slot(24).
-func packPPA(plane planeID, block, slot int32) int64 {
-	return int64(plane)<<48 | int64(block)<<24 | int64(slot)
+// ErrGeometryTooLarge is returned by the simulator when a device's
+// scaled geometry has more (plane, block, slot) combinations than a
+// 32-bit mapping entry can address.
+var ErrGeometryTooLarge = errors.New("ssd: scaled geometry does not fit a 32-bit physical page address")
+
+// ppaLayout packs a physical page address into a 32-bit mapping entry:
+// plane | block | slot, each field only as wide as the device needs,
+// plus one so that zero stays free for unmapped.
+type ppaLayout struct {
+	blockBits, slotBits uint8
 }
 
-func unpackPPA(v int64) (plane planeID, block, slot int32) {
-	return planeID(uint64(v) >> 48), int32(uint64(v)>>24) & 0xFFFFFF, int32(v) & 0xFFFFFF
+func newPPALayout(planes int, bpp, ppb int32) (ppaLayout, error) {
+	l := ppaLayout{blockBits: uint8(bits.Len32(uint32(bpp - 1))), slotBits: uint8(bits.Len32(uint32(ppb - 1)))}
+	if bits.Len64(uint64(planes-1))+int(l.blockBits)+int(l.slotBits) <= 32 {
+		// The largest address, plus one, must still fit.
+		top := uint64(planes-1)<<(l.blockBits+l.slotBits) | uint64(bpp-1)<<l.slotBits | uint64(ppb-1)
+		if top < math.MaxUint32 {
+			return l, nil
+		}
+	}
+	return l, fmt.Errorf("%w: %d planes × %d blocks × %d pages", ErrGeometryTooLarge, planes, bpp, ppb)
+}
+
+func (l ppaLayout) packPPA(plane planeID, block, slot int32) uint32 {
+	return (uint32(plane)<<(l.blockBits+l.slotBits) | uint32(block)<<l.slotBits | uint32(slot)) + 1
+}
+
+func (l ppaLayout) unpackPPA(v uint32) (plane planeID, block, slot int32) {
+	v--
+	return planeID(v >> (l.blockBits + l.slotBits)),
+		int32(v >> l.slotBits & (1<<l.blockBits - 1)),
+		int32(v & (1<<l.slotBits - 1))
 }
 
 // flashBlock is one erase unit.
@@ -90,9 +121,13 @@ type ftl struct {
 	// entry counts are divided by it (preserving coverage ratios).
 	capScale int64
 
-	planes  []flashPlane
-	mapping []int64 // logical page -> packed PPA
-	stripe  uint64  // write-striping counter
+	planes []flashPlane
+	ppaLayout
+	mapping []uint32 // logical page -> packed PPA (unmapped = 0)
+	stripe  uint64   // write-striping counter
+	// stripePlane maps stripe % len to the plane the allocation scheme
+	// places that stripe on, die-failure redirects applied.
+	stripePlane []planeID
 
 	gcMinFree int32
 
@@ -125,8 +160,13 @@ type ftl struct {
 func newFTL(p *DeviceParams) (*ftl, error) {
 	planes := p.TotalPlanes()
 	bpp, ppb := scaleGeometry(p, planes)
+	layout, err := newPPALayout(planes, bpp, ppb)
+	if err != nil {
+		return nil, err
+	}
 
 	f := &ftl{
+		ppaLayout:      layout,
 		p:              p,
 		alloc:          newPlaneAllocator(p),
 		gcPick:         newGCVictimPolicy(p),
@@ -178,14 +218,16 @@ func newFTL(p *DeviceParams) (*ftl, error) {
 		pl.blocks[0].pages = make([]int32, ppb)
 		fillStale(pl.blocks[0].pages)
 	}
-	f.mapping = make([]int64, f.logicalPages)
-	for i := range f.mapping {
-		f.mapping[i] = unmapped
-	}
+	f.mapping = make([]uint32, f.logicalPages)
 	if p.Faults.Enabled() {
 		if err := f.initFaults(p, planes); err != nil {
 			return nil, err
 		}
+	}
+	// The allocator's stripe order repeats every `planes` stripes.
+	f.stripePlane = make([]planeID, planes)
+	for s := range f.stripePlane {
+		f.stripePlane[s] = f.redirectPlane(f.alloc.planeIndex(f.alloc.locate(uint64(s))))
 	}
 	return f, nil
 }
@@ -317,8 +359,10 @@ func (f *ftl) pageSpan(lba uint64, sectors uint32) (firstLP, nPages int64) {
 // storage capacity".
 func (f *ftl) prefill(frac float64) {
 	n := int64(float64(f.logicalPages) * frac)
-	for lp := int64(0); lp < n; lp++ {
-		f.placePage(lp, 0)
+	if !f.bulkPrefill(n) {
+		for lp := int64(0); lp < n; lp++ {
+			f.placePage(lp, 0)
+		}
 	}
 	// Reset op counters: warm-up traffic is not part of the measurement.
 	f.userPrograms, f.gcPrograms, f.gcReads, f.erases = 0, 0, 0, 0
@@ -326,6 +370,74 @@ func (f *ftl) prefill(frac float64) {
 		f.planes[i].gcRuns = 0
 		f.planes[i].moveCount = 0
 	}
+}
+
+// bulkPrefill writes logical pages [0, n) on lane 0 of a fresh FTL and
+// leaves exactly the state n placePage(lp, 0) calls would, without
+// their per-page work: each plane keeps a cursor into its active block,
+// advanceActive runs where placePage would run it, and a block's
+// writePtr/valid are stored once, when it closes. It reports false,
+// touching nothing, when that equivalence cannot be shown up front:
+// under fault injection (each program draws from the fault RNG), on a
+// used FTL, or when some plane's free list would drop below gcMinFree,
+// which makes placePage run GC mid-prefill.
+func (f *ftl) bulkPrefill(n int64) bool {
+	if f.faults != nil || f.stripe != 0 {
+		return false
+	}
+	// Stripe s lands on stripePlane[s % len]; block 0 takes a plane's
+	// first pagesPerBlock pages, and every further pagesPerBlock pages
+	// open one block from the free list.
+	period := int64(len(f.stripePlane))
+	perPlane := make([]int64, len(f.planes))
+	for s, pl := range f.stripePlane {
+		perPlane[pl] += n / period
+		if int64(s) < n%period {
+			perPlane[pl]++
+		}
+	}
+	for pl, pages := range perPlane {
+		opened := max(pages-1, 0) / int64(f.pagesPerBlock)
+		if int64(len(f.planes[pl].freeList))-opened < int64(f.gcMinFree) {
+			return false
+		}
+	}
+
+	type cursor struct {
+		pages       []int32
+		base        uint32 // packed PPA of the active block's slot 0
+		block, slot int32
+	}
+	cur := make([]cursor, len(f.planes))
+	for pl := range cur {
+		b := f.planes[pl].actives[0]
+		cur[pl] = cursor{pages: f.planes[pl].blocks[b].pages, base: f.packPPA(planeID(pl), b, 0), block: b}
+	}
+	table, mapping, ppb := f.stripePlane, f.mapping[:n], f.pagesPerBlock
+	s := 0
+	for lp := range mapping {
+		pl := table[s]
+		if s++; s == len(table) {
+			s = 0
+		}
+		c := &cur[pl]
+		if c.slot == ppb {
+			fp := &f.planes[pl]
+			fp.blocks[c.block].writePtr, fp.blocks[c.block].valid = c.slot, c.slot
+			f.advanceActive(fp, pl, 0)
+			b := fp.actives[0]
+			*c = cursor{pages: fp.blocks[b].pages, base: f.packPPA(pl, b, 0), block: b}
+		}
+		c.pages[c.slot] = int32(lp)
+		mapping[lp] = c.base + uint32(c.slot)
+		c.slot++
+	}
+	for pl, c := range cur {
+		blk := &f.planes[pl].blocks[c.block]
+		blk.writePtr, blk.valid = c.slot, c.slot
+	}
+	f.stripe = uint64(n)
+	return true
 }
 
 // placePage allocates a physical slot for lp on the given write lane,
@@ -337,14 +449,13 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	if f.fatal != nil {
 		return 0, 0, 0 // device wedged; engine surfaces f.fatal
 	}
-	ch, chip, die, plane := f.alloc.locate(f.stripe)
+	pl = f.stripePlane[f.stripe%uint64(len(f.stripePlane))]
 	f.stripe++
-	pl = f.redirectPlane(f.alloc.planeIndex(ch, chip, die, plane))
 	fp := &f.planes[pl]
 
 	// Invalidate the previous location.
 	if old := f.mapping[lp]; old != unmapped {
-		opl, ob, oslot := unpackPPA(old)
+		opl, ob, oslot := f.unpackPPA(old)
 		blk := &f.planes[opl].blocks[ob]
 		if blk.pages[oslot] == int32(lp) {
 			blk.pages[oslot] = -1
@@ -354,7 +465,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 
 	ab := fp.actives[lane]
 	if ab < 0 || fp.blocks[ab].full(f.pagesPerBlock) {
-		f.advanceActive(fp, lane)
+		f.advanceActive(fp, pl, lane)
 		if f.fatal != nil {
 			f.mapping[lp] = unmapped
 			return pl, 0, 0
@@ -372,7 +483,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 			blk.failCount++
 			f.faults.programFailures++
 			if blk.full(f.pagesPerBlock) {
-				f.advanceActive(fp, lane)
+				f.advanceActive(fp, pl, lane)
 				if f.fatal != nil {
 					f.mapping[lp] = unmapped
 					return pl, 0, 0
@@ -385,7 +496,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	blk.writePtr++
 	blk.pages[slot] = int32(lp)
 	blk.valid++
-	f.mapping[lp] = packPPA(pl, fp.actives[lane], slot)
+	f.mapping[lp] = f.packPPA(pl, fp.actives[lane], slot)
 
 	if int32(len(fp.freeList)) < f.gcMinFree {
 		gcMoves, gcErases = f.collect(fp, pl)
@@ -393,11 +504,12 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	return pl, gcMoves, gcErases
 }
 
-// advanceActive opens a fresh free block as the lane's active block.
-func (f *ftl) advanceActive(fp *flashPlane, lane int32) {
+// advanceActive opens a fresh free block as the lane's active block on
+// plane pl (fp is &f.planes[pl]).
+func (f *ftl) advanceActive(fp *flashPlane, pl planeID, lane int32) {
 	if len(fp.freeList) == 0 {
 		// Emergency GC: free at least one block synchronously.
-		f.collect(fp, f.planeIDOf(fp))
+		f.collect(fp, pl)
 		if len(fp.freeList) == 0 {
 			// Over-provisioning too small, or fault-driven retirement
 			// consumed it. Sticky typed error, not a panic: the engine
@@ -419,15 +531,6 @@ func (f *ftl) advanceActive(fp *flashPlane, lane int32) {
 	blk.lane = lane
 	fp.allocSeq++
 	blk.allocSeq = fp.allocSeq
-}
-
-func (f *ftl) planeIDOf(fp *flashPlane) planeID {
-	for i := range f.planes {
-		if &f.planes[i] == fp {
-			return planeID(i)
-		}
-	}
-	return 0
 }
 
 // collect reclaims blocks on the plane until the free list is healthy.
@@ -454,7 +557,7 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 			if lp < 0 {
 				continue
 			}
-			if f.mapping[lp] != packPPA(pl, victim, slot) {
+			if f.mapping[lp] != f.packPPA(pl, victim, slot) {
 				continue // stale
 			}
 			dst := &fp.blocks[fp.actives[lane]]
@@ -465,14 +568,14 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 					// Cannot make progress; leave remaining pages.
 					break
 				}
-				f.advanceActive(fp, lane)
+				f.advanceActive(fp, pl, lane)
 				dst = &fp.blocks[fp.actives[lane]]
 			}
 			s := dst.writePtr
 			dst.writePtr++
 			dst.pages[s] = lp
 			dst.valid++
-			f.mapping[lp] = packPPA(pl, fp.actives[lane], s)
+			f.mapping[lp] = f.packPPA(pl, fp.actives[lane], s)
 			blk.pages[slot] = -1
 			blk.valid--
 			moves++
@@ -557,7 +660,7 @@ func (f *ftl) trimPage(lp int64) bool {
 	if v == unmapped {
 		return false
 	}
-	opl, ob, oslot := unpackPPA(v)
+	opl, ob, oslot := f.unpackPPA(v)
 	blk := &f.planes[opl].blocks[ob]
 	if blk.pages[oslot] == int32(lp) {
 		blk.pages[oslot] = -1
@@ -579,11 +682,10 @@ func (f *ftl) pickVictim(fp *flashPlane) int32 {
 // the layout (they are spread exactly like striped writes would be).
 func (f *ftl) lookup(lp int64) planeID {
 	if v := f.mapping[lp]; v != unmapped {
-		pl, _, _ := unpackPPA(v)
+		pl, _, _ := f.unpackPPA(v)
 		return pl
 	}
-	ch, chip, die, plane := f.alloc.locate(uint64(lp))
-	return f.redirectPlane(f.alloc.planeIndex(ch, chip, die, plane))
+	return f.stripePlane[uint64(lp)%uint64(len(f.stripePlane))]
 }
 
 // --- Cached mapping table (DFTL-style). ---

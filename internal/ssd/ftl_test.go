@@ -1,8 +1,8 @@
 package ssd
 
 import (
+	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"autoblox/internal/workload"
 )
@@ -20,16 +20,41 @@ func newTestFTL(t *testing.T, mutate func(*DeviceParams)) *ftl {
 	return f
 }
 
+// TestPPARoundTrip round-trips random and corner (plane, block, slot)
+// triples through each reference device's packed-address layout and
+// checks that no real address packs to unmapped.
 func TestPPARoundTrip(t *testing.T) {
-	f := func(planeRaw uint16, blockRaw, slotRaw uint32) bool {
-		plane := planeID(planeRaw % (1 << 15))
-		block := int32(blockRaw % (1 << 23))
-		slot := int32(slotRaw % (1 << 23))
-		gp, gb, gs := unpackPPA(packPPA(plane, block, slot))
-		return gp == plane && gb == block && gs == slot
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	for name, p := range map[string]DeviceParams{
+		"default": DefaultParams(), "intel750": Intel750(),
+		"samsung850pro": Samsung850Pro(), "samsungzssd": SamsungZSSD(),
+	} {
+		planes := p.TotalPlanes()
+		bpp, ppb := scaleGeometry(&p, planes)
+		l, err := newPPALayout(planes, bpp, ppb)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check := func(plane planeID, block, slot int32) {
+			v := l.packPPA(plane, block, slot)
+			if v == unmapped {
+				t.Fatalf("%s: (%d, %d, %d) packs to unmapped", name, plane, block, slot)
+			}
+			if gp, gb, gs := l.unpackPPA(v); gp != plane || gb != block || gs != slot {
+				t.Fatalf("%s: (%d, %d, %d) round-trips to (%d, %d, %d)", name, plane, block, slot, gp, gb, gs)
+			}
+		}
+		maxPlane, maxBlock, maxSlot := planeID(planes-1), bpp-1, ppb-1
+		for _, pl := range []planeID{0, maxPlane} {
+			for _, b := range []int32{0, maxBlock} {
+				for _, s := range []int32{0, maxSlot} {
+					check(pl, b, s)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 10000; i++ {
+			check(planeID(rng.Intn(planes)), rng.Int31n(bpp), rng.Int31n(ppb))
+		}
 	}
 }
 
@@ -37,7 +62,7 @@ func TestPlacePageInvalidatesOldCopy(t *testing.T) {
 	f := newTestFTL(t, nil)
 	pl1, _, _ := f.placePage(42, 0)
 	old := f.mapping[42]
-	opl, ob, oslot := unpackPPA(old)
+	opl, ob, oslot := f.unpackPPA(old)
 	if opl != pl1 {
 		t.Fatal("mapping does not match returned plane")
 	}
@@ -85,7 +110,7 @@ func TestValidCountsConsistentUnderChurn(t *testing.T) {
 				if lp < 0 {
 					continue
 				}
-				if f.mapping[lp] == packPPA(planeID(pi), int32(bi), slot) {
+				if f.mapping[lp] == f.packPPA(planeID(pi), int32(bi), slot) {
 					live++
 				}
 			}

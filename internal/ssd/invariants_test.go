@@ -34,7 +34,7 @@ func auditFTL(t *testing.T, label string, f *ftl) {
 				}
 				recount++
 				liveCount[lp]++
-				if f.mapping[lp] != packPPA(planeID(pi), int32(bi), slot) {
+				if f.mapping[lp] != f.packPPA(planeID(pi), int32(bi), slot) {
 					t.Fatalf("%s: lp %d live in plane %d block %d slot %d but mapping disagrees", label, lp, pi, bi, slot)
 				}
 			}

@@ -1,0 +1,184 @@
+package ssd
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"autoblox/internal/workload"
+)
+
+// diffFTL names the first piece of FTL state in which a and b differ,
+// or returns "" when they are identical: mapping, stripe counter, op
+// counters, fault state and every plane's free list, actives, GC
+// counters and per-block pages/writePtr/valid/allocSeq/lane.
+func diffFTL(a, b *ftl) string {
+	if !slices.Equal(a.mapping, b.mapping) {
+		for lp := range a.mapping {
+			if a.mapping[lp] != b.mapping[lp] {
+				return fmt.Sprintf("mapping[%d] %#x != %#x", lp, a.mapping[lp], b.mapping[lp])
+			}
+		}
+	}
+	if a.stripe != b.stripe {
+		return fmt.Sprintf("stripe %d != %d", a.stripe, b.stripe)
+	}
+	if a.fatal != b.fatal || a.gcReads != b.gcReads || a.gcPrograms != b.gcPrograms || a.erases != b.erases {
+		return fmt.Sprintf("counters/fatal differ: %v/%d/%d/%d vs %v/%d/%d/%d",
+			a.fatal, a.gcReads, a.gcPrograms, a.erases, b.fatal, b.gcReads, b.gcPrograms, b.erases)
+	}
+	if !reflect.DeepEqual(a.faults, b.faults) {
+		return "fault state differs"
+	}
+	for pl := range a.planes {
+		pa, pb := &a.planes[pl], &b.planes[pl]
+		if !slices.Equal(pa.freeList, pb.freeList) {
+			return fmt.Sprintf("plane %d freeList %v != %v", pl, pa.freeList, pb.freeList)
+		}
+		if !slices.Equal(pa.actives, pb.actives) {
+			return fmt.Sprintf("plane %d actives %v != %v", pl, pa.actives, pb.actives)
+		}
+		for bi := range pa.blocks {
+			if !reflect.DeepEqual(pa.blocks[bi], pb.blocks[bi]) {
+				return fmt.Sprintf("plane %d block %d: %+v != %+v", pl, bi, pa.blocks[bi], pb.blocks[bi])
+			}
+		}
+		if !reflect.DeepEqual(*pa, *pb) {
+			return fmt.Sprintf("plane %d counters: allocSeq %d/%d gcRuns %d/%d moves %d/%d", pl,
+				pa.allocSeq, pb.allocSeq, pa.gcRuns, pb.gcRuns, pa.moveCount, pb.moveCount)
+		}
+	}
+	return ""
+}
+
+// checkPrefill fills frac of p's logical space twice, once through
+// bulkPrefill and once through the placePage(lp, 0) loop, and fails
+// unless both leave identical state. When bulkPrefill declines it must
+// leave the FTL untouched; the placePage loop then runs on it, as
+// prefill does. It reports whether the bulk path ran.
+func checkPrefill(t testing.TB, p DeviceParams, frac float64) (bulk bool) {
+	t.Helper()
+	build := func() *ftl {
+		f, err := newFTL(&p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	want, got := build(), build()
+	n := int64(float64(want.logicalPages) * frac)
+	for lp := int64(0); lp < n; lp++ {
+		want.placePage(lp, 0)
+	}
+	if bulk = got.bulkPrefill(n); !bulk {
+		if d := diffFTL(got, build()); d != "" {
+			t.Fatalf("declined bulk prefill modified state: %s", d)
+		}
+		for lp := int64(0); lp < n; lp++ {
+			got.placePage(lp, 0)
+		}
+	}
+	if d := diffFTL(got, want); d != "" {
+		t.Fatalf("%s/%s occupancy %.2f (bulk=%v): %s", p.PlaneAllocScheme, p.HostIfcModel, frac, bulk, d)
+	}
+	return bulk
+}
+
+// prefillDevice has every fan-out level above one (so the allocation
+// schemes stripe differently) and a non-power-of-two chip count.
+func prefillDevice() DeviceParams {
+	p := smallDevice()
+	p.Channels, p.ChipsPerChannel, p.DiesPerChip, p.PlanesPerDie = 2, 3, 2, 2
+	p.BlocksPerPlane, p.PagesPerBlock = 32, 32
+	return p
+}
+
+func TestBulkPrefillMatchesPlacePage(t *testing.T) {
+	for scheme := 0; scheme < NumAllocSchemes; scheme++ {
+		for ifc := range HostIfcNames() {
+			for _, occ := range []float64{0, 0.5, 0.85, 0.99} {
+				p := prefillDevice()
+				p.PlaneAllocScheme = AllocScheme(scheme)
+				p.HostIfcModel = HostIfc(ifc)
+				// At 0.99 a plane's free list reaches the GC threshold
+				// mid-prefill, so only the placePage loop is exact.
+				if bulk := checkPrefill(t, p, occ); bulk != (occ < 0.99) {
+					t.Fatalf("%s/%s occupancy %.2f: bulk path ran = %v", p.PlaneAllocScheme, p.HostIfcModel, occ, bulk)
+				}
+			}
+		}
+	}
+	for name, p := range map[string]DeviceParams{"intel750": Intel750(), "samsung850pro": Samsung850Pro()} {
+		if !checkPrefill(t, p, p.InitialOccupancyFrac) {
+			t.Fatalf("%s: bulk prefill declined at its own occupancy", name)
+		}
+	}
+}
+
+func TestBulkPrefillDeclinesUnderFaults(t *testing.T) {
+	for _, fp := range []FaultProfile{{DieFailures: 1, Seed: 3}, {Rate: 0.001, Seed: 7}} {
+		p := prefillDevice()
+		p.Faults = fp
+		if checkPrefill(t, p, 0.5) {
+			t.Fatalf("faults %+v: bulk prefill ran, want the placePage fallback", fp)
+		}
+	}
+}
+
+// FuzzPrefillMatchesPlacePage checks bulk prefill against the placePage
+// loop over small random geometries, schemes, host interfaces,
+// occupancies, GC thresholds and die failures.
+func FuzzPrefillMatchesPlacePage(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(3), uint8(2), uint8(2), uint8(32), uint8(32), uint8(128), uint8(8), uint8(10), uint8(0))
+	f.Add(uint8(9), uint8(1), uint8(3), uint8(1), uint8(4), uint8(1), uint8(16), uint8(64), uint8(217), uint8(7), uint8(5), uint8(0))
+	f.Add(uint8(15), uint8(2), uint8(1), uint8(2), uint8(1), uint8(3), uint8(40), uint8(24), uint8(252), uint8(20), uint8(15), uint8(0))
+	f.Add(uint8(4), uint8(0), uint8(2), uint8(2), uint8(2), uint8(1), uint8(32), uint8(32), uint8(128), uint8(8), uint8(10), uint8(1))
+	f.Fuzz(func(t *testing.T, scheme, ifc, ch, chips, dies, planes, bpp, ppb, occ, op, gcPct, dieFail uint8) {
+		p := DefaultParams()
+		p.PlaneAllocScheme = AllocScheme(scheme % NumAllocSchemes)
+		p.HostIfcModel = HostIfc(int(ifc) % len(HostIfcNames()))
+		p.Channels, p.ChipsPerChannel = 1+int(ch%4), 1+int(chips%4)
+		p.DiesPerChip, p.PlanesPerDie = 1+int(dies%4), 1+int(planes%4)
+		p.BlocksPerPlane, p.PagesPerBlock = 4+int(bpp%125), 4+int(ppb%125)
+		p.OverprovisionRatio = 0.02 + float64(op%48)/100
+		p.GCThresholdPct = 1 + float64(gcPct%30)
+		p.Faults.DieFailures = int(dieFail % 2)
+		if err := p.Validate(); err != nil {
+			return
+		}
+		checkPrefill(t, p, float64(occ)/255)
+	})
+}
+
+// TestGeometryTooLargeIsTypedError: validation allows up to 1024 at
+// every fan-out level, but 1024 channels × 1024 chips × 1 die × 1024
+// planes is 2^30 planes, which with the minimum scaled blocks and pages
+// needs more than 32 address bits. The simulator must refuse it with
+// ErrGeometryTooLarge before allocating per-plane state.
+func TestGeometryTooLargeIsTypedError(t *testing.T) {
+	p := DefaultParams()
+	p.Channels, p.ChipsPerChannel, p.DiesPerChip, p.PlanesPerDie = 1024, 1024, 1, 1024
+	if err := p.Validate(); err != nil {
+		t.Fatalf("geometry should pass validation: %v", err)
+	}
+	if _, err := newFTL(&p); !errors.Is(err, ErrGeometryTooLarge) {
+		t.Fatalf("newFTL error = %v, want ErrGeometryTooLarge", err)
+	}
+	// At exactly 32 bits the last address, plus one, would wrap to
+	// unmapped; one plane fewer leaves room for it.
+	if _, err := newPPALayout(1<<16, 1<<8, 1<<8); !errors.Is(err, ErrGeometryTooLarge) {
+		t.Fatalf("full 32-bit layout error = %v, want ErrGeometryTooLarge", err)
+	}
+	if _, err := newPPALayout(1<<16-1, 1<<8, 1<<8); err != nil {
+		t.Fatalf("32-bit layout with a spare top address: %v", err)
+	}
+	sim, err := NewSimulator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(testTrace(workload.Database, 10)); !errors.Is(err, ErrGeometryTooLarge) {
+		t.Fatalf("Run error = %v, want ErrGeometryTooLarge", err)
+	}
+}
