@@ -73,15 +73,16 @@ const (
 	DefaultBeta = 0.1
 )
 
-// simKey identifies one (configuration, trace) simulation in the cache.
-// A struct key cannot collide by construction; the former string key
+// SimKey identifies one (configuration, trace) measurement: the
+// validator's cache key and the dist coordinator's job key. A struct
+// key cannot collide by construction; the former string key
 // cfg.Key()+"|"+name was ambiguous for names containing the separator.
-type simKey struct {
-	cfg  string // ssdconf.Config.Key()
-	name string // trace name ("<cluster>#<i>")
+type SimKey struct {
+	Cfg  string // ssdconf.Config.Key()
+	Name string // trace name ("<cluster>#<i>")
 }
 
-func cacheKey(cfgKey, name string) simKey { return simKey{cfg: cfgKey, name: name} }
+func cacheKey(cfgKey, name string) SimKey { return SimKey{Cfg: cfgKey, Name: name} }
 
 // inflightSim tracks an in-progress simulation so that concurrent
 // lookups of the same key wait for the one leader instead of running a
@@ -144,8 +145,8 @@ type Validator struct {
 	Persist *PersistentCache
 
 	mu       sync.Mutex
-	cache    map[simKey]autodb.Perf
-	inflight map[simKey]*inflightSim
+	cache    map[SimKey]autodb.Perf
+	inflight map[SimKey]*inflightSim
 	sem      chan struct{} // validator-wide simulation slots (lazy)
 	local    *localBackend // default backend (lazy)
 	sigCache string        // memoized Space.Signature() (lazy)
@@ -179,8 +180,8 @@ func NewValidatorSources(space *ssdconf.Space, groups map[string][]trace.SourceF
 	return &Validator{
 		Space:     space,
 		Workloads: groups,
-		cache:     make(map[simKey]autodb.Perf),
-		inflight:  make(map[simKey]*inflightSim),
+		cache:     make(map[SimKey]autodb.Perf),
+		inflight:  make(map[SimKey]*inflightSim),
 	}
 }
 
@@ -346,7 +347,7 @@ func (v *Validator) MeasureTrace(ctx context.Context, cfg ssdconf.Config, name s
 	// restart-surviving hit skips the simulation entirely and fills the
 	// memo cache, counting as a CacheHit so the accounting law holds.
 	if p := v.Persist; p != nil {
-		if perf, ok := p.Get(v.persistSig(), key.cfg, key.name); ok {
+		if perf, ok := p.Get(v.persistSig(), key.Cfg, key.Name); ok {
 			fl.perf = perf
 			v.cacheHits.Add(1)
 			v.Obs.Counter(MetricCacheHits).Inc()
@@ -374,7 +375,7 @@ func (v *Validator) MeasureTrace(ctx context.Context, cfg ssdconf.Config, name s
 	v.mu.Unlock()
 	close(fl.done)
 	if fl.err == nil && v.Persist != nil {
-		v.Persist.Put(v.persistSig(), key.cfg, key.name, fl.perf)
+		v.Persist.Put(v.persistSig(), key.Cfg, key.Name, fl.perf)
 	}
 	return fl.perf, fl.err
 }
@@ -481,7 +482,7 @@ func (v *Validator) SnapshotCache() []CachedPerf {
 	v.mu.Lock()
 	out := make([]CachedPerf, 0, len(v.cache))
 	for k, p := range v.cache {
-		out = append(out, CachedPerf{CfgKey: k.cfg, Name: k.name, Perf: p})
+		out = append(out, CachedPerf{CfgKey: k.Cfg, Name: k.Name, Perf: p})
 	}
 	v.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"time"
 
-	"autoblox/internal/autodb"
 	"autoblox/internal/ssdconf"
 )
 
@@ -25,30 +23,17 @@ func RandomSearch(ctx context.Context, space *ssdconf.Space, v *Validator, g *Gr
 		return nil, errors.New("core: no initial configurations")
 	}
 	start := time.Now()
-	simStart := v.SimRuns()
+	simStart := freshMeasurements(v)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x9e3779b9))
 
-	// Reuse the tuner's evaluation path (grading, power budget,
-	// validation pruning) so only the *search policy* differs.
-	t := &Tuner{Space: space, Validator: v, Grader: g, Opts: opts,
-		rng: rand.New(rand.NewSource(opts.Seed))}
-
+	// Reuse the tuner's frontier, evaluation path (grading, power budget,
+	// validation pruning) and final report so only the *search policy*
+	// differs.
+	t := &Tuner{Space: space, Validator: v, Grader: g, Opts: opts}
 	res := &TuneResult{Target: target}
-	var validated []entry
-	for _, cfg := range initial {
-		if space.CheckConstraints(cfg) != nil {
-			continue
-		}
-		e, rejected, err := t.evaluate(ctx, target, cfg, math.Inf(-1), res)
-		if err != nil {
-			return nil, err
-		}
-		if !rejected {
-			validated = append(validated, e)
-		}
-	}
-	if len(validated) == 0 {
-		return nil, errors.New("core: no initial configuration satisfies the constraints")
+	validated, err := t.frontier(ctx, target, initial, map[string]bool{}, res)
+	if err != nil {
+		return nil, err
 	}
 
 	for iter := 0; iter < opts.MaxIterations; iter++ {
@@ -68,25 +53,9 @@ func RandomSearch(ctx context.Context, space *ssdconf.Space, v *Validator, g *Gr
 		res.Trajectory = append(res.Trajectory, bestGrade(validated))
 	}
 
-	best := bestEntry(validated)
-	res.Best = best.cfg
-	res.BestGrade = best.grade
-	res.BestPerf = map[string][]autodb.Perf{}
-	if err := v.MeasureBatch(ctx, []ssdconf.Config{best.cfg}, v.Clusters()); err != nil {
+	if err := t.report(ctx, validated, res, start, simStart); err != nil {
 		return nil, err
 	}
-	for _, cl := range v.Clusters() {
-		ps, err := v.MeasureCluster(ctx, best.cfg, cl)
-		if err != nil {
-			return nil, err
-		}
-		res.BestPerf[cl] = ps
-	}
-	if !space.Objectives.Scalar() {
-		res.Front, res.Hypervolume = buildFront(space.Objectives, validated)
-	}
-	res.SimRuns = v.SimRuns() - simStart
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

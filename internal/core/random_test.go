@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"autoblox/internal/autodb"
 	"autoblox/internal/ssdconf"
 	"autoblox/internal/workload"
 )
@@ -27,6 +29,40 @@ func TestRandomSearchBasics(t *testing.T) {
 	}
 	if len(res.BestPerf) != 3 {
 		t.Fatalf("BestPerf covers %d clusters", len(res.BestPerf))
+	}
+}
+
+// remoteBackend plays a distributed fleet: it simulates each job on a
+// private validator, so every result reaches the tuning validator as a
+// remote result and none as a local simulation.
+type remoteBackend struct {
+	inner *Validator
+	jobs  atomic.Int64
+	c     BackendCounters
+}
+
+func (b *remoteBackend) Measure(ctx context.Context, job Job) (autodb.Perf, error) {
+	b.jobs.Add(1)
+	perf, _, err := b.inner.simulate(ctx, job.Cfg, job.Src)
+	return perf, err
+}
+
+func (b *remoteBackend) Stats() BackendStats { return b.c.Snapshot("remote") }
+
+// TestRandomSearchCountsRemoteMeasurements checks that SimRuns counts
+// fresh measurements wherever they ran, as Tune does: with a backend
+// set, every measurement of the search is a remote result.
+func TestRandomSearchCountsRemoteMeasurements(t *testing.T) {
+	space, v, g, ref := smallTunerEnv(t)
+	be := &remoteBackend{inner: NewValidator(space, nil)}
+	v.Backend = be
+	res, err := RandomSearch(context.Background(), space, v, g, string(workload.Database),
+		[]ssdconf.Config{ref}, TunerOptions{Seed: 5, MaxIterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs := int(be.jobs.Load()); jobs == 0 || res.SimRuns != jobs {
+		t.Fatalf("SimRuns = %d, backend measured %d jobs", res.SimRuns, jobs)
 	}
 }
 

@@ -224,12 +224,6 @@ func NewTuner(space *ssdconf.Space, v *Validator, g *Grader, opts TunerOptions) 
 	return t, nil
 }
 
-// Tune learns an optimized configuration for the target cluster,
-// starting from the given initial configurations (from AutoDB when the
-// cluster is known, else the commodity reference). Cancelling ctx stops
-// the search between (and, cooperatively, within) iterations with
-// ErrInterrupted; with Opts.Checkpoint set, the snapshot of the last
-// completed iteration survives on disk for Opts.Resume.
 // freshMeasurements counts measurements that were not served from the
 // memo cache, wherever they executed: in-process simulations plus
 // results returned by a distributed backend.
@@ -238,6 +232,12 @@ func freshMeasurements(v *Validator) int {
 	return int(st.SimRuns + st.RemoteResults)
 }
 
+// Tune learns an optimized configuration for the target cluster,
+// starting from the given initial configurations (from AutoDB when the
+// cluster is known, else the commodity reference). Cancelling ctx stops
+// the search between (and, cooperatively, within) iterations with
+// ErrInterrupted; with Opts.Checkpoint set, the snapshot of the last
+// completed iteration survives on disk for Opts.Resume.
 func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Config) (*TuneResult, error) {
 	if _, ok := t.Validator.Workloads[target]; !ok {
 		return nil, fmt.Errorf("core: unknown target workload %q", target)
@@ -273,57 +273,9 @@ func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Confi
 	}
 
 	if !resumed {
-		// ① initialize the model with the initial configuration set. The
-		// whole initial frontier's target-cluster runs fan out as one batch;
-		// the non-target runs batch after the power-budget filter so a
-		// rejected configuration costs no non-target simulations — the same
-		// economy as serial evaluation, just concurrent.
-		var initCfgs []ssdconf.Config
-		for _, cfg := range initial {
-			if err := t.Space.CheckConstraints(cfg); err != nil {
-				continue
-			}
-			if seen[cfg.Key()] {
-				continue
-			}
-			seen[cfg.Key()] = true
-			initCfgs = append(initCfgs, cfg)
-		}
-		if err := func() error {
-			sp := obs.StartSpan("frontier").ArgInt("configs", int64(len(initCfgs)))
-			defer sp.End()
-			if err := t.Validator.MeasureBatch(ctx, initCfgs, []string{target}); err != nil {
-				return err
-			}
-			var live []ssdconf.Config
-			for _, cfg := range initCfgs {
-				perfs, err := t.Validator.MeasureCluster(ctx, cfg, target) // cache hit
-				if err != nil {
-					return err
-				}
-				if !t.overPowerBudget(perfs) {
-					live = append(live, cfg)
-				}
-			}
-			if err := t.Validator.MeasureBatch(ctx, live, t.Validator.NonTargetClusters(target)); err != nil {
-				return err
-			}
-			for _, cfg := range initCfgs {
-				e, rejected, err := t.evaluate(ctx, target, cfg, math.Inf(-1), res)
-				if err != nil {
-					return err
-				}
-				if rejected {
-					continue
-				}
-				validated = append(validated, e)
-			}
-			return nil
-		}(); err != nil {
+		var err error
+		if validated, err = t.frontier(ctx, target, initial, seen, res); err != nil {
 			return nil, err
-		}
-		if len(validated) == 0 {
-			return nil, errors.New("core: no initial configuration satisfies the constraints (capacity/power)")
 		}
 		if err := t.saveCheckpoint(target, 0, noProgress, res, validated, seen); err != nil {
 			return nil, err
@@ -344,63 +296,32 @@ func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Confi
 			defer sp.End()
 
 			// ②–⑤ pick search roots, run the SGD + GPR search from each,
-			// and validate the proposals. Scalar mode keeps the historical
-			// single-root walk: a random root among the top-K grades
-			// (random within the top three prevents premature convergence,
-			// §3.4). Pareto mode advances EVERY retained front lineage
-			// each iteration — NSGA-style population advance, ordered by
-			// crowding distance so the extremes go first — because a
-			// single random root starves minority trade-off regions (a
-			// durable-but-slower lineage never picks up the wear-neutral
-			// performance knobs the grade-leading lineage found).
+			// and validate the proposals.
 			advanced := false
-			if t.pareto() {
-				roots := frontIndices(t.Space.Objectives, validated)
-				if len(roots) > t.Opts.TopK {
-					roots = roots[:t.Opts.TopK]
-				}
-				for _, rootIdx := range roots {
-					// The surrogate targets are recomputed per root: each
-					// validation extends the set the GPR fits on.
-					ys := t.searchScores(validated, iter)
-					cand := t.sgdSearch(validated[rootIdx], ys[rootIdx], ys, validated, seen, iter)
-					if cand == nil {
-						continue
-					}
-					worst := worstRetainedGrade(validated, t.Opts.TopK)
-					e, rejected, err := t.evaluate(ctx, target, cand, worst, res)
-					if err != nil {
-						return true, err
-					}
-					seen[cand.Key()] = true
-					if !rejected {
-						validated = append(validated, e)
-					}
-					advanced = true
-				}
-				sp.ArgInt("roots", int64(len(roots)))
-			} else {
-				rootIdx := t.pickRoot(validated)
-				root := validated[rootIdx]
+			roots := t.searchRoots(validated)
+			for _, rootIdx := range roots {
+				// The surrogate targets are recomputed per root: each
+				// validation extends the set the GPR fits on.
 				ys := t.searchScores(validated, iter)
-				cand := t.sgdSearch(root, ys[rootIdx], ys, validated, seen, iter)
-				if cand != nil {
-					sp.Arg("config", cand.Key())
-					worst := worstRetainedGrade(validated, t.Opts.TopK)
-					e, rejected, err := t.evaluate(ctx, target, cand, worst, res)
-					if err != nil {
-						return true, err
-					}
-					seen[cand.Key()] = true
-					if !rejected {
-						validated = append(validated, e)
-					}
-					advanced = true
+				cand := t.sgdSearch(validated[rootIdx], ys[rootIdx], ys, validated, seen, iter)
+				if cand == nil {
+					continue
 				}
+				worst := worstRetainedGrade(validated, t.Opts.TopK)
+				e, rejected, err := t.evaluate(ctx, target, cand, worst, res)
+				if err != nil {
+					return true, err
+				}
+				seen[cand.Key()] = true
+				if !rejected {
+					validated = append(validated, e)
+				}
+				advanced = true
 			}
+			sp.ArgInt("roots", int64(len(roots)))
+			res.Trajectory = append(res.Trajectory, bestGrade(validated))
 			if !advanced {
 				noProgress++
-				res.Trajectory = append(res.Trajectory, bestGrade(validated))
 				if noProgress >= 3 {
 					res.Converged = true
 					return true, nil
@@ -409,7 +330,6 @@ func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Confi
 			}
 			noProgress = 0
 
-			res.Trajectory = append(res.Trajectory, bestGrade(validated))
 			if t.Opts.OnIteration != nil {
 				t.Opts.OnIteration(iter, bestGrade(validated))
 			}
@@ -451,37 +371,99 @@ func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Confi
 		}
 	}
 
-	// Final report: fully measure the best configuration everywhere, as
-	// one parallel batch.
+	if err := t.report(ctx, validated, res, start, simStart); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// frontier runs step ① of §3.4: it validates the initial configurations
+// that satisfy the constraints (each once; seen records them) and
+// returns the ones the power budget keeps. The whole frontier's
+// target-cluster runs fan out as one batch; the non-target runs batch
+// after the power-budget filter so a rejected configuration costs no
+// non-target simulations — the same economy as serial evaluation, just
+// concurrent.
+func (t *Tuner) frontier(ctx context.Context, target string, initial []ssdconf.Config, seen map[string]bool, res *TuneResult) ([]entry, error) {
+	var initCfgs []ssdconf.Config
+	for _, cfg := range initial {
+		if err := t.Space.CheckConstraints(cfg); err != nil {
+			continue
+		}
+		if seen[cfg.Key()] {
+			continue
+		}
+		seen[cfg.Key()] = true
+		initCfgs = append(initCfgs, cfg)
+	}
+	sp := obs.StartSpan("frontier").ArgInt("configs", int64(len(initCfgs)))
+	defer sp.End()
+	if err := t.Validator.MeasureBatch(ctx, initCfgs, []string{target}); err != nil {
+		return nil, err
+	}
+	var live []ssdconf.Config
+	for _, cfg := range initCfgs {
+		perfs, err := t.Validator.MeasureCluster(ctx, cfg, target) // cache hit
+		if err != nil {
+			return nil, err
+		}
+		if !t.overPowerBudget(perfs) {
+			live = append(live, cfg)
+		}
+	}
+	if err := t.Validator.MeasureBatch(ctx, live, t.Validator.NonTargetClusters(target)); err != nil {
+		return nil, err
+	}
+	var validated []entry
+	for _, cfg := range initCfgs {
+		e, rejected, err := t.evaluate(ctx, target, cfg, math.Inf(-1), res)
+		if err != nil {
+			return nil, err
+		}
+		if !rejected {
+			validated = append(validated, e)
+		}
+	}
+	if len(validated) == 0 {
+		return nil, errors.New("core: no initial configuration satisfies the constraints (capacity/power)")
+	}
+	return validated, nil
+}
+
+// report fills the final fields of res: the best configuration, fully
+// measured on every cluster as one parallel batch, the Pareto front
+// (Pareto mode only), and the run's fresh measurements and wall clock
+// since start/simStart.
+func (t *Tuner) report(ctx context.Context, validated []entry, res *TuneResult, start time.Time, simStart int) error {
 	best := bestEntry(validated)
 	res.Best = best.cfg
 	res.BestGrade = best.grade
 	res.BestPerf = map[string][]autodb.Perf{}
-	msp := obs.StartSpan("final-measure").Arg("config", best.cfg.Key())
+	sp := obs.StartSpan("final-measure").Arg("config", best.cfg.Key())
+	defer sp.End()
 	if err := t.Validator.MeasureBatch(ctx, []ssdconf.Config{best.cfg}, t.Validator.Clusters()); err != nil {
-		msp.End()
-		return nil, err
+		return err
 	}
 	for _, cl := range t.Validator.Clusters() {
 		ps, err := t.Validator.MeasureCluster(ctx, best.cfg, cl)
 		if err != nil {
-			msp.End()
-			return nil, err
+			return err
 		}
 		res.BestPerf[cl] = ps
 	}
-	msp.End()
 	if t.pareto() {
 		res.Front, res.Hypervolume = buildFront(t.Space.Objectives, validated)
 	}
 	res.SimRuns = freshMeasurements(t.Validator) - simStart
 	res.Elapsed = time.Since(start)
-	return res, nil
+	return nil
 }
 
 // pareto reports whether this tuner searches the objective vector
-// rather than the scalar grade. Scalar mode must execute the exact
-// historical code path — every pareto() branch below is a no-op then.
+// rather than the scalar grade. Scalar mode is the one-root case of the
+// Pareto walk; the pareto() branches that remain pick the roots, the
+// surrogate targets and the validation-pruning rule (see DESIGN.md §4i
+// for why the last two stay scalar-specific).
 func (t *Tuner) pareto() bool { return !t.Space.Objectives.Scalar() }
 
 // saveCheckpoint snapshots the run if checkpointing is enabled. iter is
@@ -606,7 +588,7 @@ func (t *Tuner) evaluate(ctx context.Context, target string, cfg ssdconf.Config,
 		return e, true, nil
 	}
 	e.targetPerf = t.Grader.ClusterPerformance(target, perfs)
-	e.latSp, e.tputSp = clusterSpeedups(t.Grader, target, perfs)
+	e.latSp, e.tputSp = t.Grader.ClusterSpeedups(target, perfs)
 	e.power = meanPower(perfs)
 	e.lifetimeNS = minLifetimeNS(perfs)
 
@@ -657,12 +639,25 @@ func (t *Tuner) overPowerBudget(perfs []autodb.Perf) bool {
 	return false
 }
 
-// pickRoot selects the scalar-mode search root: a random member of the
-// top-K grades. Pareto mode does not use it — every front lineage is
-// advanced per iteration instead (see the iteration body).
-func (t *Tuner) pickRoot(validated []entry) int {
-	idx := topKIndices(validated, t.Opts.TopK)
-	return idx[t.rng.Intn(len(idx))]
+// searchRoots returns the indices of this iteration's search roots.
+// Scalar mode walks from one random member of the top-K grades (random
+// within the top three prevents premature convergence, §3.4): the
+// one-root case of the population walk. Pareto mode advances EVERY
+// retained front lineage, capped at TopK — NSGA-style population
+// advance, ordered by crowding distance so the extremes go first —
+// because a single random root starves minority trade-off regions (a
+// durable-but-slower lineage never picks up the wear-neutral
+// performance knobs the grade-leading lineage found).
+func (t *Tuner) searchRoots(validated []entry) []int {
+	if !t.pareto() {
+		idx := topKIndices(validated, t.Opts.TopK)
+		return []int{idx[t.rng.Intn(len(idx))]}
+	}
+	roots := frontIndices(t.Space.Objectives, validated)
+	if len(roots) > t.Opts.TopK {
+		roots = roots[:t.Opts.TopK]
+	}
+	return roots
 }
 
 // searchScores maps the validated set onto the surrogate's regression
@@ -855,9 +850,9 @@ func worstRetainedGrade(validated []entry, k int) float64 {
 	return worst
 }
 
-// clusterSpeedups returns the geometric-mean latency and throughput
+// ClusterSpeedups returns the geometric-mean latency and throughput
 // speedups of a cluster's measurements against the grader's reference.
-func clusterSpeedups(g *Grader, cluster string, perfs []autodb.Perf) (lat, tput float64) {
+func (g *Grader) ClusterSpeedups(cluster string, perfs []autodb.Perf) (lat, tput float64) {
 	refs := g.Ref[cluster]
 	var latLog, tputLog float64
 	for i, p := range perfs {

@@ -170,7 +170,7 @@ func WhatIf(ctx context.Context, space *ssdconf.Space, v *Validator, g *Grader, 
 
 	res := &WhatIfResult{TuneResult: *tr, Goal: goal, CriticalParams: map[string]float64{}}
 	perfs := tr.BestPerf[goal.Target]
-	res.LatencySpeedup, res.ThroughputSpeedup = clusterSpeedups(&grader, goal.Target, perfs)
+	res.LatencySpeedup, res.ThroughputSpeedup = grader.ClusterSpeedups(goal.Target, perfs)
 	if opts.StopCondition != nil {
 		res.Achieved = opts.StopCondition(res.LatencySpeedup, res.ThroughputSpeedup)
 	}

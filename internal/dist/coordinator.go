@@ -143,7 +143,7 @@ type leaseInfo struct {
 // distJob is one measurement key moving through the lease state
 // machine.
 type distJob struct {
-	key        simKey
+	key        core.SimKey
 	cfg        ssdconf.Config
 	submitted  time.Time
 	state      jobState
@@ -162,12 +162,6 @@ type distJob struct {
 	done chan struct{}
 	perf autodb.Perf
 	err  error
-}
-
-// simKey mirrors the validator's struct cache key.
-type simKey struct {
-	cfg  string
-	name string
 }
 
 // session is one connected worker's lease bookkeeping, plus the
@@ -255,7 +249,7 @@ type Coordinator struct {
 	nextLane    int64
 	pending     []*distJob
 	leased      map[uint64]*leaseInfo
-	byKey       map[simKey]*distJob
+	byKey       map[core.SimKey]*distJob
 	tallies     map[string]*workerTally
 	verifyQ     []*distJob
 	completions [completionWindow]time.Duration
@@ -271,7 +265,7 @@ func NewCoordinator(env *Env, opts CoordinatorOptions) *Coordinator {
 		env:     env,
 		opts:    opts.withDefaults(),
 		leased:  make(map[uint64]*leaseInfo),
-		byKey:   make(map[simKey]*distJob),
+		byKey:   make(map[core.SimKey]*distJob),
 		tallies: make(map[string]*workerTally),
 		traceID: obs.TraceID(),
 	}
@@ -562,7 +556,7 @@ func (c *Coordinator) Measure(ctx context.Context, job core.Job) (autodb.Perf, e
 // submit enqueues a job, returning the existing entry when the key is
 // already pending, leased, or done.
 func (c *Coordinator) submit(job core.Job) (*distJob, error) {
-	k := simKey{cfg: job.Cfg.Key(), name: job.Name}
+	k := core.SimKey{Cfg: job.Cfg.Key(), Name: job.Name}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -668,7 +662,7 @@ func (c *Coordinator) expireLeaseLocked(id uint64, li *leaseInfo, now time.Time,
 		why, val = "reason", "disconnect"
 	}
 	obs.RecordEvent("lease-expired",
-		"lease", fmt.Sprint(id), "worker", owner, "trace", j.key.name, why, val)
+		"lease", fmt.Sprint(id), "worker", owner, "trace", j.key.Name, why, val)
 	if j.state != jobLeased || len(j.leases) > 0 {
 		return
 	}
@@ -677,7 +671,7 @@ func (c *Coordinator) expireLeaseLocked(id uint64, li *leaseInfo, now time.Time,
 	c.pending = append(c.pending, j)
 	if !disconnect && j.expiries == 2 {
 		obs.RecordEvent("warn-flaky-job",
-			"trace", j.key.name, "cfg", j.key.cfg, "worker", owner, "expiries", "2")
+			"trace", j.key.Name, "cfg", j.key.Cfg, "worker", owner, "expiries", "2")
 	}
 }
 
@@ -697,7 +691,7 @@ func (c *Coordinator) grantLocked(j *distJob, sess *session, now time.Time, hedg
 		c.obsInc(MetricLeasesReassigned)
 		c.tallyLocked(sess.name).reassigned++
 		obs.RecordEvent("lease-reassigned",
-			"lease", fmt.Sprint(c.nextLease), "worker", sess.name, "trace", j.key.name, "grants", fmt.Sprint(j.grants+1))
+			"lease", fmt.Sprint(c.nextLease), "worker", sess.name, "trace", j.key.Name, "grants", fmt.Sprint(j.grants+1))
 	}
 	j.grants++
 	j.state = jobLeased
@@ -706,9 +700,9 @@ func (c *Coordinator) grantLocked(j *distJob, sess *session, now time.Time, hedg
 	j.leases[c.nextLease] = li
 	return Lease{
 		ID:      c.nextLease,
-		CfgKey:  j.key.cfg,
+		CfgKey:  j.key.Cfg,
 		Cfg:     []int(j.cfg),
-		Name:    j.key.name,
+		Name:    j.key.Name,
 		TraceID: c.traceID,
 	}
 }
@@ -772,7 +766,7 @@ func (c *Coordinator) hedgeLocked(sess *session, now time.Time, room int) []Leas
 		c.hedged.Add(1)
 		c.obsInc(MetricHedgedLeases)
 		obs.RecordEvent("lease-hedged",
-			"lease", fmt.Sprint(l.ID), "worker", sess.name, "trace", j.key.name,
+			"lease", fmt.Sprint(l.ID), "worker", sess.name, "trace", j.key.Name,
 			"age", now.Sub(j.firstGrant).String(), "threshold", th.String())
 		out = append(out, l)
 		if len(out) >= room {
@@ -854,7 +848,7 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 // pickCrossCheck reports whether a key falls in the cross-validation
 // sample — a pure function of the key, so the same key is either
 // always or never checked.
-func (c *Coordinator) pickCrossCheck(k simKey) bool {
+func (c *Coordinator) pickCrossCheck(k core.SimKey) bool {
 	if c.opts.CrossCheck <= 0 {
 		return false
 	}
@@ -862,7 +856,7 @@ func (c *Coordinator) pickCrossCheck(k simKey) bool {
 		return true
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s", k.cfg, k.name)
+	fmt.Fprintf(h, "%s|%s", k.Cfg, k.Name)
 	z := h.Sum64()
 	// splitmix64 finalizer whitens the fnv hash into a uniform draw.
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -920,7 +914,7 @@ func (c *Coordinator) applyResults(sess *session, msg *ResultMsg) {
 			c.obsInc(MetricResultsDup)
 			continue
 		}
-		k := simKey{cfg: r.CfgKey, name: r.Name}
+		k := core.SimKey{Cfg: r.CfgKey, Name: r.Name}
 		j, ok := c.byKey[k]
 		if !ok || j.state == jobDone || j.state == jobVerifying {
 			c.duplicates.Add(1)
@@ -1027,7 +1021,7 @@ func (c *Coordinator) verifier() {
 		worker := j.verifyWorker
 		remote := j.verifyPerf
 		cfg := j.cfg
-		name := j.key.name
+		name := j.key.Name
 		c.mu.Unlock()
 
 		local, err := c.crossSimulate(cfg, name)
@@ -1054,7 +1048,7 @@ func (c *Coordinator) verifier() {
 			c.obsInc(MetricCrossCheckDivergent)
 			c.tallyLocked(worker).divergent++
 			obs.RecordEvent("crosscheck-divergent",
-				"worker", worker, "trace", name, "cfg", j.key.cfg)
+				"worker", worker, "trace", name, "cfg", j.key.Cfg)
 			c.markByzantineLocked(worker, c.now())
 			if j.state == jobVerifying { // not already requeued by markByzantine
 				j.state = jobPending

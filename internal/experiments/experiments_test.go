@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"autoblox/internal/ssdconf"
 	"autoblox/internal/workload"
 )
 
@@ -47,6 +48,28 @@ func TestStudiedEnvMemoized(t *testing.T) {
 	}
 	if len(a.Sources) != len(workload.Studied()) {
 		t.Fatalf("env has %d trace sources", len(a.Sources))
+	}
+}
+
+// TestMemoKeyedByObjectives checks that a Pareto environment is not
+// served the memoized scalar one: the objective axes are part of the
+// memo key, like every other Scale value that changes the results.
+func TestMemoKeyedByObjectives(t *testing.T) {
+	scalar, err := StudiedEnv(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := tinyScale()
+	scale.Objectives, err = ssdconf.ParseObjectiveSpec("perf,power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pareto, err := StudiedEnv(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pareto == scalar || pareto.Space.Objectives.String() != "perf,power" {
+		t.Fatalf("Pareto scale got the %q environment", pareto.Space.Objectives)
 	}
 }
 
@@ -158,7 +181,7 @@ func TestTable6(t *testing.T) {
 
 func TestRunAllFiltered(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAll(&buf, tinyScale(), map[string]bool{"fig2": true}); err != nil {
+	if err := RunAllCSV(&buf, tinyScale(), map[string]bool{"fig2": true}, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

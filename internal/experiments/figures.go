@@ -162,13 +162,13 @@ func runSweep(e *Env, param string, values []float64, targets []string) (*SweepR
 			if err != nil {
 				return nil, err
 			}
-			lat, tput := speedupsVsRef(e, target, tr.BestPerf[target])
+			lat, tput := e.Grader.ClusterSpeedups(target, tr.BestPerf[target])
 			res.Lat[target] = append(res.Lat[target], lat)
 			res.Tput[target] = append(res.Tput[target], tput)
 
 			ntLat := map[string]float64{}
 			for cl, perfs := range tr.BestPerf {
-				l, _ := speedupsVsRef(e, cl, perfs)
+				l, _ := e.Grader.ClusterSpeedups(cl, perfs)
 				ntLat[cl] = l
 			}
 			res.NonTarget[target] = append(res.NonTarget[target],

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"autoblox/internal/autodb"
 	"autoblox/internal/core"
 )
 
@@ -137,7 +136,7 @@ func runTarget(e *Env, target string, opts MatrixOptions) (*TargetRun, error) {
 	run := &TargetRun{Target: target, Result: tr, Order: order,
 		Lat: map[string]float64{}, Tput: map[string]float64{}, Energy: map[string][2]float64{}}
 	for cl, perfs := range tr.BestPerf {
-		lat, tput := speedupsVsRef(e, cl, perfs)
+		lat, tput := e.Grader.ClusterSpeedups(cl, perfs)
 		run.Lat[cl], run.Tput[cl] = lat, tput
 		run.Energy[cl] = [2]float64{e.Grader.Ref[cl][0].EnergyJoules, perfs[0].EnergyJoules}
 	}
@@ -159,7 +158,7 @@ func runTarget(e *Env, target string, opts MatrixOptions) (*TargetRun, error) {
 		run.MaxResult = mr
 		run.MaxLat, run.MaxTput = map[string]float64{}, map[string]float64{}
 		for cl, perfs := range mr.BestPerf {
-			run.MaxLat[cl], run.MaxTput[cl] = speedupsVsRef(e, cl, perfs)
+			run.MaxLat[cl], run.MaxTput[cl] = e.Grader.ClusterSpeedups(cl, perfs)
 		}
 	}
 
@@ -198,18 +197,6 @@ func runTarget(e *Env, target string, opts MatrixOptions) (*TargetRun, error) {
 		run.OrderedFresh, run.NoOrderResult = or, nr
 	}
 	return run, nil
-}
-
-func speedupsVsRef(e *Env, cluster string, perfs []autodb.Perf) (lat, tput float64) {
-	refs := e.Grader.Ref[cluster]
-	var latLog, tputLog float64
-	for i, p := range perfs {
-		l, t := core.Speedups(p, refs[i])
-		latLog += math.Log(l)
-		tputLog += math.Log(t)
-	}
-	n := float64(len(perfs))
-	return math.Exp(latLog / n), math.Exp(tputLog / n)
 }
 
 // geoMeanExcluding returns the geometric mean of m's values over all

@@ -14,131 +14,92 @@ func intelRef() ssd.DeviceParams { return ssd.Intel750() }
 
 // Shared, memoized environments/results so the benchmarks and the CLI
 // can invoke individual experiments without repeating the expensive
-// setup. Keyed by the Scale value.
+// setup. Keyed by an experiment tag plus the Scale value.
 var (
-	memoMu    sync.Mutex
-	envMemo   = map[string]*Env{}
-	mtxMemo   = map[string]*MatrixResult{}
-	fig2Memo  = map[string]*Fig2Result{}
-	sweepMemo = map[string]*SweepResult{}
-	t7Memo    = map[string][]WhatIfRun{}
-	t7EnvMemo = map[string]*Env{}
+	memoMu sync.Mutex
+	memo   = map[string]any{}
 )
 
 func scaleKey(s Scale, tag string) string {
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%d", tag, s.Requests, s.MaxIterations, s.SGDSteps, s.PruneSamples, s.Seed, s.Parallel)
+	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%d|%s", tag, s.Requests, s.MaxIterations, s.SGDSteps, s.PruneSamples, s.Seed, s.Parallel, s.Objectives)
+}
+
+// memoized returns the result stored under (tag, scale), building and
+// storing it on first use. The lock is not held while build runs, so a
+// build may itself call memoized ones (a matrix builds its Env); if two
+// builds of one key race, the first stored result wins and both callers
+// get it. Errors are returned, not stored, so a failed build retries.
+func memoized[T any](scale Scale, tag string, build func() (T, error)) (T, error) {
+	k := scaleKey(scale, tag)
+	memoMu.Lock()
+	v, ok := memo[k]
+	memoMu.Unlock()
+	if ok {
+		return v.(T), nil
+	}
+	r, err := build()
+	if err != nil {
+		return r, err
+	}
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	if v, ok := memo[k]; ok {
+		return v.(T), nil
+	}
+	memo[k] = r
+	return r, nil
 }
 
 // StudiedEnv returns (building once) the Table 1 environment: studied
 // categories, Intel 750 reference, 512GB/NVMe/MLC constraints.
 func StudiedEnv(scale Scale) (*Env, error) {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	k := scaleKey(scale, "studied")
-	if e, ok := envMemo[k]; ok {
-		return e, nil
-	}
-	e, err := NewEnv(scale, ssdconf.DefaultConstraints(), intelRef(), workload.Studied())
-	if err != nil {
-		return nil, err
-	}
-	envMemo[k] = e
-	return e, nil
+	return memoized(scale, "studied", func() (*Env, error) {
+		return NewEnv(scale, ssdconf.DefaultConstraints(), intelRef(), workload.Studied())
+	})
 }
 
 // NewWorkloadsEnv returns the Table 4 environment over the six new
 // categories.
 func NewWorkloadsEnv(scale Scale) (*Env, error) {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	k := scaleKey(scale, "new")
-	if e, ok := envMemo[k]; ok {
-		return e, nil
-	}
-	e, err := NewEnv(scale, ssdconf.DefaultConstraints(), intelRef(), workload.New())
-	if err != nil {
-		return nil, err
-	}
-	envMemo[k] = e
-	return e, nil
+	return memoized(scale, "new", func() (*Env, error) {
+		return NewEnv(scale, ssdconf.DefaultConstraints(), intelRef(), workload.New())
+	})
 }
 
 // SLCEnv returns the Table 8 environment: Samsung Z-SSD reference with
 // an SLC flash constraint.
 func SLCEnv(scale Scale) (*Env, error) {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	k := scaleKey(scale, "slc")
-	if e, ok := envMemo[k]; ok {
-		return e, nil
-	}
-	cons := ssdconf.DefaultConstraints()
-	cons.Flash = ssd.SLC
-	e, err := NewEnv(scale, cons, ssd.SamsungZSSD(), workload.Studied())
-	if err != nil {
-		return nil, err
-	}
-	envMemo[k] = e
-	return e, nil
+	return memoized(scale, "slc", func() (*Env, error) {
+		cons := ssdconf.DefaultConstraints()
+		cons.Flash = ssd.SLC
+		return NewEnv(scale, cons, ssd.SamsungZSSD(), workload.Studied())
+	})
 }
 
 // SATAEnv returns the Table 9 environment: Samsung 850 PRO reference
 // with a SATA interface constraint.
 func SATAEnv(scale Scale) (*Env, error) {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	k := scaleKey(scale, "sata")
-	if e, ok := envMemo[k]; ok {
-		return e, nil
-	}
-	cons := ssdconf.DefaultConstraints()
-	cons.Interface = ssd.SATA
-	e, err := NewEnv(scale, cons, ssd.Samsung850Pro(), workload.Studied())
-	if err != nil {
-		return nil, err
-	}
-	envMemo[k] = e
-	return e, nil
+	return memoized(scale, "sata", func() (*Env, error) {
+		cons := ssdconf.DefaultConstraints()
+		cons.Interface = ssd.SATA
+		return NewEnv(scale, cons, ssd.Samsung850Pro(), workload.Studied())
+	})
 }
 
 // Matrix memoizes RunMatrix per (env tag, scale).
 func Matrix(scale Scale, tag string, envFn func(Scale) (*Env, error), opts MatrixOptions) (*MatrixResult, error) {
-	memoMu.Lock()
-	k := scaleKey(scale, "mtx-"+tag)
-	if m, ok := mtxMemo[k]; ok {
-		memoMu.Unlock()
-		return m, nil
-	}
-	memoMu.Unlock()
-
-	e, err := envFn(scale)
-	if err != nil {
-		return nil, err
-	}
-	m, err := RunMatrix(e, opts)
-	if err != nil {
-		return nil, err
-	}
-	memoMu.Lock()
-	mtxMemo[k] = m
-	memoMu.Unlock()
-	return m, nil
+	return memoized(scale, "mtx-"+tag, func() (*MatrixResult, error) {
+		e, err := envFn(scale)
+		if err != nil {
+			return nil, err
+		}
+		return RunMatrix(e, opts)
+	})
 }
 
 // Fig2 memoizes RunFig2.
 func Fig2(scale Scale) (*Fig2Result, error) {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	k := scaleKey(scale, "fig2")
-	if r, ok := fig2Memo[k]; ok {
-		return r, nil
-	}
-	r, err := RunFig2(scale)
-	if err != nil {
-		return nil, err
-	}
-	fig2Memo[k] = r
-	return r, nil
+	return memoized(scale, "fig2", func() (*Fig2Result, error) { return RunFig2(scale) })
 }
 
 // Table1Options are the passes the Table 1 reproduction runs.
@@ -162,57 +123,34 @@ func BetaSweep(scale Scale) (*SweepResult, error) {
 }
 
 func memoSweep(scale Scale, tag string, run func(*Env, []float64, []string) (*SweepResult, error)) (*SweepResult, error) {
-	memoMu.Lock()
-	k := scaleKey(scale, "sweep-"+tag)
-	if r, ok := sweepMemo[k]; ok {
-		memoMu.Unlock()
-		return r, nil
-	}
-	memoMu.Unlock()
-	e, err := StudiedEnv(scale)
-	if err != nil {
-		return nil, err
-	}
-	r, err := run(e, nil, sweepTargets())
-	if err != nil {
-		return nil, err
-	}
-	memoMu.Lock()
-	sweepMemo[k] = r
-	memoMu.Unlock()
-	return r, nil
+	return memoized(scale, "sweep-"+tag, func() (*SweepResult, error) {
+		e, err := StudiedEnv(scale)
+		if err != nil {
+			return nil, err
+		}
+		return run(e, nil, sweepTargets())
+	})
+}
+
+// table7Result is one memoized what-if analysis with its environment.
+type table7Result struct {
+	runs []WhatIfRun
+	env  *Env
 }
 
 // Table7 memoizes the what-if analysis.
 func Table7(scale Scale) ([]WhatIfRun, *Env, error) {
-	memoMu.Lock()
-	k := scaleKey(scale, "tab7")
-	if r, ok := t7Memo[k]; ok {
-		e := t7EnvMemo[k]
-		memoMu.Unlock()
-		return r, e, nil
-	}
-	memoMu.Unlock()
-	runs, env, err := RunTable7(scale, 3)
-	if err != nil {
-		return nil, nil, err
-	}
-	memoMu.Lock()
-	t7Memo[k] = runs
-	t7EnvMemo[k] = env
-	memoMu.Unlock()
-	return runs, env, nil
+	r, err := memoized(scale, "tab7", func() (table7Result, error) {
+		runs, env, err := RunTable7(scale, 3)
+		return table7Result{runs, env}, err
+	})
+	return r.runs, r.env, err
 }
 
-// RunAll executes every experiment at the given scale, writing each
+// RunAllCSV executes every experiment at the given scale, writing each
 // table/figure to w. `only` filters by experiment id (empty = all).
-func RunAll(w io.Writer, scale Scale, only map[string]bool) error {
-	return RunAllCSV(w, scale, only, "")
-}
-
-// RunAllCSV is RunAll with an optional CSV export directory: when csvDir
-// is non-empty, each artifact also writes its underlying data as CSV for
-// external plotting.
+// When csvDir is non-empty, each artifact also writes its underlying
+// data as CSV for external plotting.
 func RunAllCSV(w io.Writer, scale Scale, only map[string]bool, csvDir string) error {
 	want := func(id string) bool { return len(only) == 0 || only[id] }
 	exportCSV := func(write func(string) error) error {
@@ -335,15 +273,10 @@ func RunAllCSV(w io.Writer, scale Scale, only map[string]bool, csvDir string) er
 	}
 
 	if want("fig11") {
-		e, err := StudiedEnv(scale)
-		if err != nil {
-			return err
-		}
 		r, err := AlphaSweep(scale)
 		if err != nil {
 			return err
 		}
-		_ = e
 		r.Print(w)
 		if err := exportCSV(r.WriteCSV); err != nil {
 			return err
@@ -351,15 +284,10 @@ func RunAllCSV(w io.Writer, scale Scale, only map[string]bool, csvDir string) er
 	}
 
 	if want("fig12") {
-		e, err := StudiedEnv(scale)
-		if err != nil {
-			return err
-		}
 		r, err := BetaSweep(scale)
 		if err != nil {
 			return err
 		}
-		_ = e
 		r.Print(w)
 		if err := exportCSV(r.WriteCSV); err != nil {
 			return err
@@ -368,7 +296,7 @@ func RunAllCSV(w io.Writer, scale Scale, only map[string]bool, csvDir string) er
 	return nil
 }
 
-// IDs lists the experiment identifiers RunAll understands.
+// IDs lists the experiment identifiers RunAllCSV understands.
 func IDs() []string {
 	return []string{"fig2", "fig4", "fig5", "tab1", "tab4", "tab5", "tab6", "tab7", "tab8", "tab9",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}

@@ -35,19 +35,6 @@ const (
 	NumAllocSchemes = 16
 )
 
-// planeAllocator decides where consecutively striped logical pages land
-// and how dense plane indices map back to coordinates. All registered
-// schemes share the ordered-stride allocator below; the interface is
-// the seam a future non-linear placement policy would implement.
-type planeAllocator interface {
-	// locate maps a stripe counter to (channel, chip, die, plane).
-	locate(counter uint64) (ch, chip, die, plane int)
-	// planeIndex flattens coordinates into a dense plane index.
-	planeIndex(ch, chip, die, plane int) planeID
-	// channelOf recovers the channel from a dense plane index.
-	channelOf(p planeID) int
-}
-
 // allocSchemeTable is the single source of truth for the plane
 // allocation domain: row order defines the wire value, and each row
 // carries the axis priority its ordered allocator stripes with
@@ -102,15 +89,12 @@ func ParseAllocScheme(s string) (AllocScheme, error) {
 // AllocSchemeNames returns the scheme mnemonics in value order.
 func AllocSchemeNames() []string { return allocSchemes.allNames() }
 
-// newPlaneAllocator instantiates the device's configured scheme; the
-// caller validates p first.
-func newPlaneAllocator(p *DeviceParams) planeAllocator { return newAllocator(p) }
-
 // planeID flattens a (channel, chip, die, plane) coordinate.
 type planeID int32
 
 // allocator converts a monotonically increasing write-stripe counter into
-// plane coordinates following the scheme's axis priority.
+// plane coordinates following the scheme's axis priority; every
+// registered scheme is one such ordered-stride allocator.
 type allocator struct {
 	order [4]int
 	dims  [4]int // channel, chip, die, plane counts
@@ -119,6 +103,8 @@ type allocator struct {
 	total   int
 }
 
+// newAllocator instantiates the device's configured scheme; the caller
+// validates p first.
 func newAllocator(p *DeviceParams) *allocator {
 	a := &allocator{
 		order: allocSchemeTable[p.PlaneAllocScheme].order,

@@ -101,13 +101,14 @@ func (fp *flashPlane) isActive(b int32) bool {
 	return false
 }
 
-// ftl holds the page-mapped flash translation layer state. The three
-// policy seams — plane allocation, GC victim selection and (in
-// dataCache) cache replacement — are interfaces instantiated from the
-// policy registry, so the FTL mechanics stay policy-agnostic.
+// ftl holds the page-mapped flash translation layer state. The two
+// policy seams — GC victim selection and (in dataCache) cache
+// replacement — are interfaces instantiated from the policy registry, so
+// the FTL mechanics stay policy-agnostic; plane allocation is the one
+// ordered-stride allocator every scheme parameterizes.
 type ftl struct {
 	p      *DeviceParams
-	alloc  planeAllocator
+	alloc  *allocator
 	gcPick gcVictimPolicy
 
 	// Scaled geometry.
@@ -168,7 +169,7 @@ func newFTL(p *DeviceParams) (*ftl, error) {
 	f := &ftl{
 		ppaLayout:      layout,
 		p:              p,
-		alloc:          newPlaneAllocator(p),
+		alloc:          newAllocator(p),
 		gcPick:         newGCVictimPolicy(p),
 		blocksPerPlane: bpp,
 		pagesPerBlock:  ppb,
