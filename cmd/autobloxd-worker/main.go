@@ -1,12 +1,13 @@
 // Command autobloxd-worker joins a distributed validation fleet: it
 // dials a coordinator (an autoblox or experiments run started with
 // -listen), reconstructs the measurement environment from the
-// handshake, and serves leased simulation batches until the coordinator
-// closes.
+// handshake, and serves leased simulation jobs until the coordinator
+// closes. It holds one lease per free simulation slot (-parallel) and
+// returns each result as soon as its simulation finishes.
 //
 // Usage:
 //
-//	autobloxd-worker -connect host:6901 [-name w1] [-parallel N] [-batch N]
+//	autobloxd-worker -connect host:6901 [-name w1] [-parallel N]
 //
 // The worker refuses to serve when its locally derived parameter space
 // fingerprint disagrees with the coordinator's (stale binary), so a
@@ -14,15 +15,15 @@
 // flags -metrics/-trace/-pprof/-http and the resilience flags
 // -sim-timeout/-sim-retries/-cache-dir are also accepted. With -metrics
 // or -http set, the worker also pushes delta-encoded metric snapshots
-// to the coordinator after each result batch, where they aggregate into
-// the fleet registry under this worker's name.
+// to the coordinator after each round of results, where they aggregate
+// into the fleet registry under this worker's name.
 //
 // With -reconnect the worker survives coordinator restarts and network
 // partitions: on any transport failure it redials with jittered
 // exponential backoff (up to -max-backoff) and resumes via a fresh
 // handshake, reusing its simulation environment when the space is
 // unchanged. With -grace > 0, SIGTERM/SIGINT drains instead of
-// aborting: in-flight batches finish, final stats are pushed, and a
+// aborting: running jobs finish, final stats are pushed, and a
 // goodbye frame tells the coordinator the departure is deliberate.
 package main
 
@@ -41,8 +42,7 @@ import (
 func main() {
 	connect := flag.String("connect", "", "coordinator address (host:port) to pull work from")
 	name := flag.String("name", "", "worker name reported to the coordinator (default <hostname>/<pid>)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulations on this worker")
-	batch := flag.Int("batch", 8, "max leases pulled per request")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation slots: max concurrent simulations, and max leases held, on this worker")
 	reconnect := flag.Bool("reconnect", false, "redial the coordinator after transport failures (jittered exponential backoff)")
 	maxBackoff := flag.Duration("max-backoff", 5*time.Second, "reconnect backoff ceiling")
 	grace := flag.Duration("grace", 0, "graceful shutdown window: finish in-flight work after SIGTERM before disconnecting (0 = abort immediately)")
@@ -77,7 +77,6 @@ func main() {
 	w := &dist.Worker{
 		Name:         *name,
 		Parallel:     *parallel,
-		BatchSize:    *batch,
 		SimTimeout:   resFlags.SimTimeout,
 		MaxRetries:   resFlags.SimRetries,
 		Obs:          obsFlags.Reg,

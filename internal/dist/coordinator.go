@@ -33,7 +33,7 @@ const (
 	MetricCrossCheckDivergent = "dist_results_crosschecked_divergent_total"
 )
 
-// MetricWorkerBusy names a fleet worker's per-batch busy-time histogram
+// MetricWorkerBusy names a fleet worker's per-job busy-time histogram
 // ("dist_worker_busy_ns{worker=\"name\"}").
 func MetricWorkerBusy(worker string) string {
 	return fmt.Sprintf(`dist_worker_busy_ns{worker=%q}`, worker)
@@ -82,7 +82,7 @@ type CoordinatorOptions struct {
 
 // Coordinator policy constants.
 const (
-	batchMax            = 16               // leases per grant
+	batchMax            = 16               // cap on one grant: a worker with more free slots gets at most this many leases per grant
 	hedgeQuantile       = 0.95             // completion-latency quantile past which a lease straggles
 	hedgeMinSamples     = 8                // completions seen before hedging may fire
 	hedgeMax            = 2                // concurrent leases per job, primary included
@@ -776,8 +776,12 @@ func (c *Coordinator) hedgeLocked(sess *session, now time.Time, room int) []Leas
 	return out
 }
 
-// lease blocks up to PollInterval for work, then answers. closed=true
-// tells the worker to exit.
+// lease grants up to max jobs. A session that holds no leases blocks up
+// to PollInterval for work; one that still holds leases is answered at
+// once, possibly with an empty grant, because ServeConn reads the
+// session's frames in order and a parked poll would hold back the
+// results of the jobs it is running. closed=true tells the worker to
+// exit.
 func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool) {
 	if max <= 0 {
 		max = 1
@@ -834,12 +838,18 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 			}
 		}
 		wall := time.Now()
-		if !wall.Before(deadline) {
+		if len(sess.leases) > 0 || !wall.Before(deadline) {
 			return nil, false
 		}
 		// cond has no deadline wait; arm a broadcast at the poll boundary
-		// so this wakes for new work, shutdown, or timeout alike.
-		t := time.AfterFunc(deadline.Sub(wall), c.cond.Broadcast)
+		// so this wakes for new work, shutdown, or timeout alike. The
+		// broadcast takes c.mu so it cannot fire before Wait has parked
+		// this goroutine (a lost wakeup would park the poll for good).
+		t := time.AfterFunc(deadline.Sub(wall), func() {
+			c.mu.Lock()
+			c.cond.Broadcast()
+			c.mu.Unlock()
+		})
 		c.cond.Wait()
 		t.Stop()
 	}
@@ -882,7 +892,7 @@ func (c *Coordinator) completeLocked(j *distJob, perf autodb.Perf, err error) {
 	close(j.done)
 }
 
-// applyResults folds a worker's result batch into the job table,
+// applyResults folds a worker's results into the job table,
 // idempotently: a result for an unknown or already-done key counts as a
 // duplicate and changes nothing; a result from an expired (reassigned)
 // lease is accepted — the sims are deterministic, so any worker's result

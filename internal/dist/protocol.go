@@ -1,8 +1,8 @@
 // Package dist shards Validator measurements across processes: a
-// coordinator owns the queue of measurement keys and workers pull
-// leased batches over a length-prefixed TCP/JSON protocol, run the
-// simulations locally through the ordinary MeasureBatch path, and
-// stream results back.
+// coordinator owns the queue of measurement keys and workers lease
+// them, one per free simulation slot, over a length-prefixed TCP/JSON
+// protocol, run the simulations locally through the ordinary validator
+// path, and stream each result back as it finishes.
 //
 // Distribution is provably invisible: simulations are deterministic and
 // keyed, so any worker's result for a key IS the result, results apply
@@ -21,10 +21,11 @@
 //	worker → Confirm{locally recomputed space fingerprint}
 //	coord  → Accept | Reject{code: "space-mismatch"}
 //	repeat:
-//	  worker → LeaseReq{max}
-//	  coord  → LeaseGrant{leases} (empty grant = long-poll timeout; Closed = shutdown)
-//	  worker → Result{results}    (omitted when the grant was empty)
+//	  worker → Result{one result} per job finished since the last request
 //	  worker → StatsPush{metrics delta} (optional, one-way, after results)
+//	  worker → LeaseReq{max = free slots}
+//	  coord  → LeaseGrant{leases} (empty = long-poll timeout, or at once
+//	           while the worker still holds leases; Closed = shutdown)
 //	worker → Goodbye{reason}      (graceful shutdown; coordinator closes cleanly)
 //
 // The handshake doubles as a clock-offset probe: Welcome carries the
@@ -94,7 +95,7 @@ const (
 	MsgAccept                        // coordinator → worker: handshake complete
 	MsgReject                        // coordinator → worker: typed handshake rejection
 	MsgLeaseReq                      // worker → coordinator: pull up to Max leases
-	MsgLeaseGrant                    // coordinator → worker: leased batch (possibly empty)
+	MsgLeaseGrant                    // coordinator → worker: leased jobs (possibly none)
 	MsgResult                        // worker → coordinator: measured results
 	MsgStatsPush                     // worker → coordinator: delta-encoded metrics snapshot
 	MsgGoodbye                       // worker → coordinator: graceful shutdown notice
@@ -234,9 +235,9 @@ type JobResult struct {
 	StartUnixNano int64 `json:"start_unix_nano,omitempty"`
 }
 
-// ResultMsg returns a batch of results; BusyNS is the batch's
-// wall-clock time on the worker, recorded into the per-worker busy
-// histogram.
+// ResultMsg returns results; Worker sends one per job, as the job
+// finishes. BusyNS is the time the results took on the worker, recorded
+// into the per-worker busy histogram.
 type ResultMsg struct {
 	Worker  string      `json:"worker"`
 	Results []JobResult `json:"results"`
@@ -255,7 +256,7 @@ type StatsPush struct {
 }
 
 // Goodbye announces a worker's graceful shutdown (SIGTERM drain): the
-// in-flight batch finished, final stats were pushed, and the
+// running jobs finished, final stats were pushed, and the
 // connection is about to close cleanly — so the coordinator learns
 // immediately instead of waiting out a lease TTL.
 type Goodbye struct {

@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,24 +22,23 @@ import (
 )
 
 // ErrDrained reports a graceful worker shutdown: the context was
-// cancelled, the in-flight batch finished, final stats were pushed,
+// cancelled, the running jobs finished, final stats were pushed,
 // and a Goodbye frame closed the session. Callers treat it as a clean
 // exit, distinct from transport failures that warrant a reconnect.
 var ErrDrained = errors.New("dist: worker drained after shutdown signal")
 
-// Worker pulls leased measurement batches from a coordinator, runs the
-// simulations through a locally reconstructed validator (same memo
-// cache, singleflight, and bounded pool as any in-process run), and
-// streams results back. Zero value + Run is usable; all fields are
-// optional.
+// Worker leases measurement jobs from a coordinator, one per free
+// simulation slot, runs them through a locally reconstructed validator
+// (same memo cache, singleflight, and bounded pool as any in-process
+// run), and streams each result back as it finishes. Zero value + Run
+// is usable; all fields are optional.
 type Worker struct {
 	// Name identifies the worker in coordinator metrics (default
 	// "<hostname>/<pid>").
 	Name string
-	// Parallel bounds concurrent simulations (0 = GOMAXPROCS).
+	// Parallel is the number of simulation slots: the worker holds at
+	// most this many leases and runs them concurrently (0 = GOMAXPROCS).
 	Parallel int
-	// BatchSize caps leases pulled per request (default 8).
-	BatchSize int
 	// SimTimeout/MaxRetries configure the local validator like their
 	// core.Validator counterparts.
 	SimTimeout time.Duration
@@ -46,8 +46,8 @@ type Worker struct {
 	// Obs, when set, receives the local validator's metrics.
 	Obs *obs.Registry
 	// PushStats, when set (and Obs is), ships a delta-encoded snapshot
-	// of Obs to the coordinator after every result batch, where it is
-	// folded into the fleet registry under this worker's name. Leave it
+	// of Obs to the coordinator after every round of results, where it
+	// is folded into the fleet registry under this worker's name. Leave it
 	// off when Obs is shared with the coordinator process (in-process
 	// loopback fleets), or the push would re-absorb its own series.
 	PushStats bool
@@ -59,7 +59,7 @@ type Worker struct {
 	// net.Dialer). Tests and chaos harnesses inject wrapped conns here.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// Grace, when positive, enables graceful drain: on context
-	// cancellation the worker finishes its in-flight batch, pushes
+	// cancellation the worker finishes its running jobs, pushes
 	// final stats, and sends a Goodbye frame — hard-closing the
 	// connection only after Grace elapses. Zero keeps the legacy
 	// behavior (the conn is severed the instant the context cancels).
@@ -96,17 +96,18 @@ func (w *Worker) name() string {
 	return fmt.Sprintf("%s/%d", host, os.Getpid())
 }
 
-func (w *Worker) batchSize() int {
-	if w.BatchSize > 0 {
-		return w.BatchSize
+func (w *Worker) parallel() int {
+	if w.Parallel > 0 {
+		return w.Parallel
 	}
-	return 8
+	return runtime.GOMAXPROCS(0)
 }
 
 // Jobs reports how many leased measurements this worker completed.
 func (w *Worker) Jobs() int64 { return w.jobs.Load() }
 
-// Busy reports the cumulative wall time spent measuring batches.
+// Busy reports the cumulative time spent measuring jobs, summed over
+// slots.
 func (w *Worker) Busy() time.Duration { return time.Duration(w.busyNS.Load()) }
 
 // Run dials a coordinator and serves until the coordinator closes (nil
@@ -291,23 +292,87 @@ func (w *Worker) RunConn(ctx context.Context, conn net.Conn) error {
 		return fmt.Errorf("dist: expected accept, got %s", m.Type)
 	}
 	w.sessions.Add(1)
+	return w.serve(ctx, conn, r, v, &env)
+}
 
-	// Graceful drain runs the batch under a detached context (the
-	// in-flight job must finish); the grace timer above still bounds a
-	// wedged drain by severing the conn.
-	batchCtx := ctx
+// finished is one job's result, tagged with the slot it ran in.
+type finished struct {
+	slot int
+	jr   JobResult
+}
+
+// serve is the lease loop: it holds one lease per free simulation slot,
+// asking for Parallel minus the running jobs, and sends each job's
+// result in its own frame the moment the job finishes, so a freed slot
+// never waits for its neighbours. After an empty grant while jobs are
+// still running it waits for the next completion instead of re-polling
+// (the coordinator answers a session holding leases at once).
+func (w *Worker) serve(ctx context.Context, conn net.Conn, r *bufio.Reader, v *core.Validator, env *Env) error {
+	// Graceful drain runs the jobs under a detached context (the running
+	// jobs must finish); the grace timer in RunConn still bounds a wedged
+	// drain by severing the conn. Any return cancels and joins the jobs.
+	jobCtx := ctx
 	if w.Grace > 0 {
-		batchCtx = context.WithoutCancel(ctx)
+		jobCtx = context.WithoutCancel(ctx)
 	}
+	jobCtx, cancelJobs := context.WithCancel(jobCtx)
+	var jobs sync.WaitGroup
+	defer func() {
+		cancelJobs()
+		jobs.Wait()
+	}()
 
+	slots := w.parallel()
+	done := make(chan finished, slots)
+	free := make([]int, slots) // idle slots, also the jobs' span lanes
+	for i := range free {
+		free[i] = slots - i
+	}
+	waitNext := false
 	for {
-		if ctx.Err() != nil {
-			if w.Grace > 0 {
-				return w.drain(conn)
-			}
+		draining := ctx.Err() != nil
+		if draining && w.Grace <= 0 {
 			return ctx.Err()
 		}
-		if err := Encode(conn, &Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: w.batchSize()}}); err != nil {
+		// Send every result that is in, one frame each. Block for the
+		// first when no slot is free, the last grant came back empty, or
+		// the worker is draining.
+		wait := len(free) == 0 || waitNext || draining
+		sent := 0
+	collect:
+		for len(free) < slots {
+			var f finished
+			select {
+			case f = <-done:
+			default:
+				if sent > 0 || !wait {
+					break collect
+				}
+				f = <-done
+			}
+			free = append(free, f.slot)
+			res := &ResultMsg{Worker: w.name(), Results: []JobResult{f.jr}, BusyNS: f.jr.SimNS}
+			if err := Encode(conn, &Message{Type: MsgResult, Result: res}); err != nil {
+				return err
+			}
+			sent++
+		}
+		if sent > 0 {
+			if err := w.pushStats(conn); err != nil {
+				return err
+			}
+		}
+		if draining {
+			if len(free) == slots {
+				return w.drain(conn)
+			}
+			continue
+		}
+		if len(free) == 0 {
+			continue
+		}
+		want := len(free)
+		if err := Encode(conn, &Message{Type: MsgLeaseReq, LeaseReq: &LeaseReq{Max: want}}); err != nil {
 			return err
 		}
 		m, err := Decode(r)
@@ -320,22 +385,26 @@ func (w *Worker) RunConn(ctx context.Context, conn net.Conn) error {
 		if m.LeaseGrant.Closed {
 			return nil
 		}
-		if len(m.LeaseGrant.Leases) == 0 {
-			continue // long-poll timed out; ask again
+		leases := m.LeaseGrant.Leases
+		if len(leases) > want {
+			return fmt.Errorf("dist: granted %d leases, asked for at most %d", len(leases), want)
 		}
-		res := w.runBatch(batchCtx, v, &env, m.LeaseGrant.Leases)
-		if err := Encode(conn, &Message{Type: MsgResult, Result: res}); err != nil {
-			return err
+		for _, l := range leases {
+			slot := free[len(free)-1]
+			free = free[:len(free)-1]
+			jobs.Add(1)
+			go func() {
+				defer jobs.Done()
+				done <- finished{slot, w.runJob(jobCtx, v, env, l, slot)}
+			}()
 		}
-		if err := w.pushStats(conn); err != nil {
-			return err
-		}
+		waitNext = len(leases) == 0 && len(free) < slots
 	}
 }
 
 // drain finishes a graceful shutdown: final stats push, Goodbye frame,
-// clean close. The in-flight batch (if any) already completed — drain
-// only runs from the top of the lease loop.
+// clean close. The running jobs already finished and were reported —
+// drain only runs once every slot is free.
 func (w *Worker) drain(conn net.Conn) error {
 	if err := w.pushStats(conn); err != nil {
 		return err
@@ -365,44 +434,31 @@ func (w *Worker) pushStats(conn net.Conn) error {
 	return nil
 }
 
-// runBatch measures every lease concurrently (the validator's pool
-// bounds actual simulator concurrency) and reports per-job results —
+// runJob measures one lease in its slot and reports the result —
 // failures included, so the coordinator never waits out a TTL for a
 // job that already failed deterministically.
-func (w *Worker) runBatch(ctx context.Context, v *core.Validator, env *Env, leases []Lease) *ResultMsg {
-	t0 := time.Now()
-	results := make([]JobResult, len(leases))
-	var wg sync.WaitGroup
-	for i, l := range leases {
-		wg.Add(1)
-		go func(i int, l Lease) {
-			defer wg.Done()
-			s0 := time.Now()
-			// Tag the worker-side span with the coordinator's lease and
-			// trace IDs so a local -trace file correlates with the
-			// coordinator's merged timeline.
-			sp := obs.StartSpan("worker-job").
-				ArgInt("lease", int64(l.ID)).
-				Arg("trace", l.Name).
-				Arg("trace_id", l.TraceID).
-				Lane(int64(i%8) + 1)
-			jr := JobResult{LeaseID: l.ID, CfgKey: l.CfgKey, Name: l.Name, StartUnixNano: s0.UnixNano()}
-			perf, err := w.runLease(ctx, v, env, l)
-			if err != nil {
-				jr.Err = err.Error()
-			} else {
-				jr.Perf = perf
-			}
-			jr.SimNS = time.Since(s0).Nanoseconds()
-			sp.End()
-			results[i] = jr
-		}(i, l)
+func (w *Worker) runJob(ctx context.Context, v *core.Validator, env *Env, l Lease, slot int) JobResult {
+	s0 := time.Now()
+	// Tag the worker-side span with the coordinator's lease and trace IDs
+	// so a local -trace file correlates with the coordinator's merged
+	// timeline.
+	sp := obs.StartSpan("worker-job").
+		ArgInt("lease", int64(l.ID)).
+		Arg("trace", l.Name).
+		Arg("trace_id", l.TraceID).
+		Lane(int64(slot))
+	jr := JobResult{LeaseID: l.ID, CfgKey: l.CfgKey, Name: l.Name, StartUnixNano: s0.UnixNano()}
+	perf, err := w.runLease(ctx, v, env, l)
+	if err != nil {
+		jr.Err = err.Error()
+	} else {
+		jr.Perf = perf
 	}
-	wg.Wait()
-	busy := time.Since(t0).Nanoseconds()
-	w.jobs.Add(int64(len(leases)))
-	w.busyNS.Add(busy)
-	return &ResultMsg{Worker: w.name(), Results: results, BusyNS: busy}
+	jr.SimNS = time.Since(s0).Nanoseconds()
+	sp.End()
+	w.jobs.Add(1)
+	w.busyNS.Add(jr.SimNS)
+	return jr
 }
 
 // runLease validates and measures one lease.
