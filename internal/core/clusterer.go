@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"autoblox/internal/kmeans"
 	"autoblox/internal/linalg"
@@ -330,14 +329,6 @@ func UnmarshalClusterer(blob []byte) (*Clusterer, error) {
 		projected: linalg.NewMatrix(0, len(s.Centers[0])),
 	}
 	return c, nil
-}
-
-// SortedClusterLabels returns the labels sorted — handy for stable
-// reporting.
-func (c *Clusterer) SortedClusterLabels() []string {
-	out := append([]string(nil), c.Labels...)
-	sort.Strings(out)
-	return out
 }
 
 // AddWorkload retrains the clustering model with one more cluster to

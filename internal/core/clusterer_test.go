@@ -153,8 +153,8 @@ func TestClustererSerialization(t *testing.T) {
 	if _, err := UnmarshalClusterer([]byte("not json")); err == nil {
 		t.Fatal("bad json should fail")
 	}
-	if got := len(c.SortedClusterLabels()); got != 2 {
-		t.Fatalf("SortedClusterLabels len %d", got)
+	if got := len(c.Labels); got != 2 {
+		t.Fatalf("cluster labels len %d", got)
 	}
 }
 

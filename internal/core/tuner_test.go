@@ -270,44 +270,36 @@ func TestTunerSelectsClockCache(t *testing.T) {
 	}
 }
 
-// hotColdTenants builds three single-tenant traces over disjoint LBA
+// hotColdTenants builds one trace of three tenants over disjoint LBA
 // regions of a small device: a hot tenant rewriting a small region, a
 // cold tenant streaming sequentially over a large one, and a reader
-// scanning the whole space (whose flash reads observe GC pauses).
-// MergeSourcesTagged interleaves them by arrival and stamps per-tenant
-// stream tags — the multi-tenant shape where per-stream write lanes pay
-// off: hot blocks die together instead of dragging cold survivors
-// through every collection.
+// scanning the whole space (whose flash reads observe GC pauses). Each
+// request carries its tenant's stream tag (1 hot, 2 cold, 3 scan) — the
+// multi-tenant shape where per-stream write lanes pay off: hot blocks
+// die together instead of dragging cold survivors through every
+// collection.
 func hotColdTenants(n int, seed int64) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	const spp = 4 // 2048-byte pages = 4 sectors
-	var hot, cold, scan []trace.Request
+	tr := &trace.Trace{Name: "multi-tenant", Requests: make([]trace.Request, 0, n)}
 	coldLP := int64(750)
 	for i := 0; i < n; i++ {
 		arrival := time.Duration(i) * 150 * time.Nanosecond
 		switch draw := rng.Float64(); {
 		case draw < 0.55:
-			hot = append(hot, trace.Request{Arrival: arrival,
-				LBA: uint64(rng.Intn(750)) * spp, Sectors: spp, Op: trace.Write})
+			tr.Requests = append(tr.Requests, trace.Request{Arrival: arrival,
+				LBA: uint64(rng.Intn(750)) * spp, Sectors: spp, Op: trace.Write, Stream: 1})
 		case draw < 0.85:
-			cold = append(cold, trace.Request{Arrival: arrival,
-				LBA: uint64(coldLP) * spp, Sectors: spp, Op: trace.Write})
+			tr.Requests = append(tr.Requests, trace.Request{Arrival: arrival,
+				LBA: uint64(coldLP) * spp, Sectors: spp, Op: trace.Write, Stream: 2})
 			coldLP++
 			if coldLP >= 7000 {
 				coldLP = 750
 			}
 		default:
-			scan = append(scan, trace.Request{Arrival: arrival,
-				LBA: uint64(rng.Intn(7000)) * spp, Sectors: spp, Op: trace.Read})
+			tr.Requests = append(tr.Requests, trace.Request{Arrival: arrival,
+				LBA: uint64(rng.Intn(7000)) * spp, Sectors: spp, Op: trace.Read, Stream: 3})
 		}
-	}
-	src := trace.MergeSourcesTagged("multi-tenant",
-		(&trace.Trace{Name: "hot", Requests: hot}).Source(),
-		(&trace.Trace{Name: "cold", Requests: cold}).Source(),
-		(&trace.Trace{Name: "scan", Requests: scan}).Source())
-	tr, err := trace.Materialize(src)
-	if err != nil {
-		panic(err)
 	}
 	return tr
 }

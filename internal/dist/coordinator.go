@@ -277,9 +277,6 @@ func NewCoordinator(env *Env, opts CoordinatorOptions) *Coordinator {
 // now reads the injected clock (wall clock by default).
 func (c *Coordinator) now() time.Time { return c.opts.Clock.Now() }
 
-// Env returns the coordinator's environment.
-func (c *Coordinator) Env() *Env { return c.env }
-
 // Counters snapshots the fleet counters.
 func (c *Coordinator) Counters() FleetCounters {
 	return FleetCounters{
@@ -554,7 +551,7 @@ func (c *Coordinator) Measure(ctx context.Context, job core.Job) (autodb.Perf, e
 }
 
 // submit enqueues a job, returning the existing entry when the key is
-// already pending, leased, or done.
+// already pending, leased or being verified.
 func (c *Coordinator) submit(job core.Job) (*distJob, error) {
 	k := core.SimKey{Cfg: job.Cfg.Key(), Name: job.Name}
 	c.mu.Lock()
@@ -881,14 +878,12 @@ func (c *Coordinator) completeLocked(j *distJob, perf autodb.Perf, err error) {
 		return
 	}
 	j.state = jobDone
-	if err != nil {
-		j.err = err
-		// Errors are not cached validator-side either; forget the key so
-		// a later submit may retry.
-		delete(c.byKey, j.key)
-	} else {
-		j.perf = perf
-	}
+	j.perf, j.err = perf, err
+	// The validator memo and the persistent cache hold the result, so
+	// the job table only tracks jobs in flight: forget the key, and a
+	// late or duplicate result takes the unknown-key branch. After an
+	// error this also lets a later submit retry.
+	delete(c.byKey, j.key)
 	close(j.done)
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"autoblox/internal/autodb"
+	"autoblox/internal/core"
 	"autoblox/internal/ssd"
 	"autoblox/internal/workload"
 )
@@ -299,5 +300,73 @@ func TestWorkerGracefulDrain(t *testing.T) {
 	}
 	if last := rec.frames[len(rec.frames)-1]; last != MsgGoodbye {
 		t.Errorf("last frame %s, want goodbye", last)
+	}
+}
+
+// TestJobTableForgetsCompletedJobs pins the bound on the coordinator's
+// job table: a job leaves byKey when it completes, so the table holds
+// only jobs in flight. A late duplicate result still counts as a
+// duplicate, and a second validator (which has no memo of the first's
+// results) that re-measures a completed key gets a fresh lease.
+func TestJobTableForgetsCompletedJobs(t *testing.T) {
+	const n = 6
+	env := testEnv(t, 600, ssd.FaultProfile{}, workload.Database)
+	coord := NewCoordinator(env, CoordinatorOptions{PollInterval: 10 * time.Millisecond})
+	t.Cleanup(coord.Close)
+	tableSize := func() int {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return len(coord.byKey)
+	}
+	answer := func(f *fakeWorker, leases []Lease) {
+		rs := make([]JobResult, len(leases))
+		for i, l := range leases {
+			rs[i] = JobResult{LeaseID: l.ID, CfgKey: l.CfgKey, Name: l.Name,
+				Perf: autodb.Perf{LatencyNS: int64(i + 1), ThroughputBps: 1}, SimNS: 1}
+		}
+		f.send(&Message{Type: MsgResult, Result: &ResultMsg{Worker: "w", Results: rs}})
+	}
+	newValidator := func() *core.Validator {
+		v, err := NewValidator(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Backend = coord
+		return v
+	}
+
+	v := newValidator()
+	cfgs := distinctConfigs(t, v.Space, n)
+	fake := dialFake(t, coord)
+	fake.mustAccept("w", env.SpaceSig)
+	batch := measureAsync(context.Background(), v, cfgs)
+	leases := fake.leaseAtLeast(n)
+	if got := tableSize(); got != n {
+		t.Fatalf("job table holds %d keys with %d jobs in flight", got, n)
+	}
+	answer(fake, leases)
+	if err := <-batch; err != nil {
+		t.Fatal(err)
+	}
+	if got := tableSize(); got != 0 {
+		t.Fatalf("job table holds %d keys after every job completed, want 0", got)
+	}
+
+	dup := coord.Counters().Duplicates
+	answer(fake, leases[:1])
+	waitFor(t, func() bool { return coord.Counters().Duplicates == dup+1 },
+		"a late result for a completed key counts as a duplicate")
+
+	again := measureAsync(context.Background(), newValidator(), cfgs[:1])
+	fresh := fake.leaseAtLeast(1)
+	if fresh[0].ID <= leases[n-1].ID {
+		t.Fatalf("re-measure reused lease %d, want a fresh one", fresh[0].ID)
+	}
+	answer(fake, fresh)
+	if err := <-again; err != nil {
+		t.Fatal(err)
+	}
+	if got := tableSize(); got != 0 {
+		t.Fatalf("job table holds %d keys after the re-measure, want 0", got)
 	}
 }

@@ -214,33 +214,6 @@ func TestScales(t *testing.T) {
 	}
 }
 
-func TestMatrixParallelMatchesSequential(t *testing.T) {
-	seq, err := Matrix(tinyScale(), "par-seq", StudiedEnv, MatrixOptions{
-		Targets: []string{string(workload.Database), string(workload.WebSearch)},
-		NoOrder: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Matrix(tinyScale(), "par-par", StudiedEnv, MatrixOptions{
-		Targets:  []string{string(workload.Database), string(workload.WebSearch)},
-		NoOrder:  true,
-		Parallel: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, target := range seq.Targets {
-		a, b := seq.Runs[target], par.Runs[target]
-		if a.Result.BestGrade != b.Result.BestGrade {
-			t.Fatalf("%s: parallel grade %g != sequential %g", target, b.Result.BestGrade, a.Result.BestGrade)
-		}
-		if a.Lat[target] != b.Lat[target] {
-			t.Fatalf("%s: parallel speedup differs", target)
-		}
-	}
-}
-
 func TestCSVExport(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Fig2(tinyScale())

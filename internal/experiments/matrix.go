@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"autoblox/internal/core"
@@ -23,13 +22,6 @@ type MatrixOptions struct {
 	// NoOrder disables the tuning-order stage entirely (skips the
 	// fine-pruning pass; used by fast smoke runs).
 	NoOrder bool
-	// Parallel tunes the targets concurrently — the paper notes "the
-	// pruning and training of each workload can be performed in
-	// parallel". Results are identical to the sequential run (each
-	// target's search is independently seeded; the shared validation
-	// cache's singleflight dedup only changes who pays for a
-	// simulation, not its result).
-	Parallel bool
 	// Targets restricts the tuned targets (default: every workload).
 	Targets []string
 }
@@ -72,32 +64,6 @@ func RunMatrix(e *Env, opts MatrixOptions) (*MatrixResult, error) {
 		targets = e.Validator.Clusters()
 	}
 	res := &MatrixResult{Env: e, Targets: targets, Runs: map[string]*TargetRun{}}
-	if opts.Parallel {
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-		)
-		for _, target := range targets {
-			wg.Add(1)
-			go func(target string) {
-				defer wg.Done()
-				run, err := runTarget(e, target, opts)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("experiments: target %s: %w", target, err)
-					return
-				}
-				res.Runs[target] = run
-			}(target)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return res, nil
-	}
 	for _, target := range targets {
 		run, err := runTarget(e, target, opts)
 		if err != nil {

@@ -85,10 +85,6 @@ func RunTable6(e *Env) (*OverheadResult, error) {
 	target := string(e.Cats[0])
 	opts := e.tunerOptions()
 	opts.MaxIterations = 4
-	tuner, err := core.NewTuner(e.Space, e.Validator, e.Grader, opts)
-	if err != nil {
-		return nil, err
-	}
 	// A dedicated validator so cached results don't hide validation cost.
 	// Serial workers: Stats().SimBusy sums per-worker simulation time
 	// (NOT elapsed wall-clock — under parallelism the sum exceeds the
@@ -101,7 +97,7 @@ func RunTable6(e *Env) (*OverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tuner, err = core.NewTuner(e.Space, fresh, grader, opts)
+	tuner, err := core.NewTuner(e.Space, fresh, grader, opts)
 	if err != nil {
 		return nil, err
 	}

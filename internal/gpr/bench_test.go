@@ -42,10 +42,10 @@ func BenchmarkPredict(b *testing.B) {
 	if err := g.Fit(x, y); err != nil {
 		b.Fatal(err)
 	}
-	q := x[0]
+	q := [][]float64{x[0]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := g.PredictOne(q); err != nil {
+		if _, _, err := g.Predict(q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,7 +22,6 @@ type GP struct {
 	mean  float64 // trainable constant mean (the empirical mean of y)
 	alpha []float64
 	chol  *linalg.Matrix
-	lml   float64
 }
 
 // New returns a GP with the given kernel. A nil kernel selects
@@ -91,7 +90,6 @@ func (g *GP) refit(resid []float64) error {
 	}
 	g.chol = l
 	g.alpha = linalg.SolveCholesky(l, resid)
-	g.lml = g.logMarginalLikelihood(l, resid, g.alpha)
 	return nil
 }
 
@@ -177,41 +175,16 @@ func (g *GP) Predict(x [][]float64) (mean, std []float64, err error) {
 	return mean, std, nil
 }
 
-// PredictOne returns the posterior mean and standard deviation at one
-// query point.
-func (g *GP) PredictOne(x []float64) (mean, std float64, err error) {
-	m, s, err := g.Predict([][]float64{x})
-	if err != nil {
-		return 0, 0, err
-	}
-	return m[0], s[0], nil
-}
-
-// LogMarginalLikelihood reports the LML of the fitted model.
-func (g *GP) LogMarginalLikelihood() float64 { return g.lml }
-
-// Mean returns the trained constant mean.
-func (g *GP) Mean() float64 { return g.mean }
-
-// UCB returns the upper confidence bound mean + beta·std at x — the
-// acquisition score used to rank candidate configurations.
-func (g *GP) UCB(x []float64, beta float64) (float64, error) {
-	m, s, err := g.PredictOne(x)
-	if err != nil {
-		return 0, err
-	}
-	return m + beta*s, nil
-}
-
 // ExpectedImprovement returns the EI acquisition value at x against the
 // incumbent best observation: E[max(f(x) - best, 0)] under the posterior.
-// An alternative to UCB for ranking candidate configurations; both weigh
-// posterior mean against uncertainty.
+// It weighs posterior mean against uncertainty when ranking candidate
+// configurations.
 func (g *GP) ExpectedImprovement(x []float64, best float64) (float64, error) {
-	m, s, err := g.PredictOne(x)
+	ms, ss, err := g.Predict([][]float64{x})
 	if err != nil {
 		return 0, err
 	}
+	m, s := ms[0], ss[0]
 	if s <= 0 {
 		if m > best {
 			return m - best, nil

@@ -168,15 +168,6 @@ func seedPlusPlus(data *linalg.Matrix, k int, rng *rand.Rand) *linalg.Matrix {
 	return centers
 }
 
-// Predict returns the index of the nearest center for each sample.
-func (m *Model) Predict(data *linalg.Matrix) []int {
-	out := make([]int, data.Rows)
-	for i := 0; i < data.Rows; i++ {
-		out[i] = nearest(m.Centers, data.Row(i))
-	}
-	return out
-}
-
 // PredictVec returns the nearest-center index and the Euclidean distance
 // to that center for a single sample.
 func (m *Model) PredictVec(v []float64) (int, float64) {

@@ -74,18 +74,14 @@ func TestPredictMatchesTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := m.Predict(data)
-	for i := range pred {
-		if pred[i] != m.Labels[i] {
-			t.Fatalf("Predict disagrees with training labels at %d", i)
+	for i := 0; i < data.Rows; i++ {
+		c, d := m.PredictVec(data.Row(i))
+		if c != m.Labels[i] {
+			t.Fatalf("PredictVec disagrees with training labels at %d", i)
 		}
-	}
-	c, d := m.PredictVec(data.Row(0))
-	if c != m.Labels[0] {
-		t.Fatalf("PredictVec label mismatch")
-	}
-	if d < 0 {
-		t.Fatalf("negative distance")
+		if d < 0 {
+			t.Fatalf("negative distance")
+		}
 	}
 }
 

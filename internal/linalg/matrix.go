@@ -115,27 +115,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: Add dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
 // AddDiag adds v to every diagonal element of m in place and returns m.
 func (m *Matrix) AddDiag(v float64) *Matrix {
 	n := m.Rows
@@ -174,15 +153,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Cholesky computes the lower-triangular factor L with m = L·Lᵀ for a
@@ -247,60 +217,4 @@ func SolveSPD(m *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return SolveCholesky(l, b), nil
-}
-
-// SolveLinear solves the general square system a·x = b using Gaussian
-// elimination with partial pivoting.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: SolveLinear of non-square %dx%d matrix", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveLinear rhs length %d, want %d", len(b), n)
-	}
-	// Work on copies.
-	aug := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot := col
-		maxAbs := math.Abs(aug.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(aug.At(r, col)); v > maxAbs {
-				maxAbs, pivot = v, r
-			}
-		}
-		if maxAbs < 1e-14 {
-			return nil, fmt.Errorf("linalg: singular matrix (column %d)", col)
-		}
-		if pivot != col {
-			pr, cr := aug.Row(pivot), aug.Row(col)
-			for j := range pr {
-				pr[j], cr[j] = cr[j], pr[j]
-			}
-			x[pivot], x[col] = x[col], x[pivot]
-		}
-		inv := 1 / aug.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := aug.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			rr, cr := aug.Row(r), aug.Row(col)
-			for j := col; j < n; j++ {
-				rr[j] -= f * cr[j]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		sum := x[i]
-		for j := i + 1; j < n; j++ {
-			sum -= aug.At(i, j) * x[j]
-		}
-		x[i] = sum / aug.At(i, i)
-	}
-	return x, nil
 }

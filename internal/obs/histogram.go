@@ -114,18 +114,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // Max returns the largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 {
 	if h == nil || h.count.Load() == 0 {

@@ -128,7 +128,7 @@ func TestHistogramBucketLayout(t *testing.T) {
 func TestHistogramNilAndNegative(t *testing.T) {
 	var h *Histogram
 	h.Record(5) // must not panic
-	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Mean() != 0 {
+	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram must read as empty")
 	}
 	h2 := NewHistogram()

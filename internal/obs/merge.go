@@ -42,15 +42,6 @@ func (h *Histogram) Merge(s HistogramSnapshot) {
 	}
 }
 
-// MergeSnapshots combines two histogram snapshots into one, as if a
-// single histogram had recorded both sample streams.
-func MergeSnapshots(a, b HistogramSnapshot) HistogramSnapshot {
-	h := NewHistogram()
-	h.Merge(a)
-	h.Merge(b)
-	return h.Snapshot()
-}
-
 // DeltaSince returns the changes in s relative to an earlier snapshot
 // prev of the same registry: counter increments, gauge values that
 // changed (gauges are absolute, so the current value is the delta

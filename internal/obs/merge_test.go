@@ -66,7 +66,10 @@ func TestMergeSnapshots(t *testing.T) {
 	a.Record(10)
 	a.Record(20)
 	b.Record(1000)
-	s := MergeSnapshots(a.Snapshot(), b.Snapshot())
+	m := NewHistogram()
+	m.Merge(a.Snapshot())
+	m.Merge(b.Snapshot())
+	s := m.Snapshot()
 	if s.Count != 3 || s.Sum != 1030 || s.Min != 10 || s.Max != 1000 {
 		t.Fatalf("bad merged snapshot: %+v", s)
 	}

@@ -38,29 +38,6 @@ func NewProgress(w io.Writer, st *TuneStatus, interval time.Duration) *Progress 
 	}
 }
 
-// Status exposes the backing TuneStatus (nil on a nil reporter).
-func (p *Progress) Status() *TuneStatus {
-	if p == nil {
-		return nil
-	}
-	return p.st
-}
-
-// SetTotal declares the expected iteration count (enables the ETA).
-func (p *Progress) SetTotal(n int) {
-	if p != nil {
-		p.st.SetTotal(n)
-	}
-}
-
-// Update records iteration progress; wire it into TunerOptions.OnIteration.
-func (p *Progress) Update(iter int, best float64) {
-	if p == nil {
-		return
-	}
-	p.st.Update(iter, best)
-}
-
 // Start launches the ticker goroutine.
 func (p *Progress) Start() {
 	if p == nil {

@@ -65,7 +65,7 @@ func (t *Tracer) Complete(name string, lane int64, start time.Time, dur time.Dur
 	if dur < 0 {
 		dur = 0
 	}
-	t.emit(name, "X", lane, ts, dur, as)
+	t.emit(name, lane, ts, dur, as)
 }
 
 // Err reports the first write error, if any.
@@ -79,7 +79,7 @@ func (t *Tracer) Err() error {
 }
 
 // Span is one in-progress traced operation. Create with StartSpan, add
-// annotations with Arg/ArgInt/ArgFloat/Lane, finish with End. All
+// annotations with Arg/ArgInt/Lane, finish with End. All
 // methods are no-ops on a nil span.
 type Span struct {
 	t     *Tracer
@@ -115,14 +115,6 @@ func (s *Span) ArgInt(key string, v int64) *Span {
 	return s
 }
 
-// ArgFloat attaches a float annotation.
-func (s *Span) ArgFloat(key string, v float64) *Span {
-	if s != nil {
-		s.args = append(s.args, spanArg{key, strconv.FormatFloat(v, 'g', -1, 64)})
-	}
-	return s
-}
-
 // Lane assigns the span to a trace lane ("tid" in the Chrome format);
 // concurrent spans render stacked per lane, so workers should each use a
 // distinct lane.
@@ -140,42 +132,24 @@ func (s *Span) End() {
 	}
 	t := s.t
 	end := t.now().Sub(t.start)
-	t.emit(s.name, "X", s.tid, s.begin, end-s.begin, s.args)
+	t.emit(s.name, s.tid, s.begin, end-s.begin, s.args)
 }
 
-// Instant writes a zero-duration instant event ("ph":"i").
-func (t *Tracer) Instant(name string, args ...string) {
-	if t == nil {
-		return
-	}
-	var as []spanArg
-	for i := 0; i+1 < len(args); i += 2 {
-		as = append(as, spanArg{args[i], args[i+1]})
-	}
-	t.emit(name, "i", 1, t.now().Sub(t.start), -1, as)
-}
-
-// emit serializes one event. Fields are written in a fixed order so the
-// output is deterministic given deterministic timestamps.
-func (t *Tracer) emit(name, ph string, tid int64, ts, dur time.Duration, args []spanArg) {
+// emit serializes one complete ("ph":"X") event. Fields are written in
+// a fixed order so the output is deterministic given deterministic
+// timestamps.
+func (t *Tracer) emit(name string, tid int64, ts, dur time.Duration, args []spanArg) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := t.buf[:0]
 	b = append(b, `{"name":`...)
 	b = strconv.AppendQuote(b, name)
-	b = append(b, `,"cat":"autoblox","ph":"`...)
-	b = append(b, ph...)
-	b = append(b, `","ts":`...)
+	b = append(b, `,"cat":"autoblox","ph":"X","ts":`...)
 	b = appendMicros(b, ts)
-	if dur >= 0 {
-		b = append(b, `,"dur":`...)
-		b = appendMicros(b, dur)
-	}
+	b = append(b, `,"dur":`...)
+	b = appendMicros(b, dur)
 	b = append(b, `,"pid":1,"tid":`...)
 	b = strconv.AppendInt(b, tid, 10)
-	if ph == "i" {
-		b = append(b, `,"s":"g"`...)
-	}
 	if len(args) > 0 {
 		b = append(b, `,"args":{`...)
 		for i, a := range args {
@@ -218,11 +192,6 @@ func SetTracer(t *Tracer) { globalTracer.Store(t) }
 // it returns nil, whose methods all no-op without allocating.
 func StartSpan(name string) *Span {
 	return globalTracer.Load().StartSpan(name)
-}
-
-// Instant emits an instant event on the global tracer, if installed.
-func Instant(name string, args ...string) {
-	globalTracer.Load().Instant(name, args...)
 }
 
 // TraceID returns the global tracer's correlation ID ("" when tracing is

@@ -75,13 +75,10 @@ func TestProgressRendersTuneStatus(t *testing.T) {
 	st.SetSims(sims)
 	var buf strings.Builder
 	p := NewProgress(&buf, st, 10*time.Millisecond)
-	if p.Status() != st {
-		t.Fatal("Progress not backed by the given TuneStatus")
-	}
-	p.SetTotal(10)
+	st.SetTotal(10)
 	p.Start()
 	sims.Add(5)
-	p.Update(1, 0.5)
+	st.Update(1, 0.5)
 	time.Sleep(35 * time.Millisecond)
 	p.Stop()
 	out := buf.String()

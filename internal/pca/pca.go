@@ -121,16 +121,6 @@ func (p *PCA) Transform(data *linalg.Matrix) (*linalg.Matrix, error) {
 	return out, nil
 }
 
-// TransformVec projects a single sample.
-func (p *PCA) TransformVec(v []float64) ([]float64, error) {
-	m := linalg.FromRows([][]float64{v})
-	out, err := p.Transform(m)
-	if err != nil {
-		return nil, err
-	}
-	return out.Row(0), nil
-}
-
 // FitTransform fits the model and immediately projects the training data.
 func FitTransform(data *linalg.Matrix, k int) (*PCA, *linalg.Matrix, error) {
 	p, err := Fit(data, k)

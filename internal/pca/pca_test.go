@@ -55,13 +55,13 @@ func TestTransformDimensions(t *testing.T) {
 	if proj.Rows != 3 || proj.Cols != 2 {
 		t.Fatalf("projection dims = %dx%d, want 3x2", proj.Rows, proj.Cols)
 	}
-	v, err := p.TransformVec([]float64{1, 2, 3})
+	one, err := p.Transform(linalg.FromRows([][]float64{{1, 2, 3}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < 2; j++ {
-		if math.Abs(v[j]-proj.At(0, j)) > 1e-12 {
-			t.Fatalf("TransformVec disagrees with Transform: %v vs %v", v, proj.Row(0))
+		if math.Abs(one.At(0, j)-proj.At(0, j)) > 1e-12 {
+			t.Fatalf("single-row Transform disagrees with batch: %v vs %v", one.Row(0), proj.Row(0))
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"autoblox/internal/linalg"
 )
@@ -115,15 +114,6 @@ func Fit(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Predict evaluates the model on each row of x.
-func (m *Model) Predict(x *linalg.Matrix) []float64 {
-	out := make([]float64, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		out[i] = m.PredictVec(x.Row(i))
-	}
-	return out
-}
-
 // PredictVec evaluates the model on one sample.
 func (m *Model) PredictVec(v []float64) float64 {
 	s := m.Intercept
@@ -157,37 +147,6 @@ func (m *Model) R2(x *linalg.Matrix, y []float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// RankedFeature pairs a feature index with its coefficient.
-type RankedFeature struct {
-	Index int
-	Coef  float64
-}
-
-// RankByMagnitude returns features sorted by descending |coefficient| —
-// the tuning order used by AutoBlox's automated search.
-func (m *Model) RankByMagnitude() []RankedFeature {
-	out := make([]RankedFeature, len(m.Coef))
-	for i, c := range m.Coef {
-		out[i] = RankedFeature{Index: i, Coef: c}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		return math.Abs(out[a].Coef) > math.Abs(out[b].Coef)
-	})
-	return out
-}
-
-// PruneBelow returns the indices of features whose |coefficient| is below
-// threshold — the insensitive parameters dropped in fine-grained pruning.
-func (m *Model) PruneBelow(threshold float64) []int {
-	var pruned []int
-	for i, c := range m.Coef {
-		if math.Abs(c) < threshold {
-			pruned = append(pruned, i)
-		}
-	}
-	return pruned
 }
 
 func standardize(x *linalg.Matrix) (*linalg.Matrix, []float64, []float64) {

@@ -98,21 +98,6 @@ func TestShrinkageMonotonicity(t *testing.T) {
 	}
 }
 
-func TestRankAndPrune(t *testing.T) {
-	m := &Model{Coef: []float64{0.5, -0.0001, 2.0, 0.0005, -1.0}}
-	ranked := m.RankByMagnitude()
-	wantOrder := []int{2, 4, 0, 3, 1}
-	for i, r := range ranked {
-		if r.Index != wantOrder[i] {
-			t.Fatalf("rank order = %v", ranked)
-		}
-	}
-	pruned := m.PruneBelow(0.001)
-	if len(pruned) != 2 || pruned[0] != 1 || pruned[1] != 3 {
-		t.Fatalf("pruned = %v, want [1 3]", pruned)
-	}
-}
-
 func TestConstantFeatureGetsZeroCoef(t *testing.T) {
 	rows := [][]float64{{1, 5}, {2, 5}, {3, 5}, {4, 5}}
 	y := []float64{2, 4, 6, 8}

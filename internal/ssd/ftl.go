@@ -323,14 +323,6 @@ func scaleGeometry(p *DeviceParams, planes int) (bpp, ppb int32) {
 	return bpp, ppb
 }
 
-// logicalPage folds an LBA (in sectors) onto the simulated logical
-// space: the real logical page index is divided by capScale (a linear
-// shrink that keeps the workload's footprint the same *fraction* of the
-// device and preserves hot/cold structure), then wrapped defensively.
-func (f *ftl) logicalPage(lba uint64) int64 {
-	return (int64(lba/uint64(f.sectorsPerPage)) / f.capScale) % f.logicalPages
-}
-
 // pageSpan returns the first folded logical page of a request and how
 // many consecutive logical pages it touches (callers index page k as
 // (firstLP + k) % logicalPages). The count is computed in unfolded page

@@ -78,6 +78,14 @@ func TestPlacePageInvalidatesOldCopy(t *testing.T) {
 	}
 }
 
+// logicalPage folds an LBA (in sectors) onto the simulated logical
+// space: the real logical page index is divided by capScale (a linear
+// shrink that keeps the workload's footprint the same *fraction* of the
+// device and preserves hot/cold structure), then wrapped defensively.
+func (f *ftl) logicalPage(lba uint64) int64 {
+	return (int64(lba/uint64(f.sectorsPerPage)) / f.capScale) % f.logicalPages
+}
+
 func TestLogicalSpaceBounds(t *testing.T) {
 	f := newTestFTL(t, nil)
 	// Any LBA folds into [0, logicalPages).

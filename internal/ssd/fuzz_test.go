@@ -10,7 +10,7 @@ import (
 // property: any input that decodes (and therefore validates) must
 // re-encode, and the decode→encode cycle must be idempotent from the
 // first encoding on — enc(dec(b)) == enc(dec(enc(dec(b)))) byte for
-// byte. This is what makes SaveParams/LoadParams round-trips lossless
+// byte. This is what makes MarshalJSONParams/LoadParams round-trips lossless
 // (the microsecond/MB quantization happens exactly once).
 func FuzzParamsJSON(f *testing.F) {
 	for _, p := range []DeviceParams{DefaultParams(), Intel750(), Samsung850Pro(), SamsungZSSD()} {

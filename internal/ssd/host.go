@@ -137,22 +137,3 @@ func (m *mergeStream) Next() (trace.Request, bool) {
 		return cur, true
 	}
 }
-
-// mergeRequests is the materialized form of mergeStream, kept for tests
-// and callers that already hold a request slice. Returns the merged
-// request stream and the number of merges performed.
-func mergeRequests(reqs []trace.Request) ([]trace.Request, int64) {
-	if len(reqs) == 0 {
-		return reqs, 0
-	}
-	ms := newMergeStream((&trace.Trace{Requests: reqs}).Source())
-	out := make([]trace.Request, 0, len(reqs))
-	for {
-		r, ok := ms.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	return out, ms.merged
-}

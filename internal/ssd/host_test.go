@@ -8,6 +8,24 @@ import (
 	"autoblox/internal/workload"
 )
 
+// mergeRequests is the materialized form of mergeStream. Returns the merged
+// request stream and the number of merges performed.
+func mergeRequests(reqs []trace.Request) ([]trace.Request, int64) {
+	if len(reqs) == 0 {
+		return reqs, 0
+	}
+	ms := newMergeStream((&trace.Trace{Requests: reqs}).Source())
+	out := make([]trace.Request, 0, len(reqs))
+	for {
+		r, ok := ms.Next()
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out, ms.merged
+}
+
 func TestMergeRequestsContiguous(t *testing.T) {
 	reqs := []trace.Request{
 		{Arrival: 0, LBA: 0, Sectors: 8, Op: trace.Write},

@@ -229,12 +229,3 @@ func LoadParams(path string) (DeviceParams, error) {
 	}
 	return UnmarshalJSONParams(data)
 }
-
-// SaveParams writes a device configuration to a JSON file.
-func SaveParams(path string, p DeviceParams) error {
-	data, err := MarshalJSONParams(p)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}

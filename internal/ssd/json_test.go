@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -23,7 +24,11 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestJSONFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev.json")
-	if err := SaveParams(path, SamsungZSSD()); err != nil {
+	data, err := MarshalJSONParams(SamsungZSSD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadParams(path)

@@ -202,7 +202,6 @@ func TestGCPoliciesAllSimulate(t *testing.T) {
 
 // BenchmarkGCVictimPolicy measures steady-state write cost per policy
 // with GC in the loop (victim selection is the dominant varying cost).
-// cmd/benchjson picks these up for the CI BENCH artifact.
 func BenchmarkGCVictimPolicy(b *testing.B) {
 	for _, name := range GCPolicyNames() {
 		pol, err := ParseGCPolicy(name)

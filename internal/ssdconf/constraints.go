@@ -226,19 +226,6 @@ func (s *Space) Vector(cfg Config) []float64 {
 	return out
 }
 
-// VectorLen returns the length of Vector's encoding.
-func (s *Space) VectorLen() int {
-	n := 0
-	for _, p := range s.Params {
-		if p.Kind == Categorical {
-			n += len(p.Values)
-		} else {
-			n++
-		}
-	}
-	return n
-}
-
 // ManhattanDistance is the exploration-bound metric of §3.4: the sum of
 // grid-index distances over numeric axes, counting a categorical
 // difference as one step.

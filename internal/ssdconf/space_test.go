@@ -241,8 +241,16 @@ func TestVectorEncoding(t *testing.T) {
 	s := defaultSpace()
 	cfg := s.FromDevice(ssd.Intel750())
 	v := s.Vector(cfg)
-	if len(v) != s.VectorLen() {
-		t.Fatalf("vector len %d != VectorLen %d", len(v), s.VectorLen())
+	want := 0
+	for _, p := range s.Params {
+		if p.Kind == Categorical {
+			want += len(p.Values)
+		} else {
+			want++
+		}
+	}
+	if len(v) != want {
+		t.Fatalf("vector len %d, want %d (one-hot categoricals)", len(v), want)
 	}
 	for i, x := range v {
 		if x < 0 || x > 1 {

@@ -111,17 +111,15 @@ func ComputeStats(t *Trace) Stats {
 	if s.Requests == 0 {
 		return s
 	}
-	s.Duration = t.Duration()
-	s.ReadFraction = t.ReadFraction()
-	s.TotalBytes = t.TotalBytes()
-	s.MeanBytes = float64(s.TotalBytes) / float64(s.Requests)
-	if secs := s.Duration.Seconds(); secs > 0 {
-		s.OfferedBps = float64(s.TotalBytes) / secs
-	}
+	s.Duration = t.Requests[s.Requests-1].Arrival
 	minLBA, maxEnd := t.Requests[0].LBA, uint64(0)
-	seq := 0
+	seq, reads := 0, 0
 	var prevEnd uint64
 	for i, r := range t.Requests {
+		if r.Op == Read {
+			reads++
+		}
+		s.TotalBytes += r.Bytes()
 		if r.LBA < minLBA {
 			minLBA = r.LBA
 		}
@@ -132,6 +130,11 @@ func ComputeStats(t *Trace) Stats {
 			seq++
 		}
 		prevEnd = r.LBA + uint64(r.Sectors)
+	}
+	s.ReadFraction = float64(reads) / float64(s.Requests)
+	s.MeanBytes = float64(s.TotalBytes) / float64(s.Requests)
+	if secs := s.Duration.Seconds(); secs > 0 {
+		s.OfferedBps = float64(s.TotalBytes) / secs
 	}
 	s.SpanBytes = (maxEnd - minLBA) * 512
 	if s.Requests > 1 {

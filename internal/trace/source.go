@@ -101,42 +101,8 @@ func Materialize(s Source) (*Trace, error) {
 	return tr, nil
 }
 
-// sliceStream yields requests [lo, hi) of the underlying stream — the
-// stream adapter form of (*Trace).Slice.
-type sliceStream struct {
-	src    Source
-	lo, hi int
-	pos    int
-}
-
-// SliceStream adapts a source to the sub-stream of requests [lo, hi).
-func SliceStream(src Source, lo, hi int) Source {
-	return &sliceStream{src: src, lo: lo, hi: hi}
-}
-
-func (s *sliceStream) Name() string { return s.src.Name() }
-func (s *sliceStream) Err() error   { return s.src.Err() }
-func (s *sliceStream) Reset()       { s.src.Reset(); s.pos = 0 }
-func (s *sliceStream) Next() (Request, bool) {
-	for s.pos < s.lo {
-		if _, ok := s.src.Next(); !ok {
-			return Request{}, false
-		}
-		s.pos++
-	}
-	if s.pos >= s.hi {
-		return Request{}, false
-	}
-	r, ok := s.src.Next()
-	if !ok {
-		return Request{}, false
-	}
-	s.pos++
-	return r, true
-}
-
 // compressStream divides arrivals by a factor — the stream adapter form
-// of (*Trace).Compress (and workload.Scale).
+// of (*Trace).Compress.
 type compressStream struct {
 	src    Source
 	factor float64
@@ -161,209 +127,6 @@ func (c *compressStream) Next() (Request, bool) {
 		return Request{}, false
 	}
 	r.Arrival = time.Duration(float64(r.Arrival) / c.factor)
-	return r, true
-}
-
-// normalizeStream rebases LBAs against the stream's minimum — the
-// stream adapter form of (*Trace).Normalize. The minimum is discovered
-// with one extra sweep on first use (regenerable sources make the sweep
-// cheap) and cached: determinism guarantees later sweeps would find the
-// same value.
-type normalizeStream struct {
-	src     Source
-	min     uint64
-	scanned bool
-}
-
-// NormalizeStream adapts a source so block addresses become offsets from
-// the smallest address in the stream (§3.1's normalization).
-func NormalizeStream(src Source) Source {
-	return &normalizeStream{src: src}
-}
-
-func (n *normalizeStream) Name() string { return n.src.Name() }
-func (n *normalizeStream) Err() error   { return n.src.Err() }
-func (n *normalizeStream) Reset()       { n.src.Reset() }
-func (n *normalizeStream) Next() (Request, bool) {
-	if !n.scanned {
-		n.src.Reset()
-		first := true
-		for {
-			r, ok := n.src.Next()
-			if !ok {
-				break
-			}
-			if first || r.LBA < n.min {
-				n.min = r.LBA
-				first = false
-			}
-		}
-		if n.src.Err() != nil {
-			return Request{}, false
-		}
-		n.src.Reset()
-		n.scanned = true
-	}
-	r, ok := n.src.Next()
-	if !ok {
-		return Request{}, false
-	}
-	r.LBA -= n.min
-	return r, true
-}
-
-// mergeSources is a k-way arrival-order merge of sorted sources.
-type mergeSources struct {
-	name   string
-	srcs   []Source
-	head   []Request
-	have   []bool
-	done   []bool
-	tagged bool
-}
-
-// MergeSources interleaves several arrival-sorted sources into one
-// arrival-sorted stream (ties go to the lower source index). It is the
-// streaming counterpart of concatenating traces and re-sorting.
-func MergeSources(name string, srcs ...Source) Source {
-	return &mergeSources{
-		name: name,
-		srcs: srcs,
-		head: make([]Request, len(srcs)),
-		have: make([]bool, len(srcs)),
-		done: make([]bool, len(srcs)),
-	}
-}
-
-// MergeSourcesTagged is MergeSources with per-tenant stream tagging:
-// every request from srcs[i] carries Stream = i+1, so a multi-stream
-// host interface can route each tenant's writes to disjoint flash
-// blocks. Tags start at 1 because 0 means "untagged".
-//
-// Tenant LBA spaces are left untouched, so tenants whose traces address
-// overlapping LBA ranges alias each other's logical blocks — reads from
-// one tenant observe another tenant's writes. Some workloads rely on
-// that (a scan tenant sweeping over data other tenants wrote); tenants
-// that model isolated hosts sharing one device want
-// MergeSourcesPartitioned instead.
-func MergeSourcesTagged(name string, srcs ...Source) Source {
-	m := MergeSources(name, srcs...).(*mergeSources)
-	m.tagged = true
-	return m
-}
-
-// partitionSources is MergeSourcesTagged plus per-tenant LBA
-// partitioning: tenant i's addresses are rebased by the summed spans of
-// tenants 0..i-1, so no two tenants ever touch the same logical block.
-type partitionSources struct {
-	merge   *mergeSources
-	offset  []uint64
-	scanned bool
-}
-
-// MergeSourcesPartitioned interleaves arrival-sorted tenant sources
-// like MergeSourcesTagged (Stream = source index + 1, ties to the lower
-// index) and additionally maps each tenant onto a disjoint slice of the
-// logical address space: tenant i's LBAs are shifted up by the summed
-// address spans (max LBA + request length) of tenants 0..i-1. This
-// models independent hosts multiplexed onto one device — no tenant can
-// alias another's data. The spans are discovered with one extra sweep
-// per source on first use and cached; determinism guarantees later
-// sweeps would find the same values.
-func MergeSourcesPartitioned(name string, srcs ...Source) Source {
-	m := MergeSourcesTagged(name, srcs...).(*mergeSources)
-	return &partitionSources{merge: m, offset: make([]uint64, len(srcs))}
-}
-
-func (p *partitionSources) Name() string { return p.merge.Name() }
-func (p *partitionSources) Err() error   { return p.merge.Err() }
-func (p *partitionSources) Reset()       { p.merge.Reset() }
-
-// scan measures each tenant's address span and derives the cumulative
-// offsets. It leaves every source freshly Reset.
-func (p *partitionSources) scan() bool {
-	var next uint64
-	for i, s := range p.merge.srcs {
-		p.offset[i] = next
-		s.Reset()
-		var span uint64
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			if end := r.LBA + uint64(r.Sectors); end > span {
-				span = end
-			}
-		}
-		if s.Err() != nil {
-			return false
-		}
-		s.Reset()
-		next += span
-	}
-	p.scanned = true
-	return true
-}
-
-func (p *partitionSources) Next() (Request, bool) {
-	if !p.scanned {
-		if !p.scan() {
-			return Request{}, false
-		}
-		// The span sweep consumed the sources; rewind the merge state so
-		// the first post-scan Next starts from the beginning.
-		p.merge.Reset()
-	}
-	r, ok := p.merge.Next()
-	if !ok {
-		return Request{}, false
-	}
-	r.LBA += p.offset[r.Stream-1]
-	return r, true
-}
-
-func (m *mergeSources) Name() string { return m.name }
-func (m *mergeSources) Err() error {
-	for _, s := range m.srcs {
-		if err := s.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-func (m *mergeSources) Reset() {
-	for i, s := range m.srcs {
-		s.Reset()
-		m.have[i], m.done[i] = false, false
-	}
-}
-func (m *mergeSources) Next() (Request, bool) {
-	best := -1
-	for i, s := range m.srcs {
-		if m.done[i] {
-			continue
-		}
-		if !m.have[i] {
-			r, ok := s.Next()
-			if !ok {
-				m.done[i] = true
-				continue
-			}
-			m.head[i], m.have[i] = r, true
-		}
-		if best < 0 || m.head[i].Arrival < m.head[best].Arrival {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Request{}, false
-	}
-	m.have[best] = false
-	r := m.head[best]
-	if m.tagged {
-		r.Stream = uint32(best) + 1
-	}
 	return r, true
 }
 

@@ -93,26 +93,6 @@ func TestFactoryYieldsIndependentCursors(t *testing.T) {
 	}
 }
 
-func TestSliceStreamMatchesSlice(t *testing.T) {
-	tr := randTrace(200, 4)
-	for _, bounds := range [][2]int{{0, 200}, {0, 50}, {50, 150}, {199, 200}, {120, 120}} {
-		lo, hi := bounds[0], bounds[1]
-		want := tr.Slice(lo, hi)
-		got, err := Materialize(SliceStream(tr.Source(), lo, hi))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Requests) != len(want.Requests) {
-			t.Fatalf("[%d:%d): %d requests, want %d", lo, hi, len(got.Requests), len(want.Requests))
-		}
-		for i := range want.Requests {
-			if got.Requests[i] != want.Requests[i] {
-				t.Fatalf("[%d:%d): request %d differs", lo, hi, i)
-			}
-		}
-	}
-}
-
 func TestCompressStreamMatchesCompress(t *testing.T) {
 	tr := randTrace(200, 5)
 	for _, factor := range []float64{20, 2.5, 1, 0, -3} {
@@ -124,131 +104,6 @@ func TestCompressStreamMatchesCompress(t *testing.T) {
 		if !reflect.DeepEqual(got.Requests, want.Requests) {
 			t.Fatalf("factor %g: stream compress differs from materialized", factor)
 		}
-	}
-}
-
-func TestNormalizeStreamMatchesNormalize(t *testing.T) {
-	tr := randTrace(200, 6)
-	want, err := Materialize(tr.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.Normalize()
-	got, err := Materialize(NormalizeStream(tr.Source()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Requests, want.Requests) {
-		t.Fatal("stream normalize differs from materialized")
-	}
-	// And a second Reset-separated sweep must agree (cached minimum).
-	src := NormalizeStream(tr.Source())
-	first := drain(t, src)
-	src.Reset()
-	second := drain(t, src)
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("NormalizeStream sweeps differ across Reset")
-	}
-}
-
-func TestMergeSourcesOrdersByArrival(t *testing.T) {
-	a := &Trace{Name: "a", Requests: []Request{
-		{Arrival: 1 * time.Millisecond, LBA: 1, Sectors: 8},
-		{Arrival: 3 * time.Millisecond, LBA: 3, Sectors: 8},
-	}}
-	b := &Trace{Name: "b", Requests: []Request{
-		{Arrival: 1 * time.Millisecond, LBA: 10, Sectors: 8},
-		{Arrival: 2 * time.Millisecond, LBA: 20, Sectors: 8},
-	}}
-	m := MergeSources("ab", a.Source(), b.Source())
-	if m.Name() != "ab" {
-		t.Fatalf("Name = %q", m.Name())
-	}
-	got := drain(t, m)
-	wantLBAs := []uint64{1, 10, 20, 3} // tie at 1ms goes to source a
-	if len(got) != len(wantLBAs) {
-		t.Fatalf("merged %d requests, want %d", len(got), len(wantLBAs))
-	}
-	for i, w := range wantLBAs {
-		if got[i].LBA != w {
-			t.Fatalf("merged[%d].LBA = %d, want %d", i, got[i].LBA, w)
-		}
-	}
-	var prev time.Duration
-	for i, r := range got {
-		if r.Arrival < prev {
-			t.Fatalf("merged stream unsorted at %d", i)
-		}
-		prev = r.Arrival
-	}
-	m.Reset()
-	if again := drain(t, m); !reflect.DeepEqual(again, got) {
-		t.Fatal("merge sweeps differ across Reset")
-	}
-}
-
-func TestMergeSourcesPartitionedDisjoint(t *testing.T) {
-	// Three tenants deliberately addressing the SAME LBA range: under
-	// MergeSourcesTagged they alias; partitioned they must not.
-	mk := func(name string, base time.Duration) *Trace {
-		return &Trace{Name: name, Requests: []Request{
-			{Arrival: base, LBA: 0, Sectors: 8, Op: Write},
-			{Arrival: base + 10*time.Millisecond, LBA: 100, Sectors: 16, Op: Write},
-			{Arrival: base + 20*time.Millisecond, LBA: 50, Sectors: 8, Op: Read},
-		}}
-	}
-	a, b, c := mk("a", 0), mk("b", time.Millisecond), mk("c", 2*time.Millisecond)
-	m := MergeSourcesPartitioned("abc", a.Source(), b.Source(), c.Source())
-	got := drain(t, m)
-	if len(got) != 9 {
-		t.Fatalf("merged %d requests, want 9", len(got))
-	}
-	// Collect each tenant's occupied address interval and check pairwise
-	// disjointness.
-	lo := map[uint32]uint64{}
-	hi := map[uint32]uint64{}
-	for _, r := range got {
-		if r.Stream == 0 {
-			t.Fatal("partitioned merge emitted an untagged request")
-		}
-		end := r.LBA + uint64(r.Sectors)
-		if cur, ok := lo[r.Stream]; !ok || r.LBA < cur {
-			lo[r.Stream] = r.LBA
-		}
-		if end > hi[r.Stream] {
-			hi[r.Stream] = end
-		}
-	}
-	if len(lo) != 3 {
-		t.Fatalf("saw %d tenants, want 3", len(lo))
-	}
-	for s1 := uint32(1); s1 <= 3; s1++ {
-		for s2 := s1 + 1; s2 <= 3; s2++ {
-			if lo[s1] < hi[s2] && lo[s2] < hi[s1] {
-				t.Fatalf("tenants %d and %d overlap: [%d,%d) vs [%d,%d)",
-					s1, s2, lo[s1], hi[s1], lo[s2], hi[s2])
-			}
-		}
-	}
-	// Offsets must be the cumulative spans (span = max LBA+Sectors = 116).
-	for _, r := range got {
-		wantOff := uint64(r.Stream-1) * 116
-		origLBA := r.LBA - wantOff
-		if origLBA != 0 && origLBA != 100 && origLBA != 50 {
-			t.Fatalf("stream %d request at LBA %d not a 116-aligned rebase", r.Stream, r.LBA)
-		}
-	}
-	// Arrival order preserved and sweeps deterministic across Reset.
-	var prev time.Duration
-	for i, r := range got {
-		if r.Arrival < prev {
-			t.Fatalf("partitioned stream unsorted at %d", i)
-		}
-		prev = r.Arrival
-	}
-	m.Reset()
-	if again := drain(t, m); !reflect.DeepEqual(again, got) {
-		t.Fatal("partitioned sweeps differ across Reset")
 	}
 }
 

@@ -52,7 +52,7 @@ type Request struct {
 	// Stream is the multi-stream directive tag (0 = untagged). Devices
 	// with a multi-stream host interface route writes with different
 	// stream tags to disjoint flash blocks; all other interfaces ignore
-	// it. MergeSourcesTagged stamps per-tenant tags on merged traces.
+	// it.
 	Stream uint32
 }
 
@@ -64,37 +64,6 @@ func (r Request) Bytes() uint64 { return uint64(r.Sectors) * 512 }
 type Trace struct {
 	Name     string
 	Requests []Request
-}
-
-// Duration returns the arrival time of the last request.
-func (t *Trace) Duration() time.Duration {
-	if len(t.Requests) == 0 {
-		return 0
-	}
-	return t.Requests[len(t.Requests)-1].Arrival
-}
-
-// ReadFraction returns the fraction of requests that are reads.
-func (t *Trace) ReadFraction() float64 {
-	if len(t.Requests) == 0 {
-		return 0
-	}
-	var reads int
-	for _, r := range t.Requests {
-		if r.Op == Read {
-			reads++
-		}
-	}
-	return float64(reads) / float64(len(t.Requests))
-}
-
-// TotalBytes returns the sum of request sizes.
-func (t *Trace) TotalBytes() uint64 {
-	var b uint64
-	for _, r := range t.Requests {
-		b += r.Bytes()
-	}
-	return b
 }
 
 // Slice returns a sub-trace of requests [lo, hi).
@@ -131,27 +100,6 @@ func (t *Trace) Split(frac float64) (train, valid *Trace) {
 		cut = len(t.Requests)
 	}
 	return t.Slice(0, cut), t.Slice(cut, len(t.Requests))
-}
-
-// Normalize rewrites absolute block addresses into relative offsets in a
-// uniform address space, as §3.1 requires: the absolute value of a block
-// address depends on the allocator, so only offsets from the smallest
-// address seen carry workload signal. I/O size and type are unmodified.
-// The receiver is modified in place and returned for chaining.
-func (t *Trace) Normalize() *Trace {
-	if len(t.Requests) == 0 {
-		return t
-	}
-	min := t.Requests[0].LBA
-	for _, r := range t.Requests {
-		if r.LBA < min {
-			min = r.LBA
-		}
-	}
-	for i := range t.Requests {
-		t.Requests[i].LBA -= min
-	}
-	return t
 }
 
 // ParseBlktrace reads a simplified blktrace-style text format, one

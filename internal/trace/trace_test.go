@@ -30,18 +30,17 @@ func TestRequestBytes(t *testing.T) {
 }
 
 func TestTraceAccessors(t *testing.T) {
-	tr := mkTrace(10, Read)
-	if tr.Duration() != 9*time.Millisecond {
-		t.Fatalf("Duration = %v", tr.Duration())
+	st := ComputeStats(mkTrace(10, Read))
+	if st.Duration != 9*time.Millisecond {
+		t.Fatalf("Duration = %v", st.Duration)
 	}
-	if tr.ReadFraction() != 1 {
-		t.Fatalf("ReadFraction = %v", tr.ReadFraction())
+	if st.ReadFraction != 1 {
+		t.Fatalf("ReadFraction = %v", st.ReadFraction)
 	}
-	if tr.TotalBytes() != 10*4096 {
-		t.Fatalf("TotalBytes = %d", tr.TotalBytes())
+	if st.TotalBytes != 10*4096 {
+		t.Fatalf("TotalBytes = %d", st.TotalBytes)
 	}
-	empty := &Trace{}
-	if empty.Duration() != 0 || empty.ReadFraction() != 0 {
+	if empty := ComputeStats(&Trace{}); empty.Duration != 0 || empty.ReadFraction != 0 {
 		t.Fatal("empty trace accessors")
 	}
 }
@@ -55,17 +54,6 @@ func TestSplit(t *testing.T) {
 	train, valid = tr.Split(2.0)
 	if len(train.Requests) != 10 || len(valid.Requests) != 0 {
 		t.Fatal("overflow split should clamp")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	tr := &Trace{Requests: []Request{
-		{LBA: 5000, Sectors: 8},
-		{LBA: 5100, Sectors: 8},
-	}}
-	tr.Normalize()
-	if tr.Requests[0].LBA != 0 || tr.Requests[1].LBA != 100 {
-		t.Fatalf("Normalize = %+v", tr.Requests)
 	}
 }
 

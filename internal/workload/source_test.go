@@ -100,15 +100,3 @@ func TestFactoryCursorsIndependent(t *testing.T) {
 		t.Fatal("interleaved cursors corrupted the stream")
 	}
 }
-
-func TestScaleSourceMatchesScale(t *testing.T) {
-	base := MustGenerate(WebSearch, Options{Requests: 800, Seed: 5})
-	want := Scale(base, 4)
-	got, err := trace.Materialize(ScaleSource(MustSource(WebSearch, Options{Requests: 800, Seed: 5}), 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Requests, want.Requests) {
-		t.Fatal("ScaleSource differs from Scale")
-	}
-}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"autoblox/internal/trace"
 )
@@ -333,16 +332,6 @@ func hashCategory(c Category) uint32 {
 	return h
 }
 
-// SpanSectors reports the addressable span the category touches; the
-// simulator uses it to size the logical space a trace folds into.
-func SpanSectors(c Category) (uint64, error) {
-	p, ok := profiles[c]
-	if !ok {
-		return 0, fmt.Errorf("workload: unknown category %q", c)
-	}
-	return p.spanSectors, nil
-}
-
 // Describe returns a stable human-readable summary of a category's
 // profile (for documentation and the tracegen CLI).
 func Describe(c Category) string {
@@ -354,29 +343,4 @@ func Describe(c Category) string {
 	return fmt.Sprintf("%s: %.0f%% read, seq %.0f%%, mean gap %.0fµs, %d phase(s), span %.0f GiB",
 		c, ph.readRatio*100, ph.seqProb*100, ph.meanGapUS, len(p.phases),
 		float64(p.spanSectors)*512/math.Pow(2, 30))
-}
-
-// Names returns all category names sorted, for CLI help.
-func Names() []string {
-	out := make([]string, 0, len(profiles))
-	for c := range profiles {
-		out = append(out, string(c))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Scale returns a copy of the trace options semantics applied at the
-// trace level: a generated trace with arrival gaps divided by intensity
-// (>1 = more intense). Generators encode each category's canonical
-// intensity; Scale lets users explore "what if this workload were 2×
-// hotter" without editing profiles.
-func Scale(tr *trace.Trace, intensity float64) *trace.Trace {
-	return tr.Compress(intensity)
-}
-
-// ScaleSource is Scale as a stream adapter: arrival gaps divided by
-// intensity without materializing the trace.
-func ScaleSource(src trace.Source, intensity float64) trace.Source {
-	return trace.CompressStream(src, intensity)
 }

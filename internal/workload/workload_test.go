@@ -11,9 +11,6 @@ func TestGenerateUnknown(t *testing.T) {
 	if _, err := Generate(Category("nope"), Options{}); err == nil {
 		t.Fatal("expected error for unknown category")
 	}
-	if _, err := SpanSectors(Category("nope")); err == nil {
-		t.Fatal("expected error for unknown category span")
-	}
 }
 
 func TestGenerateAllCategories(t *testing.T) {
@@ -28,7 +25,7 @@ func TestGenerateAllCategories(t *testing.T) {
 		if tr.Name != string(c) {
 			t.Fatalf("%s: trace name %q", c, tr.Name)
 		}
-		span, _ := SpanSectors(c)
+		span := profiles[c].spanSectors
 		var prev int64 = -1
 		for i, r := range tr.Requests {
 			if int64(r.Arrival) < prev {
@@ -68,21 +65,22 @@ func TestDeterminism(t *testing.T) {
 
 func TestProfilesMatchPaperCharacteristics(t *testing.T) {
 	ws := MustGenerate(WebSearch, Options{Requests: 5000, Seed: 7})
-	if rf := ws.ReadFraction(); rf < 0.99 {
+	if rf := trace.ComputeStats(ws).ReadFraction; rf < 0.99 {
 		t.Fatalf("WebSearch read fraction %g, paper says 99.9%%", rf)
 	}
 	ba := MustGenerate(BatchAnalytics, Options{Requests: 5000, Seed: 7})
-	if rf := ba.ReadFraction(); rf < 0.95 {
+	if rf := trace.ComputeStats(ba).ReadFraction; rf < 0.95 {
 		t.Fatalf("BatchAnalytics read fraction %g, paper says 97.8%%", rf)
 	}
 	fiu := MustGenerate(FIU, Options{Requests: 5000, Seed: 7})
-	if rf := fiu.ReadFraction(); rf > 0.5 {
+	if rf := trace.ComputeStats(fiu).ReadFraction; rf > 0.5 {
 		t.Fatalf("FIU should be write-dominated, read fraction %g", rf)
 	}
 	// CloudStorage moves much more data per request than WebSearch.
 	cs := MustGenerate(CloudStorage, Options{Requests: 5000, Seed: 7})
-	if cs.TotalBytes() < 10*ws.TotalBytes() {
-		t.Fatalf("CloudStorage bytes %d should dwarf WebSearch %d", cs.TotalBytes(), ws.TotalBytes())
+	csBytes, wsBytes := trace.ComputeStats(cs).TotalBytes, trace.ComputeStats(ws).TotalBytes
+	if csBytes < 10*wsBytes {
+		t.Fatalf("CloudStorage bytes %d should dwarf WebSearch %d", csBytes, wsBytes)
 	}
 }
 
@@ -127,9 +125,6 @@ func TestStudiedNewAll(t *testing.T) {
 	if len(Studied()) != 7 || len(New()) != 6 || len(All()) != 13 {
 		t.Fatalf("category counts wrong: %d/%d/%d", len(Studied()), len(New()), len(All()))
 	}
-	if len(Names()) != 13 {
-		t.Fatalf("Names() = %d entries", len(Names()))
-	}
 	for _, c := range All() {
 		if Describe(c) == "unknown" {
 			t.Fatalf("Describe(%s) unknown", c)
@@ -147,7 +142,7 @@ func TestGenerateWellFormedProperty(t *testing.T) {
 		if err != nil || len(tr.Requests) != n {
 			return false
 		}
-		span, _ := SpanSectors(c)
+		span := profiles[c].spanSectors
 		for _, r := range tr.Requests {
 			if r.LBA+uint64(r.Sectors) > span || r.Sectors == 0 {
 				return false
@@ -157,16 +152,5 @@ func TestGenerateWellFormedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScaleIntensity(t *testing.T) {
-	tr := MustGenerate(Database, Options{Requests: 1000, Seed: 1})
-	hot := Scale(tr, 2)
-	if hot.Duration() >= tr.Duration() {
-		t.Fatal("2x intensity should halve the duration")
-	}
-	if len(hot.Requests) != len(tr.Requests) {
-		t.Fatal("Scale changed request count")
 	}
 }
