@@ -170,31 +170,28 @@ func watchSIGQUIT(rec *obs.FlightRecorder) (stop func()) {
 // emits, keeping the Prometheus export lint-clean.
 func registerHelp(reg *obs.Registry) {
 	for family, text := range map[string]string{
-		"validator_sim_runs_total":                  "fresh simulations executed",
-		"validator_cache_hits_total":                "validations served from the memo cache",
-		"validator_coalesced_total":                 "validations that joined an in-flight duplicate",
-		"validator_retries_total":                   "transient simulation failures retried",
-		"validator_failures_total":                  "simulations exhausting their retry budget",
-		"validator_remote_results_total":            "validations measured by remote workers",
-		"validator_sim_ns":                          "wall-clock nanoseconds per simulation",
-		"dist_leases_granted_total":                 "job leases granted to workers",
-		"dist_leases_expired_total":                 "job leases that timed out",
-		"dist_leases_reassigned_total":              "expired jobs handed to another worker",
-		"dist_results_total":                        "job results accepted by the coordinator",
-		"dist_duplicate_results_total":              "job results discarded as duplicates",
-		"dist_workers_connected":                    "workers currently holding a session",
-		"dist_workers_rejected_total":               "workers rejected during the handshake",
-		"dist_worker_busy_ns":                       "per-worker cumulative in-simulation nanoseconds",
-		"dist_stats_pushes_total":                   "worker metric snapshots absorbed by the coordinator",
-		"worker_jobs_total":                         "jobs executed by this worker process",
-		"worker_busy_ns":                            "cumulative in-simulation nanoseconds on this worker",
-		"dist_hedged_leases_total":                  "duplicate leases issued to hedge against stragglers",
-		"dist_workers_quarantined":                  "workers currently quarantined (health or byzantine)",
-		"dist_results_crosschecked_total":           "remote results re-simulated locally for cross-validation",
-		"dist_results_crosschecked_divergent_total": "cross-checked results that diverged from the local referee",
-		"cache_persist_hits_total":                  "validations served from the persistent simulation cache",
-		"cache_persist_misses_total":                "persistent-cache lookups that missed",
-		"cache_persist_corrupt_records_total":       "persistent-cache records dropped as corrupt",
+		"validator_sim_runs_total":            "fresh simulations executed",
+		"validator_cache_hits_total":          "validations served from the memo cache",
+		"validator_coalesced_total":           "validations that joined an in-flight duplicate",
+		"validator_retries_total":             "transient simulation failures retried",
+		"validator_failures_total":            "simulations exhausting their retry budget",
+		"validator_remote_results_total":      "validations measured by remote workers",
+		"validator_sim_ns":                    "wall-clock nanoseconds per simulation",
+		"dist_leases_granted_total":           "job leases granted to workers",
+		"dist_leases_expired_total":           "job leases that timed out",
+		"dist_leases_reassigned_total":        "expired jobs handed to another worker",
+		"dist_results_total":                  "job results accepted by the coordinator",
+		"dist_duplicate_results_total":        "job results discarded as duplicates",
+		"dist_workers_connected":              "workers currently holding a session",
+		"dist_workers_rejected_total":         "workers rejected during the handshake",
+		"dist_worker_busy_ns":                 "per-worker cumulative in-simulation nanoseconds",
+		"dist_stats_pushes_total":             "worker metric snapshots absorbed by the coordinator",
+		"worker_jobs_total":                   "jobs executed by this worker process",
+		"worker_busy_ns":                      "cumulative in-simulation nanoseconds on this worker",
+		"dist_hedged_leases_total":            "duplicate leases issued to hedge against stragglers",
+		"cache_persist_hits_total":            "validations served from the persistent simulation cache",
+		"cache_persist_misses_total":          "persistent-cache lookups that missed",
+		"cache_persist_corrupt_records_total": "persistent-cache records dropped as corrupt",
 	} {
 		reg.SetHelp(family, text)
 	}

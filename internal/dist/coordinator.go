@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sort"
 	"strconv"
@@ -20,17 +19,14 @@ import (
 
 // Fleet metric names, recorded when the coordinator has a registry.
 const (
-	MetricLeasesGranted       = "dist_leases_granted_total"
-	MetricLeasesExpired       = "dist_leases_expired_total"
-	MetricLeasesReassigned    = "dist_leases_reassigned_total"
-	MetricResultsDup          = "dist_results_duplicate_total"
-	MetricHandshakeRejects    = "dist_handshake_rejects_total"
-	MetricStatsPushes         = "dist_stats_pushes_total"
-	MetricWorkersConnected    = "dist_workers_connected"
-	MetricHedgedLeases        = "dist_hedged_leases_total"
-	MetricWorkersQuarantined  = "dist_workers_quarantined"
-	MetricCrossChecked        = "dist_results_crosschecked_total"
-	MetricCrossCheckDivergent = "dist_results_crosschecked_divergent_total"
+	MetricLeasesGranted    = "dist_leases_granted_total"
+	MetricLeasesExpired    = "dist_leases_expired_total"
+	MetricLeasesReassigned = "dist_leases_reassigned_total"
+	MetricResultsDup       = "dist_results_duplicate_total"
+	MetricHandshakeRejects = "dist_handshake_rejects_total"
+	MetricStatsPushes      = "dist_stats_pushes_total"
+	MetricWorkersConnected = "dist_workers_connected"
+	MetricHedgedLeases     = "dist_hedged_leases_total"
 )
 
 // MetricWorkerBusy names a fleet worker's per-job busy-time histogram
@@ -53,8 +49,8 @@ type CoordinatorOptions struct {
 	// histograms. Never influences results.
 	Obs *obs.Registry
 	// Clock, when set, replaces the wall clock for all lease
-	// bookkeeping (TTL expiry, hedging age, quarantine windows) —
-	// tests inject a fake to pin expiry edge cases deterministically.
+	// bookkeeping (TTL expiry, hedging age) — tests inject a fake to
+	// pin expiry edge cases deterministically.
 	Clock Clock
 
 	// Hedge enables hedged re-leases: a job whose oldest active lease
@@ -64,32 +60,14 @@ type CoordinatorOptions struct {
 	// concurrent leases; the first valid result wins (results apply
 	// idempotently, so the loser is just a duplicate).
 	Hedge bool
-	// Quarantine enables per-worker health scoring: errors, timeouts,
-	// and lease expiries feed a failure EWMA; a worker crossing
-	// quarantineThreshold (after quarantineMinEvents samples) is
-	// refused leases for quarantineFirst (doubling per re-offense),
-	// then re-admitted on probation — single-lease grants until
-	// probationSuccesses clean results.
-	Quarantine bool
-	// CrossCheck is the fraction of successful remote results that are
-	// re-simulated locally before being released to waiters (0 = off,
-	// 1 = every result). The sample is a hash of the key, so whether a
-	// key is checked is deterministic. A worker whose result diverges
-	// from the local re-simulation is marked byzantine — permanently
-	// quarantined, its unverified results requeued.
-	CrossCheck float64
 }
 
 // Coordinator policy constants.
 const (
-	batchMax            = 16               // cap on one grant: a worker with more free slots gets at most this many leases per grant
-	hedgeQuantile       = 0.95             // completion-latency quantile past which a lease straggles
-	hedgeMinSamples     = 8                // completions seen before hedging may fire
-	hedgeMax            = 2                // concurrent leases per job, primary included
-	quarantineThreshold = 0.7              // failure-EWMA score that triggers quarantine
-	quarantineMinEvents = 4                // health events before a worker may be quarantined
-	quarantineFirst     = 30 * time.Second // first quarantine's length; each re-offense doubles it
-	probationSuccesses  = 3                // clean results that end probation
+	batchMax        = 16   // cap on one grant: a worker with more free slots gets at most this many leases per grant
+	hedgeQuantile   = 0.95 // completion-latency quantile past which a lease straggles
+	hedgeMinSamples = 8    // completions seen before hedging may fire
+	hedgeMax        = 2    // concurrent leases per job, primary included
 )
 
 // withDefaults fills the unset options.
@@ -116,9 +94,6 @@ type FleetCounters struct {
 	HandshakeRejects int64
 	StatsPushes      int64
 	Hedged           int64
-	Quarantines      int64
-	CrossChecked     int64
-	Divergent        int64
 }
 
 type jobState uint8
@@ -126,7 +101,6 @@ type jobState uint8
 const (
 	jobPending jobState = iota
 	jobLeased
-	jobVerifying // result held back pending local cross-validation
 	jobDone
 )
 
@@ -153,11 +127,6 @@ type distJob struct {
 	expiries   int                   // times the job fully returned to pending via expiry
 	waited     bool
 	queueWait  time.Duration // submit → first grant
-
-	// Cross-validation holds the remote result here while a local
-	// re-simulation adjudicates it (state == jobVerifying).
-	verifyWorker string
-	verifyPerf   autodb.Perf
 
 	done chan struct{}
 	perf autodb.Perf
@@ -187,19 +156,6 @@ type workerTally struct {
 	sessions   int      // currently connected session count
 	cur        *session // most recent connected session (nil when none)
 	lastSeen   time.Time
-
-	// Health scoring: EWMA of the failure indicator (1 = error /
-	// timeout / expiry, 0 = clean result) over healthEvents samples.
-	health        float64
-	healthEvents  int64
-	quarantined   bool
-	quarUntil     time.Time
-	quarCount     int64 // quarantines served (doubles the next duration)
-	probation     bool
-	probationLeft int
-	byzantine     bool
-	crosschecked  int64
-	divergent     int64
 }
 
 // RemoteError is a worker-side measurement failure relayed through the
@@ -228,19 +184,12 @@ type Coordinator struct {
 	env  *Env
 	opts CoordinatorOptions
 
-	counters                                                       core.BackendCounters
-	granted, expired, reassigned, duplicates, rejects, statsPushes atomic.Int64
-	hedged, quarantines, crosschecked, divergent                   atomic.Int64
+	counters                                                               core.BackendCounters
+	granted, expired, reassigned, duplicates, rejects, statsPushes, hedged atomic.Int64
 
 	// traceID names this coordinator's tracing session; leases carry it
 	// so worker-side trace events correlate back to this tune.
 	traceID string
-
-	// verifyCtx cancels in-flight cross-check simulations on Close.
-	verifyCtx    context.Context
-	verifyCancel context.CancelFunc
-	verifyWG     sync.WaitGroup
-	verifyOnce   sync.Once
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -251,12 +200,8 @@ type Coordinator struct {
 	leased      map[uint64]*leaseInfo
 	byKey       map[core.SimKey]*distJob
 	tallies     map[string]*workerTally
-	verifyQ     []*distJob
 	completions [completionWindow]time.Duration
 	compN       int
-	quarActive  int // currently quarantined workers (gauge)
-	crossV      *core.Validator
-	crossVErr   error
 }
 
 // NewCoordinator builds a coordinator over a fingerprinted env.
@@ -270,7 +215,6 @@ func NewCoordinator(env *Env, opts CoordinatorOptions) *Coordinator {
 		traceID: obs.TraceID(),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.verifyCtx, c.verifyCancel = context.WithCancel(context.Background())
 	return c
 }
 
@@ -287,9 +231,6 @@ func (c *Coordinator) Counters() FleetCounters {
 		HandshakeRejects: c.rejects.Load(),
 		StatsPushes:      c.statsPushes.Load(),
 		Hedged:           c.hedged.Load(),
-		Quarantines:      c.quarantines.Load(),
-		CrossChecked:     c.crosschecked.Load(),
-		Divergent:        c.divergent.Load(),
 	}
 }
 
@@ -323,19 +264,16 @@ func (c *Coordinator) Stats() core.BackendStats {
 
 // WorkerStatus is one worker's row in the fleet status view.
 type WorkerStatus struct {
-	Name             string  `json:"name"`
-	Connected        bool    `json:"connected"`
-	Jobs             int64   `json:"jobs"`
-	BusyNS           int64   `json:"busy_ns"`
-	LeasesHeld       int     `json:"leases_held"`
-	LeasesExpired    int64   `json:"leases_expired"`
-	LeasesReassigned int64   `json:"leases_reassigned"`
-	Health           float64 `json:"health,omitempty"` // failure EWMA, 0 = clean
-	Quarantined      bool    `json:"quarantined,omitempty"`
-	Byzantine        bool    `json:"byzantine,omitempty"`
-	ClockOffsetNS    int64   `json:"clock_offset_ns"`
-	RTTNS            int64   `json:"rtt_ns"`
-	LastSeen         string  `json:"last_seen,omitempty"`
+	Name             string `json:"name"`
+	Connected        bool   `json:"connected"`
+	Jobs             int64  `json:"jobs"`
+	BusyNS           int64  `json:"busy_ns"`
+	LeasesHeld       int    `json:"leases_held"`
+	LeasesExpired    int64  `json:"leases_expired"`
+	LeasesReassigned int64  `json:"leases_reassigned"`
+	ClockOffsetNS    int64  `json:"clock_offset_ns"`
+	RTTNS            int64  `json:"rtt_ns"`
+	LastSeen         string `json:"last_seen,omitempty"`
 }
 
 // FleetStatus is the coordinator's /statusz document: queue depths,
@@ -351,8 +289,6 @@ type FleetStatus struct {
 	HandshakeRejects int64          `json:"handshake_rejects"`
 	StatsPushes      int64          `json:"stats_pushes"`
 	HedgedLeases     int64          `json:"hedged_leases,omitempty"`
-	CrossChecked     int64          `json:"results_crosschecked,omitempty"`
-	Divergent        int64          `json:"results_divergent,omitempty"`
 	Workers          []WorkerStatus `json:"workers,omitempty"`
 }
 
@@ -366,8 +302,6 @@ func (c *Coordinator) StatusSnapshot() FleetStatus {
 		HandshakeRejects: c.rejects.Load(),
 		StatsPushes:      c.statsPushes.Load(),
 		HedgedLeases:     c.hedged.Load(),
-		CrossChecked:     c.crosschecked.Load(),
-		Divergent:        c.divergent.Load(),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -393,9 +327,6 @@ func (c *Coordinator) StatusSnapshot() FleetStatus {
 			LeasesHeld:       held[name],
 			LeasesExpired:    t.expired,
 			LeasesReassigned: t.reassigned,
-			Health:           t.health,
-			Quarantined:      t.quarantined,
-			Byzantine:        t.byzantine,
 		}
 		if t.cur != nil {
 			row.ClockOffsetNS = t.cur.offsetNS
@@ -417,114 +348,6 @@ func (c *Coordinator) tallyLocked(name string) *workerTally {
 		c.tallies[name] = t
 	}
 	return t
-}
-
-// healthEventLocked folds one success/failure sample into a worker's
-// EWMA and applies the quarantine state machine; c.mu held.
-func (c *Coordinator) healthEventLocked(name string, fail bool, now time.Time) {
-	if !c.opts.Quarantine {
-		return
-	}
-	t := c.tallyLocked(name)
-	if t.byzantine {
-		return
-	}
-	const alpha = 0.25
-	x := 0.0
-	if fail {
-		x = 1
-	}
-	t.health = (1-alpha)*t.health + alpha*x
-	t.healthEvents++
-	if !fail && t.probation {
-		t.probationLeft--
-		if t.probationLeft <= 0 {
-			t.probation = false
-			obs.RecordEvent("worker-probation-cleared", "worker", name)
-		}
-		return
-	}
-	if !fail || t.quarantined {
-		return
-	}
-	// A failure during probation re-quarantines immediately; otherwise
-	// the EWMA must cross the threshold with enough samples behind it.
-	if t.probation || (t.healthEvents >= quarantineMinEvents && t.health >= quarantineThreshold) {
-		c.quarantineLocked(name, t, now, "health")
-	}
-}
-
-// quarantineLocked places a worker in quarantine; c.mu held.
-func (c *Coordinator) quarantineLocked(name string, t *workerTally, now time.Time, reason string) {
-	t.quarCount++
-	dur := quarantineFirst
-	for i := int64(1); i < t.quarCount && i < 6; i++ {
-		dur *= 2
-	}
-	t.quarantined = true
-	t.probation = false
-	t.quarUntil = now.Add(dur)
-	c.quarActive++
-	c.quarantines.Add(1)
-	c.setQuarGaugeLocked()
-	obs.RecordEvent("worker-quarantined", "worker", name,
-		"reason", reason, "health", fmt.Sprintf("%.2f", t.health), "duration", dur.String())
-}
-
-// readmitLocked ends a quarantine into probation; c.mu held.
-func (c *Coordinator) readmitLocked(name string, t *workerTally) {
-	t.quarantined = false
-	t.probation = true
-	t.probationLeft = probationSuccesses
-	t.health = 0
-	t.healthEvents = 0
-	c.quarActive--
-	c.setQuarGaugeLocked()
-	obs.RecordEvent("worker-readmitted", "worker", name,
-		"probation_successes", strconv.Itoa(t.probationLeft))
-}
-
-// markByzantineLocked permanently quarantines a worker whose result
-// diverged from a local re-simulation, requeueing every lease it holds
-// and every unverified result attributed to it; c.mu held.
-func (c *Coordinator) markByzantineLocked(name string, now time.Time) {
-	t := c.tallyLocked(name)
-	if t.byzantine {
-		return
-	}
-	t.byzantine = true
-	if !t.quarantined {
-		t.quarantined = true
-		c.quarActive++
-		c.quarantines.Add(1)
-		c.setQuarGaugeLocked()
-	}
-	t.quarUntil = now.Add(1000000 * time.Hour) // permanent
-	obs.RecordEvent("worker-byzantine", "worker", name)
-	for id, li := range c.leased {
-		if li.sess.name != name {
-			continue
-		}
-		c.releaseLeaseLocked(id, li)
-		if li.job.state == jobLeased && len(li.job.leases) == 0 {
-			li.job.state = jobPending
-			c.pending = append(c.pending, li.job)
-		}
-	}
-	for _, j := range c.byKey {
-		if j.state == jobVerifying && j.verifyWorker == name {
-			j.state = jobPending
-			c.pending = append(c.pending, j)
-		}
-	}
-	c.cond.Broadcast()
-}
-
-// setQuarGaugeLocked publishes the quarantined-worker count; c.mu held.
-func (c *Coordinator) setQuarGaugeLocked() {
-	if r := c.opts.Obs; r != nil {
-		r.Gauge(MetricWorkersQuarantined).Set(float64(c.quarActive))
-	}
 }
 
 // releaseLeaseLocked removes one lease from all three indexes (global,
@@ -551,7 +374,7 @@ func (c *Coordinator) Measure(ctx context.Context, job core.Job) (autodb.Perf, e
 }
 
 // submit enqueues a job, returning the existing entry when the key is
-// already pending, leased or being verified.
+// already pending or leased.
 func (c *Coordinator) submit(job core.Job) (*distJob, error) {
 	k := core.SimKey{Cfg: job.Cfg.Key(), Name: job.Name}
 	c.mu.Lock()
@@ -594,11 +417,8 @@ func (c *Coordinator) Close() {
 	}
 	c.pending = nil
 	c.leased = make(map[uint64]*leaseInfo)
-	c.verifyQ = nil
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	c.verifyCancel()
-	c.verifyWG.Wait()
 }
 
 // isClosed reports whether Close has run.
@@ -612,7 +432,7 @@ func (c *Coordinator) isClosed() bool {
 func (c *Coordinator) expireLocked(now time.Time) {
 	for id, li := range c.leased {
 		if !now.Before(li.expiry) {
-			c.expireLeaseLocked(id, li, now, false)
+			c.expireLeaseLocked(id, li, false)
 		}
 	}
 }
@@ -621,16 +441,15 @@ func (c *Coordinator) expireLocked(now time.Time) {
 func (c *Coordinator) dropSession(sess *session) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
 	for id, li := range sess.leases {
-		c.expireLeaseLocked(id, li, now, true)
+		c.expireLeaseLocked(id, li, true)
 	}
 	t := c.tallyLocked(sess.name)
 	t.sessions--
 	if t.cur == sess {
 		t.cur = nil
 	}
-	t.lastSeen = now
+	t.lastSeen = c.now()
 	if r := c.opts.Obs; r != nil {
 		r.Gauge(MetricWorkersConnected).Add(-1)
 	}
@@ -647,11 +466,10 @@ func (c *Coordinator) dropSession(sess *session) {
 // deterministic job, which usually means a wedged or overloaded
 // worker, not a bad job. A disconnect records its reason instead.
 // c.mu held.
-func (c *Coordinator) expireLeaseLocked(id uint64, li *leaseInfo, now time.Time, disconnect bool) {
+func (c *Coordinator) expireLeaseLocked(id uint64, li *leaseInfo, disconnect bool) {
 	j, owner := li.job, li.sess.name
 	c.releaseLeaseLocked(id, li)
 	c.tallyLocked(owner).expired++
-	c.healthEventLocked(owner, true, now)
 	c.expired.Add(1)
 	c.obsInc(MetricLeasesExpired)
 	why, val := "expiries", fmt.Sprint(j.expiries)
@@ -798,23 +616,8 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 		if c.closed {
 			return nil, true
 		}
-		eligible := true
-		limit := max
-		if c.opts.Quarantine {
-			t := c.tallyLocked(sess.name)
-			if t.quarantined {
-				if t.byzantine || now.Before(t.quarUntil) {
-					eligible = false
-				} else {
-					c.readmitLocked(sess.name, t)
-				}
-			}
-			if eligible && t.probation {
-				limit = 1
-			}
-		}
-		if eligible && len(c.pending) > 0 {
-			n := limit
+		if len(c.pending) > 0 {
+			n := max
 			if n > len(c.pending) {
 				n = len(c.pending)
 			}
@@ -827,12 +630,10 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 			c.obsAdd(MetricLeasesGranted, int64(len(leases)))
 			return leases, false
 		}
-		if eligible {
-			if hl := c.hedgeLocked(sess, now, limit); len(hl) > 0 {
-				c.granted.Add(int64(len(hl)))
-				c.obsAdd(MetricLeasesGranted, int64(len(hl)))
-				return hl, false
-			}
+		if hl := c.hedgeLocked(sess, now, max); len(hl) > 0 {
+			c.granted.Add(int64(len(hl)))
+			c.obsAdd(MetricLeasesGranted, int64(len(hl)))
+			return hl, false
 		}
 		wall := time.Now()
 		if len(sess.leases) > 0 || !wall.Before(deadline) {
@@ -850,26 +651,6 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 		c.cond.Wait()
 		t.Stop()
 	}
-}
-
-// pickCrossCheck reports whether a key falls in the cross-validation
-// sample — a pure function of the key, so the same key is either
-// always or never checked.
-func (c *Coordinator) pickCrossCheck(k core.SimKey) bool {
-	if c.opts.CrossCheck <= 0 {
-		return false
-	}
-	if c.opts.CrossCheck >= 1 {
-		return true
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s", k.Cfg, k.Name)
-	z := h.Sum64()
-	// splitmix64 finalizer whitens the fnv hash into a uniform draw.
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11)/(1<<53) < c.opts.CrossCheck
 }
 
 // completeLocked finishes a job and wakes its waiters; c.mu held.
@@ -891,10 +672,10 @@ func (c *Coordinator) completeLocked(j *distJob, perf autodb.Perf, err error) {
 // idempotently: a result for an unknown or already-done key counts as a
 // duplicate and changes nothing; a result from an expired (reassigned)
 // lease is accepted — the sims are deterministic, so any worker's result
-// for the key is the result. Results from a byzantine worker are
-// dropped wholesale. When cross-validation samples a result, the job
-// parks in a verifying state — waiters are not released until a local
-// re-simulation agrees. When the coordinator traces, each accepted
+// for the key is the result. Everything is charged to the name the
+// session's handshake accepted; the frame's own Worker field is not
+// trusted, so one connection cannot report under other names. When the
+// coordinator traces, each accepted
 // result is also replayed as a span pair on the coordinator's own
 // timeline: a "lease" span covering submit→done (queue wait included)
 // and a "worker-sim" span at the worker's reported start, shifted onto
@@ -906,22 +687,14 @@ func (c *Coordinator) applyResults(sess *session, msg *ResultMsg) {
 		done      time.Time
 	}
 	var replays []replay
-	verify := false
 	c.mu.Lock()
-	t := c.tallyLocked(msg.Worker)
+	t := c.tallyLocked(sess.name)
 	t.jobs += int64(len(msg.Results))
 	t.busyNS += msg.BusyNS
 	t.lastSeen = c.now()
-	byzantine := t.byzantine
 	for _, r := range msg.Results {
-		if byzantine {
-			c.duplicates.Add(1)
-			c.obsInc(MetricResultsDup)
-			continue
-		}
-		k := core.SimKey{Cfg: r.CfgKey, Name: r.Name}
-		j, ok := c.byKey[k]
-		if !ok || j.state == jobDone || j.state == jobVerifying {
+		j, ok := c.byKey[core.SimKey{Cfg: r.CfgKey, Name: r.Name}]
+		if !ok || j.state == jobDone {
 			c.duplicates.Add(1)
 			c.obsInc(MetricResultsDup)
 			continue
@@ -946,38 +719,25 @@ func (c *Coordinator) applyResults(sess *session, msg *ResultMsg) {
 				}
 			}
 		}
-		c.healthEventLocked(msg.Worker, r.Err != "", now)
 		c.counters.Record(j.queueWait, time.Duration(r.SimNS))
 		if r.Err != "" {
-			c.completeLocked(j, autodb.Perf{}, &RemoteError{Worker: msg.Worker, Msg: r.Err})
-			continue
-		}
-		if c.pickCrossCheck(k) {
-			j.state = jobVerifying
-			j.verifyWorker = msg.Worker
-			j.verifyPerf = r.Perf
-			c.verifyQ = append(c.verifyQ, j)
-			verify = true
+			c.completeLocked(j, autodb.Perf{}, &RemoteError{Worker: sess.name, Msg: r.Err})
 			continue
 		}
 		c.completeLocked(j, r.Perf, nil)
 	}
-	if verify {
-		c.startVerifierLocked()
-		c.cond.Broadcast()
-	}
 	c.mu.Unlock()
 	if r := c.opts.Obs; r != nil {
-		r.Histogram(MetricWorkerBusy(msg.Worker)).Record(msg.BusyNS)
+		r.Histogram(MetricWorkerBusy(sess.name)).Record(msg.BusyNS)
 	}
 	for _, rp := range replays {
 		leaseID := strconv.FormatUint(rp.r.LeaseID, 10)
 		obs.Complete("lease", sess.lane, rp.submitted, rp.done.Sub(rp.submitted),
-			"lease", leaseID, "worker", msg.Worker, "trace", rp.r.Name, "trace_id", c.traceID)
+			"lease", leaseID, "worker", sess.name, "trace", rp.r.Name, "trace_id", c.traceID)
 		if rp.r.StartUnixNano != 0 {
 			start := time.Unix(0, rp.r.StartUnixNano-sess.offsetNS)
 			obs.Complete("worker-sim", sess.lane, start, time.Duration(rp.r.SimNS),
-				"lease", leaseID, "worker", msg.Worker, "trace", rp.r.Name, "trace_id", c.traceID)
+				"lease", leaseID, "worker", sess.name, "trace", rp.r.Name, "trace_id", c.traceID)
 		}
 	}
 }
@@ -992,105 +752,13 @@ func (c *Coordinator) recordCompletionLocked(d time.Duration) {
 	c.compN++
 }
 
-// startVerifierLocked launches the cross-validation goroutine once;
-// c.mu held.
-func (c *Coordinator) startVerifierLocked() {
-	c.verifyOnce.Do(func() {
-		c.verifyWG.Add(1)
-		go c.verifier()
-	})
-}
-
-// verifier re-simulates sampled remote results locally and
-// adjudicates: agreement releases the job to its waiters; divergence
-// marks the reporting worker byzantine and requeues its work. Local
-// re-simulations share a memo cache, so re-verifying a requeued key is
-// a lookup, not a second sim.
-func (c *Coordinator) verifier() {
-	defer c.verifyWG.Done()
-	for {
-		c.mu.Lock()
-		for len(c.verifyQ) == 0 && !c.closed {
-			c.cond.Wait()
-		}
-		if len(c.verifyQ) == 0 {
-			c.mu.Unlock()
-			return
-		}
-		j := c.verifyQ[0]
-		c.verifyQ = c.verifyQ[1:]
-		if j.state != jobVerifying {
-			c.mu.Unlock()
-			continue
-		}
-		worker := j.verifyWorker
-		remote := j.verifyPerf
-		cfg := j.cfg
-		name := j.key.Name
-		c.mu.Unlock()
-
-		local, err := c.crossSimulate(cfg, name)
-
-		c.mu.Lock()
-		if j.state != jobVerifying {
-			c.mu.Unlock()
-			continue
-		}
-		c.crosschecked.Add(1)
-		c.obsInc(MetricCrossChecked)
-		c.tallyLocked(worker).crosschecked++
-		switch {
-		case err != nil:
-			// The local referee failed (shutdown, local sim error): we
-			// cannot adjudicate, so release the remote result — the same
-			// trust level as an unsampled result.
-			obs.RecordEvent("crosscheck-skipped", "worker", worker, "trace", name, "err", err.Error())
-			c.completeLocked(j, remote, nil)
-		case local == remote:
-			c.completeLocked(j, remote, nil)
-		default:
-			c.divergent.Add(1)
-			c.obsInc(MetricCrossCheckDivergent)
-			c.tallyLocked(worker).divergent++
-			obs.RecordEvent("crosscheck-divergent",
-				"worker", worker, "trace", name, "cfg", j.key.Cfg)
-			c.markByzantineLocked(worker, c.now())
-			if j.state == jobVerifying { // not already requeued by markByzantine
-				j.state = jobPending
-				c.pending = append(c.pending, j)
-			}
-			c.cond.Broadcast()
-		}
-		c.mu.Unlock()
-	}
-}
-
-// crossSimulate measures one key through the coordinator's local
-// referee validator (built lazily from the env).
-func (c *Coordinator) crossSimulate(cfg ssdconf.Config, name string) (autodb.Perf, error) {
-	c.mu.Lock()
-	if c.crossV == nil && c.crossVErr == nil {
-		c.crossV, c.crossVErr = NewValidator(c.env)
-	}
-	v, err := c.crossV, c.crossVErr
-	c.mu.Unlock()
-	if err != nil {
-		return autodb.Perf{}, err
-	}
-	f, err := c.env.FactoryFor(name)
-	if err != nil {
-		return autodb.Perf{}, err
-	}
-	return v.MeasureTrace(c.verifyCtx, cfg, name, f)
-}
-
 // absorbStats folds a worker's delta-encoded metrics push into the
-// coordinator's registry under a worker label.
-func (c *Coordinator) absorbStats(sp *StatsPush) {
+// coordinator's registry, labelled with the session's handshake name.
+func (c *Coordinator) absorbStats(sess *session, sp *StatsPush) {
 	c.statsPushes.Add(1)
 	c.obsInc(MetricStatsPushes)
 	if r := c.opts.Obs; r != nil {
-		r.Absorb(sp.Stats, "worker", sp.Worker)
+		r.Absorb(sp.Stats, "worker", sess.name)
 	}
 }
 
@@ -1209,7 +877,7 @@ func (c *Coordinator) ServeConn(conn net.Conn) error {
 		case MsgResult:
 			c.applyResults(sess, m.Result)
 		case MsgStatsPush:
-			c.absorbStats(m.StatsPush)
+			c.absorbStats(sess, m.StatsPush)
 		case MsgGoodbye:
 			obs.RecordEvent("worker-goodbye", "worker", worker,
 				"reason", m.Goodbye.Reason)
