@@ -90,14 +90,9 @@ var (
 	SamsungZSSD   = ssd.SamsungZSSD
 )
 
-// Sentinel errors surfaced by resilient runs.
-var (
-	// ErrInterrupted marks a tuning run stopped by context cancellation;
-	// with Options.Checkpoint set, the run can be resumed bit-identically.
-	ErrInterrupted = core.ErrInterrupted
-	// ErrTransient classifies retryable simulation failures.
-	ErrTransient = core.ErrTransient
-)
+// ErrInterrupted marks a tuning run stopped by context cancellation;
+// with Options.Checkpoint set, the run can be resumed bit-identically.
+var ErrInterrupted = core.ErrInterrupted
 
 // Options configures a Framework.
 type Options struct {
@@ -112,9 +107,6 @@ type Options struct {
 	// Tuner carries the search-loop knobs; zero values pick the paper's
 	// defaults.
 	Tuner TunerOptions
-	// ClusterK overrides the number of workload clusters (default: one
-	// per training trace).
-	ClusterK int
 	// NewCategoryAfter is the number of outlier workloads (novel traces
 	// nearest to the same cluster) after which AutoBlox creates a new
 	// category and retrains the clustering with one more cluster (§3.1;
@@ -147,11 +139,10 @@ type Options struct {
 	// unbounded. A timed-out measurement fails the run (it is never
 	// cached or retried — simulation time is deterministic).
 	SimTimeout time.Duration
-	// SimRetries is the per-simulation retry budget for transient
-	// (core.ErrTransient) measurement failures.
-	SimRetries int
-	// Checkpoint, when set, makes tuning runs crash-safe: the tuner
-	// atomically rewrites this JSON file after every iteration.
+	// Checkpoint, when set, makes tuning runs (TuneContext, and the
+	// tune a Recommend triggers) crash-safe: the tuner atomically
+	// rewrites this JSON file after every iteration. What-if runs are
+	// not checkpointed.
 	Checkpoint string
 	// Resume restores tuner state from Checkpoint (when the file
 	// exists) before tuning, skipping all completed work.
@@ -300,7 +291,7 @@ func (f *Framework) LearnWorkloadSources(factories []SourceFactory) error {
 		srcs[i] = fac()
 	}
 	c, err := core.TrainClustererSources(srcs, core.ClustererConfig{
-		K: f.opts.ClusterK, Seed: f.opts.Seed, AutoAdjustThreshold: true,
+		Seed: f.opts.Seed, AutoAdjustThreshold: true,
 	})
 	if err != nil {
 		return err
@@ -354,7 +345,6 @@ func (f *Framework) ensureEnv(ctx context.Context) error {
 	f.validator.Backend = f.opts.Backend
 	f.validator.Obs = f.opts.Metrics
 	f.validator.SimTimeout = f.opts.SimTimeout
-	f.validator.MaxRetries = f.opts.SimRetries
 	f.validator.Persist = f.persist
 	g, err := core.NewGrader(ctx, f.validator, f.refCfg, f.opts.Alpha, f.opts.Beta)
 	if err != nil {
@@ -473,7 +463,7 @@ func (f *Framework) TuneContext(ctx context.Context, target string) (*TuneResult
 		return nil, err
 	}
 	opts := f.opts.Tuner
-	opts.Alpha, opts.Beta, opts.Seed = f.opts.Alpha, f.opts.Beta, f.opts.Seed
+	opts.Seed = f.opts.Seed
 	opts.Checkpoint, opts.Resume = f.opts.Checkpoint, f.opts.Resume
 	// The full pipeline enforces the §3.3 tuning order; compute and
 	// cache it per target (fine-grained pruning, Fig. 5).
@@ -516,7 +506,7 @@ func (f *Framework) TuneContext(ctx context.Context, target string) (*TuneResult
 	// Seed the model with previously learned configurations (①).
 	if f.Clusterer != nil {
 		if id := f.Clusterer.ClusterOf(target); id >= 0 {
-			if stored, err := f.DB.BestConfigs(id, opts.TopK); err == nil {
+			if stored, err := f.DB.BestConfigs(id, core.TopK); err == nil {
 				for _, sc := range stored {
 					if len(sc.Config) == len(f.refCfg) {
 						initial = append(initial, sc.Config)
@@ -561,7 +551,7 @@ func (f *Framework) WhatIfContext(ctx context.Context, goal WhatIfGoal) (*WhatIf
 		return nil, err
 	}
 	opts := f.opts.Tuner
-	opts.Beta, opts.Seed = f.opts.Beta, f.opts.Seed
+	opts.Seed = f.opts.Seed
 	return core.WhatIf(ctx, f.Space, f.validator, f.grader, goal, []Config{f.refCfg}, opts)
 }
 

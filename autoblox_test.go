@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"autoblox/internal/autodb"
 	"autoblox/internal/workload"
 )
 
@@ -179,6 +180,50 @@ func TestFrameworkProgressCallback(t *testing.T) {
 	if calls == 0 {
 		t.Fatal("progress callback never invoked")
 	}
+}
+
+// TestTuneSeedsFromAutoDB checks the workflow's step ①: a tune for a
+// cluster with stored configurations starts from them, so a stored
+// configuration far outside the search's reach still gets measured.
+func TestTuneSeedsFromAutoDB(t *testing.T) {
+	fw := newFramework(t, Options{Seed: 5})
+	learn(t, fw, []workload.Category{workload.Database, workload.CloudStorage}, 6000)
+	ref := fw.ReferenceConfig()
+	far := ref
+	for step := 0; step < 12; step++ {
+		best, bestDist := far, -1
+		for _, c := range fw.Space.Neighbors(far) {
+			if d := manhattan(c, ref); d > bestDist {
+				best, bestDist = c, d
+			}
+		}
+		far = best
+	}
+	id := fw.Clusterer.ClusterOf("Database")
+	if err := fw.DB.AddConfig(id, "Database", autodb.StoredConfig{Config: far}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Tune("Database"); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range fw.validator.SnapshotCache() {
+		if e.CfgKey == far.Key() {
+			return
+		}
+	}
+	t.Fatalf("stored configuration (distance %d from the reference) was never measured", manhattan(far, ref))
+}
+
+func manhattan(a, b Config) int {
+	d := 0
+	for i := range a {
+		if a[i] > b[i] {
+			d += a[i] - b[i]
+		} else {
+			d += b[i] - a[i]
+		}
+	}
+	return d
 }
 
 func TestNovelWorkloadFormsNewCategory(t *testing.T) {

@@ -18,10 +18,11 @@
 // Every subcommand also accepts the observability flags -metrics <file>,
 // -trace <file> (Chrome trace_event JSONL), -pprof <addr>, -progress and
 // -http <addr> (live introspection: /metrics, /statusz, /tunez, /eventz,
-// /debug/pprof), plus the resilience flags -sim-timeout <dur>, -sim-retries <n>,
-// -checkpoint <file> and -resume. With -checkpoint set, Ctrl-C stops the
-// search at the next iteration boundary and a rerun with -resume
-// continues it bit-identically.
+// /debug/pprof), plus the resilience flags -sim-timeout <dur> and
+// -cache-dir <dir>. tune and recommend also take -checkpoint <file> and
+// -resume: with -checkpoint set, Ctrl-C stops the search at the next
+// iteration boundary and a rerun with -resume continues it
+// bit-identically.
 package main
 
 import (
@@ -156,7 +157,7 @@ func (c *commonFlags) framework(whatIf bool) *autoblox.Framework {
 		DBPath: c.db, Seed: c.seed, WhatIfSpace: whatIf, Parallel: c.parallel,
 		Metrics:    c.obs.Reg,
 		Tuner:      autoblox.TunerOptions{MaxIterations: c.iters},
-		SimTimeout: c.res.SimTimeout, SimRetries: c.res.SimRetries,
+		SimTimeout: c.res.SimTimeout,
 		Checkpoint: c.res.Checkpoint, Resume: c.res.Resume,
 		Objectives: spec,
 		CacheDir:   c.res.CacheDir,
@@ -196,8 +197,8 @@ func (c *commonFlags) startFleet(whatIf bool) {
 	c.fleet, err = dist.StartFleet(env, dist.FleetOptions{
 		Workers: c.workers, Listen: c.listen,
 		WorkerParallel: c.parallel,
-		SimTimeout:     c.res.SimTimeout, MaxRetries: c.res.SimRetries,
-		Obs: c.obs.Reg,
+		SimTimeout:     c.res.SimTimeout,
+		Obs:            c.obs.Reg,
 	})
 	if err != nil {
 		fatal(err)
@@ -249,6 +250,7 @@ func runLearn(args []string) {
 func runRecommend(args []string) {
 	fs := flag.NewFlagSet("recommend", flag.ExitOnError)
 	c := registerCommon(fs)
+	c.res.RegisterCheckpoint(fs)
 	tracePath := fs.String("blktrace", "", "blktrace file to recommend for ('-' = stdin)")
 	cat := fs.String("workload", "", "or: synthesize this workload category")
 	fs.Parse(args)
@@ -303,6 +305,7 @@ func runRecommend(args []string) {
 func runTune(args []string) {
 	fs := flag.NewFlagSet("tune", flag.ExitOnError)
 	c := registerCommon(fs)
+	c.res.RegisterCheckpoint(fs)
 	target := fs.String("target", "Database", "target workload category")
 	verbose := fs.Bool("v", false, "print per-iteration progress")
 	fs.Parse(args)
@@ -377,7 +380,6 @@ func runWhatIf(args []string) {
 	c.obs.Tune.Begin(*target, c.iters)
 	fw.SetProgress(c.obs.Tune.Update)
 	fw.SetFrontProgress(c.obs.Tune.UpdateFront)
-	fw.SetCheckpointHook(c.obs.Tune.MarkCheckpoint)
 	ctx, stop := cliobs.SignalContext()
 	defer stop()
 	res, err := fw.WhatIfContext(ctx, autoblox.WhatIfGoal{

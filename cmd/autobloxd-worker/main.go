@@ -13,7 +13,7 @@
 // fingerprint disagrees with the coordinator's (stale binary), so a
 // mixed-version fleet can never corrupt a tuning run. The observability
 // flags -metrics/-trace/-pprof/-http and the resilience flags
-// -sim-timeout/-sim-retries/-cache-dir are also accepted. With -metrics
+// -sim-timeout/-cache-dir are also accepted. With -metrics
 // or -http set, the worker also pushes delta-encoded metric snapshots
 // to the coordinator after each round of results, where they aggregate
 // into the fleet registry under this worker's name.
@@ -78,7 +78,6 @@ func main() {
 		Name:         *name,
 		Parallel:     *parallel,
 		SimTimeout:   resFlags.SimTimeout,
-		MaxRetries:   resFlags.SimRetries,
 		Obs:          obsFlags.Reg,
 		Persist:      persist,
 		Grace:        *grace,

@@ -10,7 +10,7 @@
 //
 // The observability flags -metrics <file>, -trace <file> (Chrome
 // trace_event JSONL), -pprof <addr> and -progress are also accepted,
-// plus the resilience flags -sim-timeout, -sim-retries, -checkpoint and
+// plus the resilience flags -sim-timeout, -cache-dir, -checkpoint and
 // -resume (checkpoints are written per tuning target by suffixing the
 // target name).
 package main
@@ -44,6 +44,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	obsFlags := cliobs.Register(flag.CommandLine)
 	resFlags := cliobs.RegisterResilience(flag.CommandLine)
+	resFlags.RegisterCheckpoint(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -72,7 +73,6 @@ func main() {
 	scale.Objectives = spec
 	scale.Parallel = *parallel
 	scale.SimTimeout = resFlags.SimTimeout
-	scale.SimRetries = resFlags.SimRetries
 	scale.Checkpoint = resFlags.Checkpoint
 	scale.Resume = resFlags.Resume
 	ctx, stop := cliobs.SignalContext()
@@ -116,8 +116,8 @@ func main() {
 		fleet, err := dist.StartFleet(env, dist.FleetOptions{
 			Workers: *workers, Listen: *listen,
 			WorkerParallel: *parallel,
-			SimTimeout:     resFlags.SimTimeout, MaxRetries: resFlags.SimRetries,
-			Obs: obsFlags.Reg,
+			SimTimeout:     resFlags.SimTimeout,
+			Obs:            obsFlags.Reg,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"autoblox/internal/core"
+	"autoblox/internal/dist"
 	"autoblox/internal/obs"
 	"autoblox/internal/obs/httpobs"
 )
@@ -167,56 +168,62 @@ func watchSIGQUIT(rec *obs.FlightRecorder) (stop func()) {
 }
 
 // registerHelp attaches HELP text to the metric families the framework
-// emits, keeping the Prometheus export lint-clean.
+// emits, keeping the Prometheus export lint-clean. Keys are the metric
+// name constants, so renaming a family breaks the build here.
 func registerHelp(reg *obs.Registry) {
-	for family, text := range map[string]string{
-		"validator_sim_runs_total":            "fresh simulations executed",
-		"validator_cache_hits_total":          "validations served from the memo cache",
-		"validator_coalesced_total":           "validations that joined an in-flight duplicate",
-		"validator_retries_total":             "transient simulation failures retried",
-		"validator_failures_total":            "simulations exhausting their retry budget",
-		"validator_remote_results_total":      "validations measured by remote workers",
-		"validator_sim_ns":                    "wall-clock nanoseconds per simulation",
-		"dist_leases_granted_total":           "job leases granted to workers",
-		"dist_leases_expired_total":           "job leases that timed out",
-		"dist_leases_reassigned_total":        "expired jobs handed to another worker",
-		"dist_results_total":                  "job results accepted by the coordinator",
-		"dist_duplicate_results_total":        "job results discarded as duplicates",
-		"dist_workers_connected":              "workers currently holding a session",
-		"dist_workers_rejected_total":         "workers rejected during the handshake",
-		"dist_worker_busy_ns":                 "per-worker cumulative in-simulation nanoseconds",
-		"dist_stats_pushes_total":             "worker metric snapshots absorbed by the coordinator",
-		"worker_jobs_total":                   "jobs executed by this worker process",
-		"worker_busy_ns":                      "cumulative in-simulation nanoseconds on this worker",
-		"dist_hedged_leases_total":            "duplicate leases issued to hedge against stragglers",
-		"cache_persist_hits_total":            "validations served from the persistent simulation cache",
-		"cache_persist_misses_total":          "persistent-cache lookups that missed",
-		"cache_persist_corrupt_records_total": "persistent-cache records dropped as corrupt",
+	for name, text := range map[string]string{
+		core.MetricSimRuns:                "fresh simulations executed",
+		core.MetricCacheHits:              "validations served from the memo cache",
+		core.MetricCoalesced:              "validations that joined an in-flight duplicate",
+		core.MetricRemoteResults:          "validations measured by remote workers",
+		core.MetricSimTime:                "wall-clock nanoseconds per simulation",
+		dist.MetricLeasesGranted:          "job leases granted to workers",
+		dist.MetricLeasesExpired:          "job leases that timed out",
+		dist.MetricLeasesReassigned:       "expired jobs handed to another worker",
+		dist.MetricResultsDup:             "job results discarded as duplicates",
+		dist.MetricWorkersConnected:       "workers currently holding a session",
+		dist.MetricHandshakeRejects:       "workers rejected during the handshake",
+		family(dist.MetricWorkerBusy("")): "per-worker cumulative in-simulation nanoseconds",
+		dist.MetricStatsPushes:            "worker metric snapshots absorbed by the coordinator",
+		dist.MetricHedgedLeases:           "duplicate leases issued to hedge against stragglers",
+		core.MetricPersistHits:            "validations served from the persistent simulation cache",
+		core.MetricPersistMisses:          "persistent-cache lookups that missed",
+		core.MetricPersistCorrupt:         "persistent-cache records dropped as corrupt",
 	} {
-		reg.SetHelp(family, text)
+		reg.SetHelp(name, text)
 	}
 }
 
+// family strips the label set from a series name.
+func family(series string) string {
+	name, _, _ := strings.Cut(series, "{")
+	return name
+}
+
 // Resilience holds the parsed crash-safety flags shared by the tuning
-// binaries: a per-simulation wall-clock budget, a transient-failure
-// retry budget, and the checkpoint/resume pair.
+// binaries: a per-simulation wall-clock budget, the persistent cache
+// directory and, where RegisterCheckpoint added them, the
+// checkpoint/resume pair.
 type Resilience struct {
 	SimTimeout time.Duration
-	SimRetries int
 	Checkpoint string
 	Resume     bool
 	CacheDir   string
 }
 
-// RegisterResilience adds the resilience flags to a flag set.
+// RegisterResilience adds -sim-timeout and -cache-dir to a flag set.
 func RegisterResilience(fs *flag.FlagSet) *Resilience {
 	r := &Resilience{}
 	fs.DurationVar(&r.SimTimeout, "sim-timeout", 0, "wall-clock budget per validation simulation, e.g. 30s (0 = unlimited)")
-	fs.IntVar(&r.SimRetries, "sim-retries", 0, "retry budget for transient simulation failures")
-	fs.StringVar(&r.Checkpoint, "checkpoint", "", "crash-safe tuning: atomically rewrite this JSON snapshot after every iteration")
-	fs.BoolVar(&r.Resume, "resume", false, "resume tuning from -checkpoint (missing file = fresh run)")
 	fs.StringVar(&r.CacheDir, "cache-dir", "", "persistent simulation cache directory: measured results survive restarts and crashes")
 	return r
+}
+
+// RegisterCheckpoint adds -checkpoint and -resume to a flag set. Only
+// commands whose run reaches a checkpointing tuner register them.
+func (r *Resilience) RegisterCheckpoint(fs *flag.FlagSet) {
+	fs.StringVar(&r.Checkpoint, "checkpoint", "", "crash-safe tuning: atomically rewrite this JSON snapshot after every iteration")
+	fs.BoolVar(&r.Resume, "resume", false, "resume tuning from -checkpoint (missing file = fresh run)")
 }
 
 // OpenPersistentCache opens the -cache-dir persistent cache (nil when

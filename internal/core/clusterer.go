@@ -28,14 +28,12 @@ const PCADims = 5
 // (minimum inter-center distance) when AutoAdjustThreshold is set.
 const DefaultNewClusterThreshold = 20.0
 
-// ClustererConfig controls training.
+// ClustererConfig controls training. Windows are
+// trace.DefaultWindowSize entries, and a workload farther than
+// DefaultNewClusterThreshold from every center is novel.
 type ClustererConfig struct {
-	K          int   // number of clusters; 0 = number of training traces
-	WindowSize int   // trace entries per window (default 3000)
-	Seed       int64 // RNG seed
-	// NewClusterThreshold is the distance beyond which a workload is
-	// declared novel (paper default 20).
-	NewClusterThreshold float64
+	K    int   // number of clusters; 0 = number of training traces
+	Seed int64 // RNG seed
 	// AutoAdjustThreshold rescales the threshold to the minimum distance
 	// between trained cluster centers, which is how the paper motivates
 	// the value ("corresponds to the minimum distance between existing
@@ -46,12 +44,6 @@ type ClustererConfig struct {
 func (c *ClustererConfig) defaults(nTraces int) {
 	if c.K <= 0 {
 		c.K = nTraces
-	}
-	if c.WindowSize <= 0 {
-		c.WindowSize = trace.DefaultWindowSize
-	}
-	if c.NewClusterThreshold <= 0 {
-		c.NewClusterThreshold = DefaultNewClusterThreshold
 	}
 }
 
@@ -107,7 +99,7 @@ func TrainClustererSources(srcs []trace.Source, cfg ClustererConfig) (*Clusterer
 	var rows [][]float64
 	var cats []string
 	for _, src := range srcs {
-		err := trace.ScanWindows(src, cfg.WindowSize, func(w *trace.Trace) error {
+		err := trace.ScanWindows(src, trace.DefaultWindowSize, func(w *trace.Trace) error {
 			rows = append(rows, trace.WindowFeatures(w))
 			cats = append(cats, src.Name())
 			return nil
@@ -135,8 +127,8 @@ func TrainClustererSources(srcs []trace.Source, cfg ClustererConfig) (*Clusterer
 	}
 
 	c := &Clusterer{
-		PCA: p, KMeans: km, Window: cfg.WindowSize,
-		Threshold:  cfg.NewClusterThreshold,
+		PCA: p, KMeans: km, Window: trace.DefaultWindowSize,
+		Threshold:  DefaultNewClusterThreshold,
 		projected:  proj,
 		windowCats: cats,
 	}

@@ -14,14 +14,16 @@ import (
 	"autoblox/internal/ssdconf"
 )
 
+// insensitiveThreshold is the coarse-stage sensitivity floor: a
+// parameter whose full-grid sweep moves Formula 1 by less than this (in
+// log-ratio units) is insensitive.
+const insensitiveThreshold = 0.01
+
+// coefficientThreshold is the fine-stage ridge cutoff (paper: ±0.001).
+const coefficientThreshold = 0.001
+
 // PruneOptions controls both pruning stages.
 type PruneOptions struct {
-	// InsensitiveThreshold is the coarse-stage sensitivity floor: a
-	// parameter whose full-grid sweep moves Formula 1 by less than this
-	// (in log-ratio units) is insensitive.
-	InsensitiveThreshold float64
-	// CoefficientThreshold is the fine-stage ridge cutoff (paper: ±0.001).
-	CoefficientThreshold float64
 	// Samples is the number of random configurations for the ridge fit.
 	Samples int
 	// Alpha is the ridge regularization strength.
@@ -31,12 +33,6 @@ type PruneOptions struct {
 }
 
 func (o *PruneOptions) defaults() {
-	if o.InsensitiveThreshold <= 0 {
-		o.InsensitiveThreshold = 0.01
-	}
-	if o.CoefficientThreshold <= 0 {
-		o.CoefficientThreshold = 0.001
-	}
 	if o.Samples <= 0 {
 		o.Samples = 64
 	}
@@ -179,7 +175,7 @@ func CoarsePrune(ctx context.Context, v *Validator, g *Grader, target string, ba
 		}
 		res.Sweeps[p.Name] = sweep
 		res.Sensitivity[p.Name] = maxAbs
-		if maxAbs < opts.InsensitiveThreshold {
+		if maxAbs < insensitiveThreshold {
 			res.Insensitive = append(res.Insensitive, p.Name)
 		}
 	}
@@ -377,7 +373,7 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 	var keep []ranked
 	record := func(name string, coef float64) {
 		res.Coefficients[name] = coef
-		if math.Abs(coef) < opts.CoefficientThreshold {
+		if math.Abs(coef) < coefficientThreshold {
 			res.Pruned = append(res.Pruned, name)
 		} else {
 			keep = append(keep, ranked{name, coef})

@@ -42,7 +42,7 @@ func RandomSearch(ctx context.Context, space *ssdconf.Space, v *Validator, g *Gr
 		if cfg == nil {
 			continue
 		}
-		worst := worstRetainedGrade(validated, opts.TopK)
+		worst := worstRetainedGrade(validated, TopK)
 		e, rejected, err := t.evaluate(ctx, target, cfg, worst, res)
 		if err != nil {
 			return nil, err

@@ -25,12 +25,25 @@ import (
 // continues from exactly there.
 var ErrInterrupted = errors.New("core: tuning interrupted")
 
+// TopK is the size of the retained best-configuration set and the
+// root-selection pool (paper §3.4: top 3).
+const TopK = 3
+
+// convergenceBound is the paper's stop-rule band: the search converges
+// once the best grade stays within [-1%, 1%] for a full window.
+const convergenceBound = 0.01
+
 // TunerOptions configures the automated tuning loop of §3.4. Zero values
 // select the paper's defaults.
 type TunerOptions struct {
-	Alpha float64 // Formula 1 balance (default 0.5)
-	Beta  float64 // Formula 2 penalty balance (default 0.1)
-	Seed  int64
+	// Alpha overrides the Formula 1 balance for WhatIf only (zero keeps
+	// the goal-derived bias, else the grader's). Tune takes α and β from
+	// its Grader.
+	Alpha float64
+	// Deprecated: Beta is ignored; Tune takes β from its Grader. It
+	// stays so existing callers still compile.
+	Beta float64
+	Seed int64
 
 	// MaxIterations caps the outer search iterations (the paper observes
 	// 89 on average before convergence; scaled runs use fewer).
@@ -42,14 +55,10 @@ type TunerOptions struct {
 	// the candidate's minimum Manhattan distance to the validated set
 	// reaches this value (paper: 5).
 	ManhattanLimit int
-	// TopK is the size of the retained best-configuration set and the
-	// root-selection pool (paper: top 3).
-	TopK int
-	// ConvergenceWindow and ConvergenceBound implement the paper's
-	// stop rule: converge when the best grade changes within the bound
-	// ([-1%, 1%]) for a full window of iterations.
+	// ConvergenceWindow is the paper's stop-rule window: converge when
+	// the best grade stays within convergenceBound for this many
+	// iterations (default 8).
 	ConvergenceWindow int
-	ConvergenceBound  float64
 
 	// UseTuningOrder enables the §3.3 learning rule: SGD explores
 	// parameters in descending |ridge coefficient| order. Order holds
@@ -95,12 +104,6 @@ type TunerOptions struct {
 }
 
 func (o *TunerOptions) defaults() {
-	if o.Alpha == 0 {
-		o.Alpha = DefaultAlpha
-	}
-	if o.Beta == 0 {
-		o.Beta = DefaultBeta
-	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 89
 	}
@@ -110,14 +113,8 @@ func (o *TunerOptions) defaults() {
 	if o.ManhattanLimit <= 0 {
 		o.ManhattanLimit = 5
 	}
-	if o.TopK <= 0 {
-		o.TopK = 3
-	}
 	if o.ConvergenceWindow <= 0 {
 		o.ConvergenceWindow = 8
-	}
-	if o.ConvergenceBound <= 0 {
-		o.ConvergenceBound = 0.01
 	}
 }
 
@@ -307,7 +304,7 @@ func (t *Tuner) Tune(ctx context.Context, target string, initial []ssdconf.Confi
 				if cand == nil {
 					continue
 				}
-				worst := worstRetainedGrade(validated, t.Opts.TopK)
+				worst := worstRetainedGrade(validated, TopK)
 				e, rejected, err := t.evaluate(ctx, target, cand, worst, res)
 				if err != nil {
 					return true, err
@@ -650,12 +647,12 @@ func (t *Tuner) overPowerBudget(perfs []autodb.Perf) bool {
 // performance knobs the grade-leading lineage found).
 func (t *Tuner) searchRoots(validated []entry) []int {
 	if !t.pareto() {
-		idx := topKIndices(validated, t.Opts.TopK)
+		idx := topKIndices(validated, TopK)
 		return []int{idx[t.rng.Intn(len(idx))]}
 	}
 	roots := frontIndices(t.Space.Objectives, validated)
-	if len(roots) > t.Opts.TopK {
-		roots = roots[:t.Opts.TopK]
+	if len(roots) > TopK {
+		roots = roots[:TopK]
 	}
 	return roots
 }
@@ -815,7 +812,7 @@ func (t *Tuner) converged(traj []float64) bool {
 		base = 1e-9
 	}
 	for i := 1; i < len(recent); i++ {
-		if math.Abs(recent[i]-recent[0])/base > t.Opts.ConvergenceBound {
+		if math.Abs(recent[i]-recent[0])/base > convergenceBound {
 			return false
 		}
 	}

@@ -525,6 +525,48 @@ func TestStopConditionHaltsEarly(t *testing.T) {
 	}
 }
 
+// TestConvergedStopRule pins the §3.4 stop rule under the default
+// options: the search converges once the best grade has stayed within
+// ±1% of the window's first value for 8 iterations.
+func TestConvergedStopRule(t *testing.T) {
+	var opts TunerOptions
+	opts.defaults()
+	tu := &Tuner{Opts: opts}
+	// flat returns n copies of v, then the extra values.
+	flat := func(n int, v float64, extra ...float64) []float64 {
+		traj := make([]float64, n, n+len(extra))
+		for i := range traj {
+			traj[i] = v
+		}
+		return append(traj, extra...)
+	}
+	// moved is nine values of 0.5 with the fifth scaled by f.
+	moved := func(f float64) []float64 {
+		traj := flat(9, 0.5)
+		traj[4] *= f
+		return traj
+	}
+	for _, tc := range []struct {
+		name string
+		traj []float64
+		want bool
+	}{
+		{"eight values fill no window", flat(8, 0.5), false},
+		{"nine flat values converge", flat(9, 0.5), true},
+		{"0.9% move inside the window converges", moved(1.009), true},
+		{"1.1% move inside the window does not", moved(1.011), false},
+		{"1.1% drop at the window's end does not", flat(8, 0.5, 0.5*0.989), false},
+		{"1.1% step out of the window's base does not", append([]float64{0.5 * 1.011}, flat(8, 0.5)...), false},
+		{"moves before the window are forgotten", append([]float64{0.1}, flat(9, 0.5)...), true},
+		{"zero base floors at 1e-9", flat(8, 0, 5e-12), true},
+		{"zero base still bounds moves", flat(8, 0, 2e-11), false},
+	} {
+		if got := tu.converged(tc.traj); got != tc.want {
+			t.Errorf("%s: converged(%v) = %v, want %v", tc.name, tc.traj, got, tc.want)
+		}
+	}
+}
+
 func TestWhatIfThroughputGoalUsesStress(t *testing.T) {
 	// A throughput goal above the offered rate is reachable only through
 	// the arrival-compression stress measurement.

@@ -23,9 +23,8 @@ type FleetOptions struct {
 	// WorkerParallel bounds each loopback worker's concurrent
 	// simulations (0 = GOMAXPROCS).
 	WorkerParallel int
-	// SimTimeout/MaxRetries configure the loopback workers' validators.
+	// SimTimeout bounds each loopback worker simulation.
 	SimTimeout time.Duration
-	MaxRetries int
 	// LeaseTTL/PollInterval tune the coordinator (see
 	// CoordinatorOptions).
 	LeaseTTL     time.Duration
@@ -90,7 +89,6 @@ func StartFleet(env *Env, opts FleetOptions) (*Fleet, error) {
 			Name:       fmt.Sprintf("loopback-%d", i),
 			Parallel:   opts.WorkerParallel,
 			SimTimeout: opts.SimTimeout,
-			MaxRetries: opts.MaxRetries,
 			Obs:        opts.Obs,
 		}
 		f.wg.Add(2)

@@ -27,6 +27,9 @@ import (
 // exit, distinct from transport failures that warrant a reconnect.
 var ErrDrained = errors.New("dist: worker drained after shutdown signal")
 
+// reconnectBase is RunReconnect's first backoff delay.
+const reconnectBase = 100 * time.Millisecond
+
 // Worker leases measurement jobs from a coordinator, one per free
 // simulation slot, runs them through a locally reconstructed validator
 // (same memo cache, singleflight, and bounded pool as any in-process
@@ -39,10 +42,9 @@ type Worker struct {
 	// Parallel is the number of simulation slots: the worker holds at
 	// most this many leases and runs them concurrently (0 = GOMAXPROCS).
 	Parallel int
-	// SimTimeout/MaxRetries configure the local validator like their
-	// core.Validator counterparts.
+	// SimTimeout bounds each local simulation like
+	// core.Validator.SimTimeout.
 	SimTimeout time.Duration
-	MaxRetries int
 	// Obs, when set, receives the local validator's metrics.
 	Obs *obs.Registry
 	// PushStats, when set (and Obs is), ships a delta-encoded snapshot
@@ -64,10 +66,9 @@ type Worker struct {
 	// connection only after Grace elapses. Zero keeps the legacy
 	// behavior (the conn is severed the instant the context cancels).
 	Grace time.Duration
-	// ReconnectBase/ReconnectMax bound RunReconnect's jittered
-	// exponential backoff (defaults 100ms / 5s).
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
+	// ReconnectMax caps RunReconnect's jittered exponential backoff,
+	// which starts at 100ms (default cap 5s).
+	ReconnectMax time.Duration
 
 	jobs     atomic.Int64
 	busyNS   atomic.Int64
@@ -136,10 +137,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 // closes cleanly, the handshake is rejected, the context cancels, or
 // a graceful drain completes.
 func (w *Worker) RunReconnect(ctx context.Context, addr string) error {
-	base := w.ReconnectBase
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
+	base := reconnectBase
 	max := w.ReconnectMax
 	if max <= 0 {
 		max = 5 * time.Second
@@ -216,7 +214,6 @@ func (w *Worker) validatorFor(env *Env) (*core.Validator, string, error) {
 	v.Parallel = w.Parallel
 	v.Obs = w.Obs
 	v.SimTimeout = w.SimTimeout
-	v.MaxRetries = w.MaxRetries
 	v.Persist = w.Persist
 	w.mu.Lock()
 	w.cachedEnv = envJSON

@@ -41,9 +41,8 @@ type Scale struct {
 	// free when nil; never affects the measured results.
 	Obs *obs.Registry
 	// SimTimeout bounds each individual validation simulation (0 =
-	// unbounded); SimRetries retries transient measurement failures.
+	// unbounded).
 	SimTimeout time.Duration
-	SimRetries int
 	// Checkpoint/Resume make the matrix tuning runs crash-safe: the
 	// per-target checkpoint path is derived from Checkpoint by suffixing
 	// the target name.
@@ -138,7 +137,6 @@ func newEnv(scale Scale, cons ssdconf.Constraints, ref ssd.DeviceParams, cats []
 	e.Validator.Parallel = scale.Parallel
 	e.Validator.Obs = scale.Obs
 	e.Validator.SimTimeout = scale.SimTimeout
-	e.Validator.MaxRetries = scale.SimRetries
 	e.Validator.Persist = scale.Persist
 	if scale.Backend != nil && scale.BackendEnv != nil {
 		clusters := make([]string, len(cats))

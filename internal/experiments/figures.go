@@ -147,10 +147,8 @@ func runSweep(e *Env, param string, values []float64, targets []string) (*SweepR
 			opts := e.tunerOptions()
 			if param == "alpha" {
 				g.Alpha = val
-				opts.Alpha = val
 			} else {
 				g.Beta = val
-				opts.Beta = val
 			}
 			// The paper resets the model and AutoDB per point; a fresh
 			// tuner from the reference does the same here.

@@ -111,7 +111,6 @@ func runTarget(e *Env, target string, opts MatrixOptions) (*TargetRun, error) {
 		g0 := *e.Grader
 		g0.Beta = 0
 		bOpts := tOpts
-		bOpts.Beta = 0
 		bOpts.Checkpoint, bOpts.Resume = "", false // distinct run; never share a checkpoint
 		t0, err := core.NewTuner(e.Space, e.Validator, &g0, bOpts)
 		if err != nil {

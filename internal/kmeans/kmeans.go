@@ -28,10 +28,12 @@ type Model struct {
 	Iterations int
 }
 
+// maxIter caps the Lloyd iterations of one restart.
+const maxIter = 100
+
 // Config controls the clustering run.
 type Config struct {
 	K        int   // number of clusters (required, ≥1)
-	MaxIter  int   // maximum Lloyd iterations (default 100)
 	Seed     int64 // RNG seed for k-means++ seeding
 	Restarts int   // number of seeded restarts, best inertia kept (default 3)
 }
@@ -48,9 +50,6 @@ func Fit(data *linalg.Matrix, cfg Config) (*Model, error) {
 	if cfg.K > n {
 		return nil, fmt.Errorf("kmeans: K=%d exceeds sample count %d", cfg.K, n)
 	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 100
-	}
 	if cfg.Restarts <= 0 {
 		cfg.Restarts = 3
 	}
@@ -58,7 +57,7 @@ func Fit(data *linalg.Matrix, cfg Config) (*Model, error) {
 	var best *Model
 	for r := 0; r < cfg.Restarts; r++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
-		m := lloyd(data, cfg.K, cfg.MaxIter, rng)
+		m := lloyd(data, cfg.K, rng)
 		if best == nil || m.Inertia < best.Inertia {
 			best = m
 		}
@@ -66,7 +65,7 @@ func Fit(data *linalg.Matrix, cfg Config) (*Model, error) {
 	return best, nil
 }
 
-func lloyd(data *linalg.Matrix, k, maxIter int, rng *rand.Rand) *Model {
+func lloyd(data *linalg.Matrix, k int, rng *rand.Rand) *Model {
 	n, d := data.Rows, data.Cols
 	centers := seedPlusPlus(data, k, rng)
 	labels := make([]int, n)
