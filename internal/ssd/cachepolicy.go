@@ -141,7 +141,6 @@ func (d *dataCache) insert(lp int64, dirty bool) (evictedLP int64, dirtyEvict bo
 	return evictedLP, dirtyEvict
 }
 
-// dirtyFraction reports the share of cache lines holding unwritten data.
 // invalidate drops lp from the cache without writing it back: a TRIM
 // declares the data dead, so a dirty copy is discarded, not flushed.
 func (d *dataCache) invalidate(lp int64) {
@@ -156,6 +155,7 @@ func (d *dataCache) invalidate(lp int64) {
 	d.ll.Remove(el)
 }
 
+// dirtyFraction reports the share of cache lines holding unwritten data.
 func (d *dataCache) dirtyFraction() float64 {
 	if d.ll.Len() == 0 {
 		return 0

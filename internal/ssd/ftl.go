@@ -367,67 +367,69 @@ func (f *ftl) prefill(frac float64) {
 
 // bulkPrefill writes logical pages [0, n) on lane 0 of a fresh FTL and
 // leaves exactly the state n placePage(lp, 0) calls would, without
-// their per-page work: each plane keeps a cursor into its active block,
-// advanceActive runs where placePage would run it, and a block's
-// writePtr/valid are stored once, when it closes. It reports false,
-// touching nothing, when that equivalence cannot be shown up front:
-// under fault injection (each program draws from the fault RNG), on a
-// used FTL, or when some plane's free list would drop below gcMinFree,
-// which makes placePage run GC mid-prefill.
+// their per-page work. It reports false, touching nothing, when that
+// equivalence cannot be shown up front: under fault injection (each
+// program draws from the fault RNG), on a used FTL, or when some
+// plane's free list would drop below gcMinFree, which makes placePage
+// run GC mid-prefill.
+//
+// Without faults stripePlane is a permutation of the planes, so row r
+// of period stripes puts lp r*period+s on plane stripePlane[s], at slot
+// r % pagesPerBlock of that plane's (r / pagesPerBlock)-th block: every
+// plane opens its blocks in lock-step, and only the last, partial row
+// stops short, at stripe n % period. The state is built one chunk of
+// pagesPerBlock rows at a time: each receiving plane opens its block
+// through advanceActive, as placePage would, and fills its pages in
+// order; then the chunk's mapping rows are written from each stripe's
+// block base.
 func (f *ftl) bulkPrefill(n int64) bool {
 	if f.faults != nil || f.stripe != 0 {
 		return false
 	}
-	// Stripe s lands on stripePlane[s % len]; block 0 takes a plane's
-	// first pagesPerBlock pages, and every further pagesPerBlock pages
-	// open one block from the free list.
-	period := int64(len(f.stripePlane))
-	perPlane := make([]int64, len(f.planes))
-	for s, pl := range f.stripePlane {
-		perPlane[pl] += n / period
-		if int64(s) < n%period {
-			perPlane[pl]++
+	table, ppb := f.stripePlane, int64(f.pagesPerBlock)
+	period := int64(len(table))
+	rows, rem := n/period, n%period
+	for s, pl := range table {
+		pages := rows
+		if int64(s) < rem {
+			pages++
 		}
-	}
-	for pl, pages := range perPlane {
-		opened := max(pages-1, 0) / int64(f.pagesPerBlock)
-		if int64(len(f.planes[pl].freeList))-opened < int64(f.gcMinFree) {
+		// Block 0 takes the first ppb pages; every further ppb open one
+		// block from the free list.
+		if int64(len(f.planes[pl].freeList))-max(pages-1, 0)/ppb < int64(f.gcMinFree) {
 			return false
 		}
 	}
 
-	type cursor struct {
-		pages       []int32
-		base        uint32 // packed PPA of the active block's slot 0
-		block, slot int32
-	}
-	cur := make([]cursor, len(f.planes))
-	for pl := range cur {
-		b := f.planes[pl].actives[0]
-		cur[pl] = cursor{pages: f.planes[pl].blocks[b].pages, base: f.packPPA(planeID(pl), b, 0), block: b}
-	}
-	table, mapping, ppb := f.stripePlane, f.mapping[:n], f.pagesPerBlock
-	s := 0
-	for lp := range mapping {
-		pl := table[s]
-		if s++; s == len(table) {
-			s = 0
-		}
-		c := &cur[pl]
-		if c.slot == ppb {
+	base := make([]uint32, period) // packed PPA of slot 0 of stripe s's open block
+	for r0 := int64(0); r0*period < n; r0 += ppb {
+		end := min(n, (r0+ppb)*period) // first lp past the chunk
+		for s, pl := range table {
+			first := r0*period + int64(s)
+			if first >= end {
+				break // the partial last row ends before stripe s
+			}
 			fp := &f.planes[pl]
-			fp.blocks[c.block].writePtr, fp.blocks[c.block].valid = c.slot, c.slot
-			f.advanceActive(fp, pl, 0)
+			if r0 > 0 {
+				f.advanceActive(fp, pl, 0) // the previous chunk filled its block
+			}
 			b := fp.actives[0]
-			*c = cursor{pages: fp.blocks[b].pages, base: f.packPPA(pl, b, 0), block: b}
+			base[s] = f.packPPA(pl, b, 0)
+			blk := &fp.blocks[b]
+			slot := int32(0)
+			for lp := first; lp < end; lp += period {
+				blk.pages[slot] = int32(lp)
+				slot++
+			}
+			blk.writePtr, blk.valid = slot, slot
 		}
-		c.pages[c.slot] = int32(lp)
-		mapping[lp] = c.base + uint32(c.slot)
-		c.slot++
-	}
-	for pl, c := range cur {
-		blk := &f.planes[pl].blocks[c.block]
-		blk.writePtr, blk.valid = c.slot, c.slot
+		for r := r0; r*period < end; r++ {
+			row := f.mapping[r*period : min(end, (r+1)*period)]
+			off := uint32(r - r0)
+			for s, b := range base[:len(row)] {
+				row[s] = b + off
+			}
+		}
 	}
 	f.stripe = uint64(n)
 	return true
@@ -724,18 +726,20 @@ func (c *cmt) access(lp int64, write bool) (miss, dirtyEvict bool) {
 		}
 		return false, false
 	}
-	miss = true
 	if c.ll.Len() >= c.capacity {
+		// Recycle the evicted element and entry in place of
+		// Remove+PushFront so steady-state misses allocate nothing.
 		back := c.ll.Back()
-		if back != nil {
-			e := back.Value.(*cmtEntry)
-			dirtyEvict = e.dirty
-			delete(c.entries, e.region)
-			c.ll.Remove(back)
-		}
+		e := back.Value.(*cmtEntry)
+		dirtyEvict = e.dirty
+		delete(c.entries, e.region)
+		e.region, e.dirty = region, write
+		c.ll.MoveToFront(back)
+		c.entries[region] = back
+		return true, dirtyEvict
 	}
 	c.entries[region] = c.ll.PushFront(&cmtEntry{region: region, dirty: write})
-	return miss, dirtyEvict
+	return true, false
 }
 
 // The DRAM data cache and its pluggable replacement policies live in

@@ -95,6 +95,44 @@ func prefillDevice() DeviceParams {
 	return p
 }
 
+// referenceDevices are the shipped device presets.
+func referenceDevices() map[string]DeviceParams {
+	return map[string]DeviceParams{
+		"intel750":      Intel750(),
+		"samsung850pro": Samsung850Pro(),
+		"samsungzssd":   SamsungZSSD(),
+		"default":       DefaultParams(),
+	}
+}
+
+// TestStripePlaneIsPermutation pins the precondition of bulkPrefill's
+// row-by-row construction: without faults, one period of stripes puts
+// exactly one stripe on every plane, under every allocation scheme.
+func TestStripePlaneIsPermutation(t *testing.T) {
+	devices := referenceDevices()
+	devices["prefill"] = prefillDevice()
+	for name, base := range devices {
+		for scheme := 0; scheme < NumAllocSchemes; scheme++ {
+			p := base
+			p.PlaneAllocScheme = AllocScheme(scheme)
+			f, err := newFTL(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(f.stripePlane) != len(f.planes) {
+				t.Fatalf("%s/%s: period %d, want %d planes", name, p.PlaneAllocScheme, len(f.stripePlane), len(f.planes))
+			}
+			seen := make([]bool, len(f.planes))
+			for s, pl := range f.stripePlane {
+				if seen[pl] {
+					t.Fatalf("%s/%s: stripe %d lands on plane %d a second time", name, p.PlaneAllocScheme, s, pl)
+				}
+				seen[pl] = true
+			}
+		}
+	}
+}
+
 func TestBulkPrefillMatchesPlacePage(t *testing.T) {
 	for scheme := 0; scheme < NumAllocSchemes; scheme++ {
 		for ifc := range HostIfcNames() {
@@ -110,7 +148,7 @@ func TestBulkPrefillMatchesPlacePage(t *testing.T) {
 			}
 		}
 	}
-	for name, p := range map[string]DeviceParams{"intel750": Intel750(), "samsung850pro": Samsung850Pro()} {
+	for name, p := range referenceDevices() {
 		if !checkPrefill(t, p, p.InitialOccupancyFrac) {
 			t.Fatalf("%s: bulk prefill declined at its own occupancy", name)
 		}
@@ -135,6 +173,10 @@ func FuzzPrefillMatchesPlacePage(f *testing.F) {
 	f.Add(uint8(9), uint8(1), uint8(3), uint8(1), uint8(4), uint8(1), uint8(16), uint8(64), uint8(217), uint8(7), uint8(5), uint8(0))
 	f.Add(uint8(15), uint8(2), uint8(1), uint8(2), uint8(1), uint8(3), uint8(40), uint8(24), uint8(252), uint8(20), uint8(15), uint8(0))
 	f.Add(uint8(4), uint8(0), uint8(2), uint8(2), uint8(2), uint8(1), uint8(32), uint8(32), uint8(128), uint8(8), uint8(10), uint8(1))
+	// 24 planes × 16 pages per block at 780 pages: 32 full rows fill
+	// each plane's second block, so the partial last row (12 stripes)
+	// opens a third block on half the planes.
+	f.Add(uint8(11), uint8(0), uint8(1), uint8(2), uint8(1), uint8(1), uint8(12), uint8(12), uint8(36), uint8(8), uint8(5), uint8(0))
 	f.Fuzz(func(t *testing.T, scheme, ifc, ch, chips, dies, planes, bpp, ppb, occ, op, gcPct, dieFail uint8) {
 		p := DefaultParams()
 		p.PlaneAllocScheme = AllocScheme(scheme % NumAllocSchemes)

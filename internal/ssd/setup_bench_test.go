@@ -8,8 +8,8 @@ import (
 
 // BenchmarkSimSetup measures per-simulation set-up on the Intel 750
 // reference device: newEngine alone (FTL construction plus the
-// warm-up prefill), and a 100-record RunSource, where set-up is nearly
-// all of the cost.
+// warm-up prefill), bulkPrefill alone on a fresh FTL, and a 100-record
+// RunSource, where set-up is nearly all of the cost.
 func BenchmarkSimSetup(b *testing.B) {
 	p := Intel750()
 	b.Run("newEngine", func(b *testing.B) {
@@ -17,6 +17,21 @@ func BenchmarkSimSetup(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := newEngine(&p); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("prefill", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			f, err := newFTL(&p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := int64(float64(f.logicalPages) * p.InitialOccupancyFrac)
+			b.StartTimer()
+			if !f.bulkPrefill(n) {
+				b.Fatal("bulk prefill declined")
 			}
 		}
 	})
