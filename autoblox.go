@@ -165,7 +165,6 @@ type Framework struct {
 	Clusterer *core.Clusterer
 
 	opts      Options
-	cons      Constraints
 	validator *core.Validator
 	persist   *core.PersistentCache
 	grader    *core.Grader
@@ -204,7 +203,7 @@ func New(cons Constraints, opts Options) (*Framework, error) {
 		opts.NewCategoryAfter = 20 // paper §3.1 default
 	}
 	f := &Framework{
-		Space: space, DB: db, opts: opts, cons: cons,
+		Space: space, DB: db, opts: opts,
 		sources:  map[string]SourceFactory{},
 		orders:   map[string][]string{},
 		outliers: map[string]int{},

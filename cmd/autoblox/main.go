@@ -113,25 +113,32 @@ func registerCommon(fs *flag.FlagSet) *commonFlags {
 	return c
 }
 
-func (c *commonFlags) constraints() autoblox.Constraints {
+// constraints resolves the device constraint flags. -iface and -flash
+// name ssd registry entries in any case; an unknown name is an error
+// listing the valid ones.
+func (c *commonFlags) constraints() (autoblox.Constraints, error) {
 	cons := autoblox.DefaultConstraints()
 	cons.CapacityBytes = int64(c.capacity) << 30
-	switch strings.ToLower(c.iface) {
-	case "sata":
-		cons.Interface = ssd.SATA
-	default:
-		cons.Interface = ssd.NVMe
+	var err error
+	if cons.Interface, err = ssd.ParseInterface(registryName(c.iface, ssd.InterfaceNames())); err != nil {
+		return cons, fmt.Errorf("-iface: %w", err)
 	}
-	switch strings.ToLower(c.flash) {
-	case "slc":
-		cons.Flash = ssd.SLC
-	case "tlc":
-		cons.Flash = ssd.TLC
-	default:
-		cons.Flash = ssd.MLC
+	if cons.Flash, err = ssd.ParseFlashType(registryName(c.flash, ssd.FlashTypeNames())); err != nil {
+		return cons, fmt.Errorf("-flash: %w", err)
 	}
 	cons.PowerBudgetWatts = c.power
-	return cons
+	return cons, nil
+}
+
+// registryName returns the registered name equal to s ignoring case, or
+// s unchanged so that the registry's parse reports it.
+func registryName(s string, names []string) string {
+	for _, n := range names {
+		if strings.EqualFold(s, n) {
+			return n
+		}
+	}
+	return s
 }
 
 // setupObs activates the observability flags, exiting on error.
@@ -148,6 +155,11 @@ func (c *commonFlags) setupObs() func() {
 // or -listen set it also starts the validation fleet and routes every
 // simulation through it.
 func (c *commonFlags) framework(whatIf bool) *autoblox.Framework {
+	cons, err := c.constraints()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "autoblox:", err)
+		os.Exit(2)
+	}
 	spec, err := autoblox.ParseObjectives(c.objectives)
 	if err != nil {
 		fatal(fmt.Errorf("-objectives: %w", err))
@@ -163,10 +175,10 @@ func (c *commonFlags) framework(whatIf bool) *autoblox.Framework {
 		CacheDir:   c.res.CacheDir,
 	}
 	if c.workers > 0 || c.listen != "" {
-		c.startFleet(whatIf)
+		c.startFleet(whatIf, cons)
 		opts.Backend = c.fleet.Backend()
 	}
-	fw, err := autoblox.New(c.constraints(), opts)
+	fw, err := autoblox.New(cons, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -180,12 +192,12 @@ func (c *commonFlags) framework(whatIf bool) *autoblox.Framework {
 // regenerate them from a seed), so recommending for a brand-new trace
 // category fails worker-side with an unknown-cluster error; use the
 // local pool for that.
-func (c *commonFlags) startFleet(whatIf bool) {
+func (c *commonFlags) startFleet(whatIf bool, cons autoblox.Constraints) {
 	specs := make(map[string][]dist.WorkloadSpec)
 	for _, cat := range workload.Studied() {
 		specs[string(cat)] = []dist.WorkloadSpec{{Category: string(cat), Requests: c.requests, Seed: c.seed}}
 	}
-	env, err := dist.NewEnv(c.constraints(), whatIf, ssd.FaultProfile{}, specs)
+	env, err := dist.NewEnv(cons, whatIf, ssd.FaultProfile{}, specs)
 	if err != nil {
 		fatal(err)
 	}

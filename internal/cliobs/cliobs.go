@@ -38,7 +38,6 @@ type Flags struct {
 	Prog   *obs.Progress
 	Tune   *obs.TuneStatus
 	Flight *obs.FlightRecorder
-	Srv    *httpobs.Server
 
 	status atomic.Pointer[func() any]
 }
@@ -131,7 +130,6 @@ func (o *Flags) Setup(iters int) (cleanup func(), err error) {
 			}
 			return nil, err
 		}
-		o.Srv = srv
 		fmt.Fprintf(os.Stderr, "introspection: http://%s/\n", srv.Addr())
 		closers = append(closers, func() { srv.Close() })
 	}

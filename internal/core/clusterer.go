@@ -121,7 +121,7 @@ func TrainClustererSources(srcs []trace.Source, cfg ClustererConfig) (*Clusterer
 	if err != nil {
 		return nil, fmt.Errorf("core: pca: %w", err)
 	}
-	km, err := kmeans.Fit(proj, kmeans.Config{K: cfg.K, Seed: cfg.Seed, Restarts: 5})
+	km, err := kmeans.Fit(proj, kmeans.Config{K: cfg.K, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("core: kmeans: %w", err)
 	}
@@ -360,7 +360,7 @@ func (c *Clusterer) AddWorkload(tr *trace.Trace, seed int64) (*Clusterer, error)
 		cats[c.projected.Rows+i] = tr.Name
 	}
 
-	km, err := kmeans.Fit(all, kmeans.Config{K: c.KMeans.K() + 1, Seed: seed, Restarts: 5})
+	km, err := kmeans.Fit(all, kmeans.Config{K: c.KMeans.K() + 1, Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("core: retrain: %w", err)
 	}

@@ -116,46 +116,21 @@ func dominates(a, b Objectives) bool {
 	return better
 }
 
-// nondominatedSort is the NSGA-II fast non-dominated sort: it partitions
-// the vectors into fronts, rank 0 first. Each front preserves input
-// order, so the result is a pure function of the input sequence.
-func nondominatedSort(vecs []Objectives) [][]int {
-	n := len(vecs)
-	dominatedBy := make([]int, n)    // how many vectors dominate i
-	dominatesSet := make([][]int, n) // who i dominates
-	var first []int
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if dominates(vecs[i], vecs[j]) {
-				dominatesSet[i] = append(dominatesSet[i], j)
-			} else if dominates(vecs[j], vecs[i]) {
-				dominatedBy[i]++
+// nondominated returns the indices of the vectors nothing dominates
+// (the NSGA-II rank-0 front) in input order, so the result is a pure
+// function of the input sequence.
+func nondominated(vecs []Objectives) []int {
+	var front []int
+next:
+	for i := range vecs {
+		for j := range vecs {
+			if dominates(vecs[j], vecs[i]) {
+				continue next
 			}
 		}
-		if dominatedBy[i] == 0 {
-			first = append(first, i)
-		}
+		front = append(front, i)
 	}
-	var fronts [][]int
-	cur := first
-	for len(cur) > 0 {
-		fronts = append(fronts, cur)
-		var next []int
-		for _, i := range cur {
-			for _, j := range dominatesSet[i] {
-				dominatedBy[j]--
-				if dominatedBy[j] == 0 {
-					next = append(next, j)
-				}
-			}
-		}
-		sort.Ints(next)
-		cur = next
-	}
-	return fronts
+	return front
 }
 
 // crowdingDistances computes the NSGA-II crowding distance of every
@@ -202,11 +177,7 @@ func frontIndices(spec ssdconf.ObjectiveSpec, validated []entry) []int {
 	for i, e := range validated {
 		vecs[i] = objectivesOf(spec, e)
 	}
-	fronts := nondominatedSort(vecs)
-	if len(fronts) == 0 {
-		return nil
-	}
-	front := fronts[0]
+	front := nondominated(vecs)
 	dist := crowdingDistances(vecs, front)
 	sort.SliceStable(front, func(a, b int) bool {
 		da, db := dist[front[a]], dist[front[b]]

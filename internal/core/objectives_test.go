@@ -60,13 +60,13 @@ func TestDominates(t *testing.T) {
 }
 
 func TestNondominatedSortRanks(t *testing.T) {
-	// Front 0: (4,1), (1,4), (3,3). Front 1: (2,2) (dominated by (3,3)).
-	// Front 2: (1,1).
+	// Rank 0: (4,1), (1,4), (3,3). (2,2) is dominated by (3,3), and
+	// (1,1) by everything else.
 	vecs := []Objectives{{2, 2}, {4, 1}, {1, 4}, {1, 1}, {3, 3}}
-	fronts := nondominatedSort(vecs)
-	want := [][]int{{1, 2, 4}, {0}, {3}}
-	if !reflect.DeepEqual(fronts, want) {
-		t.Fatalf("fronts = %v, want %v", fronts, want)
+	front := nondominated(vecs)
+	want := []int{1, 2, 4}
+	if !reflect.DeepEqual(front, want) {
+		t.Fatalf("front = %v, want %v", front, want)
 	}
 }
 

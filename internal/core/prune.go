@@ -22,12 +22,13 @@ const insensitiveThreshold = 0.01
 // coefficientThreshold is the fine-stage ridge cutoff (paper: ±0.001).
 const coefficientThreshold = 0.001
 
+// ridgeAlpha is the fine-stage ridge regularization strength.
+const ridgeAlpha = 1.0
+
 // PruneOptions controls both pruning stages.
 type PruneOptions struct {
 	// Samples is the number of random configurations for the ridge fit.
 	Samples int
-	// Alpha is the ridge regularization strength.
-	Alpha float64
 	// Seed drives sampling.
 	Seed int64
 }
@@ -35,9 +36,6 @@ type PruneOptions struct {
 func (o *PruneOptions) defaults() {
 	if o.Samples <= 0 {
 		o.Samples = 64
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = 1.0
 	}
 }
 
@@ -68,10 +66,8 @@ type CoarseResult struct {
 	// DominanceContribution (multi-objective spaces only) counts, per
 	// swept parameter, how many of its non-baseline sweep points are
 	// non-dominated across the union of all sweeps — the sweeps' rank
-	// under the objective vector. Ranked orders parameters by that
-	// count, descending (sensitivity breaking ties).
+	// under the objective vector.
 	DominanceContribution map[string]int
-	Ranked                []string
 }
 
 // sweepIndices enumerates the grid indices a coarse sweep visits for one
@@ -187,8 +183,8 @@ func CoarsePrune(ctx context.Context, v *Validator, g *Grader, target string, ba
 }
 
 // rankSweepsByDominance scores each swept parameter by how many of its
-// non-baseline points survive a non-dominated sort over the union of
-// all sweeps under the space's objective vector, then rebuilds the
+// non-baseline points are non-dominated across the union of all sweeps
+// under the space's objective vector, then rebuilds the
 // insensitive list so a parameter that shapes the trade-off surface is
 // kept even when its Formula 1 sweep is flat.
 func rankSweepsByDominance(space *ssdconf.Space, res *CoarseResult) {
@@ -209,27 +205,9 @@ func rankSweepsByDominance(space *ssdconf.Space, res *CoarseResult) {
 	for name := range res.Sweeps {
 		res.DominanceContribution[name] = 0
 	}
-	fronts := nondominatedSort(vecs)
-	if len(fronts) > 0 {
-		for _, i := range fronts[0] {
-			res.DominanceContribution[owners[i]]++
-		}
+	for _, i := range nondominated(vecs) {
+		res.DominanceContribution[owners[i]]++
 	}
-	names := make([]string, 0, len(res.Sweeps))
-	for name := range res.Sweeps {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(a, b int) bool {
-		ca, cb := res.DominanceContribution[names[a]], res.DominanceContribution[names[b]]
-		if ca != cb {
-			return ca > cb
-		}
-		if sa, sb := res.Sensitivity[names[a]], res.Sensitivity[names[b]]; sa != sb {
-			return sa > sb
-		}
-		return names[a] < names[b]
-	})
-	res.Ranked = names
 	var insensitive []string
 	for _, name := range res.Insensitive {
 		if res.DominanceContribution[name] == 0 {
@@ -360,7 +338,7 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 	}
 
 	x := linalg.FromRows(rows)
-	model, err := ridge.Fit(x, ys, ridge.Config{Alpha: opts.Alpha, Standardize: true})
+	model, err := ridge.Fit(x, ys, ridge.Config{Alpha: ridgeAlpha, Standardize: true})
 	if err != nil {
 		return nil, fmt.Errorf("core: ridge: %w", err)
 	}

@@ -111,7 +111,6 @@ type leaseInfo struct {
 	job    *distJob
 	sess   *session
 	expiry time.Time
-	hedged bool
 }
 
 // distJob is one measurement key moving through the lease state
@@ -493,7 +492,7 @@ func (c *Coordinator) expireLeaseLocked(id uint64, li *leaseInfo, disconnect boo
 // grantLocked issues one lease of j to sess; c.mu held.
 func (c *Coordinator) grantLocked(j *distJob, sess *session, now time.Time, hedged bool) Lease {
 	c.nextLease++
-	li := &leaseInfo{job: j, sess: sess, expiry: now.Add(c.opts.LeaseTTL), hedged: hedged}
+	li := &leaseInfo{job: j, sess: sess, expiry: now.Add(c.opts.LeaseTTL)}
 	if len(j.leases) == 0 {
 		j.firstGrant = now
 	}

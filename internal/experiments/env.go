@@ -88,9 +88,7 @@ type Env struct {
 	// Ctx, when set, cancels every measurement the experiments issue;
 	// nil means context.Background().
 	Ctx       context.Context
-	Cons      ssdconf.Constraints
 	Space     *ssdconf.Space
-	Ref       ssd.DeviceParams
 	RefCfg    ssdconf.Config
 	Validator *core.Validator
 	Grader    *core.Grader
@@ -120,7 +118,7 @@ func newEnv(scale Scale, cons ssdconf.Constraints, ref ssd.DeviceParams, cats []
 		space = ssdconf.NewSpace(cons)
 	}
 	space.Objectives = scale.Objectives
-	e := &Env{Scale: scale, Ctx: scale.Ctx, Cons: cons, Space: space, Ref: ref, Cats: cats,
+	e := &Env{Scale: scale, Ctx: scale.Ctx, Space: space, Cats: cats,
 		Sources: map[string]trace.SourceFactory{}}
 	for _, c := range cats {
 		fac, err := workload.Factory(c, workload.Options{Requests: scale.Requests, Seed: scale.Seed})

@@ -37,9 +37,8 @@ type TargetRun struct {
 	Energy map[string][2]float64
 
 	// β=0 variant (ignore non-target), when requested.
-	MaxResult *core.TuneResult
-	MaxLat    map[string]float64
-	MaxTput   map[string]float64
+	MaxLat  map[string]float64
+	MaxTput map[string]float64
 	// Order-ablation variants (Figs. 9–10), when requested. Both run on
 	// fresh validators (no shared simulation cache) so wall-clock and
 	// simulator-invocation counts are comparable.
@@ -120,7 +119,6 @@ func runTarget(e *Env, target string, opts MatrixOptions) (*TargetRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		run.MaxResult = mr
 		run.MaxLat, run.MaxTput = map[string]float64{}, map[string]float64{}
 		for cl, perfs := range mr.BestPerf {
 			run.MaxLat[cl], run.MaxTput[cl] = e.Grader.ClusterSpeedups(cl, perfs)

@@ -31,11 +31,14 @@ type Model struct {
 // maxIter caps the Lloyd iterations of one restart.
 const maxIter = 100
 
+// restarts is the number of seeded k-means++ restarts; the lowest
+// inertia is kept.
+const restarts = 5
+
 // Config controls the clustering run.
 type Config struct {
-	K        int   // number of clusters (required, ≥1)
-	Seed     int64 // RNG seed for k-means++ seeding
-	Restarts int   // number of seeded restarts, best inertia kept (default 3)
+	K    int   // number of clusters (required, ≥1)
+	Seed int64 // RNG seed for k-means++ seeding
 }
 
 // Fit clusters data (rows are samples) into cfg.K clusters.
@@ -50,12 +53,8 @@ func Fit(data *linalg.Matrix, cfg Config) (*Model, error) {
 	if cfg.K > n {
 		return nil, fmt.Errorf("kmeans: K=%d exceeds sample count %d", cfg.K, n)
 	}
-	if cfg.Restarts <= 0 {
-		cfg.Restarts = 3
-	}
-
 	var best *Model
-	for r := 0; r < cfg.Restarts; r++ {
+	for r := 0; r < restarts; r++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
 		m := lloyd(data, cfg.K, rng)
 		if best == nil || m.Inertia < best.Inertia {

@@ -90,7 +90,7 @@ func TestInertiaDecreasesWithK(t *testing.T) {
 	data, _ := blobs(rng, 5, 20, 3, 10)
 	var prev float64 = math.Inf(1)
 	for k := 1; k <= 5; k++ {
-		m, err := Fit(data, Config{K: k, Seed: 5, Restarts: 5})
+		m, err := Fit(data, Config{K: k, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

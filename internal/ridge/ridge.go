@@ -23,8 +23,6 @@ type Model struct {
 	Coef []float64
 	// Intercept is the bias term.
 	Intercept float64
-	// Alpha is the L2 regularization strength used for the fit.
-	Alpha float64
 
 	standardized bool
 	featMean     []float64
@@ -58,7 +56,7 @@ func Fit(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 		cfg.Alpha = 1.0
 	}
 
-	m := &Model{Alpha: cfg.Alpha, standardized: cfg.Standardize}
+	m := &Model{standardized: cfg.Standardize}
 	work := x
 	if cfg.Standardize {
 		work, m.featMean, m.featStd = standardize(x)

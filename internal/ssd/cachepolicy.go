@@ -56,10 +56,11 @@ func CachePolicyNames() []string { return cachePolicies.allNames() }
 // DescribeCachePolicies renders the registry as CLI flag help.
 func DescribeCachePolicies() string { return cachePolicies.describe() }
 
-// --- DRAM data cache. ---
+// --- DRAM caches: the data cache and the cached mapping table. ---
 
-// dataCache simulates the controller DRAM data cache at page
-// granularity; the replacement policy is pluggable.
+// dataCache simulates a controller DRAM cache. The data cache keys it by
+// logical page with a pluggable replacement policy; the cached mapping
+// table (newCMT) keys it by mapping region under LRU.
 type dataCache struct {
 	capacity int
 	pol      cacheReplacementPolicy
@@ -81,13 +82,24 @@ func newDataCache(p *DeviceParams, scale int64) *dataCache {
 	if line < 512 {
 		line = int64(p.PageSizeBytes)
 	}
-	capEntries := int(p.DataCacheBytes / line / scale)
-	if capEntries < 1 {
-		capEntries = 1
-	}
+	return newCache(int(p.DataCacheBytes/line/scale), cachePolicyTable[p.CachePolicy].make(p))
+}
+
+// newCMT sizes the DFTL-style cached mapping table: an LRU dataCache
+// keyed by mapping region (the engine divides a logical page by its
+// region granularity). A miss costs a flash read of the mapping page and
+// a dirty eviction a mapping program, both charged by the engine. scale
+// keeps CMT coverage of the simulated space equal to the real CMT's
+// coverage of the device.
+func newCMT(p *DeviceParams, scale int64) *dataCache {
+	return newCache(int(p.CMTBytes/int64(p.CMTEntryBytes)/scale), lruCache{})
+}
+
+// newCache returns an empty cache of capEntries entries, at least one.
+func newCache(capEntries int, pol cacheReplacementPolicy) *dataCache {
 	return &dataCache{
-		capacity: capEntries,
-		pol:      cachePolicyTable[p.CachePolicy].make(p),
+		capacity: max(capEntries, 1),
+		pol:      pol,
 		ll:       list.New(),
 		entries:  make(map[int64]*list.Element),
 	}
@@ -102,9 +114,10 @@ func (d *dataCache) read(lp int64) bool {
 	return ok
 }
 
-// insert adds lp (dirty for writes). When a dirty entry is displaced it
-// returns that entry's logical page, which must be programmed to flash.
-func (d *dataCache) insert(lp int64, dirty bool) (evictedLP int64, dirtyEvict bool) {
+// insert adds lp (dirty for writes), or refreshes it and reports a hit
+// when it is already cached. When a dirty entry is displaced it returns
+// that entry's logical page, which must be programmed to flash.
+func (d *dataCache) insert(lp int64, dirty bool) (evictedLP int64, dirtyEvict, hit bool) {
 	if el, ok := d.entries[lp]; ok {
 		e := el.Value.(*cacheEntry)
 		if dirty && !e.dirty {
@@ -112,7 +125,7 @@ func (d *dataCache) insert(lp int64, dirty bool) (evictedLP int64, dirtyEvict bo
 		}
 		e.dirty = e.dirty || dirty
 		d.pol.touched(d, el)
-		return 0, false
+		return 0, false, true
 	}
 	if d.ll.Len() >= d.capacity {
 		victim := d.pol.pickEvict(d)
@@ -131,14 +144,14 @@ func (d *dataCache) insert(lp int64, dirty bool) (evictedLP int64, dirtyEvict bo
 			if dirty {
 				d.dirty++
 			}
-			return evictedLP, dirtyEvict
+			return evictedLP, dirtyEvict, false
 		}
 	}
 	d.entries[lp] = d.ll.PushFront(&cacheEntry{lp: lp, dirty: dirty})
 	if dirty {
 		d.dirty++
 	}
-	return evictedLP, dirtyEvict
+	return evictedLP, dirtyEvict, false
 }
 
 // invalidate drops lp from the cache without writing it back: a TRIM

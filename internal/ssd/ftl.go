@@ -1,7 +1,6 @@
 package ssd
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"math"
@@ -682,65 +681,3 @@ func (f *ftl) lookup(lp int64) planeID {
 	}
 	return f.stripePlane[uint64(lp)%uint64(len(f.stripePlane))]
 }
-
-// --- Cached mapping table (DFTL-style). ---
-
-// cmt simulates the cached mapping table: an LRU of mapping regions.
-// A miss costs a flash read of the mapping page (charged by the engine);
-// a dirty eviction costs a mapping program.
-type cmt struct {
-	capacity int
-	ll       *list.List
-	entries  map[int64]*list.Element
-	gran     int64
-}
-
-type cmtEntry struct {
-	region int64
-	dirty  bool
-}
-
-// newCMT sizes the cached mapping table; scale is the device capacity
-// scale factor, so CMT coverage of the simulated space matches the real
-// CMT's coverage of the real device.
-func newCMT(p *DeviceParams, scale int64) *cmt {
-	gran := int64(p.MappingGranularity)
-	if gran < 1 {
-		gran = 1
-	}
-	capEntries := int(p.CMTBytes / int64(p.CMTEntryBytes) / scale)
-	if capEntries < 1 {
-		capEntries = 1
-	}
-	return &cmt{capacity: capEntries, ll: list.New(), entries: make(map[int64]*list.Element), gran: gran}
-}
-
-// access touches the mapping region of lp. It reports whether the access
-// missed and whether the resulting eviction wrote back a dirty entry.
-func (c *cmt) access(lp int64, write bool) (miss, dirtyEvict bool) {
-	region := lp / c.gran
-	if el, ok := c.entries[region]; ok {
-		c.ll.MoveToFront(el)
-		if write {
-			el.Value.(*cmtEntry).dirty = true
-		}
-		return false, false
-	}
-	if c.ll.Len() >= c.capacity {
-		// Recycle the evicted element and entry in place of
-		// Remove+PushFront so steady-state misses allocate nothing.
-		back := c.ll.Back()
-		e := back.Value.(*cmtEntry)
-		dirtyEvict = e.dirty
-		delete(c.entries, e.region)
-		e.region, e.dirty = region, write
-		c.ll.MoveToFront(back)
-		c.entries[region] = back
-		return true, dirtyEvict
-	}
-	c.entries[region] = c.ll.PushFront(&cmtEntry{region: region, dirty: write})
-	return true, false
-}
-
-// The DRAM data cache and its pluggable replacement policies live in
-// cachepolicy.go.

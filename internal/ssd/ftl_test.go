@@ -279,30 +279,29 @@ func TestPECycleLimitsOrdered(t *testing.T) {
 	}
 }
 
-// TestCMTMissAtCapacityAllocatesNothing: a miss on a full CMT recycles
-// the evicted entry, so steady-state misses allocate nothing, and each
-// eviction still reports the dirtiness of the least recently used
-// region.
+// TestCMTMissAtCapacityAllocatesNothing: a miss on the CMT's full
+// dataCache recycles the evicted entry, so steady-state misses allocate
+// nothing, and each eviction still reports the dirtiness of the least
+// recently used region.
 func TestCMTMissAtCapacityAllocatesNothing(t *testing.T) {
 	p := DefaultParams()
-	p.MappingGranularity = 1
 	p.CMTBytes = 64 * int64(p.CMTEntryBytes)
 	c := newCMT(&p, 1)
 	if c.capacity != 64 {
 		t.Fatalf("capacity %d, want 64", c.capacity)
 	}
-	for lp := int64(0); lp < 64; lp++ {
-		c.access(lp, lp%2 == 0)
+	for r := int64(0); r < 64; r++ {
+		c.insert(r, r%2 == 0)
 	}
 	// Regions 0..63 are evicted in order; the even ones were written.
-	for lp := int64(64); lp < 128; lp++ {
-		miss, dirty := c.access(lp, false)
-		if !miss || dirty != (lp%2 == 0) {
-			t.Fatalf("access(%d) = miss %v, dirty eviction %v", lp, miss, dirty)
+	for r := int64(64); r < 128; r++ {
+		evicted, dirty, hit := c.insert(r, false)
+		if hit || dirty != (r%2 == 0) || (dirty && evicted != r-64) {
+			t.Fatalf("insert(%d) = hit %v, dirty eviction %v of %d", r, hit, dirty, evicted)
 		}
 	}
-	lp := int64(128)
-	if n := testing.AllocsPerRun(1000, func() { c.access(lp, true); lp++ }); n != 0 {
+	r := int64(128)
+	if n := testing.AllocsPerRun(1000, func() { c.insert(r, true); r++ }); n != 0 {
 		t.Fatalf("a miss at capacity allocates %v times, want 0", n)
 	}
 	if c.ll.Len() != 64 || len(c.entries) != 64 {

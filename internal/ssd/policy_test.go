@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestClockSecondChance(t *testing.T) {
 	if !d.read(1) {
 		t.Fatal("warm entry missed")
 	}
-	evicted, _ := d.insert(5, false)
+	evicted, _, _ := d.insert(5, false)
 	if evicted != 2 {
 		t.Fatalf("evicted lp %d, want 2 (1 was referenced and spared)", evicted)
 	}
@@ -182,6 +183,67 @@ func TestClockSecondChance(t *testing.T) {
 	d.insert(6, false)
 	if d.ll.Len() != d.capacity {
 		t.Fatalf("cache holds %d entries, want %d", d.ll.Len(), d.capacity)
+	}
+}
+
+// TestLRUInclusion checks the LRU stack property: on the same stream of
+// reads and mixed clean/dirty inserts, an LRU dataCache of capacity c+k
+// always holds every key the capacity-c cache holds, so it never gets
+// fewer hits. The CMT and the LRU data cache are both this type, so the
+// property covers CMTCapacity and DataCacheSize alike.
+func TestLRUInclusion(t *testing.T) {
+	builders := map[string]func(entries int) *dataCache{
+		"CMT": func(n int) *dataCache {
+			p := DefaultParams()
+			p.CMTBytes = int64(n * p.CMTEntryBytes)
+			return newCMT(&p, 1)
+		},
+		"DataCache": func(n int) *dataCache {
+			p := DefaultParams()
+			p.CachePolicy = CacheLRU
+			p.DataCacheBytes = int64(n * p.CacheLineBytes)
+			return newDataCache(&p, 1)
+		},
+	}
+	for name, build := range builders {
+		for seed := int64(1); seed <= 25; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c, k := 1+rng.Intn(32), 1+rng.Intn(32)
+			keys := int64(c + k + rng.Intn(96))
+			small, large := build(c), build(c+k)
+			if small.capacity != c || large.capacity != c+k {
+				t.Fatalf("%s: capacities %d/%d, want %d/%d", name, small.capacity, large.capacity, c, c+k)
+			}
+			var smallHits, largeHits int
+			for i := 0; i < 5000; i++ {
+				key := rng.Int63n(keys)
+				var hs, hl bool
+				if rng.Intn(4) == 0 {
+					hs, hl = small.read(key), large.read(key)
+				} else {
+					dirty := rng.Intn(2) == 0
+					_, _, hs = small.insert(key, dirty)
+					_, _, hl = large.insert(key, dirty)
+				}
+				if hs && !hl {
+					t.Fatalf("%s seed %d step %d: key %d hit at capacity %d but missed at %d", name, seed, i, key, c, c+k)
+				}
+				if hs {
+					smallHits++
+				}
+				if hl {
+					largeHits++
+				}
+			}
+			for key := range small.entries {
+				if _, ok := large.entries[key]; !ok {
+					t.Fatalf("%s seed %d: key %d cached at capacity %d but not at %d", name, seed, key, c, c+k)
+				}
+			}
+			if largeHits < smallHits {
+				t.Fatalf("%s seed %d: %d hits at capacity %d < %d at %d", name, seed, largeHits, c+k, smallHits, c)
+			}
+		}
 	}
 }
 

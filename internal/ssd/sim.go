@@ -200,18 +200,7 @@ func (e *engine) warmup(ctx context.Context, src trace.Source) (int, error) {
 			break
 		}
 		n++
-		firstLP, nPages := e.ftl.pageSpan(req.LBA, req.Sectors)
-		for k := int64(0); k < nPages; k++ {
-			lp := (firstLP + k) % e.ftl.logicalPages
-			switch req.Op {
-			case trace.Read:
-				e.readPage(lp, 0)
-			case trace.Trim:
-				e.trimPage(lp, 0)
-			default:
-				e.writePage(lp, 0, req.Stream)
-			}
-		}
+		e.servePages(req, 0)
 	}
 	if err := src.Err(); err != nil {
 		return n, fmt.Errorf("ssd: warm-up sweep: %w", err)
@@ -256,8 +245,12 @@ func (e *engine) warmup(ctx context.Context, src trace.Source) (int, error) {
 type engine struct {
 	p     *DeviceParams
 	ftl   *ftl
-	cmt   *cmt
+	cmt   *dataCache // keyed by mapping region: lp / cmtGran
 	cache *dataCache
+
+	// cmtGran is the logical pages one CMT entry covers:
+	// MappingGranularity, or a whole zone on ZNS.
+	cmtGran int64
 
 	channelFree []int64 // per-channel bus timeline (ns)
 	hostFree    int64   // shared host-link timeline (ns)
@@ -299,6 +292,7 @@ func newEngine(p *DeviceParams) (*engine, error) {
 		ftl:         f,
 		cmt:         newCMT(p, f.capScale),
 		cache:       newDataCache(p, f.capScale),
+		cmtGran:     int64(max(p.MappingGranularity, 1)),
 		channelFree: make([]int64, p.Channels),
 		latHist:     obs.NewHistogram(),
 	}
@@ -306,7 +300,7 @@ func newEngine(p *DeviceParams) (*engine, error) {
 		// Zone-granular mapping: a ZNS device only tracks one write
 		// pointer per zone, so a CMT entry covers a whole zone — the
 		// model's metadata advantage over page-mapped conventional FTLs.
-		e.cmt.gran = f.zns.zonePages
+		e.cmtGran = f.zns.zonePages
 		e.zoneFree = make([]int64, len(f.zns.wp))
 	}
 	e.readNS = p.ReadLatency.Nanoseconds()
@@ -399,29 +393,11 @@ func (e *engine) run(ctx context.Context, src trace.Source) (*Result, error) {
 			totalBytes += req.Bytes()
 		}
 
-		// Split into logical pages.
-		firstLP, nPages := e.ftl.pageSpan(req.LBA, req.Sectors)
+		done, firstLP, nPages := e.servePages(req, start)
 		if req.Op == trace.Trim {
 			e.userTrims++
 			if z := e.ftl.zns; z != nil {
 				z.noteTrim(firstLP, nPages)
-			}
-		}
-
-		done := start
-		for k := int64(0); k < nPages; k++ {
-			lp := (firstLP + k) % e.ftl.logicalPages
-			var t int64
-			switch req.Op {
-			case trace.Read:
-				t = e.readPage(lp, start)
-			case trace.Trim:
-				t = e.trimPage(lp, start)
-			default:
-				t = e.writePage(lp, start, req.Stream)
-			}
-			if t > done {
-				done = t
 			}
 		}
 		// The host link is a shared resource: the request's payload
@@ -458,6 +434,29 @@ func (e *engine) run(ctx context.Context, src trace.Source) (*Result, error) {
 	return e.buildResult(count, latSum, totalBytes, firstArrival, lastCompletion), nil
 }
 
+// servePages splits req into the logical pages it spans and applies it
+// to each, all started at t. It returns the latest page completion (t
+// when nothing finishes later) and the span. Both the warm-up and the
+// measured pass replay requests through it.
+func (e *engine) servePages(req trace.Request, t int64) (done, firstLP, nPages int64) {
+	firstLP, nPages = e.ftl.pageSpan(req.LBA, req.Sectors)
+	done = t
+	for k := int64(0); k < nPages; k++ {
+		lp := (firstLP + k) % e.ftl.logicalPages
+		var c int64
+		switch req.Op {
+		case trace.Read:
+			c = e.readPage(lp, t)
+		case trace.Trim:
+			c = e.trimPage(lp, t)
+		default:
+			c = e.writePage(lp, t, req.Stream)
+		}
+		done = max(done, c)
+	}
+	return done, firstLP, nPages
+}
+
 // readPage returns the completion time of a logical-page read started at
 // t (ns).
 func (e *engine) readPage(lp, t int64) int64 {
@@ -480,7 +479,7 @@ func (e *engine) readPage(lp, t int64) int64 {
 	done := e.flashRead(pl, t)
 	e.ftl.userReads++
 	if e.p.ReadCacheEnabled {
-		if victim, dirtyEvict := e.cache.insert(lp, false); dirtyEvict {
+		if victim, dirtyEvict, _ := e.cache.insert(lp, false); dirtyEvict {
 			e.flushDirty(victim, done)
 		}
 	}
@@ -516,7 +515,7 @@ func (e *engine) writePage(lp, t int64, stream uint32) int64 {
 		}
 	}
 	e.dramAccesses++
-	victim, dirtyEvict := e.cache.insert(lp, true)
+	victim, dirtyEvict, _ := e.cache.insert(lp, true)
 	done := t + e.dramNS
 	if dirtyEvict {
 		// The evicted page must be programmed to flash; the new write
@@ -574,8 +573,8 @@ func (e *engine) flushDirty(lp, t int64) (busStart int64) {
 // mappingAccess models the CMT: a miss reads the mapping page from
 // flash; a dirty eviction programs one back.
 func (e *engine) mappingAccess(lp, t int64, write bool) int64 {
-	miss, dirtyEvict := e.cmt.access(lp, write)
-	if !miss {
+	_, dirtyEvict, hit := e.cmt.insert(lp/e.cmtGran, write)
+	if hit {
 		e.cmtHits++
 		return t
 	}
