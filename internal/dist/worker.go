@@ -230,16 +230,29 @@ func (w *Worker) RunConn(ctx context.Context, conn net.Conn) error {
 	// Cancellation unblocks pending reads/writes by closing the conn —
 	// immediately in the legacy mode, after the drain grace period when
 	// Grace is set.
-	var graceTimer *time.Timer
+	// stop does not wait for a callback already running, so the grace
+	// timer is handed over under timerMu.
+	var (
+		timerMu    sync.Mutex
+		graceTimer *time.Timer
+		returned   bool
+	)
 	stop := context.AfterFunc(ctx, func() {
-		if w.Grace > 0 {
-			graceTimer = time.AfterFunc(w.Grace, func() { conn.Close() })
-		} else {
+		if w.Grace <= 0 {
 			conn.Close()
+			return
+		}
+		timerMu.Lock()
+		defer timerMu.Unlock()
+		if !returned {
+			graceTimer = time.AfterFunc(w.Grace, func() { conn.Close() })
 		}
 	})
 	defer func() {
 		stop()
+		timerMu.Lock()
+		defer timerMu.Unlock()
+		returned = true
 		if graceTimer != nil {
 			graceTimer.Stop()
 		}

@@ -22,6 +22,13 @@ const targetSimPages = 1 << 20
 // all-unmapped without a fill pass.
 const unmapped = uint32(0)
 
+// tombstone is the mapping entry of a prefilled logical page that has
+// since been unmapped (TRIM): below the prefill count an unmapped entry
+// means "where the prefill put it" (see resolve), so dropping such a
+// page needs a value of its own. newPPALayout keeps it out of the
+// packable range.
+const tombstone = ^uint32(0)
+
 // ErrGeometryTooLarge is returned by the simulator when a device's
 // scaled geometry has more (plane, block, slot) combinations than a
 // 32-bit mapping entry can address.
@@ -29,7 +36,8 @@ var ErrGeometryTooLarge = errors.New("ssd: scaled geometry does not fit a 32-bit
 
 // ppaLayout packs a physical page address into a 32-bit mapping entry:
 // plane | block | slot, each field only as wide as the device needs,
-// plus one so that zero stays free for unmapped.
+// plus one so that zero stays free for unmapped. The all-ones value is
+// the tombstone, so the largest address plus one must stay below it.
 type ppaLayout struct {
 	blockBits, slotBits uint8
 }
@@ -37,9 +45,9 @@ type ppaLayout struct {
 func newPPALayout(planes int, bpp, ppb int32) (ppaLayout, error) {
 	l := ppaLayout{blockBits: uint8(bits.Len32(uint32(bpp - 1))), slotBits: uint8(bits.Len32(uint32(ppb - 1)))}
 	if bits.Len64(uint64(planes-1))+int(l.blockBits)+int(l.slotBits) <= 32 {
-		// The largest address, plus one, must still fit.
+		// The largest address, plus one, must still fit below tombstone.
 		top := uint64(planes-1)<<(l.blockBits+l.slotBits) | uint64(bpp-1)<<l.slotBits | uint64(ppb-1)
-		if top < math.MaxUint32 {
+		if top+1 < math.MaxUint32 {
 			return l, nil
 		}
 	}
@@ -57,9 +65,58 @@ func (l ppaLayout) unpackPPA(v uint32) (plane planeID, block, slot int32) {
 		int32(v & (1<<l.slotBits - 1))
 }
 
+// mapChunkBits sets the mapping table's chunk size: 256 entries, so the
+// chunks a trace writes stay well under the flat table's size. On the
+// Intel 750 the studied categories at 12000 records write at most 833
+// chunks, about 0.85 MB of 7.3 MB; 4096-entry chunks would be 4.1 MB.
+const mapChunkBits = 8
+
+const mapChunk = 1 << mapChunkBits
+
+// pageMap is the logical → physical mapping table: a directory of
+// chunk indices into one arena of mapChunk-entry chunks, allocated on
+// first write. Arena chunk 0 stays all zero and every absent chunk's
+// directory entry points at it, so a read needs no presence branch; the
+// arena holds no pointers for the GC to scan.
+type pageMap struct {
+	dir   []uint32
+	arena []uint32
+}
+
+func newPageMap(pages int64) pageMap {
+	return pageMap{
+		dir:   make([]uint32, (pages+mapChunk-1)>>mapChunkBits),
+		arena: make([]uint32, mapChunk, 2*mapChunk),
+	}
+}
+
+// get returns lp's raw entry: unmapped when it was never written.
+func (m *pageMap) get(lp int64) uint32 {
+	return m.arena[m.dir[lp>>mapChunkBits]<<mapChunkBits|uint32(lp)&(mapChunk-1)]
+}
+
+func (m *pageMap) set(lp int64, v uint32) {
+	c := &m.dir[lp>>mapChunkBits]
+	if *c == 0 {
+		n := len(m.arena)
+		if n == cap(m.arena) {
+			grown := make([]uint32, n, 2*n)
+			copy(grown, m.arena)
+			m.arena = grown
+		}
+		*c = uint32(n >> mapChunkBits)
+		m.arena = m.arena[:n+mapChunk]
+	}
+	m.arena[*c<<mapChunkBits|uint32(lp)&(mapChunk-1)] = v
+}
+
 // flashBlock is one erase unit.
 type flashBlock struct {
-	pages      []int32 // logical page per slot; -1 = free-or-stale
+	// pages is the logical page per slot (-1 = free or stale). A block
+	// the implicit prefill filled has none until it next takes a write:
+	// its slots follow the prefill layout, and the mapping alone tells
+	// which of them are still live (liveLP).
+	pages      []int32
 	valid      int32
 	writePtr   int32
 	eraseCount int32
@@ -123,11 +180,17 @@ type ftl struct {
 
 	planes []flashPlane
 	ppaLayout
-	mapping []uint32 // logical page -> packed PPA (unmapped = 0)
-	stripe  uint64   // write-striping counter
+	mapping pageMap // logical page -> packed PPA; read it through resolve
+	stripe  uint64  // write-striping counter
 	// stripePlane maps stripe % len to the plane the allocation scheme
 	// places that stripe on, die-failure redirects applied.
 	stripePlane []planeID
+	// prefilled is the number of logical pages the implicit prefill
+	// placed, and stripeOf (built by it) inverts stripePlane. Logical
+	// pages below prefilled whose entry was never written are where
+	// the prefill put them.
+	prefilled int64
+	stripeOf  []int32
 
 	gcMinFree int32
 
@@ -215,10 +278,8 @@ func newFTL(p *DeviceParams) (*ftl, error) {
 		for l := 1; l < f.lanes; l++ {
 			pl.actives[l] = -1
 		}
-		pl.blocks[0].pages = make([]int32, ppb)
-		fillStale(pl.blocks[0].pages)
 	}
-	f.mapping = make([]uint32, f.logicalPages)
+	f.mapping = newPageMap(f.logicalPages)
 	if p.Faults.Enabled() {
 		if err := f.initFaults(p, planes); err != nil {
 			return nil, err
@@ -351,7 +412,7 @@ func (f *ftl) pageSpan(lba uint64, sectors uint32) (firstLP, nPages int64) {
 // storage capacity".
 func (f *ftl) prefill(frac float64) {
 	n := int64(float64(f.logicalPages) * frac)
-	if !f.bulkPrefill(n) {
+	if !f.implicitPrefill(n) {
 		for lp := int64(0); lp < n; lp++ {
 			f.placePage(lp, 0)
 		}
@@ -364,73 +425,136 @@ func (f *ftl) prefill(frac float64) {
 	}
 }
 
-// bulkPrefill writes logical pages [0, n) on lane 0 of a fresh FTL and
-// leaves exactly the state n placePage(lp, 0) calls would, without
-// their per-page work. It reports false, touching nothing, when that
-// equivalence cannot be shown up front: under fault injection (each
-// program draws from the fault RNG), on a used FTL, or when some
-// plane's free list would drop below gcMinFree, which makes placePage
-// run GC mid-prefill.
+// implicitPrefill writes logical pages [0, n) on lane 0 of a fresh FTL
+// and leaves the state n placePage(lp, 0) calls would, as observed
+// through resolve, liveLP and the block and plane counters. It touches
+// only per-block counters: the mapping entries and the filled blocks'
+// pages arrays stay absent, standing for the closed-form layout. It
+// reports false, touching nothing, when that equivalence cannot be
+// shown up front: under fault injection (each program draws from the
+// fault RNG), on a used FTL, or when some plane's free list would drop
+// below gcMinFree, which makes placePage run GC mid-prefill.
 //
 // Without faults stripePlane is a permutation of the planes, so row r
 // of period stripes puts lp r*period+s on plane stripePlane[s], at slot
-// r % pagesPerBlock of that plane's (r / pagesPerBlock)-th block: every
-// plane opens its blocks in lock-step, and only the last, partial row
-// stops short, at stripe n % period. The state is built one chunk of
-// pagesPerBlock rows at a time: each receiving plane opens its block
-// through advanceActive, as placePage would, and fills its pages in
-// order; then the chunk's mapping rows are written from each stripe's
-// block base.
-func (f *ftl) bulkPrefill(n int64) bool {
+// r % pagesPerBlock of that plane's block r / pagesPerBlock: block 0 is
+// open from newFTL, and the free list hands out blocks 1, 2, ... in
+// order. Only the last, partial row stops short, at stripe n % period.
+func (f *ftl) implicitPrefill(n int64) bool {
 	if f.faults != nil || f.stripe != 0 {
 		return false
 	}
 	table, ppb := f.stripePlane, int64(f.pagesPerBlock)
 	period := int64(len(table))
 	rows, rem := n/period, n%period
-	for s, pl := range table {
-		pages := rows
+	pagesOf := func(s int) int64 {
 		if int64(s) < rem {
-			pages++
+			return rows + 1
 		}
+		return rows
+	}
+	for s, pl := range table {
 		// Block 0 takes the first ppb pages; every further ppb open one
 		// block from the free list.
-		if int64(len(f.planes[pl].freeList))-max(pages-1, 0)/ppb < int64(f.gcMinFree) {
+		if int64(len(f.planes[pl].freeList))-max(pagesOf(s)-1, 0)/ppb < int64(f.gcMinFree) {
 			return false
 		}
 	}
-
-	base := make([]uint32, period) // packed PPA of slot 0 of stripe s's open block
-	for r0 := int64(0); r0*period < n; r0 += ppb {
-		end := min(n, (r0+ppb)*period) // first lp past the chunk
-		for s, pl := range table {
-			first := r0*period + int64(s)
-			if first >= end {
-				break // the partial last row ends before stripe s
-			}
-			fp := &f.planes[pl]
-			if r0 > 0 {
-				f.advanceActive(fp, pl, 0) // the previous chunk filled its block
-			}
-			b := fp.actives[0]
-			base[s] = f.packPPA(pl, b, 0)
+	f.stripeOf = make([]int32, period)
+	for s, pl := range table {
+		f.stripeOf[pl] = int32(s)
+		pages := pagesOf(s)
+		opened := int32(max(pages-1, 0) / ppb) // blocks taken from the free list
+		fp := &f.planes[pl]
+		for b := int32(0); b <= opened; b++ {
 			blk := &fp.blocks[b]
-			slot := int32(0)
-			for lp := first; lp < end; lp += period {
-				blk.pages[slot] = int32(lp)
-				slot++
-			}
-			blk.writePtr, blk.valid = slot, slot
+			blk.writePtr = int32(min(ppb, pages-int64(b)*ppb))
+			blk.valid = blk.writePtr
+			blk.allocSeq = int64(b)
 		}
-		for r := r0; r*period < end; r++ {
-			row := f.mapping[r*period : min(end, (r+1)*period)]
-			off := uint32(r - r0)
-			for s, b := range base[:len(row)] {
-				row[s] = b + off
-			}
-		}
+		fp.freeList = fp.freeList[:len(fp.freeList)-int(opened)]
+		fp.actives[0] = opened
+		fp.allocSeq = int64(opened)
 	}
+	f.prefilled = n
 	f.stripe = uint64(n)
+	return true
+}
+
+// resolve returns lp's packed physical address, or unmapped. Below the
+// prefill count an unset entry stands for where the prefill put lp.
+func (f *ftl) resolve(lp int64) uint32 {
+	v := f.mapping.get(lp)
+	if v == unmapped && lp < f.prefilled {
+		period := int64(len(f.stripePlane))
+		r, ppb := lp/period, int64(f.pagesPerBlock)
+		return f.packPPA(f.stripePlane[lp%period], int32(r/ppb), int32(r%ppb))
+	}
+	if v == tombstone {
+		return unmapped
+	}
+	return v
+}
+
+// unmap drops lp's mapping; a prefilled page keeps a tombstone.
+func (f *ftl) unmap(lp int64) {
+	v := unmapped
+	if lp < f.prefilled {
+		v = tombstone
+	}
+	f.mapping.set(lp, v)
+}
+
+// liveLP returns the logical page live in slot (below writePtr) of
+// blk, block b on plane pl, or -1 when the slot is stale. A pages array
+// marks every stale slot -1. A block the prefill filled has none: it has
+// taken no write since, so a slot is live exactly while its page's
+// mapping entry is unset.
+func (f *ftl) liveLP(blk *flashBlock, pl planeID, b, slot int32) int32 {
+	if blk.pages != nil {
+		return blk.pages[slot]
+	}
+	row := int64(b)*int64(f.pagesPerBlock) + int64(slot)
+	lp := row*int64(len(f.stripePlane)) + int64(f.stripeOf[pl])
+	if f.mapping.get(lp) != unmapped {
+		return -1
+	}
+	return int32(lp)
+}
+
+// materialize gives block b on plane pl its pages array before the
+// block takes a write: the open block the prefill left, or a plane's
+// first block when nothing was prefilled.
+func (f *ftl) materialize(pl planeID, b int32) {
+	blk := &f.planes[pl].blocks[b]
+	pages := make([]int32, f.pagesPerBlock)
+	fillStale(pages)
+	for slot := int32(0); slot < blk.writePtr; slot++ {
+		pages[slot] = f.liveLP(blk, pl, b, slot)
+	}
+	blk.pages = pages
+}
+
+// invalidate stales lp's current copy and reports whether it had one.
+// In a block without a pages array the slot stays live while lp's entry
+// is unset, so lp is unmapped at once: a GC or materialize before the
+// caller's own mapping update must see the slot stale.
+func (f *ftl) invalidate(lp int64) bool {
+	v := f.resolve(lp)
+	if v == unmapped {
+		return false
+	}
+	pl, b, slot := f.unpackPPA(v)
+	blk := &f.planes[pl].blocks[b]
+	switch {
+	case blk.pages == nil:
+		f.unmap(lp)
+	case blk.pages[slot] == int32(lp):
+		blk.pages[slot] = -1
+	default:
+		return true
+	}
+	blk.valid--
 	return true
 }
 
@@ -448,25 +572,21 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	fp := &f.planes[pl]
 
 	// Invalidate the previous location.
-	if old := f.mapping[lp]; old != unmapped {
-		opl, ob, oslot := f.unpackPPA(old)
-		blk := &f.planes[opl].blocks[ob]
-		if blk.pages[oslot] == int32(lp) {
-			blk.pages[oslot] = -1
-			blk.valid--
-		}
-	}
+	f.invalidate(lp)
 
 	ab := fp.actives[lane]
 	if ab < 0 || fp.blocks[ab].full(f.pagesPerBlock) {
 		f.advanceActive(fp, pl, lane)
 		if f.fatal != nil {
-			f.mapping[lp] = unmapped
+			f.unmap(lp)
 			return pl, 0, 0
 		}
 		ab = fp.actives[lane]
 	}
 	blk := &fp.blocks[ab]
+	if blk.pages == nil {
+		f.materialize(pl, ab)
+	}
 	if f.faults != nil {
 		// Program failures: a failed program leaves its slot unusable
 		// until the block is erased (counted against the block's grown-
@@ -479,7 +599,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 			if blk.full(f.pagesPerBlock) {
 				f.advanceActive(fp, pl, lane)
 				if f.fatal != nil {
-					f.mapping[lp] = unmapped
+					f.unmap(lp)
 					return pl, 0, 0
 				}
 				blk = &fp.blocks[fp.actives[lane]]
@@ -490,7 +610,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	blk.writePtr++
 	blk.pages[slot] = int32(lp)
 	blk.valid++
-	f.mapping[lp] = f.packPPA(pl, fp.actives[lane], slot)
+	f.mapping.set(lp, f.packPPA(pl, fp.actives[lane], slot))
 
 	if int32(len(fp.freeList)) < f.gcMinFree {
 		gcMoves, gcErases = f.collect(fp, pl)
@@ -547,11 +667,8 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 		// exactly the historical behavior.
 		lane := blk.lane
 		for slot := int32(0); slot < blk.writePtr; slot++ {
-			lp := blk.pages[slot]
+			lp := f.liveLP(blk, pl, victim, slot)
 			if lp < 0 {
-				continue
-			}
-			if f.mapping[lp] != f.packPPA(pl, victim, slot) {
 				continue // stale
 			}
 			dst := &fp.blocks[fp.actives[lane]]
@@ -565,12 +682,17 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 				f.advanceActive(fp, pl, lane)
 				dst = &fp.blocks[fp.actives[lane]]
 			}
+			if dst.pages == nil {
+				f.materialize(pl, fp.actives[lane])
+			}
 			s := dst.writePtr
 			dst.writePtr++
 			dst.pages[s] = lp
 			dst.valid++
-			f.mapping[lp] = f.packPPA(pl, fp.actives[lane], s)
-			blk.pages[slot] = -1
+			f.mapping.set(int64(lp), f.packPPA(pl, fp.actives[lane], s))
+			if blk.pages != nil {
+				blk.pages[slot] = -1
+			}
 			blk.valid--
 			moves++
 		}
@@ -650,17 +772,10 @@ func (f *ftl) laneFor(lp int64) int32 {
 // credit of a TRIM: the page no longer needs to be moved at collection
 // time. Reports whether lp was actually mapped.
 func (f *ftl) trimPage(lp int64) bool {
-	v := f.mapping[lp]
-	if v == unmapped {
+	if !f.invalidate(lp) {
 		return false
 	}
-	opl, ob, oslot := f.unpackPPA(v)
-	blk := &f.planes[opl].blocks[ob]
-	if blk.pages[oslot] == int32(lp) {
-		blk.pages[oslot] = -1
-		blk.valid--
-	}
-	f.mapping[lp] = unmapped
+	f.unmap(lp)
 	f.trimmedPages++
 	return true
 }
@@ -673,9 +788,11 @@ func (f *ftl) pickVictim(fp *flashPlane) int32 {
 
 // lookup returns the plane that holds lp. Pages never written are given a
 // deterministic pseudo-location so that reads of cold data still exercise
-// the layout (they are spread exactly like striped writes would be).
+// the layout (they are spread exactly like striped writes would be). That
+// is also the plane the implicit prefill put lp on, so a prefilled page
+// needs no resolve here, and a trimmed one reads as never written.
 func (f *ftl) lookup(lp int64) planeID {
-	if v := f.mapping[lp]; v != unmapped {
+	if v := f.mapping.get(lp); v != unmapped && v != tombstone {
 		pl, _, _ := f.unpackPPA(v)
 		return pl
 	}

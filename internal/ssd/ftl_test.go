@@ -60,21 +60,43 @@ func TestPPARoundTrip(t *testing.T) {
 
 func TestPlacePageInvalidatesOldCopy(t *testing.T) {
 	f := newTestFTL(t, nil)
-	pl1, _, _ := f.placePage(42, 0)
-	old := f.mapping[42]
-	opl, ob, oslot := f.unpackPPA(old)
-	if opl != pl1 {
-		t.Fatal("mapping does not match returned plane")
+	f.prefill(0.5)
+	period := int64(len(f.stripePlane))
+	// prefilled-period sits in the block the prefill left open on the
+	// plane the first write goes to, so its overwrite builds that block's
+	// pages array after invalidating the old copy. 42 is prefilled too,
+	// in a full block that stays without a pages array. The last page is
+	// above the prefill, so its first copy is written.
+	last := f.logicalPages - 1
+	for _, lp := range []int64{f.prefilled - period, 42, last} {
+		if lp == last {
+			f.placePage(lp, 0)
+		}
+		old := f.resolve(lp)
+		opl, ob, oslot := f.unpackPPA(old)
+		if got := slotLive(f, opl, ob, oslot); got != int32(lp) {
+			t.Fatalf("lp %d: slot its mapping points at holds live lp %d", lp, got)
+		}
+		// Overwrite: old slot becomes stale, valid count drops unless
+		// the new copy lands in the same block.
+		before := f.planes[opl].blocks[ob].valid
+		pl, _, _ := f.placePage(lp, 0)
+		if pl != f.lookup(lp) {
+			t.Fatalf("lp %d: mapping does not match returned plane", lp)
+		}
+		want := before - 1
+		if npl, nb, _ := f.unpackPPA(f.resolve(lp)); npl == opl && nb == ob {
+			want++
+		}
+		if slotLive(f, opl, ob, oslot) != -1 {
+			t.Fatalf("lp %d: old slot not invalidated", lp)
+		}
+		if after := f.planes[opl].blocks[ob].valid; after != want {
+			t.Fatalf("lp %d: valid count %d -> %d, want %d", lp, before, after, want)
+		}
 	}
-	// Overwrite: old slot becomes stale, valid count drops.
-	before := f.planes[opl].blocks[ob].valid
-	f.placePage(42, 0)
-	after := f.planes[opl].blocks[ob].valid
-	if f.planes[opl].blocks[ob].pages[oslot] != -1 {
-		t.Fatal("old slot not invalidated")
-	}
-	if after != before-1 {
-		t.Fatalf("valid count %d -> %d, want decrement", before, after)
+	if f.planes[0].blocks[0].pages != nil {
+		t.Fatal("invalidating a prefilled page built its block's pages array")
 	}
 }
 
@@ -99,48 +121,17 @@ func TestLogicalSpaceBounds(t *testing.T) {
 
 func TestValidCountsConsistentUnderChurn(t *testing.T) {
 	f := newTestFTL(t, nil)
-	// Hammer a small working set so GC churns, then audit invariants.
-	ws := f.logicalPages / 2
+	f.prefill(0.5)
+	// Hammer a small working set, half of it prefilled, so GC churns
+	// over implicit and written blocks alike, then audit invariants.
+	ws, base := f.logicalPages/2, f.logicalPages/4
 	for i := int64(0); i < ws*6; i++ {
-		f.placePage(i%ws, 0)
-	}
-	var totalValid int64
-	for pi := range f.planes {
-		fp := &f.planes[pi]
-		for bi := range fp.blocks {
-			blk := &fp.blocks[bi]
-			if blk.valid < 0 {
-				t.Fatalf("negative valid count on plane %d block %d", pi, bi)
-			}
-			var live int32
-			for slot := int32(0); slot < blk.writePtr; slot++ {
-				lp := blk.pages[slot]
-				if lp < 0 {
-					continue
-				}
-				if f.mapping[lp] == f.packPPA(planeID(pi), int32(bi), slot) {
-					live++
-				}
-			}
-			if live != blk.valid {
-				t.Fatalf("plane %d block %d: recorded valid %d, actual live %d", pi, bi, blk.valid, live)
-			}
-			totalValid += int64(blk.valid)
-		}
-	}
-	// Every mapped page is live exactly once.
-	var mapped int64
-	for _, m := range f.mapping {
-		if m != unmapped {
-			mapped++
-		}
-	}
-	if mapped != totalValid {
-		t.Fatalf("mapped pages %d != total valid %d", mapped, totalValid)
+		f.placePage(base+i%ws, 0)
 	}
 	if f.erases == 0 {
 		t.Fatal("churn of 3x logical space should trigger erases")
 	}
+	auditFTL(t, "churn", f)
 }
 
 func TestGreedyVsFIFOWriteAmplification(t *testing.T) {

@@ -187,7 +187,7 @@ func auditStreamIsolation(t *testing.T, label string, e *engine) {
 		for bi := range fp.blocks {
 			blk := &fp.blocks[bi]
 			for slot := int32(0); slot < blk.writePtr; slot++ {
-				lp := blk.pages[slot]
+				lp := slotLive(f, planeID(pi), int32(bi), slot)
 				if lp < 0 {
 					continue
 				}

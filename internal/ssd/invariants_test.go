@@ -7,10 +7,23 @@ import (
 	"autoblox/internal/workload"
 )
 
+// slotLive returns the logical page the reverse map (liveLP) holds live
+// in slot of block b on plane pl, or -1 when the slot is free or stale.
+// It covers blocks the implicit prefill left without a pages array as
+// well as written ones; auditFTL checks it against resolve.
+func slotLive(f *ftl, pl planeID, b, slot int32) int32 {
+	blk := &f.planes[pl].blocks[b]
+	if slot >= blk.writePtr {
+		return -1
+	}
+	return f.liveLP(blk, pl, b, slot)
+}
+
 // auditFTL checks the FTL conservation invariants after arbitrary churn:
 // every mapped logical page is live in exactly one physical slot, every
-// live slot is the one its mapping points at, per-block valid counters
-// match a recount, and no counter went negative.
+// slot the reverse map holds live is the one its mapping points at,
+// per-block valid counters match a recount, and no counter went
+// negative.
 func auditFTL(t *testing.T, label string, f *ftl) {
 	t.Helper()
 	liveCount := make(map[int32]int32)
@@ -28,13 +41,13 @@ func auditFTL(t *testing.T, label string, f *ftl) {
 			totalValid += int64(blk.valid)
 			var recount int32
 			for slot := int32(0); slot < blk.writePtr; slot++ {
-				lp := blk.pages[slot]
+				lp := slotLive(f, planeID(pi), int32(bi), slot)
 				if lp < 0 {
 					continue
 				}
 				recount++
 				liveCount[lp]++
-				if f.mapping[lp] != f.packPPA(planeID(pi), int32(bi), slot) {
+				if f.resolve(int64(lp)) != f.packPPA(planeID(pi), int32(bi), slot) {
 					t.Fatalf("%s: lp %d live in plane %d block %d slot %d but mapping disagrees", label, lp, pi, bi, slot)
 				}
 			}
@@ -44,8 +57,8 @@ func auditFTL(t *testing.T, label string, f *ftl) {
 		}
 	}
 	var mapped int64
-	for lp, ppa := range f.mapping {
-		if ppa == unmapped {
+	for lp := int64(0); lp < f.logicalPages; lp++ {
+		if f.resolve(lp) == unmapped {
 			if liveCount[int32(lp)] != 0 {
 				t.Fatalf("%s: unmapped lp %d has %d live copies", label, lp, liveCount[int32(lp)])
 			}

@@ -247,6 +247,38 @@ func TestLRUInclusion(t *testing.T) {
 	}
 }
 
+// TestLRUInclusionWholeSimulation lifts TestLRUInclusion to whole
+// simulations: on the same trace, a larger LRU data cache never reports
+// fewer Result.CacheHits. Cache decisions follow the request order, not
+// the simulated timing, so the stack property must survive everything
+// around the cache: flushes, GC and the CMT.
+func TestLRUInclusionWholeSimulation(t *testing.T) {
+	cats := workload.Studied()
+	if testing.Short() {
+		cats = cats[:3]
+	}
+	devices := map[string]DeviceParams{"intel750": Intel750(), "small": smallDevice()}
+	for _, cat := range cats {
+		tr := testTrace(cat, 2000)
+		for name, base := range devices {
+			for _, readCache := range []bool{false, true} {
+				prev, prevMiB := int64(-1), 0
+				for _, mib := range []int{1, 2, 4, 8, 16, 64, 256} {
+					p := base
+					p.CachePolicy = CacheLRU
+					p.ReadCacheEnabled = readCache
+					p.DataCacheBytes = int64(mib) << 20
+					hits := runTrace(t, p, tr).CacheHits
+					if hits < prev {
+						t.Fatalf("%s/%s read cache %v: %d hits at %d MiB < %d at %d MiB", cat, name, readCache, hits, mib, prev, prevMiB)
+					}
+					prev, prevMiB = hits, mib
+				}
+			}
+		}
+	}
+}
+
 // Every registered GC policy must drive a full simulation with real GC
 // pressure.
 func TestGCPoliciesAllSimulate(t *testing.T) {

@@ -3,6 +3,7 @@ package ssd
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -10,24 +11,24 @@ import (
 	"autoblox/internal/workload"
 )
 
-// diffFTL names the first piece of FTL state in which a and b differ,
-// or returns "" when they are identical: mapping, stripe counter, op
-// counters, fault state and every plane's free list, actives, GC
-// counters and per-block pages/writePtr/valid/allocSeq/lane.
+// diffFTL names the first piece of observable FTL state in which a and
+// b differ, or returns "" when they agree: the resolved address of every
+// logical page, stripe counter, op counters, fault state, every plane's
+// free list, actives and counters, and per block every counter and the
+// logical page live in each slot. Whether a block carries a pages array
+// is representation, not state, and is not compared.
 func diffFTL(a, b *ftl) string {
-	if !slices.Equal(a.mapping, b.mapping) {
-		for lp := range a.mapping {
-			if a.mapping[lp] != b.mapping[lp] {
-				return fmt.Sprintf("mapping[%d] %#x != %#x", lp, a.mapping[lp], b.mapping[lp])
-			}
+	for lp := int64(0); lp < a.logicalPages; lp++ {
+		if va, vb := a.resolve(lp), b.resolve(lp); va != vb {
+			return fmt.Sprintf("resolve(%d) %#x != %#x", lp, va, vb)
 		}
 	}
 	if a.stripe != b.stripe {
 		return fmt.Sprintf("stripe %d != %d", a.stripe, b.stripe)
 	}
-	if a.fatal != b.fatal || a.gcReads != b.gcReads || a.gcPrograms != b.gcPrograms || a.erases != b.erases {
-		return fmt.Sprintf("counters/fatal differ: %v/%d/%d/%d vs %v/%d/%d/%d",
-			a.fatal, a.gcReads, a.gcPrograms, a.erases, b.fatal, b.gcReads, b.gcPrograms, b.erases)
+	if a.fatal != b.fatal || a.gcReads != b.gcReads || a.gcPrograms != b.gcPrograms || a.erases != b.erases || a.trimmedPages != b.trimmedPages {
+		return fmt.Sprintf("counters/fatal differ: %v/%d/%d/%d/%d vs %v/%d/%d/%d/%d",
+			a.fatal, a.gcReads, a.gcPrograms, a.erases, a.trimmedPages, b.fatal, b.gcReads, b.gcPrograms, b.erases, b.trimmedPages)
 	}
 	if !reflect.DeepEqual(a.faults, b.faults) {
 		return "fault state differs"
@@ -41,11 +42,21 @@ func diffFTL(a, b *ftl) string {
 			return fmt.Sprintf("plane %d actives %v != %v", pl, pa.actives, pb.actives)
 		}
 		for bi := range pa.blocks {
-			if !reflect.DeepEqual(pa.blocks[bi], pb.blocks[bi]) {
-				return fmt.Sprintf("plane %d block %d: %+v != %+v", pl, bi, pa.blocks[bi], pb.blocks[bi])
+			ba, bb := pa.blocks[bi], pb.blocks[bi]
+			ba.pages, bb.pages = nil, nil
+			if !reflect.DeepEqual(ba, bb) {
+				return fmt.Sprintf("plane %d block %d: %+v != %+v", pl, bi, ba, bb)
+			}
+			for slot := int32(0); slot < ba.writePtr; slot++ {
+				la, lb := slotLive(a, planeID(pl), int32(bi), slot), slotLive(b, planeID(pl), int32(bi), slot)
+				if la != lb {
+					return fmt.Sprintf("plane %d block %d slot %d holds live lp %d != %d", pl, bi, slot, la, lb)
+				}
 			}
 		}
-		if !reflect.DeepEqual(*pa, *pb) {
+		qa, qb := *pa, *pb
+		qa.blocks, qb.blocks = nil, nil
+		if !reflect.DeepEqual(qa, qb) {
 			return fmt.Sprintf("plane %d counters: allocSeq %d/%d gcRuns %d/%d moves %d/%d", pl,
 				pa.allocSeq, pb.allocSeq, pa.gcRuns, pb.gcRuns, pa.moveCount, pb.moveCount)
 		}
@@ -53,12 +64,64 @@ func diffFTL(a, b *ftl) string {
 	return ""
 }
 
+// victimLog records every GC victim its policy picks, as plane and
+// block, so two FTLs can be checked for the same collection sequence.
+type victimLog struct {
+	gcVictimPolicy
+	picks [][2]int
+}
+
+func (v *victimLog) pickVictim(f *ftl, fp *flashPlane) int32 {
+	b := v.gcVictimPolicy.pickVictim(f, fp)
+	v.picks = append(v.picks, [2]int{slices.IndexFunc(f.planes, func(p flashPlane) bool { return &p.blocks[0] == &fp.blocks[0] }), int(b)})
+	return b
+}
+
+// churn applies the same seeded mix of overwrites (half of them aimed
+// at the prefilled pages), TRIMs and the GC they trigger to a and b,
+// and fails at the first operation after which their placement, GC
+// moves and erases, victims or observable state differ.
+func churn(t testing.TB, a, b *ftl, n int64, ops int) {
+	t.Helper()
+	la, lb := &victimLog{gcVictimPolicy: a.gcPick}, &victimLog{gcVictimPolicy: b.gcPick}
+	a.gcPick, b.gcPick = la, lb
+	rng := rand.New(rand.NewSource(int64(ops) ^ n))
+	seen := 0 // victims already compared
+	for i := 0; i < ops; i++ {
+		lp := rng.Int63n(a.logicalPages)
+		if n > 0 && rng.Intn(2) == 0 {
+			lp = rng.Int63n(n)
+		}
+		if rng.Intn(20) == 0 {
+			if ta, tb := a.trimPage(lp), b.trimPage(lp); ta != tb {
+				t.Fatalf("op %d: trimPage(%d) = %v != %v", i, lp, ta, tb)
+			}
+			continue
+		}
+		pa, ma, ea := a.placePage(lp, a.laneFor(lp))
+		pb, mb, eb := b.placePage(lp, b.laneFor(lp))
+		if pa != pb || ma != mb || ea != eb {
+			t.Fatalf("op %d: placePage(%d) = (%d, %d, %d) != (%d, %d, %d)", i, lp, pa, ma, ea, pb, mb, eb)
+		}
+		if len(la.picks) != len(lb.picks) || !slices.Equal(la.picks[seen:], lb.picks[seen:]) {
+			t.Fatalf("op %d: GC victims %v != %v", i, la.picks[seen:], lb.picks[seen:])
+		}
+		seen = len(la.picks)
+	}
+	a.gcPick, b.gcPick = la.gcVictimPolicy, lb.gcVictimPolicy
+	if d := diffFTL(a, b); d != "" {
+		t.Fatalf("after %d churn ops (%d GC victims): %s", ops, len(la.picks), d)
+	}
+}
+
 // checkPrefill fills frac of p's logical space twice, once through
-// bulkPrefill and once through the placePage(lp, 0) loop, and fails
-// unless both leave identical state. When bulkPrefill declines it must
-// leave the FTL untouched; the placePage loop then runs on it, as
-// prefill does. It reports whether the bulk path ran.
-func checkPrefill(t testing.TB, p DeviceParams, frac float64) (bulk bool) {
+// implicitPrefill and once through the placePage(lp, 0) loop, and fails
+// unless both leave the same observable state, before and after ops
+// operations of churn. When implicitPrefill declines it must leave the
+// FTL untouched; the placePage loop then runs on it, as prefill does,
+// and the churn is skipped: both sides would run the same code. It
+// reports whether the implicit path ran.
+func checkPrefill(t testing.TB, p DeviceParams, frac float64, ops int) (implicit bool) {
 	t.Helper()
 	build := func() *ftl {
 		f, err := newFTL(&p)
@@ -72,18 +135,21 @@ func checkPrefill(t testing.TB, p DeviceParams, frac float64) (bulk bool) {
 	for lp := int64(0); lp < n; lp++ {
 		want.placePage(lp, 0)
 	}
-	if bulk = got.bulkPrefill(n); !bulk {
+	if implicit = got.implicitPrefill(n); !implicit {
 		if d := diffFTL(got, build()); d != "" {
-			t.Fatalf("declined bulk prefill modified state: %s", d)
+			t.Fatalf("declined implicit prefill modified state: %s", d)
 		}
 		for lp := int64(0); lp < n; lp++ {
 			got.placePage(lp, 0)
 		}
 	}
 	if d := diffFTL(got, want); d != "" {
-		t.Fatalf("%s/%s occupancy %.2f (bulk=%v): %s", p.PlaneAllocScheme, p.HostIfcModel, frac, bulk, d)
+		t.Fatalf("%s/%s occupancy %.2f (implicit=%v): %s", p.PlaneAllocScheme, p.HostIfcModel, frac, implicit, d)
 	}
-	return bulk
+	if implicit {
+		churn(t, got, want, n, ops)
+	}
+	return implicit
 }
 
 // prefillDevice has every fan-out level above one (so the allocation
@@ -105,8 +171,8 @@ func referenceDevices() map[string]DeviceParams {
 	}
 }
 
-// TestStripePlaneIsPermutation pins the precondition of bulkPrefill's
-// row-by-row construction: without faults, one period of stripes puts
+// TestStripePlaneIsPermutation pins the precondition of the implicit
+// prefill's closed-form layout: without faults, one period of stripes puts
 // exactly one stripe on every plane, under every allocation scheme.
 func TestStripePlaneIsPermutation(t *testing.T) {
 	devices := referenceDevices()
@@ -133,7 +199,7 @@ func TestStripePlaneIsPermutation(t *testing.T) {
 	}
 }
 
-func TestBulkPrefillMatchesPlacePage(t *testing.T) {
+func TestImplicitPrefillMatchesPlacePage(t *testing.T) {
 	for scheme := 0; scheme < NumAllocSchemes; scheme++ {
 		for ifc := range HostIfcNames() {
 			for _, occ := range []float64{0, 0.5, 0.85, 0.99} {
@@ -141,33 +207,35 @@ func TestBulkPrefillMatchesPlacePage(t *testing.T) {
 				p.PlaneAllocScheme = AllocScheme(scheme)
 				p.HostIfcModel = HostIfc(ifc)
 				// At 0.99 a plane's free list reaches the GC threshold
-				// mid-prefill, so only the placePage loop is exact.
-				if bulk := checkPrefill(t, p, occ); bulk != (occ < 0.99) {
-					t.Fatalf("%s/%s occupancy %.2f: bulk path ran = %v", p.PlaneAllocScheme, p.HostIfcModel, occ, bulk)
+				// mid-prefill, so only the placePage loop is exact. The
+				// churn writes most of the device again, so GC runs.
+				if implicit := checkPrefill(t, p, occ, 20000); implicit != (occ < 0.99) {
+					t.Fatalf("%s/%s occupancy %.2f: implicit path ran = %v", p.PlaneAllocScheme, p.HostIfcModel, occ, implicit)
 				}
 			}
 		}
 	}
 	for name, p := range referenceDevices() {
-		if !checkPrefill(t, p, p.InitialOccupancyFrac) {
-			t.Fatalf("%s: bulk prefill declined at its own occupancy", name)
+		if !checkPrefill(t, p, p.InitialOccupancyFrac, 20000) {
+			t.Fatalf("%s: implicit prefill declined at its own occupancy", name)
 		}
 	}
 }
 
-func TestBulkPrefillDeclinesUnderFaults(t *testing.T) {
+func TestImplicitPrefillDeclinesUnderFaults(t *testing.T) {
 	for _, fp := range []FaultProfile{{DieFailures: 1, Seed: 3}, {Rate: 0.001, Seed: 7}} {
 		p := prefillDevice()
 		p.Faults = fp
-		if checkPrefill(t, p, 0.5) {
-			t.Fatalf("faults %+v: bulk prefill ran, want the placePage fallback", fp)
+		if checkPrefill(t, p, 0.5, 0) {
+			t.Fatalf("faults %+v: implicit prefill ran, want the placePage fallback", fp)
 		}
 	}
 }
 
-// FuzzPrefillMatchesPlacePage checks bulk prefill against the placePage
-// loop over small random geometries, schemes, host interfaces,
-// occupancies, GC thresholds and die failures.
+// FuzzPrefillMatchesPlacePage checks the implicit prefill, and a short
+// churn after it, against the placePage loop over small random
+// geometries, schemes, host interfaces, occupancies, GC thresholds and
+// die failures.
 func FuzzPrefillMatchesPlacePage(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(3), uint8(2), uint8(2), uint8(32), uint8(32), uint8(128), uint8(8), uint8(10), uint8(0))
 	f.Add(uint8(9), uint8(1), uint8(3), uint8(1), uint8(4), uint8(1), uint8(16), uint8(64), uint8(217), uint8(7), uint8(5), uint8(0))
@@ -190,7 +258,7 @@ func FuzzPrefillMatchesPlacePage(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			return
 		}
-		checkPrefill(t, p, float64(occ)/255)
+		checkPrefill(t, p, float64(occ)/255, 4000)
 	})
 }
 
@@ -215,6 +283,19 @@ func TestGeometryTooLargeIsTypedError(t *testing.T) {
 	}
 	if _, err := newPPALayout(1<<16-1, 1<<8, 1<<8); err != nil {
 		t.Fatalf("32-bit layout with a spare top address: %v", err)
+	}
+	// One slot short of that, the last address plus one would be the
+	// all-ones tombstone; two slots short it is the largest packable
+	// value.
+	if _, err := newPPALayout(1<<16, 1<<8, 1<<8-1); !errors.Is(err, ErrGeometryTooLarge) {
+		t.Fatalf("layout whose last address packs to the tombstone: error = %v, want ErrGeometryTooLarge", err)
+	}
+	l, err := newPPALayout(1<<16, 1<<8, 1<<8-2)
+	if err != nil {
+		t.Fatalf("layout one below the tombstone: %v", err)
+	}
+	if v := l.packPPA(1<<16-1, 1<<8-1, 1<<8-3); v != tombstone-1 {
+		t.Fatalf("last address packs to %#x, want %#x", v, tombstone-1)
 	}
 	sim, err := NewSimulator(p)
 	if err != nil {
