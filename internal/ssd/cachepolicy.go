@@ -1,7 +1,5 @@
 package ssd
 
-import "container/list"
-
 // CachePolicy selects the data-cache replacement policy.
 type CachePolicy uint8
 
@@ -18,13 +16,14 @@ const (
 )
 
 // cacheReplacementPolicy decides how dataCache entries age and which
-// one is displaced when the cache is full. The cache owns the list and
-// map bookkeeping; the policy only orders it.
+// one is displaced when the cache is full. The cache owns the node list
+// and the index; the policy only orders the list. Entries are named by
+// their node index.
 type cacheReplacementPolicy interface {
-	// touched refreshes el after a hit (read or overwrite).
-	touched(d *dataCache, el *list.Element)
-	// pickEvict chooses the entry to displace; nil means evict nothing.
-	pickEvict(d *dataCache) *list.Element
+	// touched refreshes node n after a hit (read or overwrite).
+	touched(d *dataCache, n int32)
+	// pickEvict chooses the node to displace; 0 means evict nothing.
+	pickEvict(d *dataCache) int32
 }
 
 // cachePolicyTable is the single source of truth for the cache
@@ -61,19 +60,37 @@ func DescribeCachePolicies() string { return cachePolicies.describe() }
 // dataCache simulates a controller DRAM cache. The data cache keys it by
 // logical page with a pluggable replacement policy; the cached mapping
 // table (newCMT) keys it by mapping region under LRU.
+//
+// The cache holds no pointers, so the GC never scans it. Its entries are
+// nodes of one slice, kept in recency order by a doubly linked list of
+// node indices; node 0 is the list's sentinel, so nodes[0].next is the
+// most recent entry and nodes[0].prev the least recent, and the cache
+// holds len(nodes)-1 entries. An open-addressing index maps a key to its
+// node. Keys are logical pages or mapping regions, which newFTL bounds
+// below 2^31 (maxLogicalPages).
 type dataCache struct {
 	capacity int
 	pol      cacheReplacementPolicy
-	ll       *list.List
-	entries  map[int64]*list.Element
+	nodes    []cacheNode
+	index    []cacheSlot // power-of-two length, at most half full
+	shift    uint8       // 32 - log2(len(index)), for hashing
 	dirty    int
 }
 
-type cacheEntry struct {
-	lp    int64
-	dirty bool
-	ref   bool // CLOCK reference bit
+type cacheNode struct {
+	lp         int32
+	prev, next int32
+	dirty      bool
+	ref        bool // CLOCK reference bit
 }
+
+// cacheSlot is one index slot; node 0 (the sentinel) marks it empty.
+type cacheSlot struct {
+	key, node int32
+}
+
+// minIndexBits sizes a new cache's index: 16 slots, grown by doubling.
+const minIndexBits = 4
 
 // newDataCache sizes the DRAM data cache; scale keeps its coverage of
 // the simulated space equal to the real cache's coverage of the device.
@@ -96,95 +113,184 @@ func newCMT(p *DeviceParams, scale int64) *dataCache {
 }
 
 // newCache returns an empty cache of capEntries entries, at least one.
+// Nodes and index grow with the entries, so a large cache a trace never
+// fills costs only what it holds.
 func newCache(capEntries int, pol cacheReplacementPolicy) *dataCache {
 	return &dataCache{
 		capacity: max(capEntries, 1),
 		pol:      pol,
-		ll:       list.New(),
-		entries:  make(map[int64]*list.Element),
+		nodes:    make([]cacheNode, 1),
+		index:    make([]cacheSlot, 1<<minIndexBits),
+		shift:    32 - minIndexBits,
 	}
 }
 
+// len reports the number of cached entries.
+func (d *dataCache) len() int { return len(d.nodes) - 1 }
+
+// home is key's preferred index slot (Fibonacci hashing).
+func (d *dataCache) home(key int32) int {
+	return int(uint32(key) * 0x9E3779B9 >> d.shift)
+}
+
+// find returns key's index slot and node, or, when key is absent, the
+// empty slot that ends its probe run and node 0.
+func (d *dataCache) find(key int32) (slot int, node int32) {
+	mask := len(d.index) - 1
+	for i := d.home(key); ; i = (i + 1) & mask {
+		s := d.index[i]
+		if s.node == 0 || s.key == key {
+			return i, s.node
+		}
+	}
+}
+
+// unindex empties slot i by backward shift: each later entry of the
+// probe run whose home does not lie strictly after the hole moves into
+// it, so lookups need no tombstones.
+func (d *dataCache) unindex(i int) {
+	mask := len(d.index) - 1
+	for j := (i + 1) & mask; d.index[j].node != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i only if i lies on its
+		// probe path, i.e. cyclically within [home, j).
+		if (j-d.home(d.index[j].key))&mask >= (j-i)&mask {
+			d.index[i] = d.index[j]
+			i = j
+		}
+	}
+	d.index[i] = cacheSlot{}
+}
+
+// grow doubles the index and re-inserts every entry.
+func (d *dataCache) grow() {
+	d.index = make([]cacheSlot, 2*len(d.index))
+	d.shift--
+	for n := int32(1); n < int32(len(d.nodes)); n++ {
+		i, _ := d.find(d.nodes[n].lp)
+		d.index[i] = cacheSlot{key: d.nodes[n].lp, node: n}
+	}
+}
+
+// unlink takes node n out of the recency list.
+func (d *dataCache) unlink(n int32) {
+	nd := &d.nodes[n]
+	d.nodes[nd.prev].next = nd.next
+	d.nodes[nd.next].prev = nd.prev
+}
+
+// pushFront links node n in as the most recent entry.
+func (d *dataCache) pushFront(n int32) {
+	head := d.nodes[0].next
+	d.nodes[n].prev, d.nodes[n].next = 0, head
+	d.nodes[head].prev = n
+	d.nodes[0].next = n
+}
+
+// moveToFront makes node n the most recent entry.
+func (d *dataCache) moveToFront(n int32) {
+	if d.nodes[0].next != n {
+		d.unlink(n)
+		d.pushFront(n)
+	}
+}
+
+// back returns the least recent node, 0 when the cache is empty.
+func (d *dataCache) back() int32 { return d.nodes[0].prev }
+
 // read reports a hit; on hit the policy refreshes the entry.
 func (d *dataCache) read(lp int64) bool {
-	el, ok := d.entries[lp]
-	if ok {
-		d.pol.touched(d, el)
+	_, n := d.find(int32(lp))
+	if n != 0 {
+		d.pol.touched(d, n)
 	}
-	return ok
+	return n != 0
 }
 
 // insert adds lp (dirty for writes), or refreshes it and reports a hit
 // when it is already cached. When a dirty entry is displaced it returns
 // that entry's logical page, which must be programmed to flash.
 func (d *dataCache) insert(lp int64, dirty bool) (evictedLP int64, dirtyEvict, hit bool) {
-	if el, ok := d.entries[lp]; ok {
-		e := el.Value.(*cacheEntry)
-		if dirty && !e.dirty {
+	key := int32(lp)
+	slot, n := d.find(key)
+	if n != 0 {
+		if nd := &d.nodes[n]; dirty && !nd.dirty {
+			nd.dirty = true
 			d.dirty++
 		}
-		e.dirty = e.dirty || dirty
-		d.pol.touched(d, el)
+		d.pol.touched(d, n)
 		return 0, false, true
 	}
-	if d.ll.Len() >= d.capacity {
-		victim := d.pol.pickEvict(d)
-		if victim != nil {
-			e := victim.Value.(*cacheEntry)
-			evictedLP, dirtyEvict = e.lp, e.dirty
-			if e.dirty {
-				d.dirty--
-			}
-			delete(d.entries, e.lp)
-			// Recycle the victim's element and entry in place of
-			// Remove+PushFront so steady-state inserts allocate nothing.
-			e.lp, e.dirty, e.ref = lp, dirty, false
-			d.ll.MoveToFront(victim)
-			d.entries[lp] = victim
-			if dirty {
-				d.dirty++
-			}
-			return evictedLP, dirtyEvict, false
-		}
-	}
-	d.entries[lp] = d.ll.PushFront(&cacheEntry{lp: lp, dirty: dirty})
 	if dirty {
 		d.dirty++
 	}
-	return evictedLP, dirtyEvict, false
+	if d.len() >= d.capacity {
+		if n = d.pol.pickEvict(d); n != 0 {
+			// Recycle the victim's node so a miss at capacity allocates
+			// nothing.
+			nd := &d.nodes[n]
+			evictedLP, dirtyEvict = int64(nd.lp), nd.dirty
+			if nd.dirty {
+				d.dirty--
+			}
+			old, _ := d.find(nd.lp)
+			d.index[slot] = cacheSlot{key: key, node: n}
+			d.unindex(old)
+			*nd = cacheNode{lp: key, prev: nd.prev, next: nd.next, dirty: dirty}
+			d.moveToFront(n)
+			return evictedLP, dirtyEvict, false
+		}
+	}
+	n = int32(len(d.nodes))
+	d.nodes = append(d.nodes, cacheNode{lp: key, dirty: dirty})
+	d.pushFront(n)
+	d.index[slot] = cacheSlot{key: key, node: n}
+	if 2*d.len() > len(d.index) {
+		d.grow()
+	}
+	return 0, false, false
 }
 
 // invalidate drops lp from the cache without writing it back: a TRIM
 // declares the data dead, so a dirty copy is discarded, not flushed.
+// The last node moves into the freed one, keeping the nodes dense.
 func (d *dataCache) invalidate(lp int64) {
-	el, ok := d.entries[lp]
-	if !ok {
+	slot, n := d.find(int32(lp))
+	if n == 0 {
 		return
 	}
-	if el.Value.(*cacheEntry).dirty {
+	if d.nodes[n].dirty {
 		d.dirty--
 	}
-	delete(d.entries, lp)
-	d.ll.Remove(el)
+	d.unindex(slot)
+	d.unlink(n)
+	last := int32(len(d.nodes) - 1)
+	if n != last {
+		moved := d.nodes[last]
+		d.nodes[n] = moved
+		d.nodes[moved.prev].next = n
+		d.nodes[moved.next].prev = n
+		i, _ := d.find(moved.lp)
+		d.index[i].node = n
+	}
+	d.nodes = d.nodes[:last]
 }
 
 // dirtyFraction reports the share of cache lines holding unwritten data.
 func (d *dataCache) dirtyFraction() float64 {
-	if d.ll.Len() == 0 {
+	if d.len() == 0 {
 		return 0
 	}
-	return float64(d.dirty) / float64(d.ll.Len())
+	return float64(d.dirty) / float64(d.len())
 }
 
 // flushOldestDirty marks the least-recently-used dirty entry clean,
 // returning its logical page; ok is false when no entry is dirty.
 func (d *dataCache) flushOldestDirty() (lp int64, ok bool) {
-	for el := d.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		if e.dirty {
-			e.dirty = false
+	for n := d.back(); n != 0; n = d.nodes[n].prev {
+		if nd := &d.nodes[n]; nd.dirty {
+			nd.dirty = false
 			d.dirty--
-			return e.lp, true
+			return int64(nd.lp), true
 		}
 	}
 	return 0, false
@@ -193,30 +299,30 @@ func (d *dataCache) flushOldestDirty() (lp int64, ok bool) {
 // lruCache implements CacheLRU.
 type lruCache struct{}
 
-func (lruCache) touched(d *dataCache, el *list.Element) { d.ll.MoveToFront(el) }
-func (lruCache) pickEvict(d *dataCache) *list.Element   { return d.ll.Back() }
+func (lruCache) touched(d *dataCache, n int32) { d.moveToFront(n) }
+func (lruCache) pickEvict(d *dataCache) int32  { return d.back() }
 
 // fifoCache implements CacheFIFO: hits never reorder the queue.
 type fifoCache struct{}
 
-func (fifoCache) touched(*dataCache, *list.Element)    {}
-func (fifoCache) pickEvict(d *dataCache) *list.Element { return d.ll.Back() }
+func (fifoCache) touched(*dataCache, int32)    {}
+func (fifoCache) pickEvict(d *dataCache) int32 { return d.back() }
 
 // cflruCache implements CacheCFLRU.
 type cflruCache struct{}
 
-func (cflruCache) touched(d *dataCache, el *list.Element) { d.ll.MoveToFront(el) }
+func (cflruCache) touched(d *dataCache, n int32) { d.moveToFront(n) }
 
-func (cflruCache) pickEvict(d *dataCache) *list.Element {
-	back := d.ll.Back()
+func (cflruCache) pickEvict(d *dataCache) int32 {
+	back := d.back()
 	// CFLRU: scan a window from the back for a clean entry first.
 	const window = 16
-	el := back
-	for i := 0; i < window && el != nil; i++ {
-		if !el.Value.(*cacheEntry).dirty {
-			return el
+	n := back
+	for i := 0; i < window && n != 0; i++ {
+		if !d.nodes[n].dirty {
+			return n
 		}
-		el = el.Prev()
+		n = d.nodes[n].prev
 	}
 	return back
 }
@@ -227,17 +333,17 @@ func (cflruCache) pickEvict(d *dataCache) *list.Element {
 // unreferenced entry is found. Bounded by one full lap.
 type clockCache struct{}
 
-func (clockCache) touched(d *dataCache, el *list.Element) { el.Value.(*cacheEntry).ref = true }
+func (clockCache) touched(d *dataCache, n int32) { d.nodes[n].ref = true }
 
-func (clockCache) pickEvict(d *dataCache) *list.Element {
-	for i, n := 0, d.ll.Len(); i < n; i++ {
-		back := d.ll.Back()
-		e := back.Value.(*cacheEntry)
-		if !e.ref {
+func (clockCache) pickEvict(d *dataCache) int32 {
+	for i, n := 0, d.len(); i < n; i++ {
+		back := d.back()
+		nd := &d.nodes[back]
+		if !nd.ref {
 			return back
 		}
-		e.ref = false
-		d.ll.MoveToFront(back)
+		nd.ref = false
+		d.moveToFront(back)
 	}
-	return d.ll.Back()
+	return d.back()
 }

@@ -31,8 +31,26 @@ const tombstone = ^uint32(0)
 
 // ErrGeometryTooLarge is returned by the simulator when a device's
 // scaled geometry has more (plane, block, slot) combinations than a
-// 32-bit mapping entry can address.
-var ErrGeometryTooLarge = errors.New("ssd: scaled geometry does not fit a 32-bit physical page address")
+// 32-bit mapping entry can address, or more logical pages than an int32
+// holds.
+var ErrGeometryTooLarge = errors.New("ssd: scaled geometry does not fit 32-bit page addresses")
+
+// maxLogicalPages bounds the logical space: flashBlock.pages and the
+// dataCache keys hold a logical page as an int32.
+const maxLogicalPages = math.MaxInt32
+
+// logicalPageCount returns the logical pages left of totalPhys physical
+// pages after over-provisioning op.
+func logicalPageCount(totalPhys int64, op float64) (int64, error) {
+	n := int64(float64(totalPhys) * (1 - op))
+	if n < 1 {
+		return 0, fmt.Errorf("ssd: over-provisioning leaves no logical space")
+	}
+	if n > maxLogicalPages {
+		return 0, fmt.Errorf("%w: %d logical pages", ErrGeometryTooLarge, n)
+	}
+	return n, nil
+}
 
 // ppaLayout packs a physical page address into a 32-bit mapping entry:
 // plane | block | slot, each field only as wide as the device needs,
@@ -227,6 +245,11 @@ func newFTL(p *DeviceParams) (*ftl, error) {
 	if err != nil {
 		return nil, err
 	}
+	totalPhys := int64(planes) * int64(bpp) * int64(ppb)
+	logicalPages, err := logicalPageCount(totalPhys, p.OverprovisionRatio)
+	if err != nil {
+		return nil, err
+	}
 
 	f := &ftl{
 		ppaLayout:      layout,
@@ -236,16 +259,12 @@ func newFTL(p *DeviceParams) (*ftl, error) {
 		blocksPerPlane: bpp,
 		pagesPerBlock:  ppb,
 		sectorsPerPage: int64(p.PageSizeBytes / 512),
+		logicalPages:   logicalPages,
 	}
-	totalPhys := int64(planes) * int64(bpp) * int64(ppb)
 	realPhys := int64(planes) * int64(p.BlocksPerPlane) * int64(p.PagesPerBlock)
 	f.capScale = realPhys / totalPhys
 	if f.capScale < 1 {
 		f.capScale = 1
-	}
-	f.logicalPages = int64(float64(totalPhys) * (1 - p.OverprovisionRatio))
-	if f.logicalPages < 1 {
-		return nil, fmt.Errorf("ssd: over-provisioning leaves no logical space")
 	}
 	f.gcMinFree = int32(float64(bpp) * p.GCThresholdPct / 100)
 	if f.gcMinFree < 1 {

@@ -273,7 +273,8 @@ func TestPECycleLimitsOrdered(t *testing.T) {
 // TestCMTMissAtCapacityAllocatesNothing: a miss on the CMT's full
 // dataCache recycles the evicted entry, so steady-state misses allocate
 // nothing, and each eviction still reports the dirtiness of the least
-// recently used region.
+// recently used region. Hits and invalidates allocate nothing either,
+// under every replacement policy.
 func TestCMTMissAtCapacityAllocatesNothing(t *testing.T) {
 	p := DefaultParams()
 	p.CMTBytes = 64 * int64(p.CMTEntryBytes)
@@ -295,7 +296,36 @@ func TestCMTMissAtCapacityAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { c.insert(r, true); r++ }); n != 0 {
 		t.Fatalf("a miss at capacity allocates %v times, want 0", n)
 	}
-	if c.ll.Len() != 64 || len(c.entries) != 64 {
-		t.Fatalf("list %d / map %d entries, want 64", c.ll.Len(), len(c.entries))
+	if c.len() != 64 {
+		t.Fatalf("%d entries, want 64", c.len())
+	}
+
+	// Under every policy, once the cache has been full, a hit, a miss at
+	// capacity and an invalidate each allocate nothing.
+	for pol, row := range cachePolicyTable {
+		c := newCache(64, cachePolicyTable[pol].make(&p))
+		for k := int64(0); k < 64; k++ {
+			c.insert(k, k%2 == 0)
+		}
+		k := int64(0)
+		if n := testing.AllocsPerRun(100, func() { c.insert(k%64, k%3 == 0); c.read((k + 7) % 64); k++ }); n != 0 {
+			t.Fatalf("%s: a hit allocates %v times, want 0", row.name, n)
+		}
+		k = 64
+		if n := testing.AllocsPerRun(100, func() { c.insert(k, k%2 == 0); k++ }); n != 0 {
+			t.Fatalf("%s: a miss at capacity allocates %v times, want 0", row.name, n)
+		}
+		k = 0
+		if n := testing.AllocsPerRun(50, func() {
+			for !c.contains(k) {
+				k++
+			}
+			c.invalidate(k)
+		}); n != 0 {
+			t.Fatalf("%s: an invalidate allocates %v times, want 0", row.name, n)
+		}
+		if c.len() != 64-51 {
+			t.Fatalf("%s: %d entries after 51 invalidates, want %d", row.name, c.len(), 64-51)
+		}
 	}
 }

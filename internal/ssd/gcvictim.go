@@ -17,7 +17,10 @@ const (
 // gcVictimPolicy selects a GC victim block on one plane, or -1 when no
 // block qualifies. Implementations must be deterministic: equal scores
 // resolve to the lowest block index (or, for greedy with dynamic wear
-// leveling, the documented erase-count tie-break).
+// leveling, the documented erase-count tie-break). An open write block
+// is never a victim; the scans ask flashPlane.isActive only of a block
+// that would become the best so far, since skipping an active block
+// there leaves the same choice as skipping it up front.
 type gcVictimPolicy interface {
 	pickVictim(f *ftl, fp *flashPlane) int32
 }
@@ -65,7 +68,7 @@ func (greedyVictim) pickVictim(f *ftl, fp *flashPlane) int32 {
 	var minValid int32 = 1<<31 - 1
 	for i := range fp.blocks {
 		b := &fp.blocks[i]
-		if fp.isActive(int32(i)) || b.retired || !b.full(f.pagesPerBlock) {
+		if b.retired || !b.full(f.pagesPerBlock) {
 			continue
 		}
 		better := b.valid < minValid
@@ -75,7 +78,7 @@ func (greedyVictim) pickVictim(f *ftl, fp *flashPlane) int32 {
 			b.eraseCount < fp.blocks[best].eraseCount {
 			better = true
 		}
-		if better {
+		if better && !fp.isActive(int32(i)) {
 			minValid = b.valid
 			best = int32(i)
 		}
@@ -95,13 +98,13 @@ func (fifoVictim) pickVictim(f *ftl, fp *flashPlane) int32 {
 	var oldest int64 = 1<<63 - 1
 	for i := range fp.blocks {
 		b := &fp.blocks[i]
-		if fp.isActive(int32(i)) || b.retired || !b.full(f.pagesPerBlock) {
+		if b.retired || !b.full(f.pagesPerBlock) {
 			continue
 		}
 		if b.valid >= f.pagesPerBlock {
 			continue // erasing a fully-valid block frees nothing
 		}
-		if b.allocSeq < oldest {
+		if b.allocSeq < oldest && !fp.isActive(int32(i)) {
 			oldest = b.allocSeq
 			best = int32(i)
 		}
@@ -126,7 +129,7 @@ func (costBenefitVictim) pickVictim(f *ftl, fp *flashPlane) int32 {
 	bestScore := 0.0
 	for i := range fp.blocks {
 		b := &fp.blocks[i]
-		if fp.isActive(int32(i)) || b.retired || !b.full(f.pagesPerBlock) {
+		if b.retired || !b.full(f.pagesPerBlock) {
 			continue
 		}
 		if b.valid >= f.pagesPerBlock {
@@ -136,7 +139,7 @@ func (costBenefitVictim) pickVictim(f *ftl, fp *flashPlane) int32 {
 		age := float64(fp.allocSeq-b.allocSeq) + 1
 		score := age * (1 - u) / (1 + u)
 		score /= 1 + float64(b.eraseCount)/peLimit
-		if best < 0 || score > bestScore {
+		if (best < 0 || score > bestScore) && !fp.isActive(int32(i)) {
 			bestScore = score
 			best = int32(i)
 		}

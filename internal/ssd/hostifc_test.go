@@ -195,7 +195,7 @@ func auditStreamIsolation(t *testing.T, label string, e *engine) {
 				if want == blk.lane {
 					continue
 				}
-				if _, cached := e.cache.entries[int64(lp)]; cached {
+				if e.cache.contains(int64(lp)) {
 					continue
 				}
 				t.Fatalf("%s: lp %d (stream %d, lane %d) live in plane %d block %d of lane %d",

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -177,12 +178,12 @@ func TestClockSecondChance(t *testing.T) {
 	for lp := int64(3); lp <= 5; lp++ {
 		d.read(lp)
 	}
-	if _, ok := d.entries[1]; !ok {
+	if !d.contains(1) {
 		t.Fatal("setup lost entry 1")
 	}
 	d.insert(6, false)
-	if d.ll.Len() != d.capacity {
-		t.Fatalf("cache holds %d entries, want %d", d.ll.Len(), d.capacity)
+	if d.len() != d.capacity {
+		t.Fatalf("cache holds %d entries, want %d", d.len(), d.capacity)
 	}
 }
 
@@ -235,8 +236,8 @@ func TestLRUInclusion(t *testing.T) {
 					largeHits++
 				}
 			}
-			for key := range small.entries {
-				if _, ok := large.entries[key]; !ok {
+			for key := int64(0); key < keys; key++ {
+				if small.contains(key) && !large.contains(key) {
 					t.Fatalf("%s seed %d: key %d cached at capacity %d but not at %d", name, seed, key, c, c+k)
 				}
 			}
@@ -317,4 +318,251 @@ func BenchmarkGCVictimPolicy(b *testing.B) {
 			}
 		})
 	}
+}
+
+// contains reports whether key is cached, without touching it.
+func (d *dataCache) contains(key int64) bool {
+	_, n := d.find(int32(key))
+	return n != 0
+}
+
+// refCache is a slice-ordered reference model of dataCache: order runs
+// from the most to the least recent entry, and every operation is a
+// linear scan, so each policy reads as its textbook definition.
+type refCache struct {
+	pol      CachePolicy
+	capacity int
+	order    []refEntry
+}
+
+type refEntry struct {
+	key        int64
+	dirty, ref bool
+}
+
+func (r *refCache) at(key int64) int {
+	for i, e := range r.order {
+		if e.key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refCache) toFront(i int) {
+	e := r.order[i]
+	copy(r.order[1:i+1], r.order[:i])
+	r.order[0] = e
+}
+
+func (r *refCache) touch(i int) {
+	switch r.pol {
+	case CacheLRU, CacheCFLRU:
+		r.toFront(i)
+	case CacheCLOCK:
+		r.order[i].ref = true
+	}
+}
+
+func (r *refCache) victim() int {
+	last := len(r.order) - 1
+	switch r.pol {
+	case CacheCFLRU:
+		for i := last; i >= 0 && i > last-16; i-- {
+			if !r.order[i].dirty {
+				return i
+			}
+		}
+	case CacheCLOCK:
+		for range r.order {
+			if !r.order[last].ref {
+				break
+			}
+			r.order[last].ref = false
+			r.toFront(last)
+		}
+	}
+	return last
+}
+
+func (r *refCache) read(key int64) bool {
+	i := r.at(key)
+	if i >= 0 {
+		r.touch(i)
+	}
+	return i >= 0
+}
+
+func (r *refCache) insert(key int64, dirty bool) (evicted int64, dirtyEvict, hit bool) {
+	if i := r.at(key); i >= 0 {
+		r.order[i].dirty = r.order[i].dirty || dirty
+		r.touch(i)
+		return 0, false, true
+	}
+	if len(r.order) >= r.capacity {
+		v := r.victim()
+		evicted, dirtyEvict = r.order[v].key, r.order[v].dirty
+		r.order = append(r.order[:v], r.order[v+1:]...)
+	}
+	r.order = append([]refEntry{{key: key, dirty: dirty}}, r.order...)
+	return evicted, dirtyEvict, false
+}
+
+func (r *refCache) invalidate(key int64) {
+	if i := r.at(key); i >= 0 {
+		r.order = append(r.order[:i], r.order[i+1:]...)
+	}
+}
+
+func (r *refCache) flushOldestDirty() (int64, bool) {
+	for i := len(r.order) - 1; i >= 0; i-- {
+		if r.order[i].dirty {
+			r.order[i].dirty = false
+			return r.order[i].key, true
+		}
+	}
+	return 0, false
+}
+
+func (r *refCache) dirtyFraction() float64 {
+	if len(r.order) == 0 {
+		return 0
+	}
+	dirty := 0
+	for _, e := range r.order {
+		if e.dirty {
+			dirty++
+		}
+	}
+	return float64(dirty) / float64(len(r.order))
+}
+
+// cacheKeyPool returns the keys driveCache draws from: small
+// sequential keys, large keys up to the int32 bound, a run of keys that
+// all hash to one index slot at every index size up to 2^12, and a run
+// that hashes to the last slot, so probe runs wrap past the index's end
+// and deletes in them must shift entries back across it.
+func cacheKeyPool() []int64 {
+	const bits = 12
+	home := func(key int32) int { return (&dataCache{shift: 32 - bits}).home(key) }
+	var pool []int64
+	for k := int64(0); k < 48; k++ {
+		pool = append(pool, k, 1<<31-1-k*7919)
+	}
+	var same, last int
+	for k := int32(0); same < 40 || last < 40; k++ {
+		switch home(k) {
+		case 5:
+			if same < 40 {
+				pool, same = append(pool, int64(k)), same+1
+			}
+		case 1<<bits - 1:
+			if last < 40 {
+				pool, last = append(pool, int64(k)), last+1
+			}
+		}
+	}
+	return pool
+}
+
+// driveCache runs the same operations on a dataCache and on refCache,
+// three bytes per operation (kind, key index low and high byte), and
+// fails at the first return value, entry count or dirty fraction that
+// differs, or when the final recency orders differ.
+func driveCache(t *testing.T, pol CachePolicy, capacity int, pool []int64, ops []byte) {
+	t.Helper()
+	p := DefaultParams()
+	d := newCache(capacity, cachePolicyTable[pol].make(&p))
+	ref := &refCache{pol: pol, capacity: d.capacity}
+	for i := 0; i+2 < len(ops); i += 3 {
+		key := pool[(int(ops[i+1])|int(ops[i+2])<<8)%len(pool)]
+		var op string
+		switch ops[i] % 10 {
+		case 0, 1, 2:
+			op = "insert clean"
+			checkInsert(t, i/3, d, ref, key, false)
+		case 3, 4:
+			op = "insert dirty"
+			checkInsert(t, i/3, d, ref, key, true)
+		case 5, 6:
+			op = "read"
+			if hit, want := d.read(key), ref.read(key); hit != want {
+				t.Fatalf("op %d: read %d = %v, reference %v", i/3, key, hit, want)
+			}
+		case 7, 8:
+			op = "invalidate"
+			d.invalidate(key)
+			ref.invalidate(key)
+		default:
+			op = "flushOldestDirty"
+			lp, ok := d.flushOldestDirty()
+			wlp, wok := ref.flushOldestDirty()
+			if lp != wlp || ok != wok {
+				t.Fatalf("op %d: flushOldestDirty = (%d, %v), reference (%d, %v)", i/3, lp, ok, wlp, wok)
+			}
+		}
+		if d.len() != len(ref.order) || d.dirtyFraction() != ref.dirtyFraction() {
+			t.Fatalf("op %d (%s %d): %d entries, dirty fraction %v; reference %d, %v",
+				i/3, op, key, d.len(), d.dirtyFraction(), len(ref.order), ref.dirtyFraction())
+		}
+	}
+	n := d.nodes[0].next
+	for i, want := range ref.order {
+		got := d.nodes[n]
+		if n == 0 || int64(got.lp) != want.key || got.dirty != want.dirty || got.ref != want.ref {
+			t.Fatalf("recency position %d: node %d %+v, reference %+v", i, n, got, want)
+		}
+		if !d.contains(want.key) {
+			t.Fatalf("key %d is in the list but not in the index", want.key)
+		}
+		n = got.next
+	}
+	if n != 0 {
+		t.Fatalf("list is longer than the reference's %d entries", len(ref.order))
+	}
+}
+
+func checkInsert(t *testing.T, step int, d *dataCache, ref *refCache, key int64, dirty bool) {
+	t.Helper()
+	ev, de, hit := d.insert(key, dirty)
+	wev, wde, whit := ref.insert(key, dirty)
+	if ev != wev || de != wde || hit != whit {
+		t.Fatalf("op %d: insert %d (dirty %v) = (%d, %v, %v), reference (%d, %v, %v)", step, key, dirty, ev, de, hit, wev, wde, whit)
+	}
+}
+
+// TestDataCacheMatchesReference: under every policy, the node-array
+// dataCache returns what the slice-ordered reference model returns on
+// seeded random operations, from capacity 1 to capacities that grow the
+// index across several doublings, over keys that collide in the index
+// and probe runs that wrap past its end.
+func TestDataCacheMatchesReference(t *testing.T) {
+	pool := cacheKeyPool()
+	for pol := range cachePolicyTable {
+		for _, capacity := range []int{1, 2, 7, 16, 33, 100, 300} {
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed*1000 + int64(capacity)))
+				ops := make([]byte, 3*6000)
+				rng.Read(ops)
+				// Draw most keys from a window of the pool at a time, so
+				// the cache sees hits and runs of colliding keys.
+				for i := 0; i < len(ops); i += 3 {
+					k := i/3/500*40 + rng.Intn(80)
+					ops[i+1], ops[i+2] = byte(k), byte(k>>8)
+				}
+				driveCache(t, CachePolicy(pol), capacity, pool, ops)
+			}
+		}
+	}
+}
+
+// FuzzDataCache runs the reference comparison on fuzzed operations.
+func FuzzDataCache(f *testing.F) {
+	f.Add(uint8(0), uint16(4), []byte{3, 1, 0, 3, 2, 0, 0, 3, 0, 9, 0, 0, 7, 1, 0})
+	f.Add(uint8(2), uint16(16), bytes.Repeat([]byte{4, 130, 0, 0, 131, 0, 7, 130, 0}, 20))
+	f.Add(uint8(3), uint16(9), bytes.Repeat([]byte{5, 200, 0, 0, 201, 0, 7, 202, 0, 1, 203, 0}, 20))
+	pool := cacheKeyPool()
+	f.Fuzz(func(t *testing.T, pol uint8, capacity uint16, ops []byte) {
+		driveCache(t, CachePolicy(int(pol)%len(cachePolicyTable)), 1+int(capacity%400), pool, ops)
+	})
 }

@@ -266,7 +266,8 @@ func FuzzPrefillMatchesPlacePage(f *testing.F) {
 // every fan-out level, but 1024 channels × 1024 chips × 1 die × 1024
 // planes is 2^30 planes, which with the minimum scaled blocks and pages
 // needs more than 32 address bits. The simulator must refuse it with
-// ErrGeometryTooLarge before allocating per-plane state.
+// ErrGeometryTooLarge before allocating per-plane state, and likewise a
+// geometry with more logical pages than an int32 holds.
 func TestGeometryTooLargeIsTypedError(t *testing.T) {
 	p := DefaultParams()
 	p.Channels, p.ChipsPerChannel, p.DiesPerChip, p.PlanesPerDie = 1024, 1024, 1, 1024
@@ -303,5 +304,36 @@ func TestGeometryTooLargeIsTypedError(t *testing.T) {
 	}
 	if _, err := sim.Run(testTrace(workload.Database, 10)); !errors.Is(err, ErrGeometryTooLarge) {
 		t.Fatalf("Run error = %v, want ErrGeometryTooLarge", err)
+	}
+
+	// Logical pages are int32 in the reverse maps and the DRAM caches:
+	// 2^31-1 fits, one more does not, with or without over-provisioning.
+	if n, err := logicalPageCount(1<<31-1, 0); err != nil || n != 1<<31-1 {
+		t.Fatalf("logicalPageCount(2^31-1, 0) = %d, %v", n, err)
+	}
+	if _, err := logicalPageCount(1<<31, 0); !errors.Is(err, ErrGeometryTooLarge) {
+		t.Fatalf("2^31 logical pages: error = %v, want ErrGeometryTooLarge", err)
+	}
+	if n, err := logicalPageCount(1<<32-2, 0.5); err != nil || n != 1<<31-1 {
+		t.Fatalf("logicalPageCount(2^32-2, 0.5) = %d, %v", n, err)
+	}
+	if _, err := logicalPageCount(1<<32, 0.5); !errors.Is(err, ErrGeometryTooLarge) {
+		t.Fatalf("2^31 logical pages after over-provisioning: error = %v, want ErrGeometryTooLarge", err)
+	}
+	// A validated geometry whose physical addresses fit 32 bits but whose
+	// logical space does not: 12 × 2^20 planes at the minimum scaled 8
+	// blocks × 32 pages are 3 × 2^30 physical pages. Building its FTL
+	// would allocate the planes first, so only the bound is checked.
+	p.Channels, p.ChipsPerChannel, p.DiesPerChip, p.PlanesPerDie = 1024, 1024, 12, 1
+	if err := p.Validate(); err != nil {
+		t.Fatalf("geometry should pass validation: %v", err)
+	}
+	planes := p.TotalPlanes()
+	bpp, ppb := scaleGeometry(&p, planes)
+	if _, err := newPPALayout(planes, bpp, ppb); err != nil {
+		t.Fatalf("%d planes × %d blocks × %d pages should fit the physical layout: %v", planes, bpp, ppb, err)
+	}
+	if _, err := logicalPageCount(int64(planes)*int64(bpp)*int64(ppb), p.OverprovisionRatio); !errors.Is(err, ErrGeometryTooLarge) {
+		t.Fatalf("logical space of %d planes: error = %v, want ErrGeometryTooLarge", planes, err)
 	}
 }
