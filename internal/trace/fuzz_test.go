@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzParseBlktrace fuzzes the text-format parser and pins the
@@ -68,6 +72,145 @@ func FuzzParseBlktrace(f *testing.F) {
 		}
 		if !reflect.DeepEqual(streamed.Requests, reparsed.Requests) {
 			t.Fatal("streaming reader differs from buffered parser on sorted input")
+		}
+	})
+}
+
+// refParseBlktraceLine is the strings.Fields/strconv reference model of
+// parseBlktraceLine: the line is trimmed, split and parsed with string
+// operations alone. The byte-level parser must return the same Request,
+// skip flag and error text for every line.
+func refParseBlktraceLine(lineNo int, line string) (req Request, skip bool, err error) {
+	line = strings.TrimSpace(line)
+	if line == "" || line[0] == '#' {
+		return Request{}, true, nil
+	}
+	fields := strings.Fields(line)
+	if len(fields) != 4 && len(fields) != 5 {
+		return Request{}, false, fmt.Errorf("trace: line %d: want 4 or 5 fields, got %d", lineNo, len(fields))
+	}
+	ts, err := strconv.ParseFloat(fields[0], 64)
+	if err != nil {
+		return Request{}, false, fmt.Errorf("trace: line %d: bad timestamp %q: %w", lineNo, fields[0], err)
+	}
+	if math.IsNaN(ts) || ts > maxTraceSeconds || ts < -maxTraceSeconds {
+		return Request{}, false, fmt.Errorf("trace: line %d: timestamp %q out of range", lineNo, fields[0])
+	}
+	lba, err := strconv.ParseUint(fields[1], 10, 64)
+	if err != nil {
+		return Request{}, false, fmt.Errorf("trace: line %d: bad lba %q: %w", lineNo, fields[1], err)
+	}
+	sectors, err := strconv.ParseUint(fields[2], 10, 32)
+	if err != nil {
+		return Request{}, false, fmt.Errorf("trace: line %d: bad length %q: %w", lineNo, fields[2], err)
+	}
+	var op Op
+	switch strings.ToUpper(fields[3]) {
+	case "R", "READ":
+		op = Read
+	case "W", "WRITE":
+		op = Write
+	case "D", "T", "DISCARD", "TRIM":
+		op = Trim
+	default:
+		return Request{}, false, fmt.Errorf("trace: line %d: bad op %q", lineNo, fields[3])
+	}
+	var stream uint64
+	if len(fields) == 5 {
+		stream, err = strconv.ParseUint(fields[4], 10, 32)
+		if err != nil {
+			return Request{}, false, fmt.Errorf("trace: line %d: bad stream %q: %w", lineNo, fields[4], err)
+		}
+	}
+	return Request{
+		Arrival: time.Duration(ts * float64(time.Second)),
+		LBA:     lba,
+		Sectors: uint32(sectors),
+		Op:      op,
+		Stream:  uint32(stream),
+	}, false, nil
+}
+
+// blktraceLineSeeds are lines on both sides of every fast path of
+// parseBlktraceLine: timestamps the exact decimal path takes and those
+// it hands to strconv, separators past ASCII, op words in any case
+// (including runes that upper-case to ASCII), wrong field counts and
+// integers out of range.
+var blktraceLineSeeds = []string{
+	"0.000000 100 8 R",
+	"1.500000 200 16 W 3",
+	"-3.25 1 1 R",
+	"+3.25 1 1 R",
+	"-0 1 1 R",
+	"1e300 1 1 R",
+	"1e3 1 1 R",
+	"0x1p-2 1 1 R",
+	"1_000 1 1 R",
+	"nan 1 1 R",
+	"-Inf 1 1 R",
+	"5. 1 1 W",
+	".5 1 1 W",
+	". 1 1 W",
+	"1..5 1 1 W",
+	"1.5.5 1 1 W",
+	"1234567890.123456 1 1 W",
+	"12345678901234567 1 1 W",
+	"9007199254740992 1 1 W",
+	"9007199254740993 1 1 W",
+	"0.9007199254740993 1 1 W",
+	"0.0000000000000000000001 1 1 W",
+	"0.00000000000000000000001 1 1 W",
+	"00000000000000000000000000012.5 1 1 W",
+	"4611686018.427387904 1 1 W",
+	"4611686018.427387905 1 1 W",
+	"4611686019 1 1 W",
+	"0.1 1 1 R\t7",
+	"  \t0.1\v1\f1\rR  ",
+	"0.1\u00851\u00a01\u2028R",
+	"\u30000.1 1 1 R\u3000",
+	"\xc2\x85# comment after a NEL",
+	"0.1 1 1 R\xe2",
+	"0.1 1 1 \xe2\x80\xa8R",
+	"0.1 1 1 read",
+	"0.1 1 1 Write",
+	"0.1 1 1 discard 2",
+	"0.1 1 1 tRiM",
+	"0.1 1 1 t",
+	"0.1 1 1 WR\u0131TE",
+	"0.1 1 1 D\u0131\u017fCARD",
+	"0.1 1 1 DISCARDS",
+	"0.1 1 1 Q",
+	"# a comment",
+	"#0.1 1 1 R",
+	"",
+	"   ",
+	"0.1 1 1",
+	"0.1 1 1 R 1 2",
+	"0.1 1 1 R 1 2 3 4 5 6 7",
+	"0.1 18446744073709551615 4294967295 R 4294967295",
+	"0.1 18446744073709551616 1 R",
+	"0.1 1 4294967296 R",
+	"0.1 1 1 R 4294967296",
+	"0.1 99999999999999999999999 1 R",
+	"0.1 +1 1 R",
+	"0.1 -1 1 R",
+	"0.1 0x10 1 R",
+	"0.1 1_0 1 R",
+	"0.1 0012 007 W 0003",
+}
+
+// FuzzBlktraceLineMatchesReference holds the byte-level line parser to
+// its strings.Fields/strconv reference on arbitrary lines.
+func FuzzBlktraceLineMatchesReference(f *testing.F) {
+	for _, line := range blktraceLineSeeds {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		got, gotSkip, gotErr := parseBlktraceLine(7, []byte(line))
+		want, wantSkip, wantErr := refParseBlktraceLine(7, line)
+		if got != want || gotSkip != wantSkip || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("line %q:\ngot  %+v skip %v err %v\nwant %+v skip %v err %v",
+				line, got, gotSkip, gotErr, want, wantSkip, wantErr)
 		}
 	})
 }

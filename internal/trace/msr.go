@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,8 +66,12 @@ func ParseMSR(r io.Reader) (*Trace, error) {
 		}
 		// Windows filetime ticks are 100ns.
 		arrival := time.Duration(ts-base) * 100 * time.Nanosecond
-		sectors := (size + 511) / 512
-		if sectors > 1<<31 {
+		// Count every sector the byte span [offset, offset+size) touches:
+		// an unaligned request can straddle one more sector than size/512
+		// rounded up.
+		end := offset + size
+		sectors := (end+511)/512 - offset/512
+		if end < offset || end > math.MaxUint64-511 || sectors > 1<<31 {
 			return nil, fmt.Errorf("trace: msr line %d: size %d too large", lineNo, size)
 		}
 		tr.Requests = append(tr.Requests, Request{

@@ -56,6 +56,46 @@ func TestParseMSRErrors(t *testing.T) {
 	}
 }
 
+// TestParseMSRUnalignedSpan pins the sector count of requests that
+// straddle a sector boundary: it covers every sector the byte span
+// touches, not size/512 rounded up.
+func TestParseMSRUnalignedSpan(t *testing.T) {
+	for _, c := range []struct {
+		offset, size string
+		lba          uint64
+		sectors      uint32
+	}{
+		{"511", "2", 0, 2},     // bytes 511-512 touch sectors 0 and 1
+		{"4000", "4096", 7, 9}, // bytes 4000-8095 touch sectors 7-15
+		{"1024", "4096", 2, 8}, // aligned: unchanged
+		{"1024", "1", 2, 1},    // inside one sector
+		{"1023", "1", 1, 1},    // the last byte of a sector
+		{"0", "2147483648", 0, 1 << 22},
+	} {
+		in := "1,h,1,Write," + c.offset + "," + c.size + ",1\n"
+		tr, err := ParseMSR(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("offset %s size %s: %v", c.offset, c.size, err)
+		}
+		if r := tr.Requests[0]; r.LBA != c.lba || r.Sectors != c.sectors {
+			t.Fatalf("offset %s size %s: lba %d sectors %d, want %d and %d",
+				c.offset, c.size, r.LBA, r.Sectors, c.lba, c.sectors)
+		}
+	}
+	// Spans past 2^31 sectors, or past the end of the 64-bit byte space,
+	// are rejected rather than wrapped.
+	for _, c := range []string{
+		"1,h,1,Read,0,1099511627777,1\n",
+		"1,h,1,Read,511,1099511627776,1\n",
+		"1,h,1,Read,18446744073709551615,1,1\n",
+		"1,h,1,Read,1,18446744073709551615,1\n",
+	} {
+		if _, err := ParseMSR(strings.NewReader(c)); err == nil || !strings.Contains(err.Error(), "too large") {
+			t.Fatalf("%q: err %v, want a too-large error", c, err)
+		}
+	}
+}
+
 func TestParseMSRSortsAndRebases(t *testing.T) {
 	// Out-of-order capture.
 	in := "2000,h,1,Read,1024,512,1\n1000,h,1,Read,512,512,1\n"

@@ -1,9 +1,15 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -292,5 +298,114 @@ func TestBlktraceDiscardAndStreamRecords(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatal("discard/stream records are not a write->parse->write fixed point")
+	}
+}
+
+// taggedTrace is randTrace with every op and stream tags 0-3, the mix
+// the replay benchmark writes.
+func taggedTrace(n int, seed int64) *Trace {
+	tr := randTrace(n, seed)
+	for i := range tr.Requests {
+		tr.Requests[i].Op = Op(i % 3)
+		tr.Requests[i].Stream = uint32(i % 4)
+	}
+	return tr
+}
+
+// TestBlktraceSourceAllocatesNothing pins the streaming decoder's cost:
+// once the first sweep has run, Reset plus a full sweep of a blktrace
+// file allocates nothing, whatever its length.
+func TestBlktraceSourceAllocatesNothing(t *testing.T) {
+	const lines = 10000
+	path := filepath.Join(t.TempDir(), "t.blktrace")
+	fh, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBlktrace(fh, taggedTrace(lines, 21)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fh, err = os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	src := NewBlktraceSource(fh, "t")
+	n := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		src.Reset()
+		for n = 0; ; n++ {
+			if _, ok := src.Next(); !ok {
+				break
+			}
+		}
+	})
+	if err := src.Err(); err != nil || n != lines {
+		t.Fatalf("sweep read %d requests, err %v; want %d", n, err, lines)
+	}
+	if allocs != 0 {
+		t.Fatalf("Reset + sweep of %d lines allocates %v times, want 0", lines, allocs)
+	}
+}
+
+// TestBlktraceLongLines pins the line-length limit of both readers: a
+// line longer than the initial scan buffer is read (on every sweep),
+// and one longer than maxBlktraceLine is an error.
+func TestBlktraceLongLines(t *testing.T) {
+	long := "# " + strings.Repeat("x", 3*blktraceBufSize) + "\n0.5 100 8 W\n"
+	tr, err := ParseBlktrace(strings.NewReader(long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Requests) != 1 {
+		t.Fatalf("ParseBlktrace: %d requests, want 1", len(tr.Requests))
+	}
+	src := NewBlktraceSource(strings.NewReader(long), "long")
+	for sweep := 0; sweep < 2; sweep++ {
+		src.Reset()
+		if got := drain(t, src); !reflect.DeepEqual(got, tr.Requests) {
+			t.Fatalf("sweep %d: %+v, want %+v", sweep, got, tr.Requests)
+		}
+	}
+
+	tooLong := strings.Repeat("x", maxBlktraceLine+1) + "\n"
+	if _, err := ParseBlktrace(strings.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("ParseBlktrace: err %v, want %v", err, bufio.ErrTooLong)
+	}
+	src = NewBlktraceSource(strings.NewReader(tooLong), "too long")
+	if _, ok := src.Next(); ok || !errors.Is(src.Err(), bufio.ErrTooLong) {
+		t.Fatalf("source: ok %v, err %v, want %v", ok, src.Err(), bufio.ErrTooLong)
+	}
+}
+
+// TestParseSecondsMatchesParseFloat checks the exact decimal path of the
+// timestamp decoder against strconv.ParseFloat on random digit strings
+// of every length up to 20 with the '.' anywhere.
+func TestParseSecondsMatchesParseFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fast := 0
+	for i := 0; i < 200000; i++ {
+		b := make([]byte, 1+rng.Intn(20))
+		for j := range b {
+			b[j] = byte('0' + rng.Intn(10))
+		}
+		if rng.Intn(4) > 0 {
+			b[rng.Intn(len(b))] = '.'
+		}
+		got, ok := parseSeconds(b)
+		if !ok {
+			continue
+		}
+		fast++
+		want, err := strconv.ParseFloat(string(b), 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseSeconds(%q) = %v, ParseFloat = %v, %v", b, got, want, err)
+		}
+	}
+	if fast < 100000 {
+		t.Fatalf("only %d of 200000 inputs took the exact path", fast)
 	}
 }

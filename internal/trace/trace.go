@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 )
 
@@ -112,23 +112,18 @@ func (t *Trace) Split(frac float64) (train, valid *Trace) {
 // buffered and sorted by arrival, so unsorted input is accepted; for a
 // constant-memory reader over already-sorted files use NewBlktraceSource.
 func ParseBlktrace(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var d blktraceReader
+	d.reset(r, make([]byte, blktraceBufSize))
 	tr := &Trace{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		req, skip, err := parseBlktraceLine(lineNo, strings.TrimSpace(sc.Text()))
+	for {
+		req, err := d.next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return nil, err
 		}
-		if skip {
-			continue
-		}
 		tr.Requests = append(tr.Requests, req)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scan: %w", err)
 	}
 	sort.SliceStable(tr.Requests, func(i, j int) bool {
 		return tr.Requests[i].Arrival < tr.Requests[j].Arrival
@@ -153,15 +148,22 @@ func WriteBlktrace(w io.Writer, t *Trace) error {
 }
 
 // writeBlktraceLine emits one request in the format parseBlktraceLine
-// accepts. The stream tag is appended only when nonzero, so untagged
-// traces round-trip byte-identically with the pre-multi-stream format.
-func writeBlktraceLine(w io.Writer, r Request) error {
+// accepts, formatted in place in w's free buffer. The stream tag is
+// appended only when nonzero, so untagged traces round-trip
+// byte-identically with the pre-multi-stream format.
+func writeBlktraceLine(w *bufio.Writer, r Request) error {
+	b := strconv.AppendFloat(w.AvailableBuffer(), r.Arrival.Seconds(), 'f', 6, 64)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, r.LBA, 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(r.Sectors), 10)
+	b = append(b, ' ')
+	b = append(b, r.Op.String()...)
 	if r.Stream != 0 {
-		_, err := fmt.Fprintf(w, "%.6f %d %d %s %d\n",
-			r.Arrival.Seconds(), r.LBA, r.Sectors, r.Op, r.Stream)
-		return err
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(r.Stream), 10)
 	}
-	_, err := fmt.Fprintf(w, "%.6f %d %d %s\n",
-		r.Arrival.Seconds(), r.LBA, r.Sectors, r.Op)
+	b = append(b, '\n')
+	_, err := w.Write(b)
 	return err
 }

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -79,6 +82,41 @@ func TestParseWriteRoundTrip(t *testing.T) {
 		if d := a.Arrival - b.Arrival; d > time.Microsecond || d < -time.Microsecond {
 			t.Fatalf("request %d arrival drift %v", i, d)
 		}
+	}
+}
+
+// TestWriteBlktraceLineMatchesFprintf pins the in-place encoder to the
+// fmt form it replaced, byte for byte.
+func TestWriteBlktraceLineMatchesFprintf(t *testing.T) {
+	fprintf := func(r Request) string {
+		if r.Stream != 0 {
+			return fmt.Sprintf("%.6f %d %d %s %d\n", r.Arrival.Seconds(), r.LBA, r.Sectors, r.Op, r.Stream)
+		}
+		return fmt.Sprintf("%.6f %d %d %s\n", r.Arrival.Seconds(), r.LBA, r.Sectors, r.Op)
+	}
+	arrivals := []time.Duration{0, -1, -3250 * time.Millisecond, 1500 * time.Microsecond,
+		time.Duration(math.MaxInt64), time.Duration(math.MinInt64)}
+	var buf bytes.Buffer
+	w := bufio.NewWriterSize(&buf, 64) // small, so lines cross flushes
+	var want strings.Builder
+	for _, arrival := range arrivals {
+		for _, op := range []Op{Read, Write, Trim} {
+			for _, stream := range []uint32{0, 1, math.MaxUint32} {
+				for _, lba := range []uint64{0, 8, math.MaxUint64} {
+					r := Request{Arrival: arrival, LBA: lba, Sectors: uint32(lba), Op: op, Stream: stream}
+					if err := writeBlktraceLine(w, r); err != nil {
+						t.Fatal(err)
+					}
+					want.WriteString(fprintf(r))
+				}
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want.String() {
+		t.Fatalf("writeBlktraceLine output:\n%s\nwant:\n%s", buf.String(), want.String())
 	}
 }
 
