@@ -3,18 +3,20 @@
 // energy.
 //
 // Blktrace files stream through the simulator in constant memory, so
-// arbitrarily large traces replay without being loaded into RAM:
+// arbitrarily large traces replay without being loaded into RAM. A file
+// whose arrivals turn out unsorted is read again into memory, sorted and
+// simulated from there, with a note on stderr:
 //
 //	ssdsim -config intel750 -trace db.trace
 //	tracegen -workload WebSearch | ssdsim -config zssd -trace -
 //	ssdsim -config 850pro -workload Database -requests 20000
 //	ssdsim -config intel750 -trace huge-100GB.trace          # constant memory
-//	ssdsim -config intel750 -trace unsorted.trace -materialize
 //	ssdsim -config intel750 -workload Database -faultrate 0.001 -faultdies 1
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,7 +59,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the report as JSON instead of text")
 	metrics := flag.String("metrics", "", "write simulator metrics to this file (.json = JSON snapshot, else Prometheus text)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	materialize := flag.Bool("materialize", false, "buffer the whole trace in memory and sort arrivals (needed for unsorted blktrace files)")
 	flag.Parse()
 
 	if *pprofAddr != "" {
@@ -141,6 +142,7 @@ func main() {
 	}
 
 	var src trace.Source
+	var file *os.File // the trace file, or the spooled copy of stdin
 	var err error
 	cleanup := func() {}
 	switch {
@@ -149,7 +151,7 @@ func main() {
 			Requests: *requests, Seed: *seed, TrimRatio: *trimRatio, Streams: *genStreams,
 		})
 	case *tracePath != "":
-		src, cleanup, err = openTraceSource(*tracePath, *format, *materialize)
+		src, file, cleanup, err = openTraceSource(*tracePath, *format)
 	default:
 		fmt.Fprintln(os.Stderr, "ssdsim: need -trace or -workload")
 		os.Exit(2)
@@ -171,6 +173,10 @@ func main() {
 		sim.Obs = reg
 	}
 	res, err := sim.RunSource(src)
+	if errors.Is(err, trace.ErrUnsorted) {
+		fmt.Fprintln(os.Stderr, "ssdsim: arrivals out of order; sorting the trace in memory")
+		res, err = runSorted(sim, file)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssdsim:", err)
 		os.Exit(1)
@@ -291,47 +297,46 @@ func printJSONReport(dev ssd.DeviceParams, res *ssd.Result) {
 	os.Stdout.Write(append(b, '\n'))
 }
 
-// openTraceSource opens a trace file as a rewindable Source. Blktrace
-// files stream straight from disk in constant memory; stdin is spooled
-// to a temporary file first so the simulator's warm-up and measured
-// sweeps can rewind it. MSR traces (and -materialize) use the buffered
-// parser, which also sorts out-of-order arrivals.
-func openTraceSource(path, format string, materialize bool) (trace.Source, func(), error) {
-	cleanup := func() {}
-	if strings.EqualFold(format, "msr") || materialize {
-		parse := trace.ParseBlktrace
-		if strings.EqualFold(format, "msr") {
-			parse = trace.ParseMSR
-		}
-		r := io.Reader(os.Stdin)
-		if path != "-" {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, cleanup, err
-			}
-			defer f.Close()
-			r = f
-		}
-		tr, err := parse(r)
-		if err != nil {
-			return nil, cleanup, err
-		}
-		return tr.Source(), cleanup, nil
-	}
+// openTraceSource opens a trace file as a rewindable Source and returns
+// the file with it; stdin is spooled to a temporary file first so the
+// simulator's warm-up and measured sweeps can rewind it. Blktrace files
+// stream straight from disk in constant memory. MSR traces use the
+// buffered parser, which also sorts out-of-order arrivals.
+func openTraceSource(path, format string) (src trace.Source, f *os.File, cleanup func(), err error) {
+	name := filepath.Base(path)
 	if path == "-" {
-		tmp, err := spoolStdin()
-		if err != nil {
-			return nil, cleanup, err
-		}
-		cleanup = func() { tmp.Close(); os.Remove(tmp.Name()) }
-		return trace.NewBlktraceSource(tmp, "stdin"), cleanup, nil
+		name = "stdin"
+		f, err = spoolStdin()
+		cleanup = func() { f.Close(); os.Remove(f.Name()) }
+	} else {
+		f, err = os.Open(path)
+		cleanup = func() { f.Close() }
 	}
-	f, err := os.Open(path)
 	if err != nil {
-		return nil, cleanup, err
+		return nil, nil, func() {}, err
 	}
-	cleanup = func() { f.Close() }
-	return trace.NewBlktraceSource(f, filepath.Base(path)), cleanup, nil
+	if strings.EqualFold(format, "msr") {
+		tr, err := trace.ParseMSR(f)
+		if err != nil {
+			cleanup()
+			return nil, nil, func() {}, err
+		}
+		return tr.Source(), f, cleanup, nil
+	}
+	return trace.NewBlktraceSource(f, name), f, cleanup, nil
+}
+
+// runSorted simulates a blktrace file through ParseBlktrace, which
+// buffers it and sorts its arrivals.
+func runSorted(sim *ssd.Simulator, f *os.File) (*ssd.Result, error) {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	tr, err := trace.ParseBlktrace(f)
+	if err != nil {
+		return nil, err
+	}
+	return sim.RunSource(tr.Source())
 }
 
 // spoolStdin copies stdin to a temporary file so it becomes seekable.

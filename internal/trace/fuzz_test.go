@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/big"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // FuzzParseBlktrace fuzzes the text-format parser and pins the
@@ -29,6 +33,7 @@ func FuzzParseBlktrace(f *testing.F) {
 	f.Add("1e300 1 1 R\n")                                  // timestamp out of range: must be rejected
 	f.Add("nan 1 1 R\n")
 	f.Add("0.1 1 1 R")
+	f.Add("0.000000001 1 8 R\n1.999999999 2 8 W\n") // 9-digit stamps, finer than the writer's
 
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ParseBlktrace(strings.NewReader(input))
@@ -76,10 +81,13 @@ func FuzzParseBlktrace(f *testing.F) {
 	})
 }
 
-// refParseBlktraceLine is the strings.Fields/strconv reference model of
-// parseBlktraceLine: the line is trimmed, split and parsed with string
-// operations alone. The byte-level parser must return the same Request,
-// skip flag and error text for every line.
+// refMaxTraceSeconds is the float bound the reference parser checks.
+const refMaxTraceSeconds = float64(1<<62) / 1e9
+
+// refParseBlktraceLine is the strings.Fields/strconv parser that the
+// byte-level parser replaced, kept as the reference it is fuzzed
+// against: the line is trimmed, split and parsed with string operations
+// alone, and the timestamp goes through a float64.
 func refParseBlktraceLine(lineNo int, line string) (req Request, skip bool, err error) {
 	line = strings.TrimSpace(line)
 	if line == "" || line[0] == '#' {
@@ -93,7 +101,7 @@ func refParseBlktraceLine(lineNo int, line string) (req Request, skip bool, err 
 	if err != nil {
 		return Request{}, false, fmt.Errorf("trace: line %d: bad timestamp %q: %w", lineNo, fields[0], err)
 	}
-	if math.IsNaN(ts) || ts > maxTraceSeconds || ts < -maxTraceSeconds {
+	if math.IsNaN(ts) || ts > refMaxTraceSeconds || ts < -refMaxTraceSeconds {
 		return Request{}, false, fmt.Errorf("trace: line %d: timestamp %q out of range", lineNo, fields[0])
 	}
 	lba, err := strconv.ParseUint(fields[1], 10, 64)
@@ -131,11 +139,10 @@ func refParseBlktraceLine(lineNo int, line string) (req Request, skip bool, err 
 	}, false, nil
 }
 
-// blktraceLineSeeds are lines on both sides of every fast path of
-// parseBlktraceLine: timestamps the exact decimal path takes and those
-// it hands to strconv, separators past ASCII, op words in any case
-// (including runes that upper-case to ASCII), wrong field counts and
-// integers out of range.
+// blktraceLineSeeds are lines on both sides of the grammar: timestamps
+// it takes and the float forms it drops, separators past ASCII, op words
+// in any case (including runes that upper-case to ASCII), wrong field
+// counts and integers out of range.
 var blktraceLineSeeds = []string{
 	"0.000000 100 8 R",
 	"1.500000 200 16 W 3",
@@ -200,7 +207,18 @@ var blktraceLineSeeds = []string{
 }
 
 // FuzzBlktraceLineMatchesReference holds the byte-level line parser to
-// its strings.Fields/strconv reference on arbitrary lines.
+// its strings.Fields/strconv reference on arbitrary lines:
+//   - (a) a line the parser accepts, the reference accepts with the same
+//     LBA, length, op and stream; the arrival is the exact decimal
+//     rounded to the nanosecond, within 1 ns of the reference's float
+//     arrival (plus the float's own rounding past 2^51 ns);
+//   - (b) a line the reference rejects, the parser rejects too, and on
+//     an all-ASCII line its error names the same field, unless it
+//     stopped earlier at a dropped timestamp;
+//   - (c) a line the reference accepts and the parser rejects holds one
+//     of the forms the grammar drops (see dropped);
+//   - (d) skip flags agree, except on a line whose leading whitespace is
+//     not ASCII.
 func FuzzBlktraceLineMatchesReference(f *testing.F) {
 	for _, line := range blktraceLineSeeds {
 		f.Add(line)
@@ -208,9 +226,92 @@ func FuzzBlktraceLineMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line string) {
 		got, gotSkip, gotErr := parseBlktraceLine(7, []byte(line))
 		want, wantSkip, wantErr := refParseBlktraceLine(7, line)
-		if got != want || gotSkip != wantSkip || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("line %q:\ngot  %+v skip %v err %v\nwant %+v skip %v err %v",
-				line, got, gotSkip, gotErr, want, wantSkip, wantErr)
+		fail := func(why string) {
+			t.Helper()
+			t.Fatalf("line %q: %s\ngot  %+v skip %v err %v\nwant %+v skip %v err %v",
+				line, why, got, gotSkip, gotErr, want, wantSkip, wantErr)
+		}
+		if gotSkip != wantSkip {
+			if lead := line[:len(line)-len(strings.TrimLeftFunc(line, unicode.IsSpace))]; isASCII(lead) {
+				fail("skip flags differ")
+			}
+			return
+		}
+		switch {
+		case gotSkip:
+		case gotErr == nil && wantErr != nil:
+			fail("accepted a line the reference rejects")
+		case gotErr == nil:
+			if got.LBA != want.LBA || got.Sectors != want.Sectors || got.Op != want.Op || got.Stream != want.Stream {
+				fail("fields differ")
+			}
+			ns := int64(got.Arrival)
+			if exact := exactNanos(strings.Fields(line)[0]); !exact.IsInt64() || exact.Int64() != ns {
+				fail(fmt.Sprintf("arrival is not the exact value %v ns", exact))
+			}
+			if d := ns - int64(want.Arrival); abs(d) > 1+abs(ns)>>51 {
+				fail(fmt.Sprintf("arrival %d ns from the reference's", d))
+			}
+		case wantErr != nil:
+			g, w := errField(gotErr), errField(wantErr)
+			if isASCII(line) && g != w && !(g == "timestamp" && dropped(line)) {
+				fail(fmt.Sprintf("error names %q, the reference's names %q", g, w))
+			}
+		case !dropped(line):
+			fail("rejected a line the reference accepts")
 		}
 	})
+}
+
+// timestampGrammar matches the timestamps parseBlktraceLine accepts.
+var timestampGrammar = regexp.MustCompile(`^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)$`)
+
+// dropped reports whether a line holds a form the grammar drops but the
+// reference accepts: a byte past ASCII, a timestamp outside the grammar,
+// or one whose exact value is beyond ±2^62 ns.
+func dropped(line string) bool {
+	if !isASCII(line) {
+		return true
+	}
+	ts := strings.Fields(line)[0]
+	return !timestampGrammar.MatchString(ts) || exactNanos(ts).CmpAbs(big.NewInt(1<<62)) > 0
+}
+
+// exactNanos is a decimal timestamp in seconds rounded half away from
+// zero to whole nanoseconds, computed exactly.
+func exactNanos(ts string) *big.Int {
+	r, ok := new(big.Rat).SetString(ts)
+	if !ok {
+		panic("exactNanos: not a number: " + ts)
+	}
+	r.Mul(r, big.NewRat(1e9, 1))
+	q, m := new(big.Int).QuoRem(r.Num(), r.Denom(), new(big.Int))
+	if m.Lsh(m.Abs(m), 1).Cmp(r.Denom()) >= 0 {
+		q.Add(q, big.NewInt(int64(r.Num().Sign())))
+	}
+	return q
+}
+
+// errField is the field a line error blames: "want" for a wrong field
+// count, else the field's name.
+func errField(err error) string {
+	_, msg, _ := strings.Cut(err.Error(), ": line 7: ")
+	field, _, _ := strings.Cut(strings.TrimPrefix(msg, "bad "), " ")
+	return field
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+func abs(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

@@ -2,14 +2,12 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"time"
-	"unicode/utf8"
 )
 
 // Source is a rewindable streaming cursor over a request sequence — the
@@ -132,10 +130,9 @@ func (c *compressStream) Next() (Request, bool) {
 	return r, true
 }
 
-// maxTraceSeconds bounds parsed timestamps so the seconds→nanoseconds
-// conversion can never overflow time.Duration (the overflow behavior of
-// out-of-range float→int conversion is platform-dependent).
-const maxTraceSeconds = float64(1<<62) / 1e9
+// maxTraceNanos bounds the magnitude of a parsed timestamp, in
+// nanoseconds, well inside time.Duration.
+const maxTraceNanos = 1 << 62
 
 // maxBlktraceLine is the longest line the blktrace readers accept.
 const maxBlktraceLine = 1 << 20
@@ -144,17 +141,9 @@ const maxBlktraceLine = 1 << 20
 // scanner grows it, up to maxBlktraceLine, only for a longer line.
 const blktraceBufSize = 64 << 10
 
-// exactPow10 holds the powers of ten a float64 represents exactly.
-var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// parseBlktraceLine parses one line of the simplified blktrace format in
-// place, without building strings on the common path. Fields are split
-// as strings.Fields splits them (ASCII spaces, and past ASCII any rune
-// unicode.IsSpace accepts); skip is true for blank lines and '#'
-// comments. Every value and error equals that of strings.Fields followed
-// by strconv.ParseFloat and ParseUint on each field, so any form the
-// byte-level decoders below do not take goes to strconv on that field.
+// parseBlktraceLine parses one line of the blktrace format (its grammar
+// is in ParseBlktrace's comment) in place, without building strings;
+// skip is true for blank lines and '#' comments.
 func parseBlktraceLine(lineNo int, line []byte) (req Request, skip bool, err error) {
 	var f [5][]byte
 	n := splitFields(line, &f)
@@ -164,14 +153,12 @@ func parseBlktraceLine(lineNo int, line []byte) (req Request, skip bool, err err
 	if n != 4 && n != 5 {
 		return Request{}, false, fmt.Errorf("trace: line %d: want 4 or 5 fields, got %d", lineNo, n)
 	}
-	ts, ok := parseSeconds(f[0])
-	if !ok {
-		if ts, err = strconv.ParseFloat(string(f[0]), 64); err != nil {
-			return Request{}, false, fmt.Errorf("trace: line %d: bad timestamp %q: %w", lineNo, f[0], err)
-		}
-	}
-	if math.IsNaN(ts) || ts > maxTraceSeconds || ts < -maxTraceSeconds {
+	arrival, err := parseNanos(f[0])
+	if errors.Is(err, strconv.ErrRange) {
 		return Request{}, false, fmt.Errorf("trace: line %d: timestamp %q out of range", lineNo, f[0])
+	}
+	if err != nil {
+		return Request{}, false, fmt.Errorf("trace: line %d: bad timestamp %q: %w", lineNo, f[0], err)
 	}
 	lba, err := parseUint(f[1], 64)
 	if err != nil {
@@ -192,7 +179,7 @@ func parseBlktraceLine(lineNo int, line []byte) (req Request, skip bool, err err
 		}
 	}
 	return Request{
-		Arrival: time.Duration(ts * float64(time.Second)),
+		Arrival: arrival,
 		LBA:     lba,
 		Sectors: uint32(sectors),
 		Op:      op,
@@ -200,36 +187,19 @@ func parseBlktraceLine(lineNo int, line []byte) (req Request, skip bool, err err
 	}, false, nil
 }
 
-// byteClass sorts bytes for field splitting: 0 for a field byte, 1 for
-// the ASCII spaces strings.Fields splits on, 2 for the bytes past ASCII.
-var byteClass = func() (c [256]uint8) {
-	for _, b := range []byte{'\t', '\n', '\v', '\f', '\r', ' '} {
-		c[b] = 1
-	}
-	for b := utf8.RuneSelf; b < len(c); b++ {
-		c[b] = 2
-	}
-	return c
-}()
+// isSpace marks the ASCII whitespace that separates fields.
+var isSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
-// splitFields splits line into fields as strings.Fields would, stores
-// the first len(f) of them in f and returns how many there are.
+// splitFields splits line on runs of ASCII whitespace, stores the first
+// len(f) fields in f and returns how many there are.
 func splitFields(line []byte, f *[5][]byte) (n int) {
 	for i := 0; ; n++ {
-		for i < len(line) && byteClass[line[i]] == 1 {
+		for i < len(line) && isSpace[line[i]] {
 			i++
 		}
 		start := i
-		for i < len(line) && byteClass[line[i]] == 0 {
+		for i < len(line) && !isSpace[line[i]] {
 			i++
-		}
-		if i < len(line) && byteClass[line[i]] == 2 {
-			// A byte past ASCII may start a multi-byte space, which
-			// bytes.Fields decodes; such lines are rare enough to
-			// allocate.
-			all := bytes.Fields(line)
-			copy(f[:], all)
-			return len(all)
 		}
 		if start == i {
 			return n
@@ -240,70 +210,78 @@ func splitFields(line []byte, f *[5][]byte) (n int) {
 	}
 }
 
-// parseSeconds decodes a timestamp made of decimal digits with at most
-// one '.', a mantissa m of at most 2^53 and at most 22 fraction digits
-// k, as float64(m) / 1e<k>. Both operands are exact in a float64, so the
-// one IEEE division rounds the decimal value correctly: the result is
-// the float64 strconv.ParseFloat returns. ok is false for every other
-// form (signs, exponents, nan/inf, longer mantissas), which the caller
-// hands to strconv.
-func parseSeconds(b []byte) (float64, bool) {
-	var m uint64
-	sig, frac := 0, 0
-	digits, dot := false, false
-	for _, c := range b {
-		switch {
-		case c == '.' && !dot:
-			dot = true
-		case c-'0' <= 9:
-			digits = true
-			if dot {
-				frac++
+// parseNanos decodes a timestamp in seconds (an optional sign, then
+// digits with at most one '.') to whole nanoseconds, rounded half away
+// from zero: the 10th fraction digit decides and later ones are ignored.
+// The error is strconv.ErrSyntax for any other form and strconv.ErrRange
+// for a value beyond ±maxTraceNanos.
+func parseNanos(b []byte) (time.Duration, error) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (neg || b[0] == '+') {
+		b = b[1:]
+	}
+	var ns uint64
+	i := 0
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		ns = mul10(ns, uint64(b[i]-'0'))
+	}
+	digits, frac := i, 0
+	if i < len(b) && b[i] == '.' {
+		for i++; i < len(b) && b[i]-'0' <= 9; i++ {
+			if frac < 9 {
+				ns = mul10(ns, uint64(b[i]-'0'))
+			} else if frac == 9 && b[i] >= '5' {
+				ns++ // the 10th fraction digit rounds; later ones are ignored
 			}
-			if m == 0 && c == '0' {
-				continue // a leading zero is not significant
-			}
-			if sig++; sig > 19 {
-				return 0, false // a 20th significant digit could overflow m
-			}
-			m = m*10 + uint64(c-'0')
-		default:
-			return 0, false
+			frac++
 		}
 	}
-	if !digits || m > 1<<53 || frac >= len(exactPow10) {
-		return 0, false
+	if i < len(b) || digits+frac == 0 {
+		return 0, strconv.ErrSyntax
 	}
-	return float64(m) / exactPow10[frac], true
+	for ; frac < 9; frac++ {
+		ns = mul10(ns, 0)
+	}
+	if ns > maxTraceNanos {
+		return 0, strconv.ErrRange
+	}
+	if neg {
+		return -time.Duration(ns), nil
+	}
+	return time.Duration(ns), nil
 }
 
-// parseUint is strconv.ParseUint(string(b), 10, bits) that decodes a
-// plain run of at most 19 digits fitting in bits in place; anything else
-// goes to strconv for its value or its error.
+// mul10 returns 10ns+d, or maxTraceNanos+1 once ns is past a tenth of
+// the bound, so a long timestamp saturates instead of wrapping.
+func mul10(ns, d uint64) uint64 {
+	if ns > maxTraceNanos/10 {
+		return maxTraceNanos + 1
+	}
+	return ns*10 + d
+}
+
+// parseUint decodes a field of plain decimal digits that fits in bits.
 func parseUint(b []byte, bits int) (uint64, error) {
-	if len(b) <= 19 {
-		var v uint64
-		i := 0
-		for ; i < len(b) && b[i]-'0' <= 9; i++ {
-			v = v*10 + uint64(b[i]-'0')
+	var v uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 {
+			return 0, strconv.ErrSyntax
 		}
-		if i == len(b) && i > 0 && v>>bits == 0 {
-			return v, nil
+		if v > (math.MaxUint64-d)/10 {
+			return 0, strconv.ErrRange
 		}
+		v = v*10 + d
 	}
-	return strconv.ParseUint(string(b), 10, bits)
+	if v>>bits != 0 {
+		return 0, strconv.ErrRange
+	}
+	return v, nil
 }
 
-// parseOp maps an op field to its Op as a match on strings.ToUpper of the
-// field would. Past ASCII it calls strings.ToUpper itself, since a few
-// runes ('ı', 'ſ') upper-case to ASCII letters.
+// parseOp maps an op word, in any ASCII case, to its Op.
 func parseOp(b []byte) (Op, bool) {
 	var up [len("DISCARD")]byte
-	for _, c := range b {
-		if c >= utf8.RuneSelf {
-			return opNamed(strings.ToUpper(string(b)))
-		}
-	}
 	if len(b) > len(up) {
 		return 0, false
 	}
@@ -313,12 +291,7 @@ func parseOp(b []byte) (Op, bool) {
 		}
 		up[i] = c
 	}
-	return opNamed(string(up[:len(b)]))
-}
-
-// opNamed maps an upper-case op word to its Op.
-func opNamed(word string) (Op, bool) {
-	switch word {
+	switch string(up[:len(b)]) {
 	case "R", "READ":
 		return Read, true
 	case "W", "WRITE":
@@ -363,11 +336,15 @@ func (d *blktraceReader) next() (Request, error) {
 	return Request{}, io.EOF
 }
 
+// ErrUnsorted is wrapped by the error a streaming blktrace source ends
+// with when an arrival precedes the one before it. ParseBlktrace, which
+// buffers and sorts, accepts such input.
+var ErrUnsorted = errors.New("out-of-order arrival")
+
 // blktraceSource streams the simplified blktrace text format from a
 // seekable reader, validating that arrivals are sorted instead of
 // buffering and sorting the whole trace. Out-of-order timestamps are an
-// explicit error on this path (use ParseBlktrace to accept and sort
-// unsorted input).
+// explicit error on this path, wrapping ErrUnsorted.
 type blktraceSource struct {
 	r    io.ReadSeeker
 	name string
@@ -412,8 +389,8 @@ func (s *blktraceSource) Next() (Request, bool) {
 		return Request{}, false
 	}
 	if s.seen && req.Arrival < s.last {
-		s.err = fmt.Errorf("trace: line %d: out-of-order arrival %v < %v (streaming reader requires sorted input; use ParseBlktrace to sort)",
-			s.dec.lineNo, req.Arrival, s.last)
+		s.err = fmt.Errorf("trace: line %d: %w %v < %v (streaming reader requires sorted input; use ParseBlktrace to sort)",
+			s.dec.lineNo, ErrUnsorted, req.Arrival, s.last)
 		return Request{}, false
 	}
 	s.last, s.seen = req.Arrival, true

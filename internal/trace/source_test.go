@@ -4,12 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -207,6 +206,9 @@ func TestBlktraceSourceOutOfOrder(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "out-of-order") {
 		t.Fatalf("Err() = %v, want out-of-order error", err)
 	}
+	if !errors.Is(err, ErrUnsorted) {
+		t.Fatalf("Err() = %v, want it to wrap ErrUnsorted", err)
+	}
 	// Reset clears the error and replays up to the same failure point.
 	src.Reset()
 	if src.Err() != nil {
@@ -381,31 +383,68 @@ func TestBlktraceLongLines(t *testing.T) {
 	}
 }
 
-// TestParseSecondsMatchesParseFloat checks the exact decimal path of the
-// timestamp decoder against strconv.ParseFloat on random digit strings
-// of every length up to 20 with the '.' anywhere.
-func TestParseSecondsMatchesParseFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	fast := 0
-	for i := 0; i < 200000; i++ {
-		b := make([]byte, 1+rng.Intn(20))
-		for j := range b {
-			b[j] = byte('0' + rng.Intn(10))
-		}
-		if rng.Intn(4) > 0 {
-			b[rng.Intn(len(b))] = '.'
-		}
-		got, ok := parseSeconds(b)
-		if !ok {
-			continue
-		}
-		fast++
-		want, err := strconv.ParseFloat(string(b), 64)
-		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("parseSeconds(%q) = %v, ParseFloat = %v, %v", b, got, want, err)
+// TestBlktraceArrivalsExact pins the timestamp decode to whole
+// nanoseconds: every arrival the writer emits and every blkparse-style
+// %d.%09d stamp reads back exactly, ties at the 10th fraction digit
+// round away from zero, and ±2^62 ns is the last value in range.
+func TestBlktraceArrivalsExact(t *testing.T) {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	check := func(want time.Duration, line []byte) {
+		t.Helper()
+		req, _, err := parseBlktraceLine(1, line)
+		if err != nil || req.Arrival != want {
+			t.Fatalf("%q: arrival %v, err %v; want %v", line, req.Arrival, err, want)
 		}
 	}
-	if fast < 100000 {
-		t.Fatalf("only %d of 200000 inputs took the exact path", fast)
+	for us := time.Duration(0); us < time.Second; us += time.Microsecond {
+		buf.Reset()
+		if err := writeBlktraceLine(w, Request{Arrival: us, LBA: 1, Sectors: 8}); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		check(us, buf.Bytes())
+	}
+	var line []byte
+	for ns := int64(0); ns < 100e9; ns += 99991 {
+		line = fmt.Appendf(line[:0], "%d.%09d 1 8 R", ns/1e9, ns%1e9)
+		check(time.Duration(ns), line)
+	}
+
+	for ts, want := range map[string]time.Duration{
+		"0.0000000005":           1,
+		"-0.0000000005":          -1,
+		"0.00000000049999":       0,
+		"-0.00000000049999":      0,
+		"1.0000000015":           1000000002,
+		"-1.0000000015":          -1000000002,
+		"2.99999999950":          3 * time.Second,
+		"-2.99999999951":         -3 * time.Second,
+		"7.1234567894999":        7123456789,
+		"4611686018.427387904":   1 << 62,
+		"-4611686018.427387904":  -1 << 62,
+		"4611686018.4273879044":  1 << 62,
+		"+4611686018.4273879039": 1 << 62,
+		"00000000000000000012.5": 12500 * time.Millisecond,
+		"5.":                     5 * time.Second,
+		".5":                     500 * time.Millisecond,
+		"-0":                     0,
+		"3":                      3 * time.Second,
+		"0042":                   42 * time.Second,
+	} {
+		check(want, []byte(ts+" 1 8 R"))
+	}
+	for _, ts := range []string{
+		"4611686018.427387905",
+		"-4611686018.427387905",
+		"4611686018.4273879045",
+		"4611686019",
+		"99999999999999999999999999",
+		"18446744073.709551616", // 2^64 ns, which would wrap to 0
+	} {
+		_, _, err := parseBlktraceLine(1, []byte(ts+" 1 8 R"))
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%s: err %v, want out of range", ts, err)
+		}
 	}
 }

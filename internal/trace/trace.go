@@ -6,7 +6,6 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -105,12 +104,30 @@ func (t *Trace) Split(frac float64) (train, valid *Trace) {
 // ParseBlktrace reads a simplified blktrace-style text format, one
 // request per line:
 //
-//	<timestamp-seconds> <lba-sectors> <sectors> <R|W|D> [stream]
+//	<timestamp-seconds> <lba-sectors> <sectors> <op> [stream]
 //
-// The optional fifth field is a multi-stream tag (omitted when zero).
-// Lines starting with '#' and blank lines are ignored. Requests are
-// buffered and sorted by arrival, so unsorted input is accepted; for a
-// constant-memory reader over already-sorted files use NewBlktraceSource.
+// The grammar is strict ASCII:
+//   - Fields are split on runs of ASCII whitespace (space, \t, \v, \f,
+//     \r). A blank line is skipped, and so is a line whose first
+//     non-space byte is '#', whatever bytes follow. A record has 4 or 5
+//     fields.
+//   - The timestamp is an optional '+' or '-', then digits with at most
+//     one '.' and at least one digit, so "5.", ".5" and "-0" are valid.
+//     Its value is the exact decimal rounded half away from zero at the
+//     nanosecond: the 10th fraction digit decides and later digits are
+//     ignored. A value beyond ±2^62 ns is out of range.
+//   - The LBA is plain decimal digits that fit in a uint64. The length
+//     and the optional fifth field, a multi-stream tag, are plain
+//     decimal digits that fit in a uint32. Leading zeros are allowed and
+//     signs are not.
+//   - The op is R, READ, W, WRITE, D, T, DISCARD or TRIM, in any ASCII
+//     case.
+//
+// Anything else in a record line, exponents, "inf" and any byte past
+// ASCII included, is an error naming the line and the field. Requests
+// are buffered and sorted by arrival, so unsorted input is accepted; for
+// a constant-memory reader over already-sorted files use
+// NewBlktraceSource.
 func ParseBlktrace(r io.Reader) (*Trace, error) {
 	var d blktraceReader
 	d.reset(r, make([]byte, blktraceBufSize))
@@ -133,18 +150,7 @@ func ParseBlktrace(r io.Reader) (*Trace, error) {
 
 // WriteBlktrace emits the trace in the format ParseBlktrace accepts.
 func WriteBlktrace(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if t.Name != "" {
-		if _, err := fmt.Fprintf(bw, "# workload: %s\n", t.Name); err != nil {
-			return err
-		}
-	}
-	for _, r := range t.Requests {
-		if err := writeBlktraceLine(bw, r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return WriteBlktraceSource(w, t.Source())
 }
 
 // writeBlktraceLine emits one request in the format parseBlktraceLine

@@ -127,14 +127,20 @@ func TestParseErrors(t *testing.T) {
 		"1.0 x 8 R",   // bad lba
 		"1.0 100 x R", // bad sectors
 		"1.0 100 8 Q", // bad op
+		// Forms outside the grammar that strconv and strings.Fields took.
+		"1e3 100 8 R",
+		"0x1p-2 100 8 R",
+		"inf 100 8 R",
+		"1.0\u3000100 8 R",
+		"1.0 100 8 WR\u0131TE",
 	}
 	for _, c := range cases {
 		if _, err := ParseBlktrace(strings.NewReader(c)); err == nil {
 			t.Fatalf("expected parse error for %q", c)
 		}
 	}
-	// Comments and blank lines are fine.
-	tr, err := ParseBlktrace(strings.NewReader("# hi\n\n0.5 100 8 W\n"))
+	// Comments, whatever bytes they hold, and blank lines are fine.
+	tr, err := ParseBlktrace(strings.NewReader("# hi\n\n# caf\u00e9 \xff\u3000\n0.5 100 8 W\n"))
 	if err != nil || len(tr.Requests) != 1 {
 		t.Fatalf("comment handling failed: %v %v", tr, err)
 	}
