@@ -34,7 +34,12 @@ import (
 	"autoblox/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command. It returns the exit status instead of
+// calling os.Exit, so its deferred clean-up (the spooled copy of stdin)
+// runs on every path.
+func run() int {
 	config := flag.String("config", "intel750", "device config: intel750, 850pro, zssd, default, or a JSON file path")
 	tracePath := flag.String("trace", "", "trace file ('-' = stdin)")
 	format := flag.String("format", "blktrace", "trace format: blktrace or msr")
@@ -84,7 +89,7 @@ func main() {
 		dev, err = ssd.LoadParams(*config)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ssdsim: %v (not a known name or a readable device JSON)\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 	if *channels > 0 {
@@ -100,7 +105,7 @@ func main() {
 		pol, err := ssd.ParseGCPolicy(*gcPolicy)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			os.Exit(2)
+			return 2
 		}
 		dev.GCPolicy = pol
 	}
@@ -108,7 +113,7 @@ func main() {
 		pol, err := ssd.ParseCachePolicy(*cachePolicy)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			os.Exit(2)
+			return 2
 		}
 		dev.CachePolicy = pol
 	}
@@ -116,7 +121,7 @@ func main() {
 		scheme, err := ssd.ParseAllocScheme(*alloc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			os.Exit(2)
+			return 2
 		}
 		dev.PlaneAllocScheme = scheme
 	}
@@ -124,7 +129,7 @@ func main() {
 		m, err := ssd.ParseHostIfc(*iface)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			os.Exit(2)
+			return 2
 		}
 		dev.HostIfcModel = m
 	}
@@ -154,18 +159,18 @@ func main() {
 		src, file, cleanup, err = openTraceSource(*tracePath, *format)
 	default:
 		fmt.Fprintln(os.Stderr, "ssdsim: need -trace or -workload")
-		os.Exit(2)
+		return 2
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssdsim:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer cleanup()
 
 	sim, err := ssd.NewSimulator(dev)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssdsim:", err)
-		os.Exit(1)
+		return 1
 	}
 	var reg *obs.Registry
 	if *metrics != "" {
@@ -179,14 +184,17 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssdsim:", err)
-		os.Exit(1)
+		return 1
 	}
 	if reg != nil {
 		cliobs.WriteMetrics(reg, *metrics)
 	}
 	if *jsonOut {
-		printJSONReport(dev, res)
-		return
+		if err := printJSONReport(dev, res); err != nil {
+			fmt.Fprintln(os.Stderr, "ssdsim:", err)
+			return 1
+		}
+		return 0
 	}
 
 	fmt.Printf("device:   %s, %dch x %dchip x %ddie x %dplane, %s page %dB, cache %dMB, CMT %dMB, QD %d\n",
@@ -224,6 +232,7 @@ func main() {
 	fmt.Printf("wear:     max %d / mean %.1f erases (imbalance %.2f), P/E limit %d, projected lifetime %s\n",
 		res.Wear.MaxEraseCount, res.Wear.MeanEraseCount, res.Wear.Imbalance,
 		res.Wear.PECycleLimit, lifetime)
+	return 0
 }
 
 // jsonReport is the machine-readable ssdsim report: the fields tuning
@@ -261,7 +270,7 @@ type jsonReport struct {
 }
 
 // printJSONReport emits the selected-fields JSON report on stdout.
-func printJSONReport(dev ssd.DeviceParams, res *ssd.Result) {
+func printJSONReport(dev ssd.DeviceParams, res *ssd.Result) error {
 	var rep jsonReport
 	rep.Device.Interface = dev.HostInterface.String()
 	rep.Device.Flash = dev.FlashType.String()
@@ -291,10 +300,10 @@ func printJSONReport(dev ssd.DeviceParams, res *ssd.Result) {
 	}
 	b, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ssdsim:", err)
-		os.Exit(1)
+		return err
 	}
-	os.Stdout.Write(append(b, '\n'))
+	_, err = os.Stdout.Write(append(b, '\n'))
+	return err
 }
 
 // openTraceSource opens a trace file as a rewindable Source and returns

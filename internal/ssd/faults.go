@@ -72,8 +72,8 @@ const retireFailLimit = 3
 const eccSoftDecodeMult = 8
 
 // faultState is the per-FTL fault-injection state: the seeded RNG, the
-// die-failure remap table, and the counters exported through Result
-// and the obs registry.
+// die-failure remap table, and the retirement gauges exported through
+// Result and the obs registry.
 type faultState struct {
 	rate float64
 	rng  *faultRNG
@@ -84,19 +84,16 @@ type faultState struct {
 	deadPlane []bool
 	redirect  []planeID
 
-	// Counters. The op counters reset with the other FTL counters at
-	// the warm-up boundary; retiredBlocks/factoryBadBlocks are state
-	// gauges and persist.
-	programFailures  int64
-	eraseFailures    int64
-	readRetries      int64
-	eccSoftDecodes   int64
+	// Device-state gauges: unlike the op counters in c, they persist
+	// across the warm-up boundary.
 	retiredBlocks    int64
 	factoryBadBlocks int64
+
+	c *Counters // the engine's op counters
 }
 
-func newFaultState(p *DeviceParams) *faultState {
-	return &faultState{rate: p.Faults.Rate, rng: newFaultRNG(p.Faults.Seed)}
+func newFaultState(p *DeviceParams, c *Counters) *faultState {
+	return &faultState{rate: p.Faults.Rate, rng: newFaultRNG(p.Faults.Seed), c: c}
 }
 
 // programFails draws one program-failure event.
@@ -112,7 +109,7 @@ func (s *faultState) retireAtErase(b *flashBlock) bool {
 		return true
 	}
 	if s.rate > 0 && s.rng.float64() < s.rate {
-		s.eraseFailures++
+		s.c.EraseFailures++
 		return true
 	}
 	return false
@@ -134,13 +131,6 @@ func (s *faultState) readRetrySteps(limit int) int {
 		steps++
 	}
 	return steps
-}
-
-// resetOpCounters clears the measurement-phase fault counters at the
-// warm-up boundary; retirement gauges persist (they are device state,
-// not traffic).
-func (s *faultState) resetOpCounters() {
-	s.programFailures, s.eraseFailures, s.readRetries, s.eccSoftDecodes = 0, 0, 0, 0
 }
 
 // redirectPlane remaps pl onto a surviving plane when its die failed.

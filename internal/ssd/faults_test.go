@@ -133,7 +133,7 @@ func TestDieFailureRemap(t *testing.T) {
 		t.Fatal("die-failure run produced no requests")
 	}
 
-	f, err := newFTL(&p)
+	f, err := newFTL(&p, new(Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDieFailureRemap(t *testing.T) {
 func TestOutOfSpaceIsTypedError(t *testing.T) {
 	p := smallDevice()
 	p.Faults = FaultProfile{Rate: 0.4, Seed: 1}
-	f, err := newFTL(&p)
+	f, err := newFTL(&p, new(Counters))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,15 +154,11 @@ type flashPlane struct {
 	// have exactly one lane, so actives[0] plays the role the old scalar
 	// active field did; multi-stream and ZNS devices fan host writes out
 	// over several lanes (see hostifc.go).
-	actives   []int32
-	freeList  []int32
-	nextFree  int64 // ns timestamp when the plane is idle again
-	allocSeq  int64
-	minErase  int32
-	maxErase  int32
-	gcRuns    int
-	wlSwaps   int
-	moveCount int64
+	actives  []int32
+	freeList []int32
+	allocSeq int64
+	minErase int32
+	maxErase int32
 }
 
 // isActive reports whether block b is an open write block on any lane.
@@ -216,10 +212,9 @@ type ftl struct {
 	// write-lane count (1 for conventional); streamOf records the last
 	// host stream tag per logical page (multi-stream only); zns holds the
 	// zone write pointers (ZNS only).
-	lanes        int
-	streamOf     []uint8
-	zns          *znsState
-	trimmedPages int64 // mapped pages invalidated by host TRIM
+	lanes    int
+	streamOf []uint8
+	zns      *znsState
 
 	// faults is the seeded fault-injection state (faults.go); nil when
 	// the device's FaultProfile is disabled, so fault-free runs take no
@@ -230,15 +225,12 @@ type ftl struct {
 	// the Run/RunSource error return.
 	fatal error
 
-	// Counters for metrics/energy.
-	userReads, userPrograms     int64
-	gcReads, gcPrograms         int64
-	erases                      int64
-	mappingReads, mappingWrites int64
+	// c is the engine's op counters.
+	c *Counters
 }
 
-// newFTL builds the scaled FTL for params p.
-func newFTL(p *DeviceParams) (*ftl, error) {
+// newFTL builds the scaled FTL for params p, counting into c.
+func newFTL(p *DeviceParams, c *Counters) (*ftl, error) {
 	planes := p.TotalPlanes()
 	bpp, ppb := scaleGeometry(p, planes)
 	layout, err := newPPALayout(planes, bpp, ppb)
@@ -260,6 +252,7 @@ func newFTL(p *DeviceParams) (*ftl, error) {
 		pagesPerBlock:  ppb,
 		sectorsPerPage: int64(p.PageSizeBytes / 512),
 		logicalPages:   logicalPages,
+		c:              c,
 	}
 	realPhys := int64(planes) * int64(p.BlocksPerPlane) * int64(p.PagesPerBlock)
 	f.capScale = realPhys / totalPhys
@@ -279,7 +272,7 @@ func newFTL(p *DeviceParams) (*ftl, error) {
 	case IfcMultiStream:
 		f.streamOf = make([]uint8, f.logicalPages)
 	case IfcZNS:
-		f.zns = newZNSState(p, f.logicalPages, f.capScale, ppb, f.lanes)
+		f.zns = newZNSState(p, f.logicalPages, f.capScale, ppb, f.lanes, c)
 	}
 
 	f.planes = make([]flashPlane, planes)
@@ -319,7 +312,7 @@ func newFTL(p *DeviceParams) (*ftl, error) {
 // plane/block order — so a given (params, seed) pair always yields the
 // same defect map.
 func (f *ftl) initFaults(p *DeviceParams, planes int) error {
-	fs := newFaultState(p)
+	fs := newFaultState(p, f.c)
 	f.faults = fs
 
 	if n := p.Faults.DieFailures; n > 0 {
@@ -435,12 +428,6 @@ func (f *ftl) prefill(frac float64) {
 		for lp := int64(0); lp < n; lp++ {
 			f.placePage(lp, 0)
 		}
-	}
-	// Reset op counters: warm-up traffic is not part of the measurement.
-	f.userPrograms, f.gcPrograms, f.gcReads, f.erases = 0, 0, 0, 0
-	for i := range f.planes {
-		f.planes[i].gcRuns = 0
-		f.planes[i].moveCount = 0
 	}
 }
 
@@ -614,7 +601,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 			blk.pages[blk.writePtr] = -1
 			blk.writePtr++
 			blk.failCount++
-			f.faults.programFailures++
+			f.c.ProgramFailures++
 			if blk.full(f.pagesPerBlock) {
 				f.advanceActive(fp, pl, lane)
 				if f.fatal != nil {
@@ -729,7 +716,7 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 			blk.writePtr = f.pagesPerBlock
 			blk.valid = 0
 			f.faults.retiredBlocks++
-			fp.gcRuns++
+			f.c.GCRuns++
 			continue
 		}
 		// Erase.
@@ -741,24 +728,23 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 		}
 		fp.freeList = append(fp.freeList, victim)
 		erasesDone++
-		fp.gcRuns++
+		f.c.GCRuns++
 	}
-	fp.moveCount += int64(moves)
-	f.gcReads += int64(moves)
-	f.gcPrograms += int64(moves)
-	f.erases += int64(erasesDone)
+	f.c.GCReads += int64(moves)
+	f.c.GCPrograms += int64(moves)
+	f.c.Erases += int64(erasesDone)
 
 	// Static wear leveling: when the erase-count spread exceeds the
 	// threshold, swap a cold block with a hot one. Modeled as an extra
 	// full-block migration charged like GC moves.
 	if f.p.StaticWearLeveling && fp.maxErase-fp.minErase > int32(f.p.WearLevelingThresh) {
-		fp.wlSwaps++
+		f.c.WearLevelSwaps++
 		fp.minErase = fp.maxErase - int32(f.p.WearLevelingThresh)/2
 		moves += f.pagesPerBlock
-		f.gcReads += int64(f.pagesPerBlock)
-		f.gcPrograms += int64(f.pagesPerBlock)
+		f.c.GCReads += int64(f.pagesPerBlock)
+		f.c.GCPrograms += int64(f.pagesPerBlock)
 		erasesDone++
-		f.erases++
+		f.c.Erases++
 	}
 	return moves, erasesDone
 }
@@ -795,7 +781,7 @@ func (f *ftl) trimPage(lp int64) bool {
 		return false
 	}
 	f.unmap(lp)
-	f.trimmedPages++
+	f.c.TrimmedPages++
 	return true
 }
 

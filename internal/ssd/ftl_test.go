@@ -13,7 +13,7 @@ func newTestFTL(t *testing.T, mutate func(*DeviceParams)) *ftl {
 	if mutate != nil {
 		mutate(&p)
 	}
-	f, err := newFTL(&p)
+	f, err := newFTL(&p, new(Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestValidCountsConsistentUnderChurn(t *testing.T) {
 	for i := int64(0); i < ws*6; i++ {
 		f.placePage(base+i%ws, 0)
 	}
-	if f.erases == 0 {
+	if f.c.Erases == 0 {
 		t.Fatal("churn of 3x logical space should trigger erases")
 	}
 	auditFTL(t, "churn", f)

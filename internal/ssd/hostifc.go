@@ -81,20 +81,19 @@ func laneCount(p *DeviceParams, blocksPerPlane int32) int {
 // zones onto write lanes. Slots are recycled in FIFO (round-robin)
 // order when a write opens a zone beyond MaxOpenZones.
 type znsState struct {
-	zonePages  int64   // folded logical pages per zone
-	wp         []int64 // per-zone write pointer (page offset into the zone)
-	slotOfZone []int16 // zone -> open lane slot, -1 when closed
-	zoneOfSlot []int64 // lane slot -> zone currently holding it, -1 when empty
-	nextSlot   int     // FIFO recycle cursor
-	violations int64   // writes below the zone write pointer
-	resets     int64   // full-zone TRIMs observed (reset-as-erase)
+	zonePages  int64     // folded logical pages per zone
+	wp         []int64   // per-zone write pointer (page offset into the zone)
+	slotOfZone []int16   // zone -> open lane slot, -1 when closed
+	zoneOfSlot []int64   // lane slot -> zone currently holding it, -1 when empty
+	nextSlot   int       // FIFO recycle cursor
+	c          *Counters // the engine's op counters: WPViolations, ZoneResets
 }
 
 // newZNSState sizes zones on the scaled device: the configured zone
 // size is folded by capScale like every address, and clamped to at
 // least one simulated erase block (a zone is never smaller than the
 // erase unit it maps onto).
-func newZNSState(p *DeviceParams, logicalPages, capScale int64, pagesPerBlock int32, lanes int) *znsState {
+func newZNSState(p *DeviceParams, logicalPages, capScale int64, pagesPerBlock int32, lanes int, c *Counters) *znsState {
 	zonePages := (int64(p.ZoneSizeMB) << 20 / int64(p.PageSizeBytes)) / capScale
 	if zonePages < int64(pagesPerBlock) {
 		zonePages = int64(pagesPerBlock)
@@ -105,6 +104,7 @@ func newZNSState(p *DeviceParams, logicalPages, capScale int64, pagesPerBlock in
 		wp:         make([]int64, zones),
 		slotOfZone: make([]int16, zones),
 		zoneOfSlot: make([]int64, lanes),
+		c:          c,
 	}
 	for i := range z.slotOfZone {
 		z.slotOfZone[i] = -1
@@ -148,7 +148,7 @@ func (z *znsState) noteWrite(lp int64) (violation bool) {
 	case off >= z.wp[zi]-1:
 		// frontier rewrite: folded duplicate, tolerated
 	default:
-		z.violations++
+		z.c.WPViolations++
 		return true
 	}
 	return false
@@ -166,19 +166,14 @@ func (z *znsState) noteTrim(firstLP, nPages int64) {
 		i := zi % zones
 		if z.wp[i] != 0 {
 			z.wp[i] = 0
-			z.resets++
+			z.c.ZoneResets++
 		}
 	}
 }
 
-// reset clears the measurement-phase write-pointer state. The engine
-// calls it between the warm-up and measured sweeps: both sweeps replay
-// the same trace, so carrying warm-up pointers over would turn every
-// measured write into a stale rewrite. Slot assignments are kept —
-// they are placement state, like block occupancy.
-func (z *znsState) reset() {
-	for i := range z.wp {
-		z.wp[i] = 0
-	}
-	z.violations, z.resets = 0, 0
-}
+// reset clears the write pointers. The engine calls it between the
+// warm-up and measured sweeps: both sweeps replay the same trace, so
+// carrying warm-up pointers over would turn every measured write into a
+// stale rewrite. Slot assignments are kept — they are placement state,
+// like block occupancy.
+func (z *znsState) reset() { clear(z.wp) }

@@ -65,6 +65,7 @@ func testZNSState(zones int, zonePages int64, slots int) *znsState {
 		wp:         make([]int64, zones),
 		slotOfZone: make([]int16, zones),
 		zoneOfSlot: make([]int64, slots),
+		c:          new(Counters),
 	}
 	for i := range z.slotOfZone {
 		z.slotOfZone[i] = -1
@@ -88,8 +89,8 @@ func TestZNSWritePointer(t *testing.T) {
 	if z.noteWrite(7) {
 		t.Fatal("frontier rewrite (wp-1) must be tolerated, capScale folds neighbors onto it")
 	}
-	if z.noteWrite(3) != true || z.violations != 1 {
-		t.Fatalf("rewrite below wp-1 must count one violation, got %d", z.violations)
+	if z.noteWrite(3) != true || z.c.WPViolations != 1 {
+		t.Fatalf("rewrite below wp-1 must count one violation, got %d", z.c.WPViolations)
 	}
 	if z.wp[0] != 8 {
 		t.Fatalf("violating write moved wp[0] to %d", z.wp[0])
@@ -97,23 +98,23 @@ func TestZNSWritePointer(t *testing.T) {
 	// capScale folding may skip pages forward: an append past the
 	// pointer is legal and advances it to just past the write.
 	if z.noteWrite(8+3) || z.wp[1] != 4 {
-		t.Fatalf("skip-forward append: violations=%d wp[1]=%d, want 0 and 4", z.violations-1, z.wp[1])
+		t.Fatalf("skip-forward append: violations=%d wp[1]=%d, want 0 and 4", z.c.WPViolations-1, z.wp[1])
 	}
 
 	// Full-zone trim is a zone reset; a partial trim is not.
 	z.noteTrim(0, 8)
-	if z.wp[0] != 0 || z.resets != 1 {
-		t.Fatalf("full-zone trim: wp[0]=%d resets=%d, want 0 and 1", z.wp[0], z.resets)
+	if z.wp[0] != 0 || z.c.ZoneResets != 1 {
+		t.Fatalf("full-zone trim: wp[0]=%d resets=%d, want 0 and 1", z.wp[0], z.c.ZoneResets)
 	}
 	z.noteTrim(8, 4)
-	if z.wp[1] != 4 || z.resets != 1 {
-		t.Fatalf("partial trim must not reset: wp[1]=%d resets=%d", z.wp[1], z.resets)
+	if z.wp[1] != 4 || z.c.ZoneResets != 1 {
+		t.Fatalf("partial trim must not reset: wp[1]=%d resets=%d", z.wp[1], z.c.ZoneResets)
 	}
 
 	z.slotFor(0)
 	z.reset()
-	if z.wp[1] != 0 || z.violations != 0 || z.resets != 0 {
-		t.Fatalf("reset left wp[1]=%d violations=%d resets=%d", z.wp[1], z.violations, z.resets)
+	if z.wp[1] != 0 {
+		t.Fatalf("reset left wp[1]=%d", z.wp[1])
 	}
 	if z.slotOfZone[0] < 0 {
 		t.Fatal("reset must keep slot assignments (placement state)")
@@ -242,11 +243,12 @@ func TestMultiStreamIsolation(t *testing.T) {
 	}
 }
 
-// TestZNSSimViolationsAndResets drives a ZNS device with a hand-built
-// trace: a full sequential fill of zone 0 (clean appends), one rewrite
-// below the zone write pointer (a violation), and a full-zone TRIM (a
-// zone reset). The Result counters must see exactly those events.
-func TestZNSSimViolationsAndResets(t *testing.T) {
+// znsScript is a ZNS device and a hand-built trace for it: a full
+// sequential fill of zone 0 (clean appends), one rewrite below the zone
+// write pointer (a violation), a full-zone TRIM (a zone reset) and a
+// clean append after it.
+func znsScript(t *testing.T) (DeviceParams, *trace.Trace) {
+	t.Helper()
 	p := smallDevice()
 	p.HostIfcModel = IfcZNS
 	p.ZoneSizeMB = 1 // many zones on the small test device
@@ -276,15 +278,14 @@ func TestZNSSimViolationsAndResets(t *testing.T) {
 	add(trace.Write, 2, uint32(spp))            // below wp: violation
 	add(trace.Trim, 0, uint32(uint64(zp)*step)) // covers zone 0: reset
 	add(trace.Write, 0, uint32(spp))            // clean append after reset
+	return p, &trace.Trace{Name: "zns-script", Requests: reqs}
+}
 
-	sim, err := NewSimulator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(&trace.Trace{Name: "zns-script", Requests: reqs})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestZNSSimViolationsAndResets drives a ZNS device with znsScript. The
+// Result counters must see exactly its events.
+func TestZNSSimViolationsAndResets(t *testing.T) {
+	p, tr := znsScript(t)
+	res := runTrace(t, p, tr)
 	if res.WPViolations != 1 {
 		t.Fatalf("WPViolations = %d, want 1", res.WPViolations)
 	}

@@ -1,7 +1,6 @@
 package ssd
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -45,35 +44,20 @@ type policyDomain struct {
 	names []string // value -> canonical name; dense from 0
 	docs  []string // value -> one-line description
 	index map[string]uint8
-	// err records a malformed domain table. Tables are package-level
-	// literals, so instead of panicking at init the defect is stored and
-	// surfaced as a typed error from every validation/parse path that
-	// touches the domain (DeviceParams.Validate, the JSON codec, CLI
-	// flag parsing).
-	err error
 }
 
+// newPolicyDomain indexes a domain's names. The tables are package
+// literals of 1–256 distinct, non-empty names; TestPolicyRegistryRoundTrips
+// pins that for every table.
 func newPolicyDomain(label string, names, docs []string) *policyDomain {
 	d := &policyDomain{label: label, names: names, docs: docs, index: make(map[string]uint8, len(names))}
-	if len(names) == 0 || len(names) != len(docs) || len(names) > 256 {
-		d.err = errors.New("ssd: malformed policy table for " + label)
-		return d
-	}
 	for i, n := range names {
-		if n == "" {
-			d.err = fmt.Errorf("ssd: %s value %d has no name", label, i)
-			return d
-		}
-		if _, dup := d.index[n]; dup {
-			d.err = errors.New("ssd: duplicate " + label + " name " + n)
-			return d
-		}
 		d.index[n] = uint8(i)
 	}
 	return d
 }
 
-func (d *policyDomain) valid(v uint8) bool { return d.err == nil && int(v) < len(d.names) }
+func (d *policyDomain) valid(v uint8) bool { return int(v) < len(d.names) }
 
 func (d *policyDomain) name(v uint8) string {
 	if !d.valid(v) {
@@ -83,9 +67,6 @@ func (d *policyDomain) name(v uint8) string {
 }
 
 func (d *policyDomain) parse(s string) (uint8, error) {
-	if d.err != nil {
-		return 0, d.err
-	}
 	if v, ok := d.index[s]; ok {
 		return v, nil
 	}

@@ -49,7 +49,11 @@ func TestPolicyRegistryRoundTrips(t *testing.T) {
 			t.Fatalf("ParseFlashType(%q) = %v, %v; want %d", name, v, err, i)
 		}
 	}
-	for _, lists := range [][]string{GCPolicyNames(), CachePolicyNames(), AllocSchemeNames(), InterfaceNames(), FlashTypeNames()} {
+	for _, lists := range [][]string{GCPolicyNames(), CachePolicyNames(), AllocSchemeNames(), InterfaceNames(), FlashTypeNames(), HostIfcNames()} {
+		// A domain's wire value is a uint8 row index.
+		if len(lists) < 1 || len(lists) > 256 {
+			t.Fatalf("registry table has %d rows, want 1-256: %v", len(lists), lists)
+		}
 		seen := map[string]bool{}
 		for _, n := range lists {
 			if n == "" || seen[n] {
@@ -306,7 +310,7 @@ func BenchmarkGCVictimPolicy(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			p := smallDevice()
 			p.GCPolicy = pol
-			f, err := newFTL(&p)
+			f, err := newFTL(&p, new(Counters))
 			if err != nil {
 				b.Fatal(err)
 			}

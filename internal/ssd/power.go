@@ -61,7 +61,7 @@ func (e *engine) energy(r *Result, makespanNS int64) float64 {
 	// bytes moved through the data cache and the CMT.
 	dramGB := float64(p.DataCacheBytes+p.CMTBytes) / (1 << 30)
 	dramJ := dramGB * dramBackgroundMWPerGB / 1e3 * seconds
-	bytesMoved := float64(e.dramAccesses) * float64(p.PageSizeBytes)
+	bytesMoved := float64(r.dramAccesses) * float64(p.PageSizeBytes)
 	dramJ += bytesMoved * dramEnergyPerByteNJ / 1e9
 
 	// Controller: idle power for the makespan plus active power for the
@@ -70,7 +70,7 @@ func (e *engine) energy(r *Result, makespanNS int64) float64 {
 	mhz := float64(p.ControllerMHz)
 	idleJ := mhz / 100 * controllerIdleMWPer100MHz / 1e3 * seconds
 	ops := flashReads + flashProgs + float64(r.Erases) + float64(r.CacheHits)
-	activeSec := ops*float64(e.fwNS)/1e9 + float64(e.channelBusyNS)/1e9
+	activeSec := ops*float64(e.fwNS)/1e9 + float64(r.channelBusyNS)/1e9
 	if activeSec > seconds {
 		activeSec = seconds
 	}

@@ -26,9 +26,8 @@ func diffFTL(a, b *ftl) string {
 	if a.stripe != b.stripe {
 		return fmt.Sprintf("stripe %d != %d", a.stripe, b.stripe)
 	}
-	if a.fatal != b.fatal || a.gcReads != b.gcReads || a.gcPrograms != b.gcPrograms || a.erases != b.erases || a.trimmedPages != b.trimmedPages {
-		return fmt.Sprintf("counters/fatal differ: %v/%d/%d/%d/%d vs %v/%d/%d/%d/%d",
-			a.fatal, a.gcReads, a.gcPrograms, a.erases, a.trimmedPages, b.fatal, b.gcReads, b.gcPrograms, b.erases, b.trimmedPages)
+	if a.fatal != b.fatal || *a.c != *b.c {
+		return fmt.Sprintf("counters/fatal differ: %v %+v vs %v %+v", a.fatal, *a.c, b.fatal, *b.c)
 	}
 	if !reflect.DeepEqual(a.faults, b.faults) {
 		return "fault state differs"
@@ -57,8 +56,8 @@ func diffFTL(a, b *ftl) string {
 		qa, qb := *pa, *pb
 		qa.blocks, qb.blocks = nil, nil
 		if !reflect.DeepEqual(qa, qb) {
-			return fmt.Sprintf("plane %d counters: allocSeq %d/%d gcRuns %d/%d moves %d/%d", pl,
-				pa.allocSeq, pb.allocSeq, pa.gcRuns, pb.gcRuns, pa.moveCount, pb.moveCount)
+			return fmt.Sprintf("plane %d counters: allocSeq %d/%d erase range %d-%d/%d-%d", pl,
+				pa.allocSeq, pb.allocSeq, pa.minErase, pa.maxErase, pb.minErase, pb.maxErase)
 		}
 	}
 	return ""
@@ -124,7 +123,7 @@ func churn(t testing.TB, a, b *ftl, n int64, ops int) {
 func checkPrefill(t testing.TB, p DeviceParams, frac float64, ops int) (implicit bool) {
 	t.Helper()
 	build := func() *ftl {
-		f, err := newFTL(&p)
+		f, err := newFTL(&p, new(Counters))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +180,7 @@ func TestStripePlaneIsPermutation(t *testing.T) {
 		for scheme := 0; scheme < NumAllocSchemes; scheme++ {
 			p := base
 			p.PlaneAllocScheme = AllocScheme(scheme)
-			f, err := newFTL(&p)
+			f, err := newFTL(&p, new(Counters))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +273,7 @@ func TestGeometryTooLargeIsTypedError(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("geometry should pass validation: %v", err)
 	}
-	if _, err := newFTL(&p); !errors.Is(err, ErrGeometryTooLarge) {
+	if _, err := newFTL(&p, new(Counters)); !errors.Is(err, ErrGeometryTooLarge) {
 		t.Fatalf("newFTL error = %v, want ErrGeometryTooLarge", err)
 	}
 	// At exactly 32 bits the last address, plus one, would wrap to

@@ -37,7 +37,28 @@ type Result struct {
 	// AvgPowerWatts is EnergyJoules / Makespan.
 	AvgPowerWatts float64
 
-	// Operation counters (post warm-up).
+	// Counters are the measured pass's operation counts.
+	Counters
+	// WriteAmplification is (user + GC programs) / user programs.
+	WriteAmplification float64
+	// RetiredBlocks and FactoryBadBlocks are end-of-run device state,
+	// not traffic, so they sit outside Counters and span the whole run
+	// (zero when the FaultProfile is disabled).
+	RetiredBlocks    int64
+	FactoryBadBlocks int64
+	// ChannelUtilization is the mean fraction of the makespan each
+	// channel bus spent transferring data.
+	ChannelUtilization float64
+	// Wear summarizes block erase-count spread and projected endurance.
+	Wear WearReport
+}
+
+// Counters are a simulation's operation counts over the measured pass.
+// The engine owns the one instance: the FTL, the fault state and the
+// ZNS state count into it through a pointer, and the warm-up boundary
+// zeroes it whole, so a counter added here is measured-phase only
+// without further code.
+type Counters struct {
 	UserReads, UserPrograms     int64
 	GCReads, GCPrograms         int64
 	Erases                      int64
@@ -51,30 +72,25 @@ type Result struct {
 	// ProactiveFlushes counts background dirty-cache write-backs
 	// triggered by the WriteBufferFlushPct threshold.
 	ProactiveFlushes int64
-	// WriteAmplification is (user + GC programs) / user programs.
-	WriteAmplification float64
 	// Fault-injection counters (all zero when the FaultProfile is
-	// disabled). The op counters cover the measured phase only;
-	// RetiredBlocks/FactoryBadBlocks are end-of-run device state.
-	ProgramFailures  int64
-	EraseFailures    int64
-	ReadRetries      int64
-	ECCSoftDecodes   int64
-	RetiredBlocks    int64
-	FactoryBadBlocks int64
+	// disabled).
+	ProgramFailures int64
+	EraseFailures   int64
+	ReadRetries     int64
+	ECCSoftDecodes  int64
 	// Host-interface model counters (hostifc.go). UserTrims counts TRIM
-	// requests in the measured phase; TrimmedPages counts the mapped
-	// logical pages they invalidated. WPViolations and ZoneResets are
-	// zero unless the device runs the ZNS model.
+	// requests; TrimmedPages counts the mapped logical pages they
+	// invalidated. WPViolations and ZoneResets are zero unless the
+	// device runs the ZNS model.
 	UserTrims    int64
 	TrimmedPages int64
 	WPViolations int64
 	ZoneResets   int64
-	// ChannelUtilization is the mean fraction of the makespan each
-	// channel bus spent transferring data.
-	ChannelUtilization float64
-	// Wear summarizes block erase-count spread and projected endurance.
-	Wear WearReport
+
+	// channelBusyNS and dramAccesses feed ChannelUtilization and the
+	// energy model.
+	channelBusyNS int64
+	dramAccesses  int64
 }
 
 // Simulator runs traces against a device configuration.
@@ -162,12 +178,12 @@ func (s *Simulator) RunSourceContext(ctx context.Context, src trace.Source) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if fa := eng.ftl.faults; fa != nil && s.Obs != nil {
-		s.Obs.Counter(MetricFaultProgramFailures).Add(fa.programFailures)
-		s.Obs.Counter(MetricFaultEraseFailures).Add(fa.eraseFailures)
-		s.Obs.Counter(MetricFaultReadRetries).Add(fa.readRetries)
-		s.Obs.Counter(MetricFaultECCSoftDecodes).Add(fa.eccSoftDecodes)
-		s.Obs.Counter(MetricFaultRetiredBlocks).Add(fa.retiredBlocks)
+	if eng.ftl.faults != nil && s.Obs != nil {
+		s.Obs.Counter(MetricFaultProgramFailures).Add(res.ProgramFailures)
+		s.Obs.Counter(MetricFaultEraseFailures).Add(res.EraseFailures)
+		s.Obs.Counter(MetricFaultReadRetries).Add(res.ReadRetries)
+		s.Obs.Counter(MetricFaultECCSoftDecodes).Add(res.ECCSoftDecodes)
+		s.Obs.Counter(MetricFaultRetiredBlocks).Add(res.RetiredBlocks)
 	}
 	return res, nil
 }
@@ -208,35 +224,13 @@ func (e *engine) warmup(ctx context.Context, src trace.Source) (int, error) {
 	if err := e.ftl.fatal; err != nil {
 		return n, fmt.Errorf("%w (during warm-up)", err)
 	}
-	// Reset counters and timelines accumulated during warm-up.
-	f := e.ftl
-	f.userReads, f.userPrograms, f.gcReads, f.gcPrograms = 0, 0, 0, 0
-	f.erases, f.mappingReads, f.mappingWrites = 0, 0, 0
-	if f.faults != nil {
-		f.faults.resetOpCounters()
-	}
-	for i := range f.planes {
-		f.planes[i].gcRuns = 0
-		f.planes[i].wlSwaps = 0
-		f.planes[i].moveCount = 0
-		f.planes[i].nextFree = 0
-	}
-	for i := range e.channelFree {
-		e.channelFree[i] = 0
-	}
-	e.hostFree = 0
-	e.cacheHits, e.cacheMisses, e.cmtHits, e.cmtMisses = 0, 0, 0, 0
-	e.channelBusyNS, e.dramAccesses = 0, 0
-	f.trimmedPages = 0
-	if f.zns != nil {
+	e.pass.reset()
+	if z := e.ftl.zns; z != nil {
 		// The measured pass replays the same trace; stale warm-up write
 		// pointers would turn every measured write into a violation, so
 		// pointer state resets while block occupancy (the point of warming
 		// up) is kept.
-		f.zns.reset()
-		for i := range e.zoneFree {
-			e.zoneFree[i] = 0
-		}
+		z.reset()
 	}
 	return n, nil
 }
@@ -252,10 +246,8 @@ type engine struct {
 	// MappingGranularity, or a whole zone on ZNS.
 	cmtGran int64
 
-	channelFree []int64 // per-channel bus timeline (ns)
-	hostFree    int64   // shared host-link timeline (ns)
-	zoneFree    []int64 // per-zone append-serialization timeline (ZNS only)
-	warming     bool    // warm-up pass: FTL/CMT state only, no data cache
+	pass
+	warming bool // warm-up pass: FTL/CMT state only, no data cache
 
 	// Derived per-op costs (ns).
 	readNS, progNS, eraseNS int64
@@ -265,15 +257,6 @@ type engine struct {
 	hostCmdNS               int64
 	hostBps                 float64
 
-	// Stats.
-	cacheHits, cacheMisses int64
-	cmtHits, cmtMisses     int64
-	channelBusyNS          int64
-	dramAccesses           int64
-	mergedRequests         int64
-	proactiveFlushes       int64
-	userTrims              int64
-
 	// latHist is the per-run request-latency histogram Result quantiles
 	// are computed from (always allocated).
 	latHist *obs.Histogram
@@ -282,27 +265,49 @@ type engine struct {
 	reqHist, gcHist, stallHist *obs.Histogram
 }
 
+// pass is what one sweep accumulates: the op counters and the
+// resource timelines (ns). The warm-up boundary zeroes it in place, so
+// the measured pass starts on an idle device and counts only its own
+// traffic, while device state (placement, occupancy, wear, retired
+// blocks) carries over.
+type pass struct {
+	Counters
+	hostFree    int64   // shared host-link timeline
+	channelFree []int64 // per-channel bus timeline
+	planeFree   []int64 // per-plane timeline: when the plane is idle again
+	zoneFree    []int64 // per-zone append-serialization timeline (ZNS only)
+}
+
+func (p *pass) reset() {
+	p.Counters = Counters{}
+	p.hostFree = 0
+	clear(p.channelFree)
+	clear(p.planeFree)
+	clear(p.zoneFree)
+}
+
 func newEngine(p *DeviceParams) (*engine, error) {
-	f, err := newFTL(p)
+	e := &engine{p: p, latHist: obs.NewHistogram()}
+	f, err := newFTL(p, &e.Counters)
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{
-		p:           p,
-		ftl:         f,
-		cmt:         newCMT(p, f.capScale),
-		cache:       newDataCache(p, f.capScale),
-		cmtGran:     int64(max(p.MappingGranularity, 1)),
-		channelFree: make([]int64, p.Channels),
-		latHist:     obs.NewHistogram(),
-	}
+	e.ftl = f
+	e.cmt = newCMT(p, f.capScale)
+	e.cache = newDataCache(p, f.capScale)
+	e.cmtGran = int64(max(p.MappingGranularity, 1))
+	zones := 0
 	if f.zns != nil {
 		// Zone-granular mapping: a ZNS device only tracks one write
 		// pointer per zone, so a CMT entry covers a whole zone — the
 		// model's metadata advantage over page-mapped conventional FTLs.
 		e.cmtGran = f.zns.zonePages
-		e.zoneFree = make([]int64, len(f.zns.wp))
+		zones = len(f.zns.wp)
 	}
+	// One array backs the three per-resource timelines.
+	tl := make([]int64, p.Channels+len(f.planes)+zones)
+	e.channelFree, tl = tl[:p.Channels:p.Channels], tl[p.Channels:]
+	e.planeFree, e.zoneFree = tl[:len(f.planes):len(f.planes)], tl[len(f.planes):]
 	e.readNS = p.ReadLatency.Nanoseconds()
 	e.progNS = p.ProgramLatency.Nanoseconds()
 	e.eraseNS = p.EraseLatency.Nanoseconds()
@@ -395,7 +400,7 @@ func (e *engine) run(ctx context.Context, src trace.Source) (*Result, error) {
 
 		done, firstLP, nPages := e.servePages(req, start)
 		if req.Op == trace.Trim {
-			e.userTrims++
+			e.UserTrims++
 			if z := e.ftl.zns; z != nil {
 				z.noteTrim(firstLP, nPages)
 			}
@@ -428,7 +433,7 @@ func (e *engine) run(ctx context.Context, src trace.Source) (*Result, error) {
 		return nil, fmt.Errorf("ssd: empty trace")
 	}
 	if ms != nil {
-		e.mergedRequests = ms.merged
+		e.MergedRequests = ms.merged
 	}
 
 	return e.buildResult(count, latSum, totalBytes, firstArrival, lastCompletion), nil
@@ -466,18 +471,18 @@ func (e *engine) readPage(lp, t int64) int64 {
 	}
 	// Data-cache hit?
 	if e.cache.read(lp) {
-		e.cacheHits++
+		e.CacheHits++
 		e.dramAccesses++
 		return t + e.dramNS
 	}
-	e.cacheMisses++
+	e.CacheMisses++
 
 	// Mapping lookup through the CMT.
 	t = e.mappingAccess(lp, t, false)
 
 	pl := e.ftl.lookup(lp)
 	done := e.flashRead(pl, t)
-	e.ftl.userReads++
+	e.UserReads++
 	if e.p.ReadCacheEnabled {
 		if victim, dirtyEvict, _ := e.cache.insert(lp, false); dirtyEvict {
 			e.flushDirty(victim, done)
@@ -536,7 +541,7 @@ func (e *engine) writePage(lp, t int64, stream uint32) int64 {
 				break
 			}
 			e.flushDirty(victim, t)
-			e.proactiveFlushes++
+			e.ProactiveFlushes++
 		}
 	}
 	return done
@@ -564,7 +569,7 @@ func (e *engine) trimPage(lp, t int64) int64 {
 // channel-transfer start), which is when its cache slot is reusable.
 func (e *engine) flushDirty(lp, t int64) (busStart int64) {
 	pl, gcMoves, gcErases := e.ftl.placePage(lp, e.ftl.laneFor(lp))
-	e.ftl.userPrograms++
+	e.UserPrograms++
 	busStart = e.flashProgram(pl, t)
 	e.chargeGC(pl, gcMoves, gcErases, t)
 	return busStart
@@ -575,16 +580,16 @@ func (e *engine) flushDirty(lp, t int64) (busStart int64) {
 func (e *engine) mappingAccess(lp, t int64, write bool) int64 {
 	_, dirtyEvict, hit := e.cmt.insert(lp/e.cmtGran, write)
 	if hit {
-		e.cmtHits++
+		e.CMTHits++
 		return t
 	}
-	e.cmtMisses++
-	e.ftl.mappingReads++
+	e.CMTMisses++
+	e.MappingReads++
 	// The mapping page lives on a deterministic plane.
 	pl := e.ftl.lookup(lp)
 	t = e.flashRead(pl, t)
 	if dirtyEvict {
-		e.ftl.mappingWrites++
+		e.MappingWrites++
 		e.flashProgram(pl, t) // asynchronous write-back occupies resources
 	}
 	return t
@@ -593,22 +598,22 @@ func (e *engine) mappingAccess(lp, t int64, write bool) int64 {
 // flashRead charges one page read on plane pl starting no earlier than t
 // and returns its completion time (after the channel transfer and ECC).
 func (e *engine) flashRead(pl planeID, t int64) int64 {
-	fp := &e.ftl.planes[pl]
+	free := &e.planeFree[pl]
 	begin := t
-	if fp.nextFree > begin {
-		wait := fp.nextFree - begin
+	if *free > begin {
+		wait := *free - begin
 		// Out-of-order transaction scheduling: a read can bypass
 		// *queued* (not yet started) programs, so its wait is bounded by
 		// the one in-flight operation rather than the whole backlog.
 		if e.p.TransactionSchedOOO && wait > e.progNS {
 			wait = e.progNS
-			fp.nextFree += e.readNS // the bypassed work still happens
+			*free += e.readNS // the bypassed work still happens
 		}
 		if e.p.SuspendEnabled && wait > e.p.SuspendProgram.Nanoseconds() {
 			// Program/erase suspension bounds the read's wait further;
 			// the suspended operation resumes afterwards.
 			wait = e.p.SuspendProgram.Nanoseconds()
-			fp.nextFree += e.readNS
+			*free += e.readNS
 		}
 		begin += wait
 	}
@@ -620,14 +625,14 @@ func (e *engine) flashRead(pl planeID, t int64) int64 {
 		// back to an ECC soft-decode pass charged after the transfer.
 		if steps := fa.readRetrySteps(e.p.ReadRetryLimit); steps > 0 {
 			cellDone += int64(steps) * e.readNS
-			fa.readRetries += int64(steps)
+			e.ReadRetries += int64(steps)
 			if steps >= e.p.ReadRetryLimit {
-				fa.eccSoftDecodes++
+				e.ECCSoftDecodes++
 				softDecode = eccSoftDecodeMult * e.eccNS
 			}
 		}
 	}
-	fp.nextFree = cellDone
+	*free = cellDone
 
 	ch := e.ftl.alloc.channelOf(pl)
 	xferBegin := cellDone
@@ -652,12 +657,8 @@ func (e *engine) flashProgram(pl planeID, t int64) (busStart int64) {
 	e.channelFree[ch] = busStart + e.xferNS
 	e.channelBusyNS += e.xferNS
 
-	fp := &e.ftl.planes[pl]
-	cellBegin := busStart + e.xferNS
-	if fp.nextFree > cellBegin {
-		cellBegin = fp.nextFree
-	}
-	fp.nextFree = cellBegin + e.progNS
+	cellBegin := max(busStart+e.xferNS, e.planeFree[pl])
+	e.planeFree[pl] = cellBegin + e.progNS
 	return busStart
 }
 
@@ -670,7 +671,6 @@ func (e *engine) chargeGC(pl planeID, moves, erases int32, t int64) {
 	if moves == 0 && erases == 0 {
 		return
 	}
-	fp := &e.ftl.planes[pl]
 	per := e.readNS + e.progNS
 	if !e.p.CopybackEnabled {
 		per += 2 * e.xferNS
@@ -679,7 +679,7 @@ func (e *engine) chargeGC(pl planeID, moves, erases int32, t int64) {
 		e.channelBusyNS += int64(moves) * 2 * e.xferNS
 	}
 	busy := int64(moves)*per + int64(erases)*e.eraseNS
-	if idle := t - fp.nextFree; idle > 0 {
+	if idle := t - e.planeFree[pl]; idle > 0 {
 		if idle >= busy {
 			busy = 0
 		} else {
@@ -689,11 +689,11 @@ func (e *engine) chargeGC(pl planeID, moves, erases int32, t int64) {
 	// The foreground spill (post-idle-absorption) is the GC pause a
 	// request actually observes; absorbed background GC records as 0.
 	e.gcHist.Record(busy)
-	fp.nextFree += busy
+	e.planeFree[pl] += busy
 }
 
 func (e *engine) buildResult(count, latSum int64, totalBytes uint64, firstArrival, lastCompletion int64) *Result {
-	r := &Result{Requests: int(count)}
+	r := &Result{Requests: int(count), Counters: e.Counters}
 	r.AvgLatency = time.Duration(latSum / count)
 	r.P50Latency = time.Duration(e.latHist.Quantile(0.50))
 	r.P95Latency = time.Duration(e.latHist.Quantile(0.95))
@@ -718,36 +718,13 @@ func (e *engine) buildResult(count, latSum int64, totalBytes uint64, firstArriva
 	r.ThroughputBps = float64(totalBytes) / (float64(makespan) / 1e9)
 	r.IOPS = float64(count) / (float64(makespan) / 1e9)
 
-	f := e.ftl
-	r.UserReads, r.UserPrograms = f.userReads, f.userPrograms
-	r.GCReads, r.GCPrograms = f.gcReads, f.gcPrograms
-	r.Erases = f.erases
-	r.MappingReads, r.MappingWrites = f.mappingReads, f.mappingWrites
-	r.CacheHits, r.CacheMisses = e.cacheHits, e.cacheMisses
-	r.CMTHits, r.CMTMisses = e.cmtHits, e.cmtMisses
-	for i := range f.planes {
-		r.GCRuns += f.planes[i].gcRuns
-		r.WearLevelSwaps += f.planes[i].wlSwaps
-	}
-	r.MergedRequests = e.mergedRequests
-	r.ProactiveFlushes = e.proactiveFlushes
-	r.UserTrims = e.userTrims
-	r.TrimmedPages = f.trimmedPages
-	if f.zns != nil {
-		r.WPViolations = f.zns.violations
-		r.ZoneResets = f.zns.resets
-	}
-	if fa := f.faults; fa != nil {
-		r.ProgramFailures = fa.programFailures
-		r.EraseFailures = fa.eraseFailures
-		r.ReadRetries = fa.readRetries
-		r.ECCSoftDecodes = fa.eccSoftDecodes
+	if fa := e.ftl.faults; fa != nil {
 		r.RetiredBlocks = fa.retiredBlocks
 		r.FactoryBadBlocks = fa.factoryBadBlocks
 	}
 	r.ChannelUtilization = float64(e.channelBusyNS) / (float64(makespan) * float64(e.p.Channels))
-	if f.userPrograms > 0 {
-		r.WriteAmplification = float64(f.userPrograms+f.gcPrograms) / float64(f.userPrograms)
+	if r.UserPrograms > 0 {
+		r.WriteAmplification = float64(r.UserPrograms+r.GCPrograms) / float64(r.UserPrograms)
 	} else {
 		r.WriteAmplification = 1
 	}

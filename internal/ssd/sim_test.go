@@ -222,6 +222,39 @@ func smallDevice() DeviceParams {
 	return p
 }
 
+// TestCountersLive fails on an exported Counters field that none of a
+// few short runs moves: a counter nothing increments, or a new one no
+// run below reaches. Between them the runs take GC under faults, TRIMs,
+// request merging, proactive flushes and CMT write-backs; ZNS writes
+// below the zone pointer and a zone reset; and static wear leveling.
+func TestCountersLive(t *testing.T) {
+	fiu := workload.MustGenerate(workload.FIU, workload.Options{Requests: 8000, Seed: 11, TrimRatio: 0.05})
+	gc := smallDevice()
+	gc.InitialOccupancyFrac, gc.OverprovisionRatio = 0.5, 0.25 // room for retired blocks
+	gc.Faults = FaultProfile{Rate: 0.01, Seed: 7}
+	gc.IOMergingEnabled = true
+	gc.WriteBufferFlushPct = 20
+	gc.CMTBytes = 4 << 10
+	wl := smallDevice()
+	wl.StaticWearLeveling, wl.WearLevelingThresh = true, 2
+	zns, script := znsScript(t)
+	runs := []Counters{runTrace(t, gc, fiu).Counters, runTrace(t, zns, script).Counters, runTrace(t, wl, fiu).Counters}
+
+	typ := reflect.TypeOf(Counters{})
+	for i := 0; i < typ.NumField(); i++ {
+		if !typ.Field(i).IsExported() {
+			continue
+		}
+		live := false
+		for _, c := range runs {
+			live = live || !reflect.ValueOf(c).Field(i).IsZero()
+		}
+		if !live {
+			t.Errorf("Counters.%s is zero in every run", typ.Field(i).Name)
+		}
+	}
+}
+
 func TestGCActivityUnderWriteHeavyLoad(t *testing.T) {
 	p := smallDevice()
 	tr := testTrace(workload.FIU, 20000) // write-dominated

@@ -153,7 +153,7 @@ func TestZeroMakespanGuard(t *testing.T) {
 // clamp to the logical page count.
 func TestPageSpanWrap(t *testing.T) {
 	p := smallDevice()
-	f, err := newFTL(&p)
+	f, err := newFTL(&p, new(Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
