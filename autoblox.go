@@ -283,8 +283,8 @@ func (f *Framework) LearnWorkloads(traces []*Trace) error {
 
 // LearnWorkloadSources is LearnWorkloads over streaming source
 // factories: each training stream is consumed in one windowed pass for
-// clustering and re-derived on demand for validation, so no trace is
-// ever held in memory whole.
+// clustering, and the validator derives it once more, on its first
+// simulation, and holds that one copy for validation.
 func (f *Framework) LearnWorkloadSources(factories []SourceFactory) error {
 	srcs := make([]trace.Source, len(factories))
 	for i, fac := range factories {

@@ -230,8 +230,9 @@ func (c *commonFlags) closeFleet() {
 }
 
 // learnStudied trains on the seven studied categories. Streaming
-// factories keep the training traces lazy: every sweep re-derives its
-// requests from the seed instead of holding seven traces in memory.
+// factories keep the training traces lazy: clustering re-derives the
+// requests from the seed, and only the validator holds one copy of
+// each trace it simulates.
 func learnStudied(fw *autoblox.Framework, c *commonFlags) {
 	var factories []autoblox.SourceFactory
 	for _, cat := range workload.Studied() {

@@ -123,7 +123,7 @@ func (b *localBackend) Measure(ctx context.Context, job Job) (autodb.Perf, error
 	}
 	wait := time.Since(waitStart)
 	b.v.Obs.Histogram(MetricQueueWait).Record(wait.Nanoseconds())
-	perf, simDur, err := b.v.simulate(ctx, job.Cfg, job.Src)
+	perf, simDur, err := b.v.simulate(ctx, job)
 	<-sem
 	b.c.Record(wait, simDur)
 	return perf, err

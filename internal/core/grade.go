@@ -108,10 +108,13 @@ type Validator struct {
 	Space *ssdconf.Space
 	// Workloads maps a workload-cluster name to factories for its
 	// representative traces (the geometric mean is taken within a
-	// cluster, per §3.4). Factories rather than materialized traces:
-	// each simulation draws a fresh streaming cursor, so parallel
-	// workers never share cursor state or hold duplicate request
-	// slices.
+	// cluster, per §3.4). The validator calls a trace's factory once,
+	// on the first simulation of its name, and holds the stream as one
+	// read-only request slice (32 B per request; 2.7 MB for the
+	// default tune's 7 traces of 12,000 records). Every simulation
+	// replays a private cursor over that slice, so workers never share
+	// cursor state or hold duplicate slices. A factory over an
+	// in-memory trace (Trace.Factory) is shared, not copied.
 	Workloads map[string][]trace.SourceFactory
 	// Parallel bounds how many simulations may run concurrently across
 	// all measurement calls; 0 (or negative) selects
@@ -147,6 +150,7 @@ type Validator struct {
 	mu       sync.Mutex
 	cache    map[SimKey]autodb.Perf
 	inflight map[SimKey]*inflightSim
+	traces   traceMemo     // each trace simulated so far, held once
 	sem      chan struct{} // validator-wide simulation slots (lazy)
 	local    *localBackend // default backend (lazy)
 	sigCache string        // memoized Space.Signature() (lazy)
@@ -173,9 +177,12 @@ func NewValidator(space *ssdconf.Space, workloads map[string]*trace.Trace) *Vali
 	return NewValidatorSources(space, m)
 }
 
-// NewValidatorSources builds a validator directly over streaming source
-// factories — the constant-memory path: no representative trace is ever
-// materialized, each simulation re-derives its request stream.
+// NewValidatorSources builds a validator over streaming source
+// factories. Each distinct trace is derived once, on its first
+// simulation, and held for the validator's lifetime as one request
+// slice that every later simulation replays (see Workloads); the
+// simulator and workload.NewSource alone still stream in O(device
+// state) memory.
 func NewValidatorSources(space *ssdconf.Space, groups map[string][]trace.SourceFactory) *Validator {
 	return &Validator{
 		Space:     space,
@@ -306,11 +313,11 @@ func (v *Validator) backend() (be Backend, remote bool) {
 	return b, false
 }
 
-// MeasureTrace runs one configuration against one trace, drawing a
-// fresh streaming cursor from the factory. Concurrent calls with the
-// same (configuration, trace) share a single simulation. Failed or
-// cancelled measurements are never cached: a later call with the same
-// key re-simulates.
+// MeasureTrace runs one configuration against one trace, replaying the
+// validator's copy of the trace named name (built from f on the name's
+// first simulation). Concurrent calls with the same (configuration,
+// trace) share a single simulation. Failed or cancelled measurements
+// are never cached: a later call with the same key re-simulates.
 func (v *Validator) MeasureTrace(ctx context.Context, cfg ssdconf.Config, name string, f trace.SourceFactory) (autodb.Perf, error) {
 	key := cacheKey(cfg.Key(), name)
 	v.mu.Lock()
@@ -397,10 +404,11 @@ func (v *Validator) persistSig() string {
 // ErrOutOfSpace, per-simulation timeouts, panics — return on the first
 // attempt. The returned duration is the successful attempt's
 // in-simulator time (0 on failure), feeding the backend's SimBusy.
-func (v *Validator) simulate(ctx context.Context, cfg ssdconf.Config, f trace.SourceFactory) (autodb.Perf, time.Duration, error) {
+func (v *Validator) simulate(ctx context.Context, job Job) (autodb.Perf, time.Duration, error) {
+	cfg := job.Cfg
 	backoff := 50 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		perf, d, err := v.simulateOnce(ctx, cfg, f)
+		perf, d, err := v.simulateOnce(ctx, job)
 		if err == nil || attempt >= v.MaxRetries || !errors.Is(err, ErrTransient) {
 			if err != nil && attempt >= v.MaxRetries && errors.Is(err, ErrTransient) {
 				obs.RecordEvent("warn-sim-failed", "cfg", cfg.Key(),
@@ -419,19 +427,21 @@ func (v *Validator) simulate(ctx context.Context, cfg ssdconf.Config, f trace.So
 	}
 }
 
-// simulateOnce is the uncached single-simulation path. The factory is
-// invoked here, inside the worker slot, so each concurrent simulation
-// owns a private cursor. A panic anywhere below — the source, the FTL,
-// the codec — surfaces as a *PanicError instead of crashing the worker
-// pool, and SimTimeout (when set) bounds the attempt.
-func (v *Validator) simulateOnce(ctx context.Context, cfg ssdconf.Config, f trace.SourceFactory) (perf autodb.Perf, simDur time.Duration, err error) {
+// simulateOnce is the uncached single-simulation path. The job's trace
+// is built here, inside the worker slot, on the first simulation of its
+// name (see traceMemo); every simulation replays a private cursor over
+// it. A panic anywhere below — the factory, the source, the FTL, the
+// codec — surfaces as a *PanicError instead of crashing the worker
+// pool, and SimTimeout (when set) bounds the attempt, trace build
+// included.
+func (v *Validator) simulateOnce(ctx context.Context, job Job) (perf autodb.Perf, simDur time.Duration, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			perf, simDur = autodb.Perf{}, 0
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	dev := v.Space.ToDevice(cfg)
+	dev := v.Space.ToDevice(job.Cfg)
 	sim, err := ssd.NewSimulator(dev)
 	if err != nil {
 		return autodb.Perf{}, 0, fmt.Errorf("core: validator: %w", err)
@@ -442,8 +452,12 @@ func (v *Validator) simulateOnce(ctx context.Context, cfg ssdconf.Config, f trac
 		ctx, cancel = context.WithTimeout(ctx, v.SimTimeout)
 		defer cancel()
 	}
+	src, err := v.traces.source(ctx, job.Name, job.Src)
+	if err != nil {
+		return autodb.Perf{}, 0, err
+	}
 	t0 := time.Now()
-	res, err := sim.RunSourceContext(ctx, f())
+	res, err := sim.RunSourceContext(ctx, src)
 	if err != nil {
 		return autodb.Perf{}, 0, fmt.Errorf("core: validator run: %w", err)
 	}

@@ -43,7 +43,7 @@ type remoteBackend struct {
 
 func (b *remoteBackend) Measure(ctx context.Context, job Job) (autodb.Perf, error) {
 	b.jobs.Add(1)
-	perf, _, err := b.inner.simulate(ctx, job.Cfg, job.Src)
+	perf, _, err := b.inner.simulate(ctx, job)
 	return perf, err
 }
 

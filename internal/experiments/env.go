@@ -93,9 +93,9 @@ type Env struct {
 	Validator *core.Validator
 	Grader    *core.Grader
 	Cats      []workload.Category
-	// Sources holds one streaming generator factory per category; every
-	// simulation re-derives its trace from the seed, so the experiment
-	// suite never materializes a workload trace.
+	// Sources holds one streaming generator factory per category. A
+	// validator derives each trace once, on its first simulation, and
+	// replays that copy; nothing else materializes a workload trace.
 	Sources map[string]trace.SourceFactory
 }
 

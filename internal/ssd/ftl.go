@@ -91,41 +91,52 @@ const mapChunkBits = 8
 
 const mapChunk = 1 << mapChunkBits
 
+// slabChunkBits sets how many chunks one slab of the mapping table
+// holds: 64, so a slab is 64 KiB.
+const slabChunkBits = 6
+
+const slabChunks = 1 << slabChunkBits
+
 // pageMap is the logical → physical mapping table: a directory of
-// chunk indices into one arena of mapChunk-entry chunks, allocated on
-// first write. Arena chunk 0 stays all zero and every absent chunk's
-// directory entry points at it, so a read needs no presence branch; the
-// arena holds no pointers for the GC to scan.
+// chunk indices into fixed-size slabs of mapChunk-entry chunks, with a
+// chunk allocated on first write. Chunk 0 stays all zero and every
+// absent chunk's directory entry points at it, so a read needs no
+// presence branch. The table grows by whole slabs that are never moved
+// or copied, and the slabs hold no pointers for the GC to scan.
 type pageMap struct {
-	dir   []uint32
-	arena []uint32
+	dir    []uint32
+	slabs  [][]uint32
+	chunks uint32 // chunks handed out so far, chunk 0 included
 }
 
 func newPageMap(pages int64) pageMap {
 	return pageMap{
-		dir:   make([]uint32, (pages+mapChunk-1)>>mapChunkBits),
-		arena: make([]uint32, mapChunk, 2*mapChunk),
+		dir:    make([]uint32, (pages+mapChunk-1)>>mapChunkBits),
+		slabs:  [][]uint32{make([]uint32, slabChunks*mapChunk)},
+		chunks: 1,
 	}
+}
+
+// entry returns the table slot of lp within chunk c.
+func (m *pageMap) entry(c uint32, lp int64) *uint32 {
+	return &m.slabs[c>>slabChunkBits][(c&(slabChunks-1))<<mapChunkBits|uint32(lp)&(mapChunk-1)]
 }
 
 // get returns lp's raw entry: unmapped when it was never written.
 func (m *pageMap) get(lp int64) uint32 {
-	return m.arena[m.dir[lp>>mapChunkBits]<<mapChunkBits|uint32(lp)&(mapChunk-1)]
+	return *m.entry(m.dir[lp>>mapChunkBits], lp)
 }
 
 func (m *pageMap) set(lp int64, v uint32) {
 	c := &m.dir[lp>>mapChunkBits]
 	if *c == 0 {
-		n := len(m.arena)
-		if n == cap(m.arena) {
-			grown := make([]uint32, n, 2*n)
-			copy(grown, m.arena)
-			m.arena = grown
+		if m.chunks == uint32(len(m.slabs))<<slabChunkBits {
+			m.slabs = append(m.slabs, make([]uint32, slabChunks*mapChunk))
 		}
-		*c = uint32(n >> mapChunkBits)
-		m.arena = m.arena[:n+mapChunk]
+		*c = m.chunks
+		m.chunks++
 	}
-	m.arena[*c<<mapChunkBits|uint32(lp)&(mapChunk-1)] = v
+	*m.entry(*c, lp) = v
 }
 
 // flashBlock is one erase unit.

@@ -329,3 +329,65 @@ func TestCMTMissAtCapacityAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// FuzzPageMap checks the slab-backed mapping table against a map
+// reference. Each 4-byte op writes one entry: two bytes pick the chunk,
+// one the offset, and the last picks unmapped, the tombstone or a
+// packed address. The table spans more chunks than three slabs hold, so
+// long inputs cross slab boundaries; slabs must never move once handed
+// out, and absent chunks must read unmapped.
+func FuzzPageMap(f *testing.F) {
+	const pages = 3*slabChunks*mapChunk + 100 // the last chunk is partial
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1})
+	// One entry at the same offset of every chunk, so chunks that alias
+	// within or across slabs overwrite each other.
+	var long []byte
+	for c := 0; c < 3*slabChunks+1; c++ {
+		long = append(long, byte(c>>8), byte(c), 5, byte(c+2))
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := newPageMap(pages)
+		ref := map[int64]uint32{}
+		var slabs []*uint32
+		for ; len(ops) >= 4; ops = ops[4:] {
+			chunk := (int64(ops[0])<<8 | int64(ops[1])) % int64(len(m.dir))
+			lp := min(chunk<<mapChunkBits|int64(ops[2]), pages-1)
+			var v uint32
+			switch ops[3] % 4 {
+			case 0:
+				v = unmapped
+			case 1:
+				v = tombstone
+			default:
+				v = uint32(ops[3])<<16 | uint32(ops[2])<<8 | uint32(ops[0]) + 1
+			}
+			m.set(lp, v)
+			ref[lp] = v
+			if got := m.get(lp); got != v {
+				t.Fatalf("get(%d) = %#x right after set(%#x)", lp, got, v)
+			}
+			for i := len(slabs); i < len(m.slabs); i++ {
+				slabs = append(slabs, &m.slabs[i][0])
+			}
+		}
+		for i, p := range slabs {
+			if &m.slabs[i][0] != p {
+				t.Fatalf("slab %d moved", i)
+			}
+		}
+		touched := map[int64]bool{}
+		for lp := range ref {
+			touched[lp>>mapChunkBits] = true
+		}
+		if want := uint32(len(touched) + 1); m.chunks != want {
+			t.Fatalf("%d chunks handed out for %d written, want one each plus the zero chunk", m.chunks, len(touched))
+		}
+		for lp := int64(0); lp < pages; lp++ {
+			if got, want := m.get(lp), ref[lp]; got != want { // never written: unmapped
+				t.Fatalf("get(%d) = %#x, reference %#x", lp, got, want)
+			}
+		}
+	})
+}

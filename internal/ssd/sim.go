@@ -170,7 +170,6 @@ func (s *Simulator) RunSourceContext(ctx context.Context, src trace.Source) (*Re
 	// Observability handles attach after warm-up so registry histograms
 	// only see measured-phase events (warm-up replays the trace once).
 	if s.Obs != nil {
-		eng.reqHist = s.Obs.Histogram(MetricRequestLatency)
 		eng.gcHist = s.Obs.Histogram(MetricGCPause)
 		eng.stallHist = s.Obs.Histogram(MetricChannelStall)
 	}
@@ -178,6 +177,9 @@ func (s *Simulator) RunSourceContext(ctx context.Context, src trace.Source) (*Re
 	if err != nil {
 		return nil, err
 	}
+	// The run's private latency histogram folds into the shared one once,
+	// exactly: concurrent simulations never contend on it per request.
+	s.Obs.Histogram(MetricRequestLatency).Merge(res.LatencyHistogram)
 	if eng.ftl.faults != nil && s.Obs != nil {
 		s.Obs.Counter(MetricFaultProgramFailures).Add(res.ProgramFailures)
 		s.Obs.Counter(MetricFaultEraseFailures).Add(res.EraseFailures)
@@ -258,11 +260,12 @@ type engine struct {
 	hostBps                 float64
 
 	// latHist is the per-run request-latency histogram Result quantiles
-	// are computed from (always allocated).
+	// are computed from (always allocated); RunSourceContext merges it
+	// into the registry's request-latency histogram after the run.
 	latHist *obs.Histogram
 	// Registry-backed histograms; nil (no-op) when the simulator runs
 	// uninstrumented.
-	reqHist, gcHist, stallHist *obs.Histogram
+	gcHist, stallHist *obs.Histogram
 }
 
 // pass is what one sweep accumulates: the op counters and the
@@ -418,7 +421,6 @@ func (e *engine) run(ctx context.Context, src trace.Source) (*Result, error) {
 		latSum += lat
 		count++
 		e.latHist.Record(lat)
-		e.reqHist.Record(lat)
 		if done > lastCompletion {
 			lastCompletion = done
 		}
@@ -576,7 +578,9 @@ func (e *engine) flushDirty(lp, t int64) (busStart int64) {
 }
 
 // mappingAccess models the CMT: a miss reads the mapping page from
-// flash; a dirty eviction programs one back.
+// flash; a dirty eviction programs one back. The untimed warm-up pass
+// only moves the CMT: the flash work would advance timelines the
+// warm-up boundary zeroes.
 func (e *engine) mappingAccess(lp, t int64, write bool) int64 {
 	_, dirtyEvict, hit := e.cmt.insert(lp/e.cmtGran, write)
 	if hit {
@@ -585,6 +589,9 @@ func (e *engine) mappingAccess(lp, t int64, write bool) int64 {
 	}
 	e.CMTMisses++
 	e.MappingReads++
+	if e.warming {
+		return t
+	}
 	// The mapping page lives on a deterministic plane.
 	pl := e.ftl.lookup(lp)
 	t = e.flashRead(pl, t)

@@ -2,10 +2,12 @@ package ssd
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"autoblox/internal/obs"
 	"autoblox/internal/trace"
 	"autoblox/internal/workload"
 )
@@ -411,5 +413,59 @@ func TestSimulatorRunDeterminism(t *testing.T) {
 	c := runTrace(t, DefaultParams(), testTrace(workload.Database, 3000))
 	if !reflect.DeepEqual(a, c) {
 		t.Fatalf("simulator result depends on instance identity:\n first %+v\n fresh %+v", a, c)
+	}
+}
+
+// TestRegistryLatencyMatchesPerRequest: the registry's request-latency
+// histogram, filled by merging each run's private histogram once, holds
+// exactly the samples of every measured request (the per-run histogram
+// records each one, and obs.TestHistogramMergeExact shows a merge equals
+// recording the samples directly). The runs share the registry
+// concurrently, and each result equals its uninstrumented twin.
+func TestRegistryLatencyMatchesPerRequest(t *testing.T) {
+	runs := []struct {
+		p  DeviceParams
+		tr *trace.Trace
+	}{
+		{smallDevice(), testTrace(workload.Database, 3000)},
+		{Intel750(), testTrace(workload.WebSearch, 2000)},
+		{Samsung850Pro(), testTrace(workload.KVStore, 2500)},
+	}
+	reg := obs.NewRegistry()
+	results := make([]*Result, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func(i int, p DeviceParams, tr *trace.Trace) {
+			defer wg.Done()
+			sim, err := NewSimulator(p)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			sim.Obs = reg
+			results[i], errs[i] = sim.Run(tr)
+		}(i, r.p, r.tr)
+	}
+	wg.Wait()
+	want := obs.NewHistogram()
+	requests := 0
+	for i, r := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if plain := runTrace(t, r.p, r.tr); !reflect.DeepEqual(plain, results[i]) {
+			t.Fatalf("run %d: the instrumented result differs from the uninstrumented one", i)
+		}
+		want.Merge(results[i].LatencyHistogram)
+		requests += results[i].Requests
+	}
+	got := reg.Histogram(MetricRequestLatency).Snapshot()
+	if got.Count != int64(requests) {
+		t.Fatalf("registry holds %d samples, the runs measured %d requests", got.Count, requests)
+	}
+	if !reflect.DeepEqual(got, want.Snapshot()) {
+		t.Fatalf("registry histogram %+v, per-request recording %+v", got, want.Snapshot())
 	}
 }

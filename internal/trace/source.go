@@ -70,6 +70,17 @@ func (t *Trace) Factory() SourceFactory {
 	return func() Source { return t.Source() }
 }
 
+// Shared returns the trace a cursor from (*Trace).Source replays, with
+// the request slice shared rather than copied, and false for any other
+// source.
+func Shared(s Source) (*Trace, bool) {
+	ss, ok := s.(*sliceSource)
+	if !ok {
+		return nil, false
+	}
+	return &Trace{Name: ss.name, Requests: ss.reqs}, true
+}
+
 func (s *sliceSource) Name() string { return s.name }
 func (s *sliceSource) Err() error   { return nil }
 func (s *sliceSource) Reset()       { s.pos = 0 }

@@ -51,9 +51,11 @@ func MustSource(c Category, opt Options) trace.Source {
 	return src
 }
 
-// Factory returns a SourceFactory of independent generator cursors, so
-// parallel simulation workers each re-derive the stream from the seed
-// rather than sharing cursor state or a materialized copy.
+// Factory returns a SourceFactory of independent generator cursors,
+// each deriving the stream from the seed in O(streams) memory. A
+// core.Validator calls it once per trace name and replays the request
+// slice it collects from then on (32 B per request); other consumers
+// re-derive the stream on every call.
 func Factory(c Category, opt Options) (trace.SourceFactory, error) {
 	if _, ok := profiles[c]; !ok {
 		return nil, fmt.Errorf("workload: unknown category %q", c)
