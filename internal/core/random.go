@@ -70,13 +70,7 @@ func randomValidConfig(space *ssdconf.Space, rng *rand.Rand) ssdconf.Config {
 			}
 			cfg[i] = rng.Intn(len(p.Values))
 		}
-		// Constrained parameters follow the constraint set.
-		if i, err := space.ParamIndex("Interface"); err == nil {
-			cfg[i] = int(space.Cons.Interface)
-		}
-		if i, err := space.ParamIndex("FlashType"); err == nil {
-			cfg[i] = int(space.Cons.Flash)
-		}
+		space.ApplyConstraints(cfg)
 		if !space.RepairCapacity(cfg) {
 			continue
 		}

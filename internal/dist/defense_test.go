@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -202,5 +205,100 @@ func TestResultsChargedToHandshakeName(t *testing.T) {
 	}}})
 	if err := <-done; err != nil {
 		t.Fatalf("resubmitted job: %v", err)
+	}
+}
+
+// heldConn ignores Close, so a worker's frames keep reaching the peer
+// after its context is cancelled; the test closes the pipe itself.
+type heldConn struct{ net.Conn }
+
+func (heldConn) Close() error { return nil }
+
+// TestCancelledWorkerSendsNoFailedResult cancels a worker without a
+// drain grace while its one leased simulation runs. With the conn's
+// Close held back, nothing else stops the worker from forwarding the
+// job the cancellation cut short: it must send no result frame that
+// carries the "context canceled" failure, or the coordinator would fail
+// the job instead of re-leasing it.
+func TestCancelledWorkerSendsNoFailedResult(t *testing.T) {
+	env := testEnv(t, 400_000, ssd.FaultProfile{}, workload.Database)
+	cfg := distinctConfigs(t, env.Space(), 1)[0]
+	server, client := net.Pipe()
+	defer server.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &Worker{Name: "w", Parallel: 1}
+	exited := make(chan error, 1)
+	go func() { exited <- w.RunConn(ctx, heldConn{client}) }()
+
+	r := bufio.NewReader(server)
+	expect := func(typ MsgType) {
+		t.Helper()
+		m, err := Decode(r)
+		if err != nil || m.Type != typ {
+			t.Fatalf("coordinator side: got %v (%v), want %s", m, err, typ)
+		}
+	}
+	send := func(m *Message) {
+		t.Helper()
+		if err := Encode(server, m); err != nil {
+			t.Fatalf("coordinator side send %s: %v", m.Type, err)
+		}
+	}
+	expect(MsgHello)
+	send(&Message{Type: MsgWelcome, Welcome: &Welcome{Env: *env}})
+	expect(MsgConfirm)
+	send(&Message{Type: MsgAccept})
+	expect(MsgLeaseReq)
+	send(&Message{Type: MsgLeaseGrant, LeaseGrant: &LeaseGrant{Leases: []Lease{
+		{ID: 1, CfgKey: cfg.Key(), Cfg: cfg, Name: string(workload.Database) + "#0"},
+	}}})
+
+	// Record every later frame; a further lease request is told the
+	// coordinator closed, so the worker exits either way.
+	var frames []*Message
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			m, err := Decode(r)
+			if err != nil {
+				return
+			}
+			frames = append(frames, m)
+			if m.Type == MsgLeaseReq {
+				_ = Encode(server, &Message{Type: MsgLeaseGrant, LeaseGrant: &LeaseGrant{Closed: true}})
+			}
+		}
+	}()
+	// Let the worker reach its wait on the one running job: a 400k-request
+	// trace takes far longer than this pause to build and simulate. The
+	// pause only makes a worker that forwards the cut-short job fail
+	// every run; a correct worker passes whenever the cancellation lands.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	var err error
+	select {
+	case err = <-exited:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker did not exit after cancellation")
+	}
+	client.Close()
+	<-read
+	if w.Jobs() != 1 {
+		t.Fatalf("worker ran %d jobs, want 1", w.Jobs())
+	}
+	for _, m := range frames {
+		if m.Type != MsgResult {
+			continue
+		}
+		for _, jr := range m.Result.Results {
+			if jr.Err != "" {
+				t.Fatalf("cancelled worker sent a failed result: %q", jr.Err)
+			}
+		}
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunConn = %v, want context.Canceled", err)
 	}
 }

@@ -360,6 +360,13 @@ func (w *Worker) serve(ctx context.Context, conn net.Conn, r *bufio.Reader, v *c
 				}
 				f = <-done
 			}
+			// Without a drain grace a cancelled worker sends no further
+			// result: a job the cancellation cut short failed with
+			// "context canceled", which the coordinator would take as
+			// the job's outcome. It re-leases a dropped session's jobs.
+			if w.Grace <= 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
 			free = append(free, f.slot)
 			res := &ResultMsg{Worker: w.name(), Results: []JobResult{f.jr}, BusyNS: f.jr.SimNS}
 			if err := Encode(conn, &Message{Type: MsgResult, Result: res}); err != nil {

@@ -5,10 +5,16 @@ import (
 	"math"
 )
 
-// CapacityBytes returns the raw capacity cfg encodes.
+// CapacityBytes returns the raw capacity cfg encodes: the product of
+// its Layout parameters' grid values.
 func (s *Space) CapacityBytes(cfg Config) int64 {
-	d := s.ToDevice(cfg)
-	return d.CapacityBytes()
+	c := int64(1)
+	for i, p := range s.Params {
+		if p.Layout {
+			c *= int64(p.Values[cfg[i]])
+		}
+	}
+	return c
 }
 
 // CapacityOK reports whether cfg's capacity is within the constraint's
@@ -60,9 +66,6 @@ func (s *Space) RepairCapacity(cfg Config) bool {
 	if s.CapacityOK(cfg) {
 		return true
 	}
-	if s.Cons.CapacityBytes <= 0 {
-		return true
-	}
 	dependent := []string{"BlockNoPerPlane", "PageNoPerBlock", "PageCapacity"}
 	work := cfg.Clone()
 
@@ -101,50 +104,12 @@ func (s *Space) RepairCapacity(cfg Config) bool {
 
 // Neighbors enumerates all constraint-respecting configurations one grid
 // step away from cfg along tunable axes (the paper's "adjacent
-// configurations" in the SGD search). Layout moves that break the
-// capacity band are repaired via RepairCapacity; unrepairable moves are
-// skipped. Categorical parameters enumerate every alternative value
-// (unordered domain).
+// configurations" in the SGD search): NeighborsOf over every axis, in
+// parameter order.
 func (s *Space) Neighbors(cfg Config) []Config {
 	var out []Config
-	add := func(c Config) {
-		if s.CheckConstraints(c) == nil {
-			out = append(out, c)
-		}
-	}
-	for i, p := range s.Params {
-		if !p.Tunable || len(p.Values) < 2 {
-			continue
-		}
-		if p.Kind == Categorical {
-			for v := range p.Values {
-				if v == cfg[i] {
-					continue
-				}
-				c := cfg.Clone()
-				c[i] = v
-				add(c)
-			}
-			continue
-		}
-		stride := p.Stride()
-		for _, step := range []int{-stride, +stride} {
-			ni := clampIndex(cfg[i]+step, len(p.Values))
-			if ni == cfg[i] {
-				continue
-			}
-			c := cfg.Clone()
-			c[i] = ni
-			if p.Layout && !s.CapacityOK(c) {
-				if !s.RepairCapacity(c) {
-					continue
-				}
-				if c[i] != ni {
-					continue // repair undid the move
-				}
-			}
-			add(c)
-		}
+	for i := range s.Params {
+		out = append(out, s.NeighborsOf(cfg, i)...)
 	}
 	return out
 }
@@ -160,7 +125,11 @@ func clampIndex(i, n int) int {
 	return i
 }
 
-// NeighborsOf is Neighbors restricted to one parameter axis.
+// NeighborsOf enumerates the constraint-respecting configurations one
+// grid step away from cfg along one tunable axis. Layout moves that
+// break the capacity band are repaired via RepairCapacity; unrepairable
+// moves are skipped. A categorical axis enumerates every alternative
+// value (unordered domain).
 func (s *Space) NeighborsOf(cfg Config, param int) []Config {
 	p := s.Params[param]
 	if !p.Tunable || len(p.Values) < 2 {
@@ -196,7 +165,7 @@ func (s *Space) NeighborsOf(cfg Config, param int) []Config {
 				continue
 			}
 			if c[param] != ni {
-				continue
+				continue // repair undid the move
 			}
 		}
 		add(c)
@@ -208,20 +177,26 @@ func (s *Space) NeighborsOf(cfg Config, param int) []Config {
 // to their normalized grid position in [0, 1]; categorical parameters
 // expand to one-hot dummy variables (§3.2).
 func (s *Space) Vector(cfg Config) []float64 {
-	var out []float64
+	n := 0
+	for _, p := range s.Params {
+		if p.Kind == Categorical {
+			n += len(p.Values)
+		} else {
+			n++
+		}
+	}
+	out := make([]float64, n)
+	j := 0
 	for i, p := range s.Params {
 		if p.Kind == Categorical {
-			oneHot := make([]float64, len(p.Values))
-			oneHot[cfg[i]] = 1
-			out = append(out, oneHot...)
+			out[j+cfg[i]] = 1
+			j += len(p.Values)
 			continue
 		}
-		denom := float64(len(p.Values) - 1)
-		if denom == 0 {
-			out = append(out, 0)
-			continue
+		if denom := float64(len(p.Values) - 1); denom != 0 {
+			out[j] = float64(cfg[i]) / denom
 		}
-		out = append(out, float64(cfg[i])/denom)
+		j++
 	}
 	return out
 }

@@ -55,12 +55,12 @@ type Param struct {
 	// Tunable marks parameters the search may move. Non-tunable
 	// parameters (host interface, flash type) are fixed by constraints.
 	Tunable bool
-	// Layout marks the seven chip-layout parameters plus page size whose
-	// product is bound by the capacity constraint.
+	// Layout marks the six chip-layout counts plus page size: the
+	// product of their grid values is the raw capacity the capacity
+	// constraint binds.
 	Layout bool
 
-	apply func(d *ssd.DeviceParams, v float64)
-	get   func(d *ssd.DeviceParams) float64
+	field field // nil for a parameter with no device field
 }
 
 // Stride is the grid-index step one SGD move takes on this parameter:
@@ -181,175 +181,122 @@ func newSpace(cons Constraints, whatIf bool) *Space {
 		cmt = rangeGrid(64, 2048, 63)
 	}
 
-	us := func(v float64) time.Duration { return time.Duration(v * float64(time.Microsecond)) }
-	mb := func(v float64) int64 { return int64(v) << 20 }
-
 	params := []Param{
-		// --- Chip layout (7) + page size.
+		// --- Chip layout (6) + page size.
 		{Name: "FlashChannelCount", Kind: Discrete, Tunable: true, Layout: true, Values: channels,
-			apply: func(d *ssd.DeviceParams, v float64) { d.Channels = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.Channels) }},
+			field: plain(func(d *device) *int { return &d.Channels })},
 		{Name: "ChipNoPerChannel", Kind: Discrete, Tunable: true, Layout: true, Values: chips,
-			apply: func(d *ssd.DeviceParams, v float64) { d.ChipsPerChannel = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.ChipsPerChannel) }},
+			field: plain(func(d *device) *int { return &d.ChipsPerChannel })},
 		{Name: "DieNoPerChip", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{1, 2, 4, 8},
-			apply: func(d *ssd.DeviceParams, v float64) { d.DiesPerChip = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.DiesPerChip) }},
+			field: plain(func(d *device) *int { return &d.DiesPerChip })},
 		{Name: "PlaneNoPerDie", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{1, 2, 3, 4, 8, 16},
-			apply: func(d *ssd.DeviceParams, v float64) { d.PlanesPerDie = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.PlanesPerDie) }},
+			field: plain(func(d *device) *int { return &d.PlanesPerDie })},
 		{Name: "BlockNoPerPlane", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{128, 256, 512, 1024, 2048},
-			apply: func(d *ssd.DeviceParams, v float64) { d.BlocksPerPlane = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.BlocksPerPlane) }},
+			field: plain(func(d *device) *int { return &d.BlocksPerPlane })},
 		{Name: "PageNoPerBlock", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{64, 128, 256, 384, 512, 768, 1024},
-			apply: func(d *ssd.DeviceParams, v float64) { d.PagesPerBlock = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.PagesPerBlock) }},
+			field: plain(func(d *device) *int { return &d.PagesPerBlock })},
 		{Name: "PageCapacity", Kind: Discrete, Unit: "B", Tunable: true, Layout: true, Values: []float64{2048, 4096, 8192, 16384},
-			apply: func(d *ssd.DeviceParams, v float64) { d.PageSizeBytes = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.PageSizeBytes) }},
+			field: plain(func(d *device) *int { return &d.PageSizeBytes })},
 
 		// --- DRAM (continuous in the paper's sense).
 		{Name: "DataCacheSize", Kind: Continuous, Unit: "MB", Tunable: true, Values: dataCache,
-			apply: func(d *ssd.DeviceParams, v float64) { d.DataCacheBytes = mb(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.DataCacheBytes >> 20) }},
+			field: shifted(20, func(d *device) *int64 { return &d.DataCacheBytes })},
 		{Name: "CMTCapacity", Kind: Continuous, Unit: "MB", Tunable: true, Values: cmt,
-			apply: func(d *ssd.DeviceParams, v float64) { d.CMTBytes = mb(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.CMTBytes >> 20) }},
+			field: shifted(20, func(d *device) *int64 { return &d.CMTBytes })},
 
 		// --- Channel and flash timing.
 		{Name: "ChannelWidth", Kind: Discrete, Unit: "bit", Tunable: whatIf, Values: []float64{8, 16, 32},
-			apply: func(d *ssd.DeviceParams, v float64) { d.ChannelWidthBit = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.ChannelWidthBit) }},
+			field: plain(func(d *device) *int { return &d.ChannelWidthBit })},
 		{Name: "ChannelTransferRate", Kind: Discrete, Unit: "MT/s", Tunable: whatIf, Values: rate,
-			apply: func(d *ssd.DeviceParams, v float64) { d.ChannelMTps = v },
-			get:   func(d *ssd.DeviceParams) float64 { return d.ChannelMTps }},
+			field: plain(func(d *device) *float64 { return &d.ChannelMTps })},
 		{Name: "PageReadLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: read,
-			apply: func(d *ssd.DeviceParams, v float64) { d.ReadLatency = us(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.ReadLatency) / float64(time.Microsecond) }},
+			field: micros(func(d *device) *time.Duration { return &d.ReadLatency })},
 		{Name: "PageProgramLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: prog,
-			apply: func(d *ssd.DeviceParams, v float64) { d.ProgramLatency = us(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.ProgramLatency) / float64(time.Microsecond) }},
+			field: micros(func(d *device) *time.Duration { return &d.ProgramLatency })},
 		{Name: "BlockEraseLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: erase,
-			apply: func(d *ssd.DeviceParams, v float64) { d.EraseLatency = us(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.EraseLatency) / float64(time.Microsecond) }},
+			field: micros(func(d *device) *time.Duration { return &d.EraseLatency })},
 		{Name: "SuspendProgramTime", Kind: Discrete, Unit: "us", Tunable: true, Values: []float64{10, 25, 50, 100},
-			apply: func(d *ssd.DeviceParams, v float64) { d.SuspendProgram = us(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.SuspendProgram) / float64(time.Microsecond) }},
+			field: micros(func(d *device) *time.Duration { return &d.SuspendProgram })},
 		{Name: "SuspendEraseTime", Kind: Discrete, Unit: "us", Tunable: true, Values: []float64{25, 50, 100, 200},
-			apply: func(d *ssd.DeviceParams, v float64) { d.SuspendErase = us(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.SuspendErase) / float64(time.Microsecond) }},
+			field: micros(func(d *device) *time.Duration { return &d.SuspendErase })},
 
 		// --- Host interface.
 		{Name: "QueueDepth", Kind: Discrete, Tunable: true, Values: []float64{1, 2, 4, 8, 16, 32, 64, 128, 256},
-			apply: func(d *ssd.DeviceParams, v float64) { d.QueueDepth = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.QueueDepth) }},
+			field: plain(func(d *device) *int { return &d.QueueDepth })},
 		{Name: "QueueCount", Kind: Discrete, Tunable: true, Values: []float64{1, 2, 4, 8, 16},
-			apply: func(d *ssd.DeviceParams, v float64) { d.QueueCount = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.QueueCount) }},
+			field: plain(func(d *device) *int { return &d.QueueCount })},
 		{Name: "PCIeLanes", Kind: Discrete, Tunable: true, Values: pcieLanes,
-			apply: func(d *ssd.DeviceParams, v float64) { d.PCIeLanes = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.PCIeLanes) }},
+			field: plain(func(d *device) *int { return &d.PCIeLanes })},
 		{Name: "PCIeLaneBandwidth", Kind: Discrete, Unit: "MB/s", Tunable: whatIf, Values: []float64{250, 500, 985, 1969},
-			apply: func(d *ssd.DeviceParams, v float64) { d.PCIeLaneMBps = v },
-			get:   func(d *ssd.DeviceParams) float64 { return d.PCIeLaneMBps }},
+			field: plain(func(d *device) *float64 { return &d.PCIeLaneMBps })},
 
 		// --- FTL and policies.
 		{Name: "OverprovisioningRatio", Kind: Continuous, Tunable: true, Values: []float64{0.03, 0.05, 0.07, 0.10, 0.15, 0.20, 0.28},
-			apply: func(d *ssd.DeviceParams, v float64) { d.OverprovisionRatio = v },
-			get:   func(d *ssd.DeviceParams) float64 { return d.OverprovisionRatio }},
+			field: plain(func(d *device) *float64 { return &d.OverprovisionRatio })},
 		{Name: "GCThreshold", Kind: Continuous, Unit: "%", Tunable: true, Values: []float64{2, 5, 10, 15, 20},
-			apply: func(d *ssd.DeviceParams, v float64) { d.GCThresholdPct = v },
-			get:   func(d *ssd.DeviceParams) float64 { return d.GCThresholdPct }},
+			field: plain(func(d *device) *float64 { return &d.GCThresholdPct })},
 		{Name: "StaticWearlevelingThreshold", Kind: Discrete, Tunable: true, Values: []float64{25, 50, 100, 200, 400},
-			apply: func(d *ssd.DeviceParams, v float64) { d.WearLevelingThresh = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.WearLevelingThresh) }},
+			field: plain(func(d *device) *int { return &d.WearLevelingThresh })},
 		{Name: "PageMetadataCapacity", Kind: Discrete, Unit: "B", Tunable: true, Values: []float64{128, 224, 448, 896},
-			apply: func(d *ssd.DeviceParams, v float64) { d.PageMetadataBytes = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.PageMetadataBytes) }},
+			field: plain(func(d *device) *int { return &d.PageMetadataBytes })},
 		{Name: "ZoneSize", Kind: Discrete, Unit: "MB", Tunable: true, Values: []float64{64, 128, 256, 512, 1024},
-			apply: func(d *ssd.DeviceParams, v float64) { d.ZoneSizeMB = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.ZoneSizeMB) }},
+			field: plain(func(d *device) *int { return &d.ZoneSizeMB })},
 		{Name: "MaxOpenZones", Kind: Discrete, Tunable: true, Values: []float64{2, 4, 8, 16, 32},
-			apply: func(d *ssd.DeviceParams, v float64) { d.MaxOpenZones = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.MaxOpenZones) }},
+			field: plain(func(d *device) *int { return &d.MaxOpenZones })},
 		{Name: "WriteStreams", Kind: Discrete, Tunable: true, Values: []float64{2, 4, 8, 16},
-			apply: func(d *ssd.DeviceParams, v float64) { d.WriteStreams = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.WriteStreams) }},
+			field: plain(func(d *device) *int { return &d.WriteStreams })},
 		{Name: "BadBlockRatio", Kind: Continuous, Unit: "%", Tunable: true, Values: []float64{0.1, 0.5, 1, 2},
-			apply: func(d *ssd.DeviceParams, v float64) { d.BadBlockPct = v },
-			get:   func(d *ssd.DeviceParams) float64 { return d.BadBlockPct }},
+			field: plain(func(d *device) *float64 { return &d.BadBlockPct })},
 		{Name: "ReadRetryLimit", Kind: Discrete, Tunable: true, Values: []float64{1, 2, 3, 5, 8},
-			apply: func(d *ssd.DeviceParams, v float64) { d.ReadRetryLimit = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.ReadRetryLimit) }},
+			field: plain(func(d *device) *int { return &d.ReadRetryLimit })},
 		{Name: "CacheLineSize", Kind: Discrete, Unit: "KB", Tunable: true, Values: []float64{4, 8, 16, 32},
-			apply: func(d *ssd.DeviceParams, v float64) { d.CacheLineBytes = int(v) << 10 },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.CacheLineBytes >> 10) }},
+			field: shifted(10, func(d *device) *int { return &d.CacheLineBytes })},
 		{Name: "CMTEntrySize", Kind: Discrete, Unit: "B", Tunable: true, Values: []float64{4, 8, 16},
-			apply: func(d *ssd.DeviceParams, v float64) { d.CMTEntryBytes = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.CMTEntryBytes) }},
+			field: plain(func(d *device) *int { return &d.CMTEntryBytes })},
 		{Name: "MappingGranularity", Kind: Discrete, Unit: "pages", Tunable: true, Values: []float64{1, 2, 4, 8},
-			apply: func(d *ssd.DeviceParams, v float64) { d.MappingGranularity = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.MappingGranularity) }},
+			field: plain(func(d *device) *int { return &d.MappingGranularity })},
 		{Name: "WriteBufferFlushThreshold", Kind: Continuous, Unit: "%", Tunable: true, Values: []float64{50, 60, 70, 80, 90},
-			apply: func(d *ssd.DeviceParams, v float64) { d.WriteBufferFlushPct = v },
-			get:   func(d *ssd.DeviceParams) float64 { return d.WriteBufferFlushPct }},
+			field: plain(func(d *device) *float64 { return &d.WriteBufferFlushPct })},
 		{Name: "ControllerClock", Kind: Discrete, Unit: "MHz", Tunable: true, Values: []float64{200, 300, 400, 500, 667, 800},
-			apply: func(d *ssd.DeviceParams, v float64) { d.ControllerMHz = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.ControllerMHz) }},
+			field: plain(func(d *device) *int { return &d.ControllerMHz })},
 		{Name: "DRAMFrequency", Kind: Discrete, Unit: "MHz", Tunable: true, Values: []float64{400, 533, 667, 800, 1066, 1200},
-			apply: func(d *ssd.DeviceParams, v float64) { d.DRAMMHz = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.DRAMMHz) }},
+			field: plain(func(d *device) *int { return &d.DRAMMHz })},
 		{Name: "DRAMBusWidth", Kind: Discrete, Unit: "bit", Tunable: true, Values: []float64{16, 32, 64},
-			apply: func(d *ssd.DeviceParams, v float64) { d.DRAMBusBits = int(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.DRAMBusBits) }},
+			field: plain(func(d *device) *int { return &d.DRAMBusBits })},
 		{Name: "ECCLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: []float64{2, 4, 8, 16},
-			apply: func(d *ssd.DeviceParams, v float64) { d.ECCLatency = us(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.ECCLatency) / float64(time.Microsecond) }},
+			field: micros(func(d *device) *time.Duration { return &d.ECCLatency })},
 		{Name: "FirmwareOverhead", Kind: Discrete, Unit: "us", Tunable: true, Values: []float64{1, 2, 3, 5, 8},
-			apply: func(d *ssd.DeviceParams, v float64) { d.FirmwareOverhead = us(v) },
-			get:   func(d *ssd.DeviceParams) float64 { return float64(d.FirmwareOverhead) / float64(time.Microsecond) }},
+			field: micros(func(d *device) *time.Duration { return &d.FirmwareOverhead })},
 
 		// --- Booleans.
-		boolParam("StaticWearleveling", func(d *ssd.DeviceParams, on bool) { d.StaticWearLeveling = on },
-			func(d *ssd.DeviceParams) bool { return d.StaticWearLeveling }),
-		boolParam("DynamicWearleveling", func(d *ssd.DeviceParams, on bool) { d.DynamicWearLeveling = on },
-			func(d *ssd.DeviceParams) bool { return d.DynamicWearLeveling }),
-		boolParam("CopybackEnabled", func(d *ssd.DeviceParams, on bool) { d.CopybackEnabled = on },
-			func(d *ssd.DeviceParams) bool { return d.CopybackEnabled }),
-		boolParam("SuspendEnabled", func(d *ssd.DeviceParams, on bool) { d.SuspendEnabled = on },
-			func(d *ssd.DeviceParams) bool { return d.SuspendEnabled }),
-		boolParam("ReadCacheEnabled", func(d *ssd.DeviceParams, on bool) { d.ReadCacheEnabled = on },
-			func(d *ssd.DeviceParams) bool { return d.ReadCacheEnabled }),
-		boolParam("IOMergingEnabled", func(d *ssd.DeviceParams, on bool) { d.IOMergingEnabled = on },
-			func(d *ssd.DeviceParams) bool { return d.IOMergingEnabled }),
-		boolParam("TransactionSchedOOO", func(d *ssd.DeviceParams, on bool) { d.TransactionSchedOOO = on },
-			func(d *ssd.DeviceParams) bool { return d.TransactionSchedOOO }),
-		boolParam("CompressionEnabled", func(d *ssd.DeviceParams, on bool) {},
-			func(d *ssd.DeviceParams) bool { return false }),
+		boolParam("StaticWearleveling", func(d *device) *bool { return &d.StaticWearLeveling }),
+		boolParam("DynamicWearleveling", func(d *device) *bool { return &d.DynamicWearLeveling }),
+		boolParam("CopybackEnabled", func(d *device) *bool { return &d.CopybackEnabled }),
+		boolParam("SuspendEnabled", func(d *device) *bool { return &d.SuspendEnabled }),
+		boolParam("ReadCacheEnabled", func(d *device) *bool { return &d.ReadCacheEnabled }),
+		boolParam("IOMergingEnabled", func(d *device) *bool { return &d.IOMergingEnabled }),
+		boolParam("TransactionSchedOOO", func(d *device) *bool { return &d.TransactionSchedOOO }),
+		// No device field: the simulator models no compression, so
+		// ToDevice ignores this parameter and FromDevice leaves it at 0.
+		{Name: "CompressionEnabled", Kind: Boolean, Tunable: true, Values: []float64{0, 1}},
 
 		// --- Categoricals. Grid values and labels derive from the policy
 		// registry in internal/ssd, so a policy added there shows up here
 		// (and in CLI help, JSON, and the tuner) without further edits.
 		catParam("PlaneAllocationScheme", ssd.AllocSchemeNames(), true,
-			func(d *ssd.DeviceParams, v int) { d.PlaneAllocScheme = ssd.AllocScheme(v) },
-			func(d *ssd.DeviceParams) int { return int(d.PlaneAllocScheme) }),
+			func(d *device) *ssd.AllocScheme { return &d.PlaneAllocScheme }),
 		catParam("CachePolicy", ssd.CachePolicyNames(), true,
-			func(d *ssd.DeviceParams, v int) { d.CachePolicy = ssd.CachePolicy(v) },
-			func(d *ssd.DeviceParams) int { return int(d.CachePolicy) }),
+			func(d *device) *ssd.CachePolicy { return &d.CachePolicy }),
 		catParam("GCPolicy", ssd.GCPolicyNames(), true,
-			func(d *ssd.DeviceParams, v int) { d.GCPolicy = ssd.GCPolicy(v) },
-			func(d *ssd.DeviceParams) int { return int(d.GCPolicy) }),
+			func(d *device) *ssd.GCPolicy { return &d.GCPolicy }),
 		catParam("HostInterfaceModel", ssd.HostIfcNames(), true,
-			func(d *ssd.DeviceParams, v int) { d.HostIfcModel = ssd.HostIfc(v) },
-			func(d *ssd.DeviceParams) int { return int(d.HostIfcModel) }),
+			func(d *device) *ssd.HostIfc { return &d.HostIfcModel }),
 
 		// --- Constrained (non-tunable) categoricals.
 		catParam("Interface", ssd.InterfaceNames(), false,
-			func(d *ssd.DeviceParams, v int) { d.HostInterface = ssd.Interface(v) },
-			func(d *ssd.DeviceParams) int { return int(d.HostInterface) }),
+			func(d *device) *ssd.Interface { return &d.HostInterface }),
 		catParam("FlashType", ssd.FlashTypeNames(), false,
-			func(d *ssd.DeviceParams, v int) { d.FlashType = ssd.FlashType(v) },
-			func(d *ssd.DeviceParams) int { return int(d.FlashType) }),
+			func(d *device) *ssd.FlashType { return &d.FlashType }),
 	}
 
 	s := &Space{Params: params, Cons: cons, index: make(map[string]int, len(params))}
@@ -359,31 +306,74 @@ func newSpace(cons Constraints, whatIf bool) *Space {
 	return s
 }
 
-func boolParam(name string, set func(*ssd.DeviceParams, bool), get func(*ssd.DeviceParams) bool) Param {
-	return Param{
-		Name: name, Kind: Boolean, Tunable: true, Values: []float64{0, 1},
-		apply: func(d *ssd.DeviceParams, v float64) { set(d, v >= 0.5) },
-		get: func(d *ssd.DeviceParams) float64 {
-			if get(d) {
-				return 1
-			}
-			return 0
-		},
-	}
+func boolParam(name string, at func(*device) *bool) Param {
+	return Param{Name: name, Kind: Boolean, Tunable: true, Values: []float64{0, 1}, field: flag(at)}
 }
 
 // catParam builds a categorical parameter whose grid indices are the
 // registry wire values 0..n-1 and whose labels are the registry names.
-func catParam(name string, labels []string, tunable bool, set func(*ssd.DeviceParams, int), get func(*ssd.DeviceParams) int) Param {
+func catParam[T ~uint8](name string, labels []string, tunable bool, at func(*device) *T) Param {
 	values := make([]float64, len(labels))
 	for i := range values {
 		values[i] = float64(i)
 	}
-	return Param{
-		Name: name, Kind: Categorical, Tunable: tunable, Values: values, Labels: labels,
-		apply: func(d *ssd.DeviceParams, v float64) { set(d, int(v)) },
-		get:   func(d *ssd.DeviceParams) float64 { return float64(get(d)) },
+	return Param{Name: name, Kind: Categorical, Tunable: tunable, Values: values, Labels: labels, field: plain(at)}
+}
+
+// device is the simulator configuration a parameter's field points into.
+type device = ssd.DeviceParams
+
+// A field maps one parameter's grid value onto its device field (set)
+// and reads it back in grid units (get). Each implementation wraps one
+// accessor that returns a pointer to the field, so every parameter names
+// its field and unit once and ToDevice and FromDevice cannot disagree.
+type field interface {
+	set(d *device, v float64)
+	get(d *device) float64
+}
+
+// number is the field types a grid value converts to directly.
+type number interface {
+	~uint8 | ~int | ~int64 | ~float64
+}
+
+// plainField holds the grid value as is; integer fields truncate it.
+type plainField[T number] func(*device) *T
+
+func plain[T number](at func(*device) *T) field { return plainField[T](at) }
+
+func (f plainField[T]) set(d *device, v float64) { *f(d) = T(v) }
+func (f plainField[T]) get(d *device) float64    { return float64(*f(d)) }
+
+// shiftField holds a grid value counted in units of 1<<shift bytes
+// (10 for KB, 20 for MB).
+type shiftField[T ~int | ~int64] struct {
+	shift uint
+	at    func(*device) *T
+}
+
+func shifted[T ~int | ~int64](shift uint, at func(*device) *T) field {
+	return shiftField[T]{shift, at}
+}
+
+func (f shiftField[T]) set(d *device, v float64) { *f.at(d) = T(v) << f.shift }
+func (f shiftField[T]) get(d *device) float64    { return float64(*f.at(d) >> f.shift) }
+
+// micros holds a grid value in microseconds as a duration.
+type micros func(*device) *time.Duration
+
+func (f micros) set(d *device, v float64) { *f(d) = time.Duration(v * float64(time.Microsecond)) }
+func (f micros) get(d *device) float64    { return float64(*f(d)) / float64(time.Microsecond) }
+
+// flag holds grid value 1 as true and 0 as false.
+type flag func(*device) *bool
+
+func (f flag) set(d *device, v float64) { *f(d) = v >= 0.5 }
+func (f flag) get(d *device) float64 {
+	if *f(d) {
+		return 1
 	}
+	return 0
 }
 
 // NumParams returns the parameter count (52).
@@ -433,13 +423,16 @@ func (s *Space) SearchSpaceSize() float64 {
 }
 
 // FromDevice snaps a concrete device to the nearest grid configuration.
+// A parameter with no device field takes grid index 0.
 func (s *Space) FromDevice(d ssd.DeviceParams) Config {
 	cfg := make(Config, len(s.Params))
 	for i, p := range s.Params {
-		cfg[i] = nearestIndex(p.Values, p.get(&d))
+		if p.field != nil {
+			cfg[i] = nearestIndex(p.Values, p.field.get(&d))
+		}
 	}
 	// Constrained parameters always follow the constraints.
-	s.applyConstraints(cfg)
+	s.ApplyConstraints(cfg)
 	return cfg
 }
 
@@ -448,13 +441,17 @@ func (s *Space) FromDevice(d ssd.DeviceParams) Config {
 func (s *Space) ToDevice(cfg Config) ssd.DeviceParams {
 	d := ssd.DefaultParams()
 	for i, p := range s.Params {
-		p.apply(&d, p.Values[cfg[i]])
+		if p.field != nil {
+			p.field.set(&d, p.Values[cfg[i]])
+		}
 	}
 	d.Faults = s.Faults
 	return d
 }
 
-func (s *Space) applyConstraints(cfg Config) {
+// ApplyConstraints sets cfg's constrained parameters (host interface and
+// flash type) to the constraint tuple's values.
+func (s *Space) ApplyConstraints(cfg Config) {
 	if i, ok := s.index["Interface"]; ok {
 		cfg[i] = int(s.Cons.Interface)
 	}

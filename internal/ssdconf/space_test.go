@@ -335,21 +335,66 @@ func TestRepairProperty(t *testing.T) {
 	}
 }
 
-// Property: ToDevice of any valid config yields a Validate-clean device.
+// Property, on the commodity and the what-if space: for any in-range
+// configuration, ToDevice yields a Validate-clean device, FromDevice
+// inverts it on every parameter with a device field, CapacityBytes is
+// the device's capacity, and Neighbors is NeighborsOf over every axis in
+// index order.
 func TestToDeviceAlwaysValidProperty(t *testing.T) {
-	s := defaultSpace()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := make(Config, len(s.Params))
-		for i, p := range s.Params {
-			cfg[i] = rng.Intn(len(p.Values))
+	// Parameters with no device field; FromDevice leaves them at 0.
+	noField := map[string]bool{"CompressionEnabled": true}
+	for _, s := range []*Space{defaultSpace(), NewWhatIfSpace(DefaultConstraints())} {
+		for _, p := range s.Params {
+			if (p.field == nil) != noField[p.Name] {
+				t.Fatalf("%s: has device field = %v, want %v", p.Name, p.field != nil, !noField[p.Name])
+			}
 		}
-		s.applyConstraints(cfg)
-		d := s.ToDevice(cfg)
-		return d.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := make(Config, len(s.Params))
+			for i, p := range s.Params {
+				cfg[i] = rng.Intn(len(p.Values))
+			}
+			s.ApplyConstraints(cfg)
+			d := s.ToDevice(cfg)
+			if err := d.Validate(); err != nil {
+				t.Logf("ToDevice: %v", err)
+				return false
+			}
+			back := s.FromDevice(d)
+			for i, p := range s.Params {
+				if !noField[p.Name] && back[i] != cfg[i] {
+					t.Logf("%s: FromDevice(ToDevice) index %d, want %d", p.Name, back[i], cfg[i])
+					return false
+				}
+			}
+			if got, want := s.CapacityBytes(cfg), d.CapacityBytes(); got != want {
+				t.Logf("CapacityBytes = %d, device has %d", got, want)
+				return false
+			}
+			// Most random layouts miss the capacity band and have few
+			// neighbours; compare the walks at a repaired point.
+			s.RepairCapacity(cfg)
+			var each []Config
+			for i := range s.Params {
+				each = append(each, s.NeighborsOf(cfg, i)...)
+			}
+			all := s.Neighbors(cfg)
+			if len(all) != len(each) {
+				t.Logf("Neighbors gave %d configs, NeighborsOf over every axis %d", len(all), len(each))
+				return false
+			}
+			for k := range all {
+				if !Equal(all[k], each[k]) {
+					t.Logf("neighbour %d differs", k)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
