@@ -36,20 +36,24 @@ type WearReport struct {
 	ProjectedLifetime time.Duration
 }
 
-// computeWear derives a WearReport from per-block erase counts, the
-// flash type's P/E rating and the run's makespan — the pure core of the
-// endurance model, shared by the engine and its tests.
-func computeWear(counts []int64, limit, makespanNS int64) WearReport {
-	r := WearReport{PECycleLimit: limit}
-	var total int64
-	for _, ec := range counts {
-		total += ec
-		if ec > r.MaxEraseCount {
-			r.MaxEraseCount = ec
-		}
-	}
-	if len(counts) > 0 {
-		r.MeanEraseCount = float64(total) / float64(len(counts))
+// wearTally folds per-block erase counts into what computeWear reads.
+type wearTally struct {
+	blocks, total, max int64
+}
+
+func (w *wearTally) add(eraseCount int64) {
+	w.blocks++
+	w.total += eraseCount
+	w.max = max(w.max, eraseCount)
+}
+
+// computeWear derives a WearReport from the tally of per-block erase
+// counts, the flash type's P/E rating and the run's makespan — the pure
+// core of the endurance model, shared by the engine and its tests.
+func computeWear(w wearTally, limit, makespanNS int64) WearReport {
+	r := WearReport{PECycleLimit: limit, MaxEraseCount: w.max}
+	if w.blocks > 0 {
+		r.MeanEraseCount = float64(w.total) / float64(w.blocks)
 	}
 	if r.MeanEraseCount > 0 {
 		r.Imbalance = float64(r.MaxEraseCount) / r.MeanEraseCount
@@ -72,12 +76,12 @@ func computeWear(counts []int64, limit, makespanNS int64) WearReport {
 
 // Wear computes the wear report for a finished engine.
 func (e *engine) wear(makespanNS int64) WearReport {
-	var counts []int64
+	var w wearTally
 	for i := range e.ftl.planes {
-		fp := &e.ftl.planes[i]
-		for b := range fp.blocks {
-			counts = append(counts, int64(fp.blocks[b].eraseCount))
+		blocks := e.ftl.planes[i].blocks
+		for b := range blocks {
+			w.add(int64(blocks[b].eraseCount))
 		}
 	}
-	return computeWear(counts, peCycleLimit(e.p.FlashType), makespanNS)
+	return computeWear(w, peCycleLimit(e.p.FlashType), makespanNS)
 }

@@ -141,13 +141,16 @@ func (m *pageMap) set(lp int64, v uint32) {
 
 // flashBlock is one erase unit.
 type flashBlock struct {
-	// pages is the logical page per slot (-1 = free or stale). A block
-	// the implicit prefill filled has none until it next takes a write:
-	// its slots follow the prefill layout, and the mapping alone tells
-	// which of them are still live (liveLP).
+	// Slots below prefix are the ones the implicit prefill wrote: they
+	// follow its layout, and the mapping alone tells which of them are
+	// still live (liveLP). pages holds the logical page of each slot from
+	// prefix up, pages[i] for slot prefix+i (-1 = free or stale). A block
+	// gets it on its first write after the prefill, so a block the prefill
+	// filled has none until GC erases it and it is opened again.
 	pages      []int32
 	valid      int32
 	writePtr   int32
+	prefix     int32
 	eraseCount int32
 	allocSeq   int64 // allocation order, for FIFO GC
 	lane       int32 // write lane the block was activated on
@@ -286,18 +289,25 @@ func newFTL(p *DeviceParams, c *Counters) (*ftl, error) {
 		f.zns = newZNSState(p, f.logicalPages, f.capScale, ppb, f.lanes, c)
 	}
 
+	// One array each backs every plane's blocks, free list and lanes.
+	// A plane's slices are capped at its own share, so an append past it
+	// reallocates instead of reaching the next plane's.
 	f.planes = make([]flashPlane, planes)
+	blocks := make([]flashBlock, planes*int(bpp))
+	free := make([]int32, planes*int(bpp))
+	actives := make([]int32, planes*f.lanes)
 	for i := range f.planes {
 		pl := &f.planes[i]
-		pl.blocks = make([]flashBlock, bpp)
-		pl.freeList = make([]int32, 0, bpp)
+		lo, hi := i*int(bpp), (i+1)*int(bpp)
+		pl.blocks = blocks[lo:hi:hi]
+		pl.freeList = free[lo:lo:hi]
 		for b := int32(bpp - 1); b >= 1; b-- {
 			pl.freeList = append(pl.freeList, b)
 		}
 		// Lane 0 opens block 0 immediately (matching the historical single
 		// active block); further lanes activate lazily on first use so
 		// unused lanes never consume free blocks.
-		pl.actives = make([]int32, f.lanes)
+		pl.actives = actives[i*f.lanes : (i+1)*f.lanes : (i+1)*f.lanes]
 		for l := 1; l < f.lanes; l++ {
 			pl.actives[l] = -1
 		}
@@ -445,8 +455,9 @@ func (f *ftl) prefill(frac float64) {
 // implicitPrefill writes logical pages [0, n) on lane 0 of a fresh FTL
 // and leaves the state n placePage(lp, 0) calls would, as observed
 // through resolve, liveLP and the block and plane counters. It touches
-// only per-block counters: the mapping entries and the filled blocks'
-// pages arrays stay absent, standing for the closed-form layout. It
+// only per-block counters: the mapping entries and the blocks' pages
+// arrays stay absent, and each block's prefix covers the slots it
+// wrote, standing for the closed-form layout. It
 // reports false, touching nothing, when that equivalence cannot be
 // shown up front: under fault injection (each program draws from the
 // fault RNG), on a used FTL, or when some plane's free list would drop
@@ -487,6 +498,7 @@ func (f *ftl) implicitPrefill(n int64) bool {
 			blk := &fp.blocks[b]
 			blk.writePtr = int32(min(ppb, pages-int64(b)*ppb))
 			blk.valid = blk.writePtr
+			blk.prefix = blk.writePtr
 			blk.allocSeq = int64(b)
 		}
 		fp.freeList = fp.freeList[:len(fp.freeList)-int(opened)]
@@ -523,13 +535,13 @@ func (f *ftl) unmap(lp int64) {
 }
 
 // liveLP returns the logical page live in slot (below writePtr) of
-// blk, block b on plane pl, or -1 when the slot is stale. A pages array
-// marks every stale slot -1. A block the prefill filled has none: it has
-// taken no write since, so a slot is live exactly while its page's
+// blk, block b on plane pl, or -1 when the slot is stale. The pages
+// array marks every stale slot from prefix up -1. A slot below prefix
+// holds the page the prefill put there, live exactly while that page's
 // mapping entry is unset.
 func (f *ftl) liveLP(blk *flashBlock, pl planeID, b, slot int32) int32 {
-	if blk.pages != nil {
-		return blk.pages[slot]
+	if slot >= blk.prefix {
+		return blk.pages[slot-blk.prefix]
 	}
 	row := int64(b)*int64(f.pagesPerBlock) + int64(slot)
 	lp := row*int64(len(f.stripePlane)) + int64(f.stripeOf[pl])
@@ -539,23 +551,19 @@ func (f *ftl) liveLP(blk *flashBlock, pl planeID, b, slot int32) int32 {
 	return int32(lp)
 }
 
-// materialize gives block b on plane pl its pages array before the
-// block takes a write: the open block the prefill left, or a plane's
-// first block when nothing was prefilled.
-func (f *ftl) materialize(pl planeID, b int32) {
-	blk := &f.planes[pl].blocks[b]
-	pages := make([]int32, f.pagesPerBlock)
-	fillStale(pages)
-	for slot := int32(0); slot < blk.writePtr; slot++ {
-		pages[slot] = f.liveLP(blk, pl, b, slot)
-	}
-	blk.pages = pages
+// materialize gives blk its pages array before it takes a write: the
+// unwritten slots from prefix up, all free. The block is the open one
+// the prefill left, or a plane's first block when nothing was
+// prefilled.
+func (f *ftl) materialize(blk *flashBlock) {
+	blk.pages = make([]int32, f.pagesPerBlock-blk.prefix)
+	fillStale(blk.pages)
 }
 
 // invalidate stales lp's current copy and reports whether it had one.
-// In a block without a pages array the slot stays live while lp's entry
-// is unset, so lp is unmapped at once: a GC or materialize before the
-// caller's own mapping update must see the slot stale.
+// Below the block's prefix the slot stays live while lp's entry is
+// unset, so lp is unmapped at once: a GC before the caller's own
+// mapping update must see the slot stale.
 func (f *ftl) invalidate(lp int64) bool {
 	v := f.resolve(lp)
 	if v == unmapped {
@@ -564,10 +572,10 @@ func (f *ftl) invalidate(lp int64) bool {
 	pl, b, slot := f.unpackPPA(v)
 	blk := &f.planes[pl].blocks[b]
 	switch {
-	case blk.pages == nil:
+	case slot < blk.prefix:
 		f.unmap(lp)
-	case blk.pages[slot] == int32(lp):
-		blk.pages[slot] = -1
+	case blk.pages[slot-blk.prefix] == int32(lp):
+		blk.pages[slot-blk.prefix] = -1
 	default:
 		return true
 	}
@@ -602,14 +610,14 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	}
 	blk := &fp.blocks[ab]
 	if blk.pages == nil {
-		f.materialize(pl, ab)
+		f.materialize(blk)
 	}
 	if f.faults != nil {
 		// Program failures: a failed program leaves its slot unusable
 		// until the block is erased (counted against the block's grown-
 		// defect budget); the controller retries on the next slot.
 		for f.faults.programFails() {
-			blk.pages[blk.writePtr] = -1
+			blk.pages[blk.writePtr-blk.prefix] = -1
 			blk.writePtr++
 			blk.failCount++
 			f.c.ProgramFailures++
@@ -625,7 +633,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	}
 	slot := blk.writePtr
 	blk.writePtr++
-	blk.pages[slot] = int32(lp)
+	blk.pages[slot-blk.prefix] = int32(lp)
 	blk.valid++
 	f.mapping.set(lp, f.packPPA(pl, fp.actives[lane], slot))
 
@@ -653,10 +661,12 @@ func (f *ftl) advanceActive(fp *flashPlane, pl planeID, lane int32) {
 	fp.freeList = fp.freeList[:len(fp.freeList)-1]
 	fp.actives[lane] = nb
 	blk := &fp.blocks[nb]
-	if blk.pages == nil {
+	if len(blk.pages) != int(f.pagesPerBlock) {
+		// Absent, or the tail a prefilled block was given.
 		blk.pages = make([]int32, f.pagesPerBlock)
 	}
 	fillStale(blk.pages)
+	blk.prefix = 0
 	blk.writePtr = 0
 	blk.valid = 0
 	blk.lane = lane
@@ -700,15 +710,15 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 				dst = &fp.blocks[fp.actives[lane]]
 			}
 			if dst.pages == nil {
-				f.materialize(pl, fp.actives[lane])
+				f.materialize(dst)
 			}
 			s := dst.writePtr
 			dst.writePtr++
-			dst.pages[s] = lp
+			dst.pages[s-dst.prefix] = lp
 			dst.valid++
 			f.mapping.set(int64(lp), f.packPPA(pl, fp.actives[lane], s))
-			if blk.pages != nil {
-				blk.pages[slot] = -1
+			if slot >= blk.prefix {
+				blk.pages[slot-blk.prefix] = -1
 			}
 			blk.valid--
 			moves++

@@ -15,8 +15,9 @@ import (
 // b differ, or returns "" when they agree: the resolved address of every
 // logical page, stripe counter, op counters, fault state, every plane's
 // free list, actives and counters, and per block every counter and the
-// logical page live in each slot. Whether a block carries a pages array
-// is representation, not state, and is not compared.
+// logical page live in each slot. How a block records its slots (its
+// pages array and the closed-form prefix below it) is representation,
+// not state, and is not compared.
 func diffFTL(a, b *ftl) string {
 	for lp := int64(0); lp < a.logicalPages; lp++ {
 		if va, vb := a.resolve(lp), b.resolve(lp); va != vb {
@@ -43,6 +44,7 @@ func diffFTL(a, b *ftl) string {
 		for bi := range pa.blocks {
 			ba, bb := pa.blocks[bi], pb.blocks[bi]
 			ba.pages, bb.pages = nil, nil
+			ba.prefix, bb.prefix = 0, 0
 			if !reflect.DeepEqual(ba, bb) {
 				return fmt.Sprintf("plane %d block %d: %+v != %+v", pl, bi, ba, bb)
 			}

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 
 // BenchmarkSimSetup measures per-simulation set-up on the Intel 750
 // reference device: newEngine alone (FTL construction plus the
-// warm-up prefill) and a 100-record RunSource, where set-up is nearly
-// all of the cost.
+// warm-up prefill), a 100-record RunSource, where set-up is nearly all
+// of the cost, and a 12,000-record one, the trace size of a default
+// Database tune's validations.
 func BenchmarkSimSetup(b *testing.B) {
 	p := Intel750()
 	b.Run("newEngine", func(b *testing.B) {
@@ -21,20 +23,22 @@ func BenchmarkSimSetup(b *testing.B) {
 			}
 		}
 	})
-	b.Run("RunSource100", func(b *testing.B) {
-		sim, err := NewSimulator(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opt := workload.Options{Requests: 100, Seed: 11}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunSource(workload.MustSource(workload.Database, opt)); err != nil {
+	for _, n := range []int{100, 12000} {
+		b.Run(fmt.Sprintf("RunSource%d", n), func(b *testing.B) {
+			sim, err := NewSimulator(p)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			opt := workload.Options{Requests: n, Seed: 11}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunSource(workload.MustSource(workload.Database, opt)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestSetupAllocatesPerBlockNotPerPage pins set-up at O(blocks): the
@@ -56,5 +60,66 @@ func TestSetupAllocatesPerBlockNotPerPage(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 			t.Fatalf("%s: newEngine allocated %d bytes, want under 1 MiB", name, got)
 		}
+	}
+}
+
+// TestFirstWritesAllocateOnlyTails pins the cost of the first write to
+// each plane: the block the prefill left open keeps its prefilled slots
+// in closed form, so the write allocates only the block's unwritten
+// tail, or a whole array when the open block is full and a fresh one
+// opens, plus any mapping slab it adds. Go's size classes round a small
+// allocation up by at most an eighth.
+func TestFirstWritesAllocateOnlyTails(t *testing.T) {
+	for name, p := range referenceDevices() {
+		e, err := newEngine(&p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := e.ftl
+		var tails uint64
+		for i := range f.planes {
+			fp := &f.planes[i]
+			tail := f.pagesPerBlock - fp.blocks[fp.actives[0]].writePtr
+			if tail == 0 {
+				tail = f.pagesPerBlock
+			}
+			tails += uint64(tail) * 4
+		}
+		slabs := len(f.mapping.slabs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range f.planes {
+			f.placePage((f.prefilled+int64(i))%f.logicalPages, 0)
+		}
+		runtime.ReadMemStats(&after)
+		slabBytes := uint64(len(f.mapping.slabs)-slabs) * slabChunks * mapChunk * 4
+		if got, limit := after.TotalAlloc-before.TotalAlloc, tails+tails/8+slabBytes; got > limit {
+			t.Errorf("%s: first write to each of %d planes allocated %d bytes, want at most %d (tails %d + slabs %d)",
+				name, len(f.planes), got, limit, tails, slabBytes)
+		}
+	}
+}
+
+// TestNewFTLAllocationsIndependentOfPlanes pins newFTL at a fixed number
+// of allocations: every plane's blocks, free list and lanes are carved
+// out of one shared array each.
+func TestNewFTLAllocationsIndependentOfPlanes(t *testing.T) {
+	allocs := func(channels int) (float64, int) {
+		p := Intel750()
+		p.Channels = channels
+		var planes int
+		n := testing.AllocsPerRun(5, func() {
+			f, err := newFTL(&p, new(Counters))
+			if err != nil {
+				t.Fatal(err)
+			}
+			planes = len(f.planes)
+		})
+		return n, planes
+	}
+	few, fewPlanes := allocs(1)
+	many, manyPlanes := allocs(12)
+	if many > few {
+		t.Fatalf("newFTL: %v allocations for %d planes, %v for %d", many, manyPlanes, few, fewPlanes)
 	}
 }
