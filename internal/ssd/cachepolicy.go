@@ -1,5 +1,10 @@
 package ssd
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // CachePolicy selects the data-cache replacement policy.
 type CachePolicy uint8
 
@@ -92,6 +97,21 @@ type cacheSlot struct {
 // minIndexBits sizes a new cache's index: 16 slots, grown by doubling.
 const minIndexBits = 4
 
+// cmtPool and dataCachePool hold the caches of finished simulations, one
+// pool per cache kind, so the next simulation starts on the arrays its
+// predecessor already grew instead of regrowing them from 16 slots.
+var cmtPool, dataCachePool sync.Pool
+
+// recycledCache returns an empty cache of capEntries entries, built on
+// a cache from pool when it holds one.
+func recycledCache(pool *sync.Pool, capEntries int, pol cacheReplacementPolicy) *dataCache {
+	if d, ok := pool.Get().(*dataCache); ok {
+		d.reset(capEntries, pol)
+		return d
+	}
+	return newCache(capEntries, pol)
+}
+
 // newDataCache sizes the DRAM data cache; scale keeps its coverage of
 // the simulated space equal to the real cache's coverage of the device.
 func newDataCache(p *DeviceParams, scale int64) *dataCache {
@@ -99,7 +119,7 @@ func newDataCache(p *DeviceParams, scale int64) *dataCache {
 	if line < 512 {
 		line = int64(p.PageSizeBytes)
 	}
-	return newCache(int(p.DataCacheBytes/line/scale), cachePolicyTable[p.CachePolicy].make(p))
+	return recycledCache(&dataCachePool, int(p.DataCacheBytes/line/scale), cachePolicyTable[p.CachePolicy].make(p))
 }
 
 // newCMT sizes the DFTL-style cached mapping table: an LRU dataCache
@@ -109,19 +129,35 @@ func newDataCache(p *DeviceParams, scale int64) *dataCache {
 // keeps CMT coverage of the simulated space equal to the real CMT's
 // coverage of the device.
 func newCMT(p *DeviceParams, scale int64) *dataCache {
-	return newCache(int(p.CMTBytes/int64(p.CMTEntryBytes)/scale), lruCache{})
+	return recycledCache(&cmtPool, int(p.CMTBytes/int64(p.CMTEntryBytes)/scale), lruCache{})
 }
 
 // newCache returns an empty cache of capEntries entries, at least one.
 // Nodes and index grow with the entries, so a large cache a trace never
 // fills costs only what it holds.
 func newCache(capEntries int, pol cacheReplacementPolicy) *dataCache {
-	return &dataCache{
-		capacity: max(capEntries, 1),
+	d := &dataCache{nodes: make([]cacheNode, 1), index: make([]cacheSlot, 1<<minIndexBits)}
+	d.reset(capEntries, pol)
+	return d
+}
+
+// reset empties d for reuse as a cache of capEntries entries under pol,
+// keeping its arrays. The index keeps its length, up to the length a
+// full cache of capEntries needs: which entry is evicted depends only on
+// the recency list, never on the index size.
+func (d *dataCache) reset(capEntries int, pol cacheReplacementPolicy) {
+	capEntries = max(capEntries, 1)
+	n := cap(d.index)
+	for n > 1<<minIndexBits && n/2 >= 2*capEntries {
+		n /= 2
+	}
+	clear(d.index[:n])
+	*d = dataCache{
+		capacity: capEntries,
 		pol:      pol,
-		nodes:    make([]cacheNode, 1),
-		index:    make([]cacheSlot, 1<<minIndexBits),
-		shift:    32 - minIndexBits,
+		nodes:    append(d.nodes[:0], cacheNode{}),
+		index:    d.index[:n],
+		shift:    uint8(32 - bits.TrailingZeros(uint(n))),
 	}
 }
 

@@ -143,10 +143,12 @@ func (m *pageMap) set(lp int64, v uint32) {
 type flashBlock struct {
 	// Slots below prefix are the ones the implicit prefill wrote: they
 	// follow its layout, and the mapping alone tells which of them are
-	// still live (liveLP). pages holds the logical page of each slot from
-	// prefix up, pages[i] for slot prefix+i (-1 = free or stale). A block
-	// gets it on its first write after the prefill, so a block the prefill
-	// filled has none until GC erases it and it is opened again.
+	// still live (liveLP). pages holds the logical page of each slot
+	// written since, pages[i] for slot prefix+i (-1 = stale), so
+	// len(pages) == writePtr-prefix: a write appends its slot, and an
+	// erase truncates the array but keeps it for the block's next use. A
+	// block the prefill filled holds no array until its first write after
+	// GC erases it.
 	pages      []int32
 	valid      int32
 	writePtr   int32
@@ -397,12 +399,6 @@ func (f *ftl) initFaults(p *DeviceParams, planes int) error {
 	return nil
 }
 
-func fillStale(s []int32) {
-	for i := range s {
-		s[i] = -1
-	}
-}
-
 // scaleGeometry picks the simulated blocks-per-plane / pages-per-block.
 func scaleGeometry(p *DeviceParams, planes int) (bpp, ppb int32) {
 	bpp, ppb = int32(p.BlocksPerPlane), int32(p.PagesPerBlock)
@@ -551,15 +547,6 @@ func (f *ftl) liveLP(blk *flashBlock, pl planeID, b, slot int32) int32 {
 	return int32(lp)
 }
 
-// materialize gives blk its pages array before it takes a write: the
-// unwritten slots from prefix up, all free. The block is the open one
-// the prefill left, or a plane's first block when nothing was
-// prefilled.
-func (f *ftl) materialize(blk *flashBlock) {
-	blk.pages = make([]int32, f.pagesPerBlock-blk.prefix)
-	fillStale(blk.pages)
-}
-
 // invalidate stales lp's current copy and reports whether it had one.
 // Below the block's prefix the slot stays live while lp's entry is
 // unset, so lp is unmapped at once: a GC before the caller's own
@@ -609,15 +596,12 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 		ab = fp.actives[lane]
 	}
 	blk := &fp.blocks[ab]
-	if blk.pages == nil {
-		f.materialize(blk)
-	}
 	if f.faults != nil {
 		// Program failures: a failed program leaves its slot unusable
 		// until the block is erased (counted against the block's grown-
 		// defect budget); the controller retries on the next slot.
 		for f.faults.programFails() {
-			blk.pages[blk.writePtr-blk.prefix] = -1
+			blk.pages = append(blk.pages, -1)
 			blk.writePtr++
 			blk.failCount++
 			f.c.ProgramFailures++
@@ -633,7 +617,7 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	}
 	slot := blk.writePtr
 	blk.writePtr++
-	blk.pages[slot-blk.prefix] = int32(lp)
+	blk.pages = append(blk.pages, int32(lp))
 	blk.valid++
 	f.mapping.set(lp, f.packPPA(pl, fp.actives[lane], slot))
 
@@ -643,8 +627,9 @@ func (f *ftl) placePage(lp int64, lane int32) (pl planeID, gcMoves, gcErases int
 	return pl, gcMoves, gcErases
 }
 
-// advanceActive opens a fresh free block as the lane's active block on
-// plane pl (fp is &f.planes[pl]).
+// advanceActive opens a free block as the lane's active block on plane
+// pl (fp is &f.planes[pl]). A free block is empty: never written, or
+// erased by collect.
 func (f *ftl) advanceActive(fp *flashPlane, pl planeID, lane int32) {
 	if len(fp.freeList) == 0 {
 		// Emergency GC: free at least one block synchronously.
@@ -661,14 +646,6 @@ func (f *ftl) advanceActive(fp *flashPlane, pl planeID, lane int32) {
 	fp.freeList = fp.freeList[:len(fp.freeList)-1]
 	fp.actives[lane] = nb
 	blk := &fp.blocks[nb]
-	if len(blk.pages) != int(f.pagesPerBlock) {
-		// Absent, or the tail a prefilled block was given.
-		blk.pages = make([]int32, f.pagesPerBlock)
-	}
-	fillStale(blk.pages)
-	blk.prefix = 0
-	blk.writePtr = 0
-	blk.valid = 0
 	blk.lane = lane
 	fp.allocSeq++
 	blk.allocSeq = fp.allocSeq
@@ -709,12 +686,9 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 				f.advanceActive(fp, pl, lane)
 				dst = &fp.blocks[fp.actives[lane]]
 			}
-			if dst.pages == nil {
-				f.materialize(dst)
-			}
 			s := dst.writePtr
 			dst.writePtr++
-			dst.pages[s-dst.prefix] = lp
+			dst.pages = append(dst.pages, lp)
 			dst.valid++
 			f.mapping.set(int64(lp), f.packPPA(pl, fp.actives[lane], s))
 			if slot >= blk.prefix {
@@ -740,7 +714,9 @@ func (f *ftl) collect(fp *flashPlane, pl planeID) (moves, erasesDone int32) {
 			f.c.GCRuns++
 			continue
 		}
-		// Erase.
+		// Erase. The block keeps its pages array for its next use.
+		blk.pages = blk.pages[:0]
+		blk.prefix = 0
 		blk.writePtr = 0
 		blk.valid = 0
 		blk.eraseCount++

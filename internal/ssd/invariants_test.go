@@ -22,8 +22,9 @@ func slotLive(f *ftl, pl planeID, b, slot int32) int32 {
 // auditFTL checks the FTL conservation invariants after arbitrary churn:
 // every mapped logical page is live in exactly one physical slot, every
 // slot the reverse map holds live is the one its mapping points at,
-// per-block valid counters match a recount, and no counter went
-// negative.
+// per-block valid counters match a recount, every block's pages array
+// holds exactly its slots from prefix up to the write pointer, and no
+// counter went negative.
 func auditFTL(t *testing.T, label string, f *ftl) {
 	t.Helper()
 	liveCount := make(map[int32]int32)
@@ -37,6 +38,10 @@ func auditFTL(t *testing.T, label string, f *ftl) {
 			}
 			if blk.writePtr < 0 || blk.writePtr > f.pagesPerBlock {
 				t.Fatalf("%s: plane %d block %d writePtr = %d", label, pi, bi, blk.writePtr)
+			}
+			if len(blk.pages) != int(blk.writePtr-blk.prefix) {
+				t.Fatalf("%s: plane %d block %d holds %d pages between prefix %d and writePtr %d",
+					label, pi, bi, len(blk.pages), blk.prefix, blk.writePtr)
 			}
 			totalValid += int64(blk.valid)
 			var recount int32

@@ -112,7 +112,9 @@ func TestValidateRejectsUnknownPolicyValues(t *testing.T) {
 func fullBlock(f *ftl, fp *flashPlane, i, valid int32, seq int64, erases int32) {
 	b := &fp.blocks[i]
 	b.pages = make([]int32, f.pagesPerBlock)
-	fillStale(b.pages)
+	for s := range b.pages {
+		b.pages[s] = -1
+	}
 	b.writePtr = f.pagesPerBlock
 	b.valid = valid
 	b.allocSeq = seq
@@ -469,14 +471,39 @@ func cacheKeyPool() []int64 {
 	return pool
 }
 
+// recycledTestCache returns an empty cache of capacity entries under
+// pol, built on the arrays of a larger cache that held every key of
+// pool, every other one dirty, as a finished simulation hands its cache
+// on: the index is longer than a fresh one and full of stale slots.
+func recycledTestCache(pol CachePolicy, capacity int, pool []int64) *dataCache {
+	p := DefaultParams()
+	d := newCache(len(pool), cachePolicyTable[(int(pol)+1)%len(cachePolicyTable)].make(&p))
+	for i, key := range pool {
+		d.insert(key, i%2 == 0)
+	}
+	d.reset(capacity, cachePolicyTable[pol].make(&p))
+	return d
+}
+
 // driveCache runs the same operations on a dataCache and on refCache,
 // three bytes per operation (kind, key index low and high byte), and
 // fails at the first return value, entry count or dirty fraction that
-// differs, or when the final recency orders differ.
+// differs, or when the final recency orders differ. It runs them on a
+// fresh cache, then on one from recycledTestCache.
 func driveCache(t *testing.T, pol CachePolicy, capacity int, pool []int64, ops []byte) {
 	t.Helper()
 	p := DefaultParams()
-	d := newCache(capacity, cachePolicyTable[pol].make(&p))
+	driveCacheOn(t, "fresh", newCache(capacity, cachePolicyTable[pol].make(&p)), pol, pool, ops)
+	driveCacheOn(t, "recycled", recycledTestCache(pol, capacity, pool), pol, pool, ops)
+}
+
+func driveCacheOn(t *testing.T, kind string, d *dataCache, pol CachePolicy, pool []int64, ops []byte) {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("%s cache, policy %s, capacity %d", kind, pol, d.capacity)
+		}
+	}()
 	ref := &refCache{pol: pol, capacity: d.capacity}
 	for i := 0; i+2 < len(ops); i += 3 {
 		key := pool[(int(ops[i+1])|int(ops[i+2])<<8)%len(pool)]

@@ -17,7 +17,8 @@ import (
 // free list, actives and counters, and per block every counter and the
 // logical page live in each slot. How a block records its slots (its
 // pages array and the closed-form prefix below it) is representation,
-// not state, and is not compared.
+// not state, and is not compared; on both sides the pages array must
+// hold exactly the slots from prefix up to the write pointer.
 func diffFTL(a, b *ftl) string {
 	for lp := int64(0); lp < a.logicalPages; lp++ {
 		if va, vb := a.resolve(lp), b.resolve(lp); va != vb {
@@ -43,6 +44,12 @@ func diffFTL(a, b *ftl) string {
 		}
 		for bi := range pa.blocks {
 			ba, bb := pa.blocks[bi], pb.blocks[bi]
+			for _, blk := range []flashBlock{ba, bb} {
+				if len(blk.pages) != int(blk.writePtr-blk.prefix) {
+					return fmt.Sprintf("plane %d block %d: %d pages between prefix %d and write pointer %d",
+						pl, bi, len(blk.pages), blk.prefix, blk.writePtr)
+				}
+			}
 			ba.pages, bb.pages = nil, nil
 			ba.prefix, bb.prefix = 0, 0
 			if !reflect.DeepEqual(ba, bb) {

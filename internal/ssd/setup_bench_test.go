@@ -64,12 +64,14 @@ func TestSetupAllocatesPerBlockNotPerPage(t *testing.T) {
 }
 
 // TestFirstWritesAllocateOnlyTails pins the cost of the first write to
-// each plane: the block the prefill left open keeps its prefilled slots
-// in closed form, so the write allocates only the block's unwritten
-// tail, or a whole array when the open block is full and a fresh one
-// opens, plus any mapping slab it adds. Go's size classes round a small
-// allocation up by at most an eighth.
+// each plane at the slot it writes: the block the prefill left open
+// keeps its prefilled slots in closed form, and its pages array, like a
+// freshly opened block's, grows with the slots written. So one write per
+// plane allocates one small array each (8 bytes; 16 under the race
+// detector), plus any mapping slab it adds, however long the open
+// blocks' unwritten tails are.
 func TestFirstWritesAllocateOnlyTails(t *testing.T) {
+	const perSlot = 16
 	for name, p := range referenceDevices() {
 		e, err := newEngine(&p)
 		if err != nil {
@@ -79,11 +81,7 @@ func TestFirstWritesAllocateOnlyTails(t *testing.T) {
 		var tails uint64
 		for i := range f.planes {
 			fp := &f.planes[i]
-			tail := f.pagesPerBlock - fp.blocks[fp.actives[0]].writePtr
-			if tail == 0 {
-				tail = f.pagesPerBlock
-			}
-			tails += uint64(tail) * 4
+			tails += uint64(f.pagesPerBlock-fp.blocks[fp.actives[0]].writePtr) * 4
 		}
 		slabs := len(f.mapping.slabs)
 		var before, after runtime.MemStats
@@ -93,9 +91,9 @@ func TestFirstWritesAllocateOnlyTails(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		slabBytes := uint64(len(f.mapping.slabs)-slabs) * slabChunks * mapChunk * 4
-		if got, limit := after.TotalAlloc-before.TotalAlloc, tails+tails/8+slabBytes; got > limit {
-			t.Errorf("%s: first write to each of %d planes allocated %d bytes, want at most %d (tails %d + slabs %d)",
-				name, len(f.planes), got, limit, tails, slabBytes)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, perSlot*uint64(len(f.planes))+slabBytes; got > limit {
+			t.Errorf("%s: first write to each of %d planes allocated %d bytes, want at most %d (%d per slot + slabs %d; the open blocks' tails are %d)",
+				name, len(f.planes), got, limit, perSlot, slabBytes, tails)
 		}
 	}
 }

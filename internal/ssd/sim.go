@@ -156,6 +156,7 @@ func (s *Simulator) RunSourceContext(ctx context.Context, src trace.Source) (*Re
 	if err != nil {
 		return nil, err
 	}
+	defer eng.release()
 	n, err := eng.warmup(ctx, src)
 	if err != nil {
 		return nil, err
@@ -226,6 +227,9 @@ func (e *engine) warmup(ctx context.Context, src trace.Source) (int, error) {
 	if err := e.ftl.fatal; err != nil {
 		return n, fmt.Errorf("%w (during warm-up)", err)
 	}
+	// The CMT only ever grows, so below capacity warm-up evicted
+	// nothing, and it touched every region the measured pass can map.
+	e.cmtResident = e.cmt.len() < e.cmt.capacity
 	e.pass.reset()
 	if z := e.ftl.zns; z != nil {
 		// The measured pass replays the same trace; stale warm-up write
@@ -250,6 +254,10 @@ type engine struct {
 
 	pass
 	warming bool // warm-up pass: FTL/CMT state only, no data cache
+	// cmtResident is set when warm-up left every mapping region it
+	// touched in the CMT: every measured mapping access is then a hit
+	// that moves nothing a Result reports, so it is only counted.
+	cmtResident bool
 
 	// Derived per-op costs (ns).
 	readNS, progNS, eraseNS int64
@@ -287,6 +295,14 @@ func (p *pass) reset() {
 	clear(p.channelFree)
 	clear(p.planeFree)
 	clear(p.zoneFree)
+}
+
+// release hands the engine's caches to the pools newCMT and
+// newDataCache draw from; the engine must not be used afterwards.
+func (e *engine) release() {
+	cmtPool.Put(e.cmt)
+	dataCachePool.Put(e.cache)
+	e.cmt, e.cache = nil, nil
 }
 
 func newEngine(p *DeviceParams) (*engine, error) {
@@ -580,8 +596,13 @@ func (e *engine) flushDirty(lp, t int64) (busStart int64) {
 // mappingAccess models the CMT: a miss reads the mapping page from
 // flash; a dirty eviction programs one back. The untimed warm-up pass
 // only moves the CMT: the flash work would advance timelines the
-// warm-up boundary zeroes.
+// warm-up boundary zeroes. Once warm-up left the CMT resident, every
+// access is a hit and is only counted.
 func (e *engine) mappingAccess(lp, t int64, write bool) int64 {
+	if e.cmtResident {
+		e.CMTHits++
+		return t
+	}
 	_, dirtyEvict, hit := e.cmt.insert(lp/e.cmtGran, write)
 	if hit {
 		e.CMTHits++
