@@ -37,7 +37,6 @@ func (g WhatIfGoal) validate() error {
 // found, best grade first.
 type WhatIfResult struct {
 	TuneResult
-	Goal     WhatIfGoal
 	Achieved bool
 	// LatencySpeedup / ThroughputSpeedup are the best configuration's
 	// target-cluster speedups over the reference.
@@ -168,7 +167,7 @@ func WhatIf(ctx context.Context, space *ssdconf.Space, v *Validator, g *Grader, 
 		return nil, fmt.Errorf("core: what-if: %w", err)
 	}
 
-	res := &WhatIfResult{TuneResult: *tr, Goal: goal, CriticalParams: map[string]float64{}}
+	res := &WhatIfResult{TuneResult: *tr, CriticalParams: map[string]float64{}}
 	perfs := tr.BestPerf[goal.Target]
 	res.LatencySpeedup, res.ThroughputSpeedup = grader.ClusterSpeedups(goal.Target, perfs)
 	if opts.StopCondition != nil {

@@ -164,7 +164,7 @@ func TestTable6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.FeatureExtractPer100K <= 0 || o.EfficiencyValidation <= 0 {
+	if o.FeatureExtractPer100K <= 0 || o.EfficiencyValidation <= 0 || o.LearningPerIteration <= 0 {
 		t.Fatalf("missing overheads: %+v", o)
 	}
 	// The paper's shape: validation dominates per-iteration learning.

@@ -281,20 +281,23 @@ type engine struct {
 // the measured pass starts on an idle device and counts only its own
 // traffic, while device state (placement, occupancy, wear, retired
 // blocks) carries over.
+//
+// A timeline is when its resource is free again. acquire advances every
+// one, except flashRead's bounded plane wait and chargeGC, which adds GC
+// work to a plane and a channel.
 type pass struct {
 	Counters
 	hostFree    int64   // shared host-link timeline
 	channelFree []int64 // per-channel bus timeline
 	planeFree   []int64 // per-plane timeline: when the plane is idle again
 	zoneFree    []int64 // per-zone append-serialization timeline (ZNS only)
+	timelines   []int64 // the array the three slices above share
 }
 
 func (p *pass) reset() {
 	p.Counters = Counters{}
 	p.hostFree = 0
-	clear(p.channelFree)
-	clear(p.planeFree)
-	clear(p.zoneFree)
+	clear(p.timelines)
 }
 
 // release hands the engine's caches to the pools newCMT and
@@ -323,8 +326,8 @@ func newEngine(p *DeviceParams) (*engine, error) {
 		e.cmtGran = f.zns.zonePages
 		zones = len(f.zns.wp)
 	}
-	// One array backs the three per-resource timelines.
 	tl := make([]int64, p.Channels+len(f.planes)+zones)
+	e.timelines = tl
 	e.channelFree, tl = tl[:p.Channels:p.Channels], tl[p.Channels:]
 	e.planeFree, e.zoneFree = tl[:len(f.planes):len(f.planes)], tl[len(f.planes):]
 	e.readNS = p.ReadLatency.Nanoseconds()
@@ -426,12 +429,7 @@ func (e *engine) run(ctx context.Context, src trace.Source) (*Result, error) {
 		}
 		// The host link is a shared resource: the request's payload
 		// serializes over PCIe/SATA after the flash work completes.
-		xferBegin := done
-		if e.hostFree > xferBegin {
-			xferBegin = e.hostFree
-		}
-		e.hostFree = xferBegin + hostXfer
-		done = xferBegin + hostXfer
+		done = acquire(&e.hostFree, done, hostXfer) + hostXfer
 		queues.complete(slot, done)
 		lat := done - dispatch
 		latSum += lat
@@ -528,11 +526,7 @@ func (e *engine) writePage(lp, t int64, stream uint32) int64 {
 		// through its append point (one DRAM pass each), and a write below
 		// the zone write pointer pays a read-modify-reclaim penalty — the
 		// cost a ZNS host incurs for violating the sequential-write rule.
-		zi := z.zoneOf(lp)
-		if e.zoneFree[zi] > t {
-			t = e.zoneFree[zi]
-		}
-		e.zoneFree[zi] = t + e.dramNS
+		t = acquire(&e.zoneFree[z.zoneOf(lp)], t, e.dramNS)
 		if z.noteWrite(lp) {
 			t += e.progNS
 		}
@@ -623,25 +617,30 @@ func (e *engine) mappingAccess(lp, t int64, write bool) int64 {
 	return t
 }
 
+// acquire occupies the resource whose timeline is *free for dur ns,
+// starting no earlier than t, and returns the start; start-t is the
+// time the work waited for the resource.
+func acquire(free *int64, t, dur int64) (start int64) {
+	start = max(t, *free)
+	*free = start + dur
+	return start
+}
+
 // flashRead charges one page read on plane pl starting no earlier than t
 // and returns its completion time (after the channel transfer and ECC).
 func (e *engine) flashRead(pl planeID, t int64) int64 {
-	free := &e.planeFree[pl]
+	// The read waits for its plane, but out-of-order transaction
+	// scheduling lets it bypass queued programs (it waits for at most
+	// one), and program suspension bounds the wait further. The plane is
+	// then free when the read's cell work ends: a backlog the read
+	// bypassed drops off the timeline, so this update is not an acquire.
 	begin := t
-	if *free > begin {
-		wait := *free - begin
-		// Out-of-order transaction scheduling: a read can bypass
-		// *queued* (not yet started) programs, so its wait is bounded by
-		// the one in-flight operation rather than the whole backlog.
-		if e.p.TransactionSchedOOO && wait > e.progNS {
-			wait = e.progNS
-			*free += e.readNS // the bypassed work still happens
+	if wait := e.planeFree[pl] - t; wait > 0 {
+		if e.p.TransactionSchedOOO {
+			wait = min(wait, e.progNS)
 		}
-		if e.p.SuspendEnabled && wait > e.p.SuspendProgram.Nanoseconds() {
-			// Program/erase suspension bounds the read's wait further;
-			// the suspended operation resumes afterwards.
-			wait = e.p.SuspendProgram.Nanoseconds()
-			*free += e.readNS
+		if e.p.SuspendEnabled {
+			wait = min(wait, e.p.SuspendProgram.Nanoseconds())
 		}
 		begin += wait
 	}
@@ -660,34 +659,28 @@ func (e *engine) flashRead(pl planeID, t int64) int64 {
 			}
 		}
 	}
-	*free = cellDone
-
-	ch := e.ftl.alloc.channelOf(pl)
-	xferBegin := cellDone
-	if e.channelFree[ch] > xferBegin {
-		xferBegin = e.channelFree[ch]
-		e.stallHist.Record(xferBegin - cellDone)
-	}
-	e.channelFree[ch] = xferBegin + e.xferNS
-	e.channelBusyNS += e.xferNS
-	return xferBegin + e.xferNS + e.eccNS + softDecode
+	e.planeFree[pl] = cellDone
+	return e.channelXfer(pl, cellDone) + e.xferNS + e.eccNS + softDecode
 }
 
 // flashProgram charges one page program on plane pl (bus transfer first,
 // then the cell program). It returns the bus-transfer start time.
 func (e *engine) flashProgram(pl planeID, t int64) (busStart int64) {
-	ch := e.ftl.alloc.channelOf(pl)
-	busStart = t
-	if e.channelFree[ch] > busStart {
-		busStart = e.channelFree[ch]
-		e.stallHist.Record(busStart - t)
-	}
-	e.channelFree[ch] = busStart + e.xferNS
-	e.channelBusyNS += e.xferNS
-
-	cellBegin := max(busStart+e.xferNS, e.planeFree[pl])
-	e.planeFree[pl] = cellBegin + e.progNS
+	busStart = e.channelXfer(pl, t)
+	acquire(&e.planeFree[pl], busStart+e.xferNS, e.progNS)
 	return busStart
+}
+
+// channelXfer moves one page over pl's channel bus, starting no earlier
+// than t, and returns the transfer's start. A start after t is a
+// channel stall.
+func (e *engine) channelXfer(pl planeID, t int64) int64 {
+	start := acquire(&e.channelFree[e.ftl.alloc.channelOf(pl)], t, e.xferNS)
+	if start > t {
+		e.stallHist.Record(start - t)
+	}
+	e.channelBusyNS += e.xferNS
+	return start
 }
 
 // chargeGC adds the time cost of GC activity to the plane (and channel,
