@@ -212,12 +212,11 @@ func New(cons Constraints, opts Options) (*Framework, error) {
 	f.refCfg = space.FromDevice(opts.Reference)
 
 	if opts.CacheDir != "" {
-		p, err := core.OpenPersistentCache(opts.CacheDir)
+		p, err := core.OpenPersistentCache(opts.CacheDir, opts.Metrics)
 		if err != nil {
 			db.Close()
 			return nil, fmt.Errorf("autoblox: open persistent cache: %w", err)
 		}
-		p.Obs = opts.Metrics
 		f.persist = p
 	}
 

@@ -37,6 +37,7 @@ import (
 
 	"autoblox"
 	"autoblox/internal/cliobs"
+	"autoblox/internal/core"
 	"autoblox/internal/dist"
 	"autoblox/internal/ssd"
 	"autoblox/internal/trace"
@@ -215,6 +216,11 @@ func (c *commonFlags) startFleet(whatIf bool, cons autoblox.Constraints) {
 	if err != nil {
 		fatal(err)
 	}
+	// -progress and /tunez count sims as remote results: with a fleet
+	// backend the validator counts each cold key there once, whichever
+	// worker measured it. Remote workers' own sim counts arrive only as
+	// {worker="..."} series, so the local counter would read 0.
+	c.obs.Tune.SetSims(c.obs.Reg.Counter(core.MetricRemoteResults))
 	fleet := c.fleet
 	c.obs.SetStatus(func() any { return fleet.Status() })
 	if c.listen != "" {

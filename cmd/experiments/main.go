@@ -124,6 +124,9 @@ func main() {
 			os.Exit(1)
 		}
 		defer fleet.Close()
+		// -progress keeps counting local sims (unlike autoblox tune, which
+		// counts remote results): experiment envs outside the fleet's
+		// constraints run on the local pool in the same process.
 		obsFlags.SetStatus(func() any { return fleet.Status() })
 		if *listen != "" {
 			fmt.Fprintf(os.Stderr, "experiments: accepting workers on %s\n", fleet.Addr())

@@ -23,6 +23,7 @@ import (
 	"autoblox/internal/dist"
 	"autoblox/internal/obs"
 	"autoblox/internal/obs/httpobs"
+	"autoblox/internal/ssd"
 )
 
 // Flags holds the parsed observability flags and, after Setup, the live
@@ -175,6 +176,19 @@ func registerHelp(reg *obs.Registry) {
 		core.MetricCoalesced:              "validations that joined an in-flight duplicate",
 		core.MetricRemoteResults:          "validations measured by remote workers",
 		core.MetricSimTime:                "wall-clock nanoseconds per simulation",
+		core.MetricQueueWait:              "nanoseconds a fresh simulation waited for a pool slot",
+		core.MetricDedupWait:              "nanoseconds a validation waited on an in-flight duplicate",
+		family(core.MetricWorkerBusy(0)):  "per-pool-worker cumulative batch nanoseconds",
+		core.MetricFrontSize:              "configurations on the current Pareto front",
+		core.MetricFrontHypervolume:       "normalized hypervolume of the current Pareto front",
+		ssd.MetricRequestLatency:          "simulated request latency in nanoseconds (measured phase)",
+		ssd.MetricGCPause:                 "simulated garbage-collection pause nanoseconds",
+		ssd.MetricChannelStall:            "simulated nanoseconds a flash transfer waited for its channel",
+		ssd.MetricFaultProgramFailures:    "injected page-program failures",
+		ssd.MetricFaultEraseFailures:      "injected block-erase failures",
+		ssd.MetricFaultReadRetries:        "read-retry steps after injected bit errors",
+		ssd.MetricFaultECCSoftDecodes:     "reads recovered by soft-decision ECC",
+		ssd.MetricFaultRetiredBlocks:      "blocks retired as bad at the end of a run",
 		dist.MetricLeasesGranted:          "job leases granted to workers",
 		dist.MetricLeasesExpired:          "job leases that timed out",
 		dist.MetricLeasesReassigned:       "expired jobs handed to another worker",
@@ -225,17 +239,12 @@ func (r *Resilience) RegisterCheckpoint(fs *flag.FlagSet) {
 }
 
 // OpenPersistentCache opens the -cache-dir persistent cache (nil when
-// the flag is unset) and attaches the registry.
+// the flag is unset) with its counters on reg.
 func (r *Resilience) OpenPersistentCache(reg *obs.Registry) (*core.PersistentCache, error) {
 	if r.CacheDir == "" {
 		return nil, nil
 	}
-	p, err := core.OpenPersistentCache(r.CacheDir)
-	if err != nil {
-		return nil, err
-	}
-	p.Obs = reg
-	return p, nil
+	return core.OpenPersistentCache(r.CacheDir, reg)
 }
 
 // SignalContext returns a context cancelled on SIGINT/SIGTERM, so an

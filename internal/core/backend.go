@@ -58,26 +58,10 @@ type BackendStats struct {
 	// the local pool, worker-reported per-job time for a fleet.
 	SimBusy time.Duration
 	// LeasesExpired / LeasesReassigned count fleet lease churn (always 0
-	// for the local pool).
+	// for the local pool). A fleet's per-worker decomposition is its
+	// status view (dist.FleetStatus.Workers).
 	LeasesExpired    int64
 	LeasesReassigned int64
-	// Workers decomposes the fleet per worker, connected or not —
-	// tallies survive reconnects. Empty for the local pool.
-	Workers []WorkerBackendStats
-}
-
-// WorkerBackendStats is one fleet worker's share of the backend work.
-type WorkerBackendStats struct {
-	Name string `json:"name"`
-	// Connected reports whether the worker currently holds a session.
-	Connected bool  `json:"connected"`
-	Jobs      int64 `json:"jobs"`
-	// BusyNS is the worker-reported cumulative batch wall time.
-	BusyNS int64 `json:"busy_ns"`
-	// LeasesExpired counts leases this worker let time out;
-	// LeasesReassigned counts expired jobs re-granted to this worker.
-	LeasesExpired    int64 `json:"leases_expired"`
-	LeasesReassigned int64 `json:"leases_reassigned"`
 }
 
 // BackendCounters accumulates the BackendStats decomposition; embed one

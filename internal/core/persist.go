@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
-	"sync/atomic"
 
 	"autoblox/internal/autodb"
 	"autoblox/internal/kvstore"
@@ -36,26 +35,28 @@ const persistCacheFile = "simcache.kv"
 // simply stops matching. Only successful measurements are ever written;
 // errors are never cached (matching the in-memory memo cache contract).
 type PersistentCache struct {
-	// Obs, when non-nil, receives hit/miss/corrupt counters. Set before
-	// first use.
-	Obs *obs.Registry
-
-	store   *kvstore.Store
-	hits    atomic.Int64
-	misses  atomic.Int64
-	corrupt atomic.Int64
+	store *kvstore.Store
+	// One counter per cache event: reg's series when the cache was
+	// opened with a registry, a private counter otherwise.
+	hits, misses, corrupt *obs.Counter
 }
 
 // OpenPersistentCache opens (or creates) the cache under dir. Torn
 // tails from a previous crash are truncated and counted as corrupt
-// records.
-func OpenPersistentCache(dir string) (*PersistentCache, error) {
+// records. reg, when non-nil, carries the hit, miss and corrupt
+// counters (MetricPersist*).
+func OpenPersistentCache(dir string, reg *obs.Registry) (*PersistentCache, error) {
 	st, err := kvstore.Open(filepath.Join(dir, persistCacheFile))
 	if err != nil {
 		return nil, err
 	}
-	p := &PersistentCache{store: st}
-	p.corrupt.Store(st.CorruptRecords())
+	p := &PersistentCache{
+		store:   st,
+		hits:    obs.CounterOf(reg, MetricPersistHits),
+		misses:  obs.CounterOf(reg, MetricPersistMisses),
+		corrupt: obs.CounterOf(reg, MetricPersistCorrupt),
+	}
+	p.corrupt.Add(st.CorruptRecords())
 	return p, nil
 }
 
@@ -79,8 +80,7 @@ func (p *PersistentCache) Get(sig, cfgKey, name string) (autodb.Perf, bool) {
 		if !errors.Is(err, kvstore.ErrNotFound) {
 			obs.RecordEvent("warn-persist-cache", "key", key, "err", err.Error())
 		}
-		p.misses.Add(1)
-		p.Obs.Counter(MetricPersistMisses).Inc()
+		p.misses.Inc()
 		return autodb.Perf{}, false
 	}
 	var perf autodb.Perf
@@ -88,16 +88,13 @@ func (p *PersistentCache) Get(sig, cfgKey, name string) (autodb.Perf, bool) {
 		// CRC passed but the payload is not a Perf document — written by
 		// an incompatible version or flipped bits the checksum missed.
 		// Drop it so the slot can be refilled with a fresh simulation.
-		p.corrupt.Add(1)
-		p.Obs.Counter(MetricPersistCorrupt).Inc()
+		p.corrupt.Inc()
 		obs.RecordEvent("persist-cache-corrupt", "key", key, "err", err.Error())
 		_ = p.store.Delete(key)
-		p.misses.Add(1)
-		p.Obs.Counter(MetricPersistMisses).Inc()
+		p.misses.Inc()
 		return autodb.Perf{}, false
 	}
-	p.hits.Add(1)
-	p.Obs.Counter(MetricPersistHits).Inc()
+	p.hits.Inc()
 	return perf, true
 }
 
@@ -133,9 +130,9 @@ func (p *PersistentCache) Stats() PersistentCacheStats {
 		return PersistentCacheStats{}
 	}
 	return PersistentCacheStats{
-		Hits:    p.hits.Load(),
-		Misses:  p.misses.Load(),
-		Corrupt: p.corrupt.Load(),
+		Hits:    p.hits.Value(),
+		Misses:  p.misses.Value(),
+		Corrupt: p.corrupt.Value(),
 		Entries: p.store.Len(),
 	}
 }

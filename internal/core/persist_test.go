@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"autoblox/internal/autodb"
+	"autoblox/internal/obs"
 	"autoblox/internal/ssd"
 	"autoblox/internal/ssdconf"
 	"autoblox/internal/trace"
@@ -13,7 +17,7 @@ import (
 
 func persistEnv(t *testing.T, dir string) (*Validator, *PersistentCache, ssdconf.Config, *trace.Trace) {
 	t.Helper()
-	p, err := OpenPersistentCache(dir)
+	p, err := OpenPersistentCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,5 +147,47 @@ func TestPersistentCacheNeverStoresErrors(t *testing.T) {
 	}
 	if st := p.Stats(); st.Entries != 0 {
 		t.Fatalf("failed measurement persisted: %d entries", st.Entries)
+	}
+}
+
+// TestPersistentCacheTornTailCounted: a torn log tail truncated at open
+// is counted once, and the registry series reads what Stats does.
+func TestPersistentCacheTornTailCounted(t *testing.T) {
+	dir := t.TempDir()
+	p, err := OpenPersistentCache(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Put("sig", "cfg", "Database#0", autodb.Perf{})
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, persistCacheFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xBA, 0xD0}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	reg := obs.NewRegistry()
+	p, err = OpenPersistentCache(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	st := p.Stats()
+	if st.Corrupt != 1 || st.Entries != 1 {
+		t.Fatalf("stats after torn tail = %+v, want 1 corrupt, 1 entry", st)
+	}
+	if got := reg.Counter(MetricPersistCorrupt).Value(); got != st.Corrupt {
+		t.Fatalf("%s = %d, Stats().Corrupt = %d", MetricPersistCorrupt, got, st.Corrupt)
+	}
+	if _, ok := p.Get("sig", "cfg", "Database#0"); !ok {
+		t.Fatal("record before the torn tail was lost")
+	}
+	if got := reg.Counter(MetricPersistHits).Value(); got != p.Stats().Hits || got != 1 {
+		t.Fatalf("%s = %d, Stats().Hits = %d, want 1", MetricPersistHits, got, p.Stats().Hits)
 	}
 }

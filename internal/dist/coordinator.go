@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"autoblox/internal/autodb"
@@ -85,15 +84,16 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 }
 
 // FleetCounters is a point-in-time snapshot of the coordinator's
-// always-on counters (kept regardless of Obs).
+// lease counters (kept regardless of Obs). Its JSON keys are the
+// /statusz fleet document's.
 type FleetCounters struct {
-	Granted          int64
-	Expired          int64
-	Reassigned       int64
-	Duplicates       int64
-	HandshakeRejects int64
-	StatsPushes      int64
-	Hedged           int64
+	Granted          int64 `json:"leases_granted"`
+	Expired          int64 `json:"leases_expired"`
+	Reassigned       int64 `json:"leases_reassigned"`
+	Duplicates       int64 `json:"duplicate_results"`
+	HandshakeRejects int64 `json:"handshake_rejects"`
+	StatsPushes      int64 `json:"stats_pushes"`
+	Hedged           int64 `json:"hedged_leases,omitempty"`
 }
 
 type jobState uint8
@@ -146,7 +146,8 @@ type session struct {
 }
 
 // workerTally accumulates one worker's fleet statistics. Tallies are
-// keyed by worker name and survive reconnects.
+// keyed by worker name and survive reconnects; beyond maxIdleTallies
+// disconnected ones, the least recently seen is forgotten.
 type workerTally struct {
 	jobs       int64
 	busyNS     int64
@@ -172,6 +173,13 @@ func (e *RemoteError) Error() string {
 // latencies feeding the hedging quantile.
 const completionWindow = 64
 
+// maxIdleTallies bounds the per-worker rows kept for disconnected
+// workers. A restarted worker handshakes under a new "<host>/<pid>"
+// name, so without a bound a long-lived coordinator keeps one row per
+// process it ever served. Connected workers' rows and the
+// FleetCounters totals are never evicted.
+const maxIdleTallies = 64
+
 // Coordinator owns the distributed measurement queue and implements
 // core.Backend: Measure enqueues a key and blocks until some worker
 // returns its result. Deduplication generalizes the validator's
@@ -183,8 +191,10 @@ type Coordinator struct {
 	env  *Env
 	opts CoordinatorOptions
 
-	counters                                                               core.BackendCounters
-	granted, expired, reassigned, duplicates, rejects, statsPushes, hedged atomic.Int64
+	counters core.BackendCounters
+	// One counter per fleet event: the registry's series when Obs is
+	// set, a private counter otherwise. Every event adds to exactly one.
+	granted, expired, reassigned, duplicates, rejects, statsPushes, hedged *obs.Counter
 
 	// traceID names this coordinator's tracing session; leases carry it
 	// so worker-side trace events correlate back to this tune.
@@ -206,12 +216,19 @@ type Coordinator struct {
 // NewCoordinator builds a coordinator over a fingerprinted env.
 func NewCoordinator(env *Env, opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
-		env:     env,
-		opts:    opts.withDefaults(),
-		leased:  make(map[uint64]*leaseInfo),
-		byKey:   make(map[core.SimKey]*distJob),
-		tallies: make(map[string]*workerTally),
-		traceID: obs.TraceID(),
+		env:         env,
+		opts:        opts.withDefaults(),
+		granted:     obs.CounterOf(opts.Obs, MetricLeasesGranted),
+		expired:     obs.CounterOf(opts.Obs, MetricLeasesExpired),
+		reassigned:  obs.CounterOf(opts.Obs, MetricLeasesReassigned),
+		duplicates:  obs.CounterOf(opts.Obs, MetricResultsDup),
+		rejects:     obs.CounterOf(opts.Obs, MetricHandshakeRejects),
+		statsPushes: obs.CounterOf(opts.Obs, MetricStatsPushes),
+		hedged:      obs.CounterOf(opts.Obs, MetricHedgedLeases),
+		leased:      make(map[uint64]*leaseInfo),
+		byKey:       make(map[core.SimKey]*distJob),
+		tallies:     make(map[string]*workerTally),
+		traceID:     obs.TraceID(),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -223,45 +240,30 @@ func (c *Coordinator) now() time.Time { return c.opts.Clock.Now() }
 // Counters snapshots the fleet counters.
 func (c *Coordinator) Counters() FleetCounters {
 	return FleetCounters{
-		Granted:          c.granted.Load(),
-		Expired:          c.expired.Load(),
-		Reassigned:       c.reassigned.Load(),
-		Duplicates:       c.duplicates.Load(),
-		HandshakeRejects: c.rejects.Load(),
-		StatsPushes:      c.statsPushes.Load(),
-		Hedged:           c.hedged.Load(),
+		Granted:          c.granted.Value(),
+		Expired:          c.expired.Value(),
+		Reassigned:       c.reassigned.Value(),
+		Duplicates:       c.duplicates.Value(),
+		HandshakeRejects: c.rejects.Value(),
+		StatsPushes:      c.statsPushes.Value(),
+		Hedged:           c.hedged.Value(),
 	}
 }
 
 // Stats implements core.Backend: QueueWait is submit-to-first-lease,
-// SimBusy the worker-reported per-job time, plus fleet lease churn and
-// a per-worker decomposition.
+// SimBusy the worker-reported per-job time, plus fleet lease churn.
+// The per-worker decomposition is StatusSnapshot's Workers.
 func (c *Coordinator) Stats() core.BackendStats {
 	s := c.counters.Snapshot(core.BackendKindDist)
-	s.LeasesExpired = c.expired.Load()
-	s.LeasesReassigned = c.reassigned.Load()
-	c.mu.Lock()
-	names := make([]string, 0, len(c.tallies))
-	for name := range c.tallies {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := c.tallies[name]
-		s.Workers = append(s.Workers, core.WorkerBackendStats{
-			Name:             name,
-			Connected:        t.sessions > 0,
-			Jobs:             t.jobs,
-			BusyNS:           t.busyNS,
-			LeasesExpired:    t.expired,
-			LeasesReassigned: t.reassigned,
-		})
-	}
-	c.mu.Unlock()
+	s.LeasesExpired = c.expired.Value()
+	s.LeasesReassigned = c.reassigned.Value()
 	return s
 }
 
-// WorkerStatus is one worker's row in the fleet status view.
+// WorkerStatus is one worker's row in the fleet status view. Rows
+// survive reconnects: Jobs and BusyNS are the worker-reported totals,
+// LeasesExpired counts leases the worker let time out and
+// LeasesReassigned expired jobs re-granted to it.
 type WorkerStatus struct {
 	Name             string `json:"name"`
 	Connected        bool   `json:"connected"`
@@ -278,30 +280,16 @@ type WorkerStatus struct {
 // FleetStatus is the coordinator's /statusz document: queue depths,
 // lease churn, and per-worker rows.
 type FleetStatus struct {
-	Closed           bool           `json:"closed"`
-	Pending          int            `json:"pending"`
-	Leased           int            `json:"leased"`
-	LeasesGranted    int64          `json:"leases_granted"`
-	LeasesExpired    int64          `json:"leases_expired"`
-	LeasesReassigned int64          `json:"leases_reassigned"`
-	DuplicateResults int64          `json:"duplicate_results"`
-	HandshakeRejects int64          `json:"handshake_rejects"`
-	StatsPushes      int64          `json:"stats_pushes"`
-	HedgedLeases     int64          `json:"hedged_leases,omitempty"`
-	Workers          []WorkerStatus `json:"workers,omitempty"`
+	Closed  bool `json:"closed"`
+	Pending int  `json:"pending"`
+	Leased  int  `json:"leased"`
+	FleetCounters
+	Workers []WorkerStatus `json:"workers,omitempty"`
 }
 
 // StatusSnapshot captures the live fleet view served at /statusz.
 func (c *Coordinator) StatusSnapshot() FleetStatus {
-	st := FleetStatus{
-		LeasesGranted:    c.granted.Load(),
-		LeasesExpired:    c.expired.Load(),
-		LeasesReassigned: c.reassigned.Load(),
-		DuplicateResults: c.duplicates.Load(),
-		HandshakeRejects: c.rejects.Load(),
-		StatsPushes:      c.statsPushes.Load(),
-		HedgedLeases:     c.hedged.Load(),
-	}
+	st := FleetStatus{FleetCounters: c.Counters()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st.Closed = c.closed
@@ -449,11 +437,31 @@ func (c *Coordinator) dropSession(sess *session) {
 		t.cur = nil
 	}
 	t.lastSeen = c.now()
-	if r := c.opts.Obs; r != nil {
-		r.Gauge(MetricWorkersConnected).Add(-1)
-	}
+	c.evictIdleTallyLocked()
+	c.opts.Obs.Gauge(MetricWorkersConnected).Add(-1)
 	obs.RecordEvent("worker-disconnected", "worker", sess.name)
 	c.cond.Broadcast()
+}
+
+// evictIdleTallyLocked forgets the least recently seen disconnected
+// worker (ties broken by name) once more than maxIdleTallies are kept.
+// Only a disconnect adds an idle tally, so one eviction per disconnect
+// holds the bound; c.mu held.
+func (c *Coordinator) evictIdleTallyLocked() {
+	idle, victim := 0, ""
+	var vt *workerTally
+	for name, t := range c.tallies {
+		if t.sessions > 0 {
+			continue
+		}
+		idle++
+		if vt == nil || t.lastSeen.Before(vt.lastSeen) || (t.lastSeen.Equal(vt.lastSeen) && name < victim) {
+			victim, vt = name, t
+		}
+	}
+	if idle > maxIdleTallies {
+		delete(c.tallies, victim)
+	}
 }
 
 // expireLeaseLocked releases one lease, charges the expiry to the
@@ -469,8 +477,7 @@ func (c *Coordinator) expireLeaseLocked(id uint64, li *leaseInfo, disconnect boo
 	j, owner := li.job, li.sess.name
 	c.releaseLeaseLocked(id, li)
 	c.tallyLocked(owner).expired++
-	c.expired.Add(1)
-	c.obsInc(MetricLeasesExpired)
+	c.expired.Inc()
 	why, val := "expiries", fmt.Sprint(j.expiries)
 	if disconnect {
 		why, val = "reason", "disconnect"
@@ -501,8 +508,7 @@ func (c *Coordinator) grantLocked(j *distJob, sess *session, now time.Time, hedg
 		j.queueWait = now.Sub(j.submitted)
 	}
 	if j.grants > 0 && !hedged {
-		c.reassigned.Add(1)
-		c.obsInc(MetricLeasesReassigned)
+		c.reassigned.Inc()
 		c.tallyLocked(sess.name).reassigned++
 		obs.RecordEvent("lease-reassigned",
 			"lease", fmt.Sprint(c.nextLease), "worker", sess.name, "trace", j.key.Name, "grants", fmt.Sprint(j.grants+1))
@@ -577,8 +583,7 @@ func (c *Coordinator) hedgeLocked(sess *session, now time.Time, room int) []Leas
 			continue
 		}
 		l := c.grantLocked(j, sess, now, true)
-		c.hedged.Add(1)
-		c.obsInc(MetricHedgedLeases)
+		c.hedged.Inc()
 		obs.RecordEvent("lease-hedged",
 			"lease", fmt.Sprint(l.ID), "worker", sess.name, "trace", j.key.Name,
 			"age", now.Sub(j.firstGrant).String(), "threshold", th.String())
@@ -626,12 +631,10 @@ func (c *Coordinator) lease(sess *session, max int) (leases []Lease, closed bool
 			}
 			c.pending = c.pending[n:]
 			c.granted.Add(int64(len(leases)))
-			c.obsAdd(MetricLeasesGranted, int64(len(leases)))
 			return leases, false
 		}
 		if hl := c.hedgeLocked(sess, now, max); len(hl) > 0 {
 			c.granted.Add(int64(len(hl)))
-			c.obsAdd(MetricLeasesGranted, int64(len(hl)))
 			return hl, false
 		}
 		wall := time.Now()
@@ -694,8 +697,7 @@ func (c *Coordinator) applyResults(sess *session, msg *ResultMsg) {
 	for _, r := range msg.Results {
 		j, ok := c.byKey[core.SimKey{Cfg: r.CfgKey, Name: r.Name}]
 		if !ok || j.state == jobDone {
-			c.duplicates.Add(1)
-			c.obsInc(MetricResultsDup)
+			c.duplicates.Inc()
 			continue
 		}
 		now := c.now()
@@ -754,23 +756,8 @@ func (c *Coordinator) recordCompletionLocked(d time.Duration) {
 // absorbStats folds a worker's delta-encoded metrics push into the
 // coordinator's registry, labelled with the session's handshake name.
 func (c *Coordinator) absorbStats(sess *session, sp *StatsPush) {
-	c.statsPushes.Add(1)
-	c.obsInc(MetricStatsPushes)
-	if r := c.opts.Obs; r != nil {
-		r.Absorb(sp.Stats, "worker", sess.name)
-	}
-}
-
-func (c *Coordinator) obsInc(name string) {
-	if r := c.opts.Obs; r != nil {
-		r.Counter(name).Inc()
-	}
-}
-
-func (c *Coordinator) obsAdd(name string, delta int64) {
-	if r := c.opts.Obs; r != nil {
-		r.Counter(name).Add(delta)
-	}
+	c.statsPushes.Inc()
+	c.opts.Obs.Absorb(sp.Stats, "worker", sess.name)
 }
 
 // ServeConn speaks the worker protocol over one connection: handshake,
@@ -790,8 +777,7 @@ func (c *Coordinator) ServeConn(conn net.Conn) error {
 	}
 	worker := m.Hello.Worker
 	if m.Hello.Version != ProtocolVersion {
-		c.rejects.Add(1)
-		c.obsInc(MetricHandshakeRejects)
+		c.rejects.Inc()
 		_ = Encode(conn, &Message{Type: MsgReject, Reject: &Reject{
 			Code:   RejectVersion,
 			Detail: fmt.Sprintf("coordinator speaks v%d, worker v%d", ProtocolVersion, m.Hello.Version),
@@ -816,8 +802,7 @@ func (c *Coordinator) ServeConn(conn net.Conn) error {
 		return fmt.Errorf("dist: expected confirm, got %s", m.Type)
 	}
 	if m.Confirm.SpaceSig != c.env.SpaceSig {
-		c.rejects.Add(1)
-		c.obsInc(MetricHandshakeRejects)
+		c.rejects.Inc()
 		_ = Encode(conn, &Message{Type: MsgReject, Reject: &Reject{
 			Code:   RejectSpace,
 			Detail: fmt.Sprintf("coordinator %s, worker %s", c.env.SpaceSig, m.Confirm.SpaceSig),
@@ -844,9 +829,7 @@ func (c *Coordinator) ServeConn(conn net.Conn) error {
 	t.cur = sess
 	t.lastSeen = c.now()
 	c.mu.Unlock()
-	if r := c.opts.Obs; r != nil {
-		r.Gauge(MetricWorkersConnected).Add(1)
-	}
+	c.opts.Obs.Gauge(MetricWorkersConnected).Add(1)
 	obs.RecordEvent("worker-connected", "worker", worker,
 		"rtt_ns", strconv.FormatInt(sess.rttNS, 10), "offset_ns", strconv.FormatInt(sess.offsetNS, 10))
 	defer c.dropSession(sess)

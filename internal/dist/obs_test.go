@@ -225,7 +225,7 @@ func keys(m map[string][]traceEvent) []string {
 
 // TestFlakyJobExpiryWarning pins the flight-recorder satellite: when
 // the same job expires twice the recorder carries a warn-flaky-job
-// event, and per-worker BackendStats attribute the expiries to the
+// event, and the per-worker status rows attribute the expiries to the
 // holder and the reassignments to the receiving worker.
 func TestFlakyJobExpiryWarning(t *testing.T) {
 	rec := obs.NewFlightRecorder(512)
@@ -292,8 +292,8 @@ func TestFlakyJobExpiryWarning(t *testing.T) {
 	if st.LeasesExpired < int64(2*jobs) || st.LeasesReassigned < int64(2*jobs) {
 		t.Fatalf("backend stats expired/reassigned = %d/%d, want >= %d each", st.LeasesExpired, st.LeasesReassigned, 2*jobs)
 	}
-	rows := map[string]core.WorkerBackendStats{}
-	for _, w := range st.Workers {
+	rows := map[string]WorkerStatus{}
+	for _, w := range coord.StatusSnapshot().Workers {
 		rows[w.Name] = w
 	}
 	flaky, ok := rows["flaky"]
@@ -462,7 +462,7 @@ func TestTuneInstrumentedEquivalence(t *testing.T) {
 	if err := json.Unmarshal([]byte(extractFleet(t, scrape("/statusz"))), &status); err != nil {
 		t.Fatalf("/statusz fleet not decodable: %v", err)
 	}
-	if len(status.Workers) != 4 || status.LeasesGranted == 0 || status.StatsPushes == 0 {
+	if len(status.Workers) != 4 || status.Granted == 0 || status.StatsPushes == 0 {
 		t.Fatalf("/statusz fleet view: %+v", status)
 	}
 	for _, w := range status.Workers {

@@ -120,6 +120,17 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// CounterOf returns r's named counter, or a private counter on a nil
+// registry: a component whose counts must stay readable without a
+// registry resolves each count once this way and adds to it at one
+// site.
+func CounterOf(r *Registry, name string) *Counter {
+	if r == nil {
+		return new(Counter)
+	}
+	return r.Counter(name)
+}
+
 // Gauge returns (creating if needed) the named gauge; nil on a nil
 // registry.
 func (r *Registry) Gauge(name string) *Gauge {
