@@ -178,7 +178,6 @@ func registerHelp(reg *obs.Registry) {
 		core.MetricSimTime:                "wall-clock nanoseconds per simulation",
 		core.MetricQueueWait:              "nanoseconds a fresh simulation waited for a pool slot",
 		core.MetricDedupWait:              "nanoseconds a validation waited on an in-flight duplicate",
-		family(core.MetricWorkerBusy(0)):  "per-pool-worker cumulative batch nanoseconds",
 		core.MetricFrontSize:              "configurations on the current Pareto front",
 		core.MetricFrontHypervolume:       "normalized hypervolume of the current Pareto front",
 		ssd.MetricRequestLatency:          "simulated request latency in nanoseconds (measured phase)",

@@ -80,7 +80,7 @@ func TestRegisterHelpCoversEmittedFamilies(t *testing.T) {
 	// in for, or the check above proves nothing about them.
 	for _, fam := range []string{
 		core.MetricSimRuns, core.MetricSimTime, core.MetricQueueWait, core.MetricRemoteResults,
-		family(core.MetricWorkerBusy(0)), core.MetricPersistMisses,
+		core.MetricPersistMisses,
 		dist.MetricLeasesGranted, dist.MetricWorkersConnected, family(dist.MetricWorkerBusy("")),
 		ssd.MetricRequestLatency, ssd.MetricGCPause, ssd.MetricChannelStall,
 		ssd.MetricFaultProgramFailures, ssd.MetricFaultEraseFailures, ssd.MetricFaultReadRetries,

@@ -27,7 +27,7 @@ type Job struct {
 // results for identical jobs (the serial ≡ parallel ≡ distributed
 // guarantee rests on it).
 //
-// The in-process pool (nil Validator.Backend) and the dist package's
+// The in-process backend (nil Validator.Backend) and the dist package's
 // coordinator/worker fleet are the two implementations.
 type Backend interface {
 	Measure(ctx context.Context, job Job) (autodb.Perf, error)
@@ -51,8 +51,9 @@ type BackendStats struct {
 	// Jobs counts completed Measure calls (including failed ones).
 	Jobs int64
 	// QueueWait is the cumulative time jobs waited before execution
-	// started: slot wait for the local pool, submit-to-first-lease for a
-	// distributed fleet.
+	// started: submit-to-slot for the local backend, submit-to-first-lease
+	// for a distributed fleet. A batch submits every job without waiting
+	// for any to finish, so a batch wider than the bound queues here.
 	QueueWait time.Duration
 	// SimBusy is the cumulative execution time: in-simulator time for
 	// the local pool, worker-reported per-job time for a fleet.
@@ -89,9 +90,10 @@ func (c *BackendCounters) Snapshot(kind string) BackendStats {
 	}
 }
 
-// localBackend is the default in-process pool: a validator-wide
-// semaphore bounds concurrent simulations, and each Measure runs the
-// simulation on the calling goroutine once it holds a slot.
+// localBackend is the default in-process backend: a validator-wide
+// semaphore of Parallel slots is the only bound on concurrent
+// simulations, and each Measure runs the simulation on the calling
+// goroutine once it holds a slot.
 type localBackend struct {
 	v *Validator
 	c BackendCounters

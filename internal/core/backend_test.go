@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,4 +125,72 @@ func TestBackendStatsDecomposition(t *testing.T) {
 			t.Fatalf("validator SimBusy = %v for a purely remote run, want 0", st.SimBusy)
 		}
 	})
+}
+
+// blockingBackend blocks its first Measure until the caller's context
+// ends; every later call succeeds at once.
+type blockingBackend struct {
+	entered chan struct{}
+	calls   atomic.Int32
+	c       BackendCounters
+}
+
+func (b *blockingBackend) Measure(ctx context.Context, job Job) (autodb.Perf, error) {
+	if b.calls.Add(1) == 1 {
+		close(b.entered)
+		<-ctx.Done()
+		return autodb.Perf{}, ctx.Err()
+	}
+	return autodb.Perf{LatencyNS: 1, ThroughputBps: 1}, nil
+}
+
+func (b *blockingBackend) Stats() BackendStats { return b.c.Snapshot("blocking") }
+
+// TestCoalescedWaiterOutlivesCancelledLeader: a waiter coalesced onto a
+// leader whose own context is cancelled must not inherit that
+// cancellation; with its context live it measures the key itself.
+func TestCoalescedWaiterOutlivesCancelledLeader(t *testing.T) {
+	space := ssdconf.NewSpace(ssdconf.DefaultConstraints())
+	tr := workload.MustGenerate(workload.Database, workload.Options{Requests: 300, Seed: 11})
+	be := &blockingBackend{entered: make(chan struct{})}
+	v := NewValidator(space, map[string]*trace.Trace{"Database": tr})
+	v.Backend = be
+	cfg := space.FromDevice(ssd.Intel750())
+
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := v.MeasureTrace(leaderCtx, cfg, "Database#0", tr.Factory())
+		leaderErr <- err
+	}()
+	<-be.entered
+
+	type result struct {
+		perf autodb.Perf
+		err  error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		p, err := v.MeasureTrace(context.Background(), cfg, "Database#0", tr.Factory())
+		waiter <- result{p, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for v.Stats().CoalescedWaits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never coalesced onto the leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	r := <-waiter
+	if r.err != nil {
+		t.Fatalf("waiter inherited its leader's error: %v", r.err)
+	}
+	if want := (autodb.Perf{LatencyNS: 1, ThroughputBps: 1}); r.perf != want {
+		t.Fatalf("waiter perf = %+v, want %+v", r.perf, want)
+	}
 }

@@ -45,7 +45,8 @@ func (e *PanicError) Error() string {
 // Registry metric names recorded by an instrumented validator. Every
 // MeasureTrace call resolves as exactly one of: a cache hit, a coalesced
 // wait on another goroutine's in-flight run, a fresh local simulation,
-// or a result measured by a remote backend.
+// or a result measured by a remote backend (a waiter that retries after
+// its leader was cancelled resolves once per attempt).
 const (
 	MetricSimRuns       = "validator_sim_runs_total"
 	MetricCacheHits     = "validator_cache_hits_total"
@@ -58,12 +59,6 @@ const (
 	MetricSimTime   = "validator_sim_time_ns"
 	MetricDedupWait = "validator_dedup_wait_ns"
 )
-
-// MetricWorkerBusy names the per-worker busy-time counter of the batch
-// pool ("validator_worker_busy_ns{worker=\"N\"}").
-func MetricWorkerBusy(worker int) string {
-	return fmt.Sprintf(`validator_worker_busy_ns{worker="%d"}`, worker)
-}
 
 // Default hyperparameters from the paper's sensitivity studies (§4.6).
 const (
@@ -91,6 +86,9 @@ type inflightSim struct {
 	done chan struct{}
 	perf autodb.Perf
 	err  error
+	// cancelled marks a leader that failed because its own context
+	// ended; its waiters retry rather than inherit that error.
+	cancelled bool
 }
 
 // Validator measures configurations on workloads with the SSD simulator,
@@ -98,12 +96,13 @@ type inflightSim struct {
 // simulated twice within a tuning session — not even when requested
 // concurrently (in-flight simulations are deduplicated, singleflight).
 //
-// Simulations fan out over a bounded worker pool: MeasureBatch runs a
-// whole (candidate × cluster × trace) frontier concurrently, and a
-// validator-wide semaphore bounds the total number of simulations in
-// flight across all callers. Because each ssd.Simulator.Run is fully
-// independent and deterministic, parallel and serial execution fill the
-// cache with bit-identical values.
+// Every batch — a (candidate × cluster × trace) frontier, a pruning
+// sweep, a cluster — starts all its jobs without waiting for any and
+// returns their results in job order; the executing backend alone bounds how many
+// simulations run (Parallel slots locally, the workers of a fleet).
+// Because each ssd.Simulator.Run is fully independent and
+// deterministic, parallel and serial execution fill the cache with
+// bit-identical values.
 type Validator struct {
 	Space *ssdconf.Space
 	// Workloads maps a workload-cluster name to factories for its
@@ -116,14 +115,16 @@ type Validator struct {
 	// cursor state or hold duplicate slices. A factory over an
 	// in-memory trace (Trace.Factory) is shared, not copied.
 	Workloads map[string][]trace.SourceFactory
-	// Parallel bounds how many simulations may run concurrently across
-	// all measurement calls; 0 (or negative) selects
-	// runtime.GOMAXPROCS(0). Set it before the first measurement.
+	// Parallel is the local backend's slot count: how many simulations
+	// (trace builds included) may run at once across all measurement
+	// calls; 0 (or negative) selects runtime.GOMAXPROCS(0). It is the
+	// only local concurrency bound; a Backend ignores it. Set it before
+	// the first measurement.
 	Parallel int
 	// Obs, when non-nil, receives detailed metrics (cache hits, dedup
-	// waits, queue wait vs in-sim time, per-worker utilization) and is
-	// propagated to every simulator it runs. It never influences
-	// measurement results. Set it before the first measurement.
+	// waits, queue wait vs in-sim time) and is propagated to every
+	// simulator it runs. It never influences measurement results. Set
+	// it before the first measurement.
 	Obs *obs.Registry
 	// SimTimeout, when positive, bounds each individual simulation: a
 	// run that exceeds it fails with context.DeadlineExceeded (wrapped).
@@ -136,7 +137,7 @@ type Validator struct {
 	MaxRetries int
 	// Backend, when non-nil, executes every cold-key measurement —
 	// e.g. a dist.Coordinator sharding simulations across a worker
-	// fleet. nil selects the in-process pool bounded by Parallel.
+	// fleet. nil selects the in-process backend bounded by Parallel.
 	// Because backends must be deterministic, results are bit-identical
 	// either way. Set it before the first measurement.
 	Backend Backend
@@ -201,10 +202,13 @@ func (v *Validator) SimRuns() int { return int(v.simRuns.Load()) }
 type ValidatorStats struct {
 	// SimRuns counts fresh simulations (distinct cold keys).
 	SimRuns int64
-	// CacheHits counts MeasureTrace calls served from the memo cache.
+	// CacheHits counts MeasureTrace calls served from the memo or the
+	// persistent cache. No caller reads a batch back, so every hit is a
+	// real repeat of a key measured before.
 	CacheHits int64
 	// CoalescedWaits counts calls that waited on another goroutine's
-	// in-flight simulation of the same key (singleflight dedup).
+	// in-flight simulation of the same key (singleflight dedup). A
+	// waiter whose leader was cancelled retries, and counts again.
 	CoalescedWaits int64
 	// RemoteResults counts cold keys measured by a remote Backend
 	// instead of the local pool. The accounting law extends to
@@ -298,7 +302,7 @@ func (v *Validator) slots() chan struct{} {
 }
 
 // backend resolves the executing backend, materializing the in-process
-// pool on first use when none is configured. remote reports whether the
+// one on first use when none is configured. remote reports whether the
 // backend came from the Backend field.
 func (v *Validator) backend() (be Backend, remote bool) {
 	if b := v.Backend; b != nil {
@@ -316,18 +320,24 @@ func (v *Validator) backend() (be Backend, remote bool) {
 // MeasureTrace runs one configuration against one trace, replaying the
 // validator's copy of the trace named name (built from f on the name's
 // first simulation). Concurrent calls with the same (configuration,
-// trace) share a single simulation. Failed or cancelled measurements
-// are never cached: a later call with the same key re-simulates.
+// trace) share a single simulation; a waiter whose leader was stopped
+// by its own context retries instead of inheriting that error. Failed
+// or cancelled measurements are never cached: a later call with the
+// same key re-simulates.
 func (v *Validator) MeasureTrace(ctx context.Context, cfg ssdconf.Config, name string, f trace.SourceFactory) (autodb.Perf, error) {
 	key := cacheKey(cfg.Key(), name)
 	v.mu.Lock()
-	if p, ok := v.cache[key]; ok {
-		v.mu.Unlock()
-		v.cacheHits.Add(1)
-		v.Obs.Counter(MetricCacheHits).Inc()
-		return p, nil
-	}
-	if fl, ok := v.inflight[key]; ok {
+	for {
+		if p, ok := v.cache[key]; ok {
+			v.mu.Unlock()
+			v.cacheHits.Add(1)
+			v.Obs.Counter(MetricCacheHits).Inc()
+			return p, nil
+		}
+		fl, ok := v.inflight[key]
+		if !ok {
+			break
+		}
 		// Another goroutine is already simulating this key: wait for it
 		// rather than duplicating the run. A cancelled waiter abandons
 		// the wait; the leader's simulation still completes and fills
@@ -344,7 +354,12 @@ func (v *Validator) MeasureTrace(ctx context.Context, cfg ssdconf.Config, name s
 		if r := v.Obs; r != nil {
 			r.Histogram(MetricDedupWait).Record(time.Since(t0).Nanoseconds())
 		}
-		return fl.perf, fl.err
+		// A leader stopped by its own context measured nothing: a waiter
+		// whose context is live tries again, and leads or hits the cache.
+		if !fl.cancelled || ctx.Err() != nil {
+			return fl.perf, fl.err
+		}
+		v.mu.Lock()
 	}
 	fl := &inflightSim{done: make(chan struct{})}
 	v.inflight[key] = fl
@@ -369,6 +384,7 @@ func (v *Validator) MeasureTrace(ctx context.Context, cfg ssdconf.Config, name s
 
 	be, remote := v.backend()
 	fl.perf, fl.err = be.Measure(ctx, Job{Cfg: cfg, Name: name, Src: f})
+	fl.cancelled = ctx.Err() != nil && errors.Is(fl.err, ctx.Err())
 	if remote && fl.err == nil {
 		v.remote.Add(1)
 		v.Obs.Counter(MetricRemoteResults).Inc()
@@ -431,8 +447,8 @@ func (v *Validator) simulate(ctx context.Context, job Job) (autodb.Perf, time.Du
 // is built here, inside the worker slot, on the first simulation of its
 // name (see traceMemo); every simulation replays a private cursor over
 // it. A panic anywhere below — the factory, the source, the FTL, the
-// codec — surfaces as a *PanicError instead of crashing the worker
-// pool, and SimTimeout (when set) bounds the attempt, trace build
+// codec — surfaces as a *PanicError instead of crashing the batch,
+// and SimTimeout (when set) bounds the attempt, trace build
 // included.
 func (v *Validator) simulateOnce(ctx context.Context, job Job) (perf autodb.Perf, simDur time.Duration, err error) {
 	defer func() {
@@ -519,18 +535,25 @@ func (v *Validator) RestoreCache(entries []CachedPerf) {
 }
 
 // MeasureBatch measures every (configuration × cluster × trace)
-// combination, fanning the simulations out over the validator's worker
-// bound. It warms the cache; callers read results back through
-// MeasureTrace / MeasureCluster, which then hit. Overlapping keys —
-// within the batch or against other concurrent callers — trigger
-// exactly one simulation each, so SimRuns grows by exactly the number
-// of distinct cold keys.
+// combination as one batch (see measureJobs) and reports only whether
+// all of them succeeded; in-process callers take the results from
+// measureGrid instead. Overlapping keys — within the batch or against
+// other concurrent callers — trigger exactly one simulation each, so
+// SimRuns grows by exactly the number of distinct cold keys.
 func (v *Validator) MeasureBatch(ctx context.Context, cfgs []ssdconf.Config, clusters []string) error {
+	_, err := v.measureGrid(ctx, cfgs, clusters)
+	return err
+}
+
+// measureGrid measures every (configuration × cluster × trace)
+// combination as one batch and returns, per configuration, each
+// cluster's per-trace results (aligned with the cluster's trace list).
+func (v *Validator) measureGrid(ctx context.Context, cfgs []ssdconf.Config, clusters []string) ([]map[string][]autodb.Perf, error) {
 	var jobs []Job
 	for _, cl := range clusters {
 		factories, ok := v.Workloads[cl]
 		if !ok || len(factories) == 0 {
-			return fmt.Errorf("core: unknown workload cluster %q", cl)
+			return nil, fmt.Errorf("core: unknown workload cluster %q", cl)
 		}
 		for _, cfg := range cfgs {
 			for i, f := range factories {
@@ -538,12 +561,27 @@ func (v *Validator) MeasureBatch(ctx context.Context, cfgs []ssdconf.Config, clu
 			}
 		}
 	}
-	return v.measureJobs(ctx, jobs)
+	perfs, err := v.measureJobs(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]map[string][]autodb.Perf, len(cfgs))
+	for c := range cfgs {
+		out[c] = make(map[string][]autodb.Perf, len(clusters))
+	}
+	for _, cl := range clusters {
+		n := len(v.Workloads[cl])
+		for c := range cfgs {
+			out[c][cl], perfs = perfs[:n:n], perfs[n:]
+		}
+	}
+	return out, nil
 }
 
 // MeasureConfigs measures many configurations against one explicit
-// trace — the batch entry point for the §3.3 pruning sweeps.
-func (v *Validator) MeasureConfigs(ctx context.Context, cfgs []ssdconf.Config, name string, f trace.SourceFactory) error {
+// trace as one batch — the §3.3 pruning sweeps — and returns the
+// results in cfgs order.
+func (v *Validator) MeasureConfigs(ctx context.Context, cfgs []ssdconf.Config, name string, f trace.SourceFactory) ([]autodb.Perf, error) {
 	jobs := make([]Job, len(cfgs))
 	for i, cfg := range cfgs {
 		jobs[i] = Job{Cfg: cfg, Name: name, Src: f}
@@ -551,73 +589,48 @@ func (v *Validator) MeasureConfigs(ctx context.Context, cfgs []ssdconf.Config, n
 	return v.measureJobs(ctx, jobs)
 }
 
-// measureJobs drains the job list through a bounded worker pool. The
-// first error wins; remaining queued jobs are skipped. Cancelling ctx
-// drains the queue without starting new simulations.
-func (v *Validator) measureJobs(ctx context.Context, jobs []Job) error {
-	n := v.workers()
-	if v.Backend != nil {
-		// A remote fleet bounds concurrency on the workers' side; the
-		// local goroutines only wait on leases, so fan every job out at
-		// once (capped) to keep the coordinator's queue full.
-		n = len(jobs)
-		if n > 256 {
-			n = 256
-		}
-	}
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n <= 1 {
-		for _, j := range jobs {
-			if _, err := v.MeasureTrace(ctx, j.Cfg, j.Name, j.Src); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// measureJobs is the validator's one batch path: it starts every job,
+// in job order and without waiting for any to finish, and returns each
+// job's result in job order. The executing backend alone bounds how
+// many run: the local backend's slot semaphore, or a fleet's workers.
+// The first error cancels the rest of the batch, so a job that has not
+// started its simulation returns without one, and the batch returns
+// that first error.
+func (v *Validator) measureJobs(ctx context.Context, jobs []Job) ([]autodb.Perf, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	out := make([]autodb.Perf, len(jobs))
 	var (
 		wg       sync.WaitGroup
-		errOnce  sync.Once
+		once     sync.Once
 		firstErr error
-		failed   atomic.Bool
 	)
-	ch := make(chan Job)
-	for w := 0; w < n; w++ {
+	for i, j := range jobs {
 		wg.Add(1)
-		go func(w int) {
+		running := make(chan struct{})
+		go func() {
 			defer wg.Done()
-			// Per-worker busy time: utilization = busy / batch span.
-			var busy *obs.Counter
-			if r := v.Obs; r != nil {
-				busy = r.Counter(MetricWorkerBusy(w))
+			close(running)
+			p, err := v.MeasureTrace(ctx, j.Cfg, j.Name, j.Src)
+			if err != nil {
+				// Siblings fail with context.Canceled only after cancel,
+				// so the error recorded here is the batch's first.
+				once.Do(func() { firstErr = err; cancel() })
+				return
 			}
-			for j := range ch {
-				if failed.Load() || ctx.Err() != nil {
-					continue
-				}
-				t0 := time.Now()
-				if _, err := v.MeasureTrace(ctx, j.Cfg, j.Name, j.Src); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-				}
-				if busy != nil {
-					busy.Add(time.Since(t0).Nanoseconds())
-				}
-			}
-		}(w)
+			out[i] = p
+		}()
+		// The next job starts once this one runs, so jobs queue for the
+		// backend in job order. Left to the Go scheduler, a batch's first
+		// jobs tended to queue last, and with more jobs than slots the
+		// order decides which long simulation finishes the batch.
+		<-running
 	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
 	wg.Wait()
-	if firstErr == nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	return firstErr
+	return out, nil
 }
 
 // traceName is the canonical cache name of a cluster's i-th trace.
@@ -626,19 +639,11 @@ func traceName(cluster string, i int) string { return fmt.Sprintf("%s#%d", clust
 // MeasureCluster runs cfg on every trace of a cluster and returns the
 // per-trace results keyed "<cluster>#<i>".
 func (v *Validator) MeasureCluster(ctx context.Context, cfg ssdconf.Config, cluster string) ([]autodb.Perf, error) {
-	factories, ok := v.Workloads[cluster]
-	if !ok || len(factories) == 0 {
-		return nil, fmt.Errorf("core: unknown workload cluster %q", cluster)
+	m, err := v.measureGrid(ctx, []ssdconf.Config{cfg}, []string{cluster})
+	if err != nil {
+		return nil, err
 	}
-	out := make([]autodb.Perf, len(factories))
-	for i, f := range factories {
-		p, err := v.MeasureTrace(ctx, cfg, traceName(cluster, i), f)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
+	return m[0][cluster], nil
 }
 
 // Clusters returns the cluster names in sorted-stable order.
@@ -675,20 +680,15 @@ type Grader struct {
 // NewGrader measures the reference configuration on every cluster, as
 // one parallel batch.
 func NewGrader(ctx context.Context, v *Validator, refCfg ssdconf.Config, alpha, beta float64) (*Grader, error) {
-	g := &Grader{Alpha: alpha, Beta: beta, Ref: make(map[string][]autodb.Perf)}
+	g := &Grader{Alpha: alpha, Beta: beta}
 	clusters := v.Clusters()
 	sp := obs.StartSpan("reference").ArgInt("clusters", int64(len(clusters)))
 	defer sp.End()
-	if err := v.MeasureBatch(ctx, []ssdconf.Config{refCfg}, clusters); err != nil {
+	m, err := v.measureGrid(ctx, []ssdconf.Config{refCfg}, clusters)
+	if err != nil {
 		return nil, err
 	}
-	for _, cl := range clusters {
-		ps, err := v.MeasureCluster(ctx, refCfg, cl)
-		if err != nil {
-			return nil, err
-		}
-		g.Ref[cl] = ps
-	}
+	g.Ref = m[0]
 	return g, nil
 }
 

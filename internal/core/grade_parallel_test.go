@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"autoblox/internal/obs"
 	"autoblox/internal/ssd"
@@ -264,5 +268,85 @@ func TestTuneSerialParallelEquivalence(t *testing.T) {
 	if !bytes.Contains(traceBuf.Bytes(), []byte(`"name":"tune"`)) ||
 		!bytes.Contains(traceBuf.Bytes(), []byte(`"name":"iteration"`)) {
 		t.Fatalf("trace output missing tune/iteration spans:\n%.500s", traceBuf.String())
+	}
+}
+
+// TestNewGraderReadsNoCacheBack: the reference batch hands its results
+// back, so a fresh validator simulates each trace once and serves no
+// cache hit.
+func TestNewGraderReadsNoCacheBack(t *testing.T) {
+	_, v, g, _ := testEnv(t, []workload.Category{workload.Database, workload.WebSearch, workload.KVStore}, 600)
+	traces := 0
+	for _, fs := range v.Workloads {
+		traces += len(fs)
+	}
+	st := v.Stats()
+	if st.CacheHits != 0 || st.SimRuns != int64(traces) {
+		t.Fatalf("NewGrader: CacheHits = %d, SimRuns = %d; want 0 and %d", st.CacheHits, st.SimRuns, traces)
+	}
+	for _, cl := range v.Clusters() {
+		if len(g.Ref[cl]) != len(v.Workloads[cl]) {
+			t.Fatalf("Ref[%s] has %d results for %d traces", cl, len(g.Ref[cl]), len(v.Workloads[cl]))
+		}
+	}
+}
+
+// TestBatchReturnsFailingJobError: a batch with one failing job returns
+// that job's error, not the context.Canceled its cancelled siblings
+// see, and caches nothing for it.
+func TestBatchReturnsFailingJobError(t *testing.T) {
+	space := ssdconf.NewSpace(ssdconf.DefaultConstraints())
+	errBad := errors.New("bad trace")
+	groups := map[string][]trace.SourceFactory{}
+	for _, c := range []workload.Category{workload.Database, workload.WebSearch, workload.KVStore} {
+		tr := workload.MustGenerate(c, workload.Options{Requests: 3000, Seed: 3})
+		groups[string(c)] = []trace.SourceFactory{tr.Factory(), tr.Factory()}
+		if c == workload.Database {
+			groups["Bad"] = []trace.SourceFactory{func() trace.Source {
+				return &failingSource{Source: tr.Source(), after: 100, err: errBad}
+			}}
+		}
+	}
+	v := NewValidatorSources(space, groups)
+	v.Parallel = 2
+	cfgs := distinctConfigs(t, space, space.FromDevice(ssd.Intel750()), 3)
+	err := v.MeasureBatch(context.Background(), cfgs, v.Clusters())
+	if !errors.Is(err, errBad) || errors.Is(err, context.Canceled) {
+		t.Fatalf("batch error = %v, want the failing job's error", err)
+	}
+	for _, e := range v.SnapshotCache() {
+		if e.Name == "Bad#0" {
+			t.Fatalf("failed job cached: %+v", e)
+		}
+	}
+}
+
+// TestBatchBoundedBySlots: a batch starts every job at once, so the
+// local backend's slot semaphore alone bounds concurrency. Trace builds
+// run inside a slot, so counting factories see at most Parallel of them
+// at a time, and a batch wider than the bound fills every slot.
+func TestBatchBoundedBySlots(t *testing.T) {
+	space := ssdconf.NewSpace(ssdconf.DefaultConstraints())
+	tr := workload.MustGenerate(workload.Database, workload.Options{Requests: 300, Seed: 9})
+	var running, peak atomic.Int32
+	counting := func() trace.Source {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(20 * time.Millisecond)
+		running.Add(-1)
+		return tr.Source()
+	}
+	groups := map[string][]trace.SourceFactory{}
+	for i := 0; i < 6; i++ {
+		groups[fmt.Sprintf("C%d", i)] = []trace.SourceFactory{counting}
+	}
+	v := NewValidatorSources(space, groups)
+	v.Parallel = 2
+	if err := v.MeasureBatch(context.Background(), []ssdconf.Config{space.FromDevice(ssd.Intel750())}, v.Clusters()); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got != 2 {
+		t.Fatalf("peak concurrent trace builds = %d, want exactly Parallel = 2", got)
 	}
 }

@@ -111,48 +111,40 @@ func CoarsePrune(ctx context.Context, v *Validator, g *Grader, target string, ba
 	if !ok {
 		return nil, fmt.Errorf("core: unknown target %q", target)
 	}
-	src := factories[0]
-	refName := target + "#0"
-	refPerf, err := v.MeasureTrace(ctx, base, refName, src)
+	// The baseline and the whole config×value sweep run as one batch.
+	type sweepSpec struct {
+		param int
+		idxs  []int
+	}
+	var specs []sweepSpec
+	cfgs := []ssdconf.Config{base}
+	for i := range v.Space.Params {
+		p := &v.Space.Params[i]
+		if coarseSkip(p) {
+			continue
+		}
+		idxs := sweepIndices(p, base[i])
+		specs = append(specs, sweepSpec{param: i, idxs: idxs})
+		for _, idx := range idxs {
+			cfg := base.Clone()
+			cfg[i] = idx
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	perfs, err := v.MeasureConfigs(ctx, cfgs, traceName(target, 0), factories[0])
 	if err != nil {
 		return nil, err
 	}
-
-	// Enumerate the whole config×value sweep up front and fan the
-	// simulations out as one parallel batch; the assembly loop below
-	// then reads every point from the cache.
-	var sweepCfgs []ssdconf.Config
-	for i := range v.Space.Params {
-		p := &v.Space.Params[i]
-		if coarseSkip(p) {
-			continue
-		}
-		for _, idx := range sweepIndices(p, base[i]) {
-			cfg := base.Clone()
-			cfg[i] = idx
-			sweepCfgs = append(sweepCfgs, cfg)
-		}
-	}
-	if err := v.MeasureConfigs(ctx, sweepCfgs, refName, src); err != nil {
-		return nil, err
-	}
+	refPerf, perfs := perfs[0], perfs[1:]
 
 	res := &CoarseResult{Sweeps: map[string][]SweepPoint{}, Sensitivity: map[string]float64{}}
-	for i := range v.Space.Params {
-		p := &v.Space.Params[i]
-		if coarseSkip(p) {
-			continue
-		}
-		baseVal := p.Values[base[i]]
+	for _, sw := range specs {
+		p := &v.Space.Params[sw.param]
+		baseVal := p.Values[base[sw.param]]
 		var sweep []SweepPoint
 		maxAbs := 0.0
-		for _, idx := range sweepIndices(p, base[i]) {
-			cfg := base.Clone()
-			cfg[i] = idx
-			perf, err := v.MeasureTrace(ctx, cfg, refName, src) // cache hit
-			if err != nil {
-				return nil, err
-			}
+		for k, idx := range sw.idxs {
+			perf := perfs[k]
 			score := g.Performance(perf, refPerf)
 			mult := p.Values[idx] / nonZero(baseVal)
 			if p.Kind == ssdconf.Categorical {
@@ -169,6 +161,7 @@ func CoarsePrune(ctx context.Context, v *Validator, g *Grader, target string, ba
 				maxAbs = a
 			}
 		}
+		perfs = perfs[len(sw.idxs):]
 		res.Sweeps[p.Name] = sweep
 		res.Sensitivity[p.Name] = maxAbs
 		if maxAbs < insensitiveThreshold {
@@ -250,13 +243,6 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 	if !ok {
 		return nil, fmt.Errorf("core: unknown target %q", target)
 	}
-	src := factories[0]
-	refName := target + "#0"
-	refPerf, err := v.MeasureTrace(ctx, base, refName, src)
-	if err != nil {
-		return nil, err
-	}
-
 	dropped := map[string]bool{}
 	for _, n := range coarseInsensitive {
 		dropped[n] = true
@@ -283,7 +269,7 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 	// Sample acceptance depends only on the constraint checks, never on a
 	// measurement, so the full sample set can be drawn up front (keeping
 	// the rng sequence identical to the old measure-as-you-go loop) and
-	// simulated as one parallel batch.
+	// simulated, after the baseline, as one batch.
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var samples []ssdconf.Config
 	attempts := 0
@@ -309,9 +295,11 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 	if len(samples) < 8 {
 		return nil, fmt.Errorf("core: only %d valid samples for ridge fit", len(samples))
 	}
-	if err := v.MeasureConfigs(ctx, samples, refName, src); err != nil {
+	perfs, err := v.MeasureConfigs(ctx, append([]ssdconf.Config{base}, samples...), traceName(target, 0), factories[0])
+	if err != nil {
 		return nil, err
 	}
+	refPerf, perfs := perfs[0], perfs[1:]
 
 	width := len(cols)
 	for _, c := range catCols {
@@ -319,11 +307,7 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 	}
 	var rows [][]float64
 	var ys []float64
-	for _, cfg := range samples {
-		perf, err := v.MeasureTrace(ctx, cfg, refName, src) // cache hit
-		if err != nil {
-			return nil, err
-		}
+	for k, cfg := range samples {
 		row := make([]float64, width)
 		for j, c := range cols {
 			row[j] = v.Space.Value(cfg, c)
@@ -334,7 +318,7 @@ func FinePrune(ctx context.Context, v *Validator, g *Grader, target string, base
 			off += len(v.Space.Params[c].Values)
 		}
 		rows = append(rows, row)
-		ys = append(ys, g.Performance(perf, refPerf))
+		ys = append(ys, g.Performance(perfs[k], refPerf))
 	}
 
 	x := linalg.FromRows(rows)

@@ -395,31 +395,24 @@ func (t *Tuner) frontier(ctx context.Context, target string, initial []ssdconf.C
 	}
 	sp := obs.StartSpan("frontier").ArgInt("configs", int64(len(initCfgs)))
 	defer sp.End()
-	if err := t.Validator.MeasureBatch(ctx, initCfgs, []string{target}); err != nil {
-		return nil, err
-	}
-	var live []ssdconf.Config
-	for _, cfg := range initCfgs {
-		perfs, err := t.Validator.MeasureCluster(ctx, cfg, target) // cache hit
-		if err != nil {
-			return nil, err
-		}
-		if !t.overPowerBudget(perfs) {
-			live = append(live, cfg)
-		}
-	}
-	if err := t.Validator.MeasureBatch(ctx, live, t.Validator.NonTargetClusters(target)); err != nil {
+	targets, err := t.Validator.measureGrid(ctx, initCfgs, []string{target})
+	if err != nil {
 		return nil, err
 	}
 	var validated []entry
-	for _, cfg := range initCfgs {
-		e, rejected, err := t.evaluate(ctx, target, cfg, math.Inf(-1), res)
-		if err != nil {
-			return nil, err
-		}
-		if !rejected {
+	var live []ssdconf.Config
+	for i, cfg := range initCfgs {
+		if e, ok := t.scoreTarget(target, cfg, targets[i][target], res); ok {
 			validated = append(validated, e)
+			live = append(live, cfg)
 		}
+	}
+	nonTargets, err := t.Validator.measureGrid(ctx, live, t.Validator.NonTargetClusters(target))
+	if err != nil {
+		return nil, err
+	}
+	for i := range validated {
+		t.scoreFull(&validated[i], nonTargets[i])
 	}
 	if len(validated) == 0 {
 		return nil, errors.New("core: no initial configuration satisfies the constraints (capacity/power)")
@@ -435,19 +428,13 @@ func (t *Tuner) report(ctx context.Context, validated []entry, res *TuneResult, 
 	best := bestEntry(validated)
 	res.Best = best.cfg
 	res.BestGrade = best.grade
-	res.BestPerf = map[string][]autodb.Perf{}
 	sp := obs.StartSpan("final-measure").Arg("config", best.cfg.Key())
 	defer sp.End()
-	if err := t.Validator.MeasureBatch(ctx, []ssdconf.Config{best.cfg}, t.Validator.Clusters()); err != nil {
+	perfs, err := t.Validator.measureGrid(ctx, []ssdconf.Config{best.cfg}, t.Validator.Clusters())
+	if err != nil {
 		return err
 	}
-	for _, cl := range t.Validator.Clusters() {
-		ps, err := t.Validator.MeasureCluster(ctx, best.cfg, cl)
-		if err != nil {
-			return err
-		}
-		res.BestPerf[cl] = ps
-	}
+	res.BestPerf = perfs[0]
 	if t.pareto() {
 		res.Front, res.Hypervolume = buildFront(t.Space.Objectives, validated)
 	}
@@ -572,22 +559,14 @@ func (t *Tuner) restoreCheckpoint(ck *checkpointFile, target string, res *TuneRe
 // shortcut (-Inf disables it). It returns the entry and whether the
 // config was rejected outright (power).
 func (t *Tuner) evaluate(ctx context.Context, target string, cfg ssdconf.Config, worst float64, res *TuneResult) (entry, bool, error) {
-	e := entry{cfg: cfg, vec: t.Space.Vector(cfg)}
-
 	perfs, err := t.Validator.MeasureCluster(ctx, cfg, target)
 	if err != nil {
-		return e, false, err
+		return entry{}, false, err
 	}
-	// Power budget check (§3.4): drop configurations whose modeled
-	// power exceeds the budget.
-	if t.overPowerBudget(perfs) {
-		res.RejectedByPower++
+	e, ok := t.scoreTarget(target, cfg, perfs, res)
+	if !ok {
 		return e, true, nil
 	}
-	e.targetPerf = t.Grader.ClusterPerformance(target, perfs)
-	e.latSp, e.tputSp = t.Grader.ClusterSpeedups(target, perfs)
-	e.power = meanPower(perfs)
-	e.lifetimeNS = minLifetimeNS(perfs)
 
 	// Validation-pruning shortcut: if even the target-only share of the
 	// grade loses to the worst retained configuration, skip the
@@ -604,21 +583,39 @@ func (t *Tuner) evaluate(ctx context.Context, target string, cfg ssdconf.Config,
 
 	// Non-target validation: the candidate's whole remaining frontier
 	// (every non-target cluster × trace) fans out as one batch.
-	nonTargets := t.Validator.NonTargetClusters(target)
-	if err := t.Validator.MeasureBatch(ctx, []ssdconf.Config{cfg}, nonTargets); err != nil {
+	nonTargets, err := t.Validator.measureGrid(ctx, []ssdconf.Config{cfg}, t.Validator.NonTargetClusters(target))
+	if err != nil {
 		return e, false, err
 	}
-	nonTarget := map[string]float64{}
-	for _, cl := range nonTargets {
-		ps, err := t.Validator.MeasureCluster(ctx, cfg, cl) // cache hit
-		if err != nil {
-			return e, false, err
-		}
+	t.scoreFull(&e, nonTargets[0])
+	return e, false, nil
+}
+
+// scoreTarget scores cfg's target-cluster measurements. ok is false
+// when the power budget (§3.4) rejects the configuration; the rejection
+// is counted in res.
+func (t *Tuner) scoreTarget(target string, cfg ssdconf.Config, perfs []autodb.Perf, res *TuneResult) (e entry, ok bool) {
+	e = entry{cfg: cfg, vec: t.Space.Vector(cfg)}
+	if t.overPowerBudget(perfs) {
+		res.RejectedByPower++
+		return e, false
+	}
+	e.targetPerf = t.Grader.ClusterPerformance(target, perfs)
+	e.latSp, e.tputSp = t.Grader.ClusterSpeedups(target, perfs)
+	e.power = meanPower(perfs)
+	e.lifetimeNS = minLifetimeNS(perfs)
+	return e, true
+}
+
+// scoreFull completes e's grade (Formula 2) from its measurements on
+// every non-target cluster.
+func (t *Tuner) scoreFull(e *entry, nonTargets map[string][]autodb.Perf) {
+	nonTarget := make(map[string]float64, len(nonTargets))
+	for cl, ps := range nonTargets {
 		nonTarget[cl] = t.Grader.ClusterPerformance(cl, ps)
 	}
 	e.grade = t.Grader.Grade(e.targetPerf, nonTarget, len(t.Validator.Workloads))
 	e.full = true
-	return e, false, nil
 }
 
 // overPowerBudget reports whether any target-cluster measurement exceeds
