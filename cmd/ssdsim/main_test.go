@@ -4,8 +4,11 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"autoblox/internal/ssd"
 )
 
 // TestStdinSpoolRemovedOnError runs ssdsim in a child process on a
@@ -32,5 +35,40 @@ func TestStdinSpoolRemovedOnError(t *testing.T) {
 	}
 	for _, e := range left {
 		t.Errorf("left behind in TMPDIR: %s", e.Name())
+	}
+}
+
+// TestConfigFileMatchesPreset writes the Intel 750 preset as a device
+// file: ssdsim -config <file> must report exactly what -config intel750
+// does.
+func TestConfigFileMatchesPreset(t *testing.T) {
+	if args := os.Getenv("SSDSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"ssdsim"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "intel750.json")
+	data, err := ssd.MarshalJSONParams(ssd.Intel750())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report := func(config string) string {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestConfigFileMatchesPreset$")
+		cmd.Env = append(os.Environ(), "SSDSIM_TEST_ARGS="+strings.Join(
+			[]string{"-config", config, "-workload", "Database", "-requests", "3000", "-json"}, "\n"))
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("ssdsim -config %s: %v", config, err)
+		}
+		if !strings.HasPrefix(string(out), "{") {
+			t.Fatalf("ssdsim -config %s printed no JSON report:\n%s", config, out)
+		}
+		return string(out)
+	}
+	if file, preset := report(path), report("intel750"); file != preset {
+		t.Fatalf("-config <file> report differs from -config intel750:\n%s\n%s", file, preset)
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // CSV export: each artifact can dump its underlying data as a CSV file
@@ -44,8 +46,10 @@ func (r *Fig2Result) WriteCSV(dir string) error {
 	return writeCSV(dir, "fig2_scatter", []string{"category", "pc1", "pc2", "cluster"}, rows)
 }
 
-// WriteCSV dumps the Fig. 4 sweeps and Fig. 5 coefficients.
+// WriteCSV dumps the Fig. 4 sweeps and Fig. 5 coefficients. Rows come
+// out in parameter-name order, each sweep in its own order.
 func (r *Fig45Result) WriteCSV(dir string) error {
+	byName := func(a, b []string) int { return strings.Compare(a[0], b[0]) }
 	var sweepRows [][]string
 	for name, sweep := range r.Coarse.Sweeps {
 		for _, pt := range sweep {
@@ -53,6 +57,7 @@ func (r *Fig45Result) WriteCSV(dir string) error {
 				name, f2s(pt.Value), f2s(pt.Multiplier), f2s(pt.Performance)})
 		}
 	}
+	slices.SortStableFunc(sweepRows, byName)
 	if err := writeCSV(dir, "fig4_sweeps",
 		[]string{"parameter", "value", "multiplier", "performance"}, sweepRows); err != nil {
 		return err
@@ -61,6 +66,7 @@ func (r *Fig45Result) WriteCSV(dir string) error {
 	for name, coef := range r.Fine.Coefficients {
 		coefRows = append(coefRows, []string{name, f2s(coef)})
 	}
+	slices.SortFunc(coefRows, byName)
 	return writeCSV(dir, "fig5_coefficients", []string{"parameter", "coefficient"}, coefRows)
 }
 

@@ -131,10 +131,7 @@ func newEnv(scale Scale, cons ssdconf.Constraints, ref ssd.DeviceParams, cats []
 	if err := space.CheckConstraints(e.RefCfg); err != nil {
 		return nil, fmt.Errorf("experiments: reference violates constraints: %w", err)
 	}
-	e.Validator = core.NewValidatorSources(space, e.sourceGroups())
-	e.Validator.Parallel = scale.Parallel
-	e.Validator.Obs = scale.Obs
-	e.Validator.SimTimeout = scale.SimTimeout
+	e.Validator = e.coldValidator(scale.Parallel)
 	e.Validator.Persist = scale.Persist
 	if scale.Backend != nil && scale.BackendEnv != nil {
 		clusters := make([]string, len(cats))
@@ -161,6 +158,17 @@ func (e *Env) sourceGroups() map[string][]trace.SourceFactory {
 		g[k] = []trace.SourceFactory{f}
 	}
 	return g
+}
+
+// coldValidator builds a validator over the environment's traces with
+// the scale's metrics registry and per-simulation timeout, and nothing
+// cached: no persistent cache and no fleet backend.
+func (e *Env) coldValidator(parallel int) *core.Validator {
+	v := core.NewValidatorSources(e.Space, e.sourceGroups())
+	v.Parallel = parallel
+	v.Obs = e.Scale.Obs
+	v.SimTimeout = e.Scale.SimTimeout
+	return v
 }
 
 // ctx resolves the experiment context.

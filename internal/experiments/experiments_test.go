@@ -2,11 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"autoblox/internal/core"
 	"autoblox/internal/ssdconf"
 	"autoblox/internal/workload"
 )
@@ -247,5 +252,62 @@ func TestCSVExport(t *testing.T) {
 	data, _ := os.ReadFile(filepath.Join(dir, "tab1_matrix.csv"))
 	if got := strings.Count(string(data), "\n"); got != 2*2+1 {
 		t.Fatalf("matrix rows = %d, want 5", got)
+	}
+}
+
+// TestFig45CSVInNameOrder writes the same result twice: the two files
+// must be byte-identical and list parameters in name order, as the
+// maps they come from have no order of their own.
+func TestFig45CSVInNameOrder(t *testing.T) {
+	r := &Fig45Result{Coarse: &core.CoarseResult{Sweeps: map[string][]core.SweepPoint{}},
+		Fine: &core.FineResult{Coefficients: map[string]float64{}}}
+	for i := 0; i < 26; i++ {
+		name := string(rune('Z'-i)) + "Param"
+		r.Coarse.Sweeps[name] = []core.SweepPoint{{Value: float64(i), Multiplier: 1, Performance: 2}, {Value: 3}}
+		r.Fine.Coefficients[name] = float64(i)
+	}
+	var first map[string][]byte
+	for run := 0; run < 2; run++ {
+		dir := t.TempDir()
+		if err := r.WriteCSV(dir); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, name := range []string{"fig4_sweeps", "fig5_coefficients"} {
+			data, err := os.ReadFile(filepath.Join(dir, name+".csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[name] = data
+			var params []string
+			for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+				params = append(params, strings.SplitN(line, ",", 2)[0])
+			}
+			if !sort.StringsAreSorted(params) {
+				t.Errorf("%s rows not in name order: %v", name, params)
+			}
+		}
+		if first == nil {
+			first = files
+			continue
+		}
+		for name, data := range files {
+			if !bytes.Equal(data, first[name]) {
+				t.Errorf("%s differs between two writes of the same result", name)
+			}
+		}
+	}
+}
+
+// TestTable6HonoursSimTimeout: tab6 measures on a validator of its own,
+// and the scale's per-simulation timeout must bound that one too.
+func TestTable6HonoursSimTimeout(t *testing.T) {
+	e, err := NewEnv(tinyScale(), ssdconf.DefaultConstraints(), intelRef(), []workload.Category{workload.Database})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Scale.SimTimeout = time.Nanosecond
+	if _, err := RunTable6(e); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunTable6 with a 1ns simulation timeout: err = %v, want context.DeadlineExceeded", err)
 	}
 }

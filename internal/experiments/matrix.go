@@ -129,8 +129,7 @@ func runTarget(e *Env, target string, opts MatrixOptions) (*TargetRun, error) {
 		// Fresh validators per variant: the shared simulation cache would
 		// otherwise make whichever variant runs second look nearly free.
 		runFresh := func(useOrder bool) (*core.TuneResult, error) {
-			v := core.NewValidatorSources(e.Space, e.sourceGroups())
-			v.Parallel = e.Scale.Parallel
+			v := e.coldValidator(e.Scale.Parallel)
 			g, err := core.NewGrader(e.ctx(), v, e.RefCfg, core.DefaultAlpha, core.DefaultBeta)
 			if err != nil {
 				return nil, err

@@ -91,8 +91,7 @@ func RunTable6(e *Env) (*OverheadResult, error) {
 	// real span, Stats().WallSpan, and the learning-time subtraction
 	// below would go negative). Pinning Parallel=1 makes SimBusy and
 	// WallSpan coincide so "total - SimBusy" is a valid learning cost.
-	fresh := core.NewValidatorSources(e.Space, e.sourceGroups())
-	fresh.Parallel = 1
+	fresh := e.coldValidator(1)
 	grader, err := core.NewGrader(e.ctx(), fresh, e.RefCfg, core.DefaultAlpha, core.DefaultBeta)
 	if err != nil {
 		return nil, err

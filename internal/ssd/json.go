@@ -5,213 +5,169 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
+	"strconv"
 	"time"
 )
 
-// JSON (de)serialization of DeviceParams, used by cmd/ssdsim to load
-// custom device files and by AutoDB consumers who want to export learned
-// configurations. Durations are expressed in microseconds and sizes in
-// MB, matching how the paper (and SSD spec sheets) quote them.
+// The device file is DeviceParams as JSON, with durations in
+// microseconds and DRAM sizes in MB or KB, as the paper and SSD spec
+// sheets quote them, and policies by registry name. cmd/ssdsim loads
+// custom devices from it. deviceFields is its one definition, and
+// ssdconf's search space reads the same rows.
 
-// deviceJSON is the stable on-disk schema.
-type deviceJSON struct {
-	Channels        int `json:"channels"`
-	ChipsPerChannel int `json:"chips_per_channel"`
-	DiesPerChip     int `json:"dies_per_chip"`
-	PlanesPerDie    int `json:"planes_per_die"`
-	BlocksPerPlane  int `json:"blocks_per_plane"`
-	PagesPerBlock   int `json:"pages_per_block"`
-	PageSizeBytes   int `json:"page_size_bytes"`
-
-	FlashType       string  `json:"flash_type"`
-	ReadLatencyUS   float64 `json:"read_latency_us"`
-	ProgramUS       float64 `json:"program_latency_us"`
-	EraseUS         float64 `json:"erase_latency_us"`
-	SuspendProgUS   float64 `json:"suspend_program_us"`
-	SuspendEraseUS  float64 `json:"suspend_erase_us"`
-	SuspendEnabled  bool    `json:"suspend_enabled"`
-	ChannelMTps     float64 `json:"channel_mtps"`
-	ChannelWidthBit int     `json:"channel_width_bit"`
-
-	DataCacheMB        int64   `json:"data_cache_mb"`
-	CMTMB              int64   `json:"cmt_mb"`
-	CMTEntryBytes      int     `json:"cmt_entry_bytes"`
-	MappingGranularity int     `json:"mapping_granularity"`
-	CacheLineKB        int     `json:"cache_line_kb"`
-	CachePolicy        string  `json:"cache_policy"`
-	ReadCacheEnabled   bool    `json:"read_cache_enabled"`
-	ControllerMHz      int     `json:"controller_mhz"`
-	DRAMMHz            int     `json:"dram_mhz"`
-	DRAMBusBits        int     `json:"dram_bus_bits"`
-	ECCUS              float64 `json:"ecc_latency_us"`
-	FirmwareUS         float64 `json:"firmware_overhead_us"`
-
-	Interface    string  `json:"interface"`
-	HostIfcModel string  `json:"host_ifc,omitempty"`
-	ZoneSizeMB   int     `json:"zone_size_mb,omitempty"`
-	MaxOpenZones int     `json:"max_open_zones,omitempty"`
-	WriteStreams int     `json:"write_streams,omitempty"`
-	QueueDepth   int     `json:"queue_depth"`
-	QueueCount   int     `json:"queue_count"`
-	PCIeLanes    int     `json:"pcie_lanes"`
-	PCIeLaneMBps float64 `json:"pcie_lane_mbps"`
-
-	OverprovisionRatio   float64 `json:"overprovision_ratio"`
-	GCThresholdPct       float64 `json:"gc_threshold_pct"`
-	GCPolicy             string  `json:"gc_policy"`
-	CopybackEnabled      bool    `json:"copyback_enabled"`
-	StaticWearLeveling   bool    `json:"static_wear_leveling"`
-	WearLevelingThresh   int     `json:"wear_leveling_threshold"`
-	DynamicWearLeveling  bool    `json:"dynamic_wear_leveling"`
-	PlaneAllocScheme     string  `json:"plane_alloc_scheme"`
-	WriteBufferFlushPct  float64 `json:"write_buffer_flush_pct"`
-	PageMetadataBytes    int     `json:"page_metadata_bytes"`
-	BadBlockPct          float64 `json:"bad_block_pct"`
-	ReadRetryLimit       int     `json:"read_retry_limit"`
-	IOMergingEnabled     bool    `json:"io_merging_enabled"`
-	TransactionSchedOOO  bool    `json:"transaction_sched_ooo"`
-	InitialOccupancyFrac float64 `json:"initial_occupancy_frac"`
-
-	// Fault injection; omitted when disabled so fault-free device files
-	// keep their historical byte layout.
-	FaultRate        float64 `json:"fault_rate,omitempty"`
-	FaultSeed        int64   `json:"fault_seed,omitempty"`
-	FaultDieFailures int     `json:"fault_die_failures,omitempty"`
+// A Field is one DeviceParams leaf field as the device file and the
+// search space see it. Its Get and Set read and write the field in file
+// units; a registry enum's value is its registry index and a bool's is
+// 0 or 1.
+type Field struct {
+	key string
+	// omitEmpty leaves a zero value out of the file (the fault and
+	// host-interface model fields), so devices without those features
+	// keep the byte layout they had before the fields existed.
+	omitEmpty bool
+	// lenient gives a zero or empty file value DefaultParams' value, so
+	// files that predate a field (or leave a policy out) still parse.
+	lenient bool
+	unit
 }
 
-// us converts microseconds to a Duration, rounding to the nearest
-// nanosecond: truncation would turn e.g. 3ns → 0.003µs → 2.999…µs→ 2ns
-// and break the decode→encode→decode fixed point FuzzParamsJSON pins.
-func us(v float64) time.Duration { return time.Duration(math.Round(v * 1000)) }
+// A unit converts one field between DeviceParams and its file value
+// (an addressable field of fileSchema, of type fileType) and between
+// DeviceParams and a search-space grid value.
+type unit interface {
+	fileType() reflect.Type
+	encode(p *DeviceParams, file reflect.Value)
+	decode(p *DeviceParams, file reflect.Value) error
+	// Get returns the field's value in file units.
+	Get(p *DeviceParams) float64
+	// Set stores a value given in file units.
+	Set(p *DeviceParams, v float64)
+}
+
+// deviceFields lists every DeviceParams leaf field in file order.
+var deviceFields = []Field{
+	{key: "channels", unit: num(func(p *DeviceParams) *int { return &p.Channels })},
+	{key: "chips_per_channel", unit: num(func(p *DeviceParams) *int { return &p.ChipsPerChannel })},
+	{key: "dies_per_chip", unit: num(func(p *DeviceParams) *int { return &p.DiesPerChip })},
+	{key: "planes_per_die", unit: num(func(p *DeviceParams) *int { return &p.PlanesPerDie })},
+	{key: "blocks_per_plane", unit: num(func(p *DeviceParams) *int { return &p.BlocksPerPlane })},
+	{key: "pages_per_block", unit: num(func(p *DeviceParams) *int { return &p.PagesPerBlock })},
+	{key: "page_size_bytes", unit: num(func(p *DeviceParams) *int { return &p.PageSizeBytes })},
+
+	{key: "flash_type", lenient: true, unit: registry(ParseFlashType, func(p *DeviceParams) *FlashType { return &p.FlashType })},
+	{key: "read_latency_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.ReadLatency })},
+	{key: "program_latency_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.ProgramLatency })},
+	{key: "erase_latency_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.EraseLatency })},
+	{key: "suspend_program_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.SuspendProgram })},
+	{key: "suspend_erase_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.SuspendErase })},
+	{key: "suspend_enabled", unit: boolean(func(p *DeviceParams) *bool { return &p.SuspendEnabled })},
+	{key: "channel_mtps", unit: num(func(p *DeviceParams) *float64 { return &p.ChannelMTps })},
+	{key: "channel_width_bit", unit: num(func(p *DeviceParams) *int { return &p.ChannelWidthBit })},
+
+	{key: "data_cache_mb", unit: shift(20, func(p *DeviceParams) *int64 { return &p.DataCacheBytes })},
+	{key: "cmt_mb", unit: shift(20, func(p *DeviceParams) *int64 { return &p.CMTBytes })},
+	{key: "cmt_entry_bytes", unit: num(func(p *DeviceParams) *int { return &p.CMTEntryBytes })},
+	{key: "mapping_granularity", unit: num(func(p *DeviceParams) *int { return &p.MappingGranularity })},
+	{key: "cache_line_kb", unit: shift(10, func(p *DeviceParams) *int { return &p.CacheLineBytes })},
+	{key: "cache_policy", lenient: true, unit: registry(ParseCachePolicy, func(p *DeviceParams) *CachePolicy { return &p.CachePolicy })},
+	{key: "read_cache_enabled", unit: boolean(func(p *DeviceParams) *bool { return &p.ReadCacheEnabled })},
+	{key: "controller_mhz", unit: num(func(p *DeviceParams) *int { return &p.ControllerMHz })},
+	{key: "dram_mhz", unit: num(func(p *DeviceParams) *int { return &p.DRAMMHz })},
+	{key: "dram_bus_bits", unit: num(func(p *DeviceParams) *int { return &p.DRAMBusBits })},
+	{key: "ecc_latency_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.ECCLatency })},
+	{key: "firmware_overhead_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.FirmwareOverhead })},
+
+	{key: "interface", lenient: true, unit: registry(ParseInterface, func(p *DeviceParams) *Interface { return &p.HostInterface })},
+	{key: "host_ifc", omitEmpty: true, lenient: true, unit: registry(ParseHostIfc, func(p *DeviceParams) *HostIfc { return &p.HostIfcModel })},
+	{key: "zone_size_mb", omitEmpty: true, lenient: true, unit: num(func(p *DeviceParams) *int { return &p.ZoneSizeMB })},
+	{key: "max_open_zones", omitEmpty: true, lenient: true, unit: num(func(p *DeviceParams) *int { return &p.MaxOpenZones })},
+	{key: "write_streams", omitEmpty: true, lenient: true, unit: num(func(p *DeviceParams) *int { return &p.WriteStreams })},
+	{key: "queue_depth", unit: num(func(p *DeviceParams) *int { return &p.QueueDepth })},
+	{key: "queue_count", unit: num(func(p *DeviceParams) *int { return &p.QueueCount })},
+	{key: "pcie_lanes", unit: num(func(p *DeviceParams) *int { return &p.PCIeLanes })},
+	{key: "pcie_lane_mbps", unit: num(func(p *DeviceParams) *float64 { return &p.PCIeLaneMBps })},
+
+	{key: "overprovision_ratio", unit: num(func(p *DeviceParams) *float64 { return &p.OverprovisionRatio })},
+	{key: "gc_threshold_pct", unit: num(func(p *DeviceParams) *float64 { return &p.GCThresholdPct })},
+	{key: "gc_policy", lenient: true, unit: registry(ParseGCPolicy, func(p *DeviceParams) *GCPolicy { return &p.GCPolicy })},
+	{key: "copyback_enabled", unit: boolean(func(p *DeviceParams) *bool { return &p.CopybackEnabled })},
+	{key: "static_wear_leveling", unit: boolean(func(p *DeviceParams) *bool { return &p.StaticWearLeveling })},
+	{key: "wear_leveling_threshold", unit: num(func(p *DeviceParams) *int { return &p.WearLevelingThresh })},
+	{key: "dynamic_wear_leveling", unit: boolean(func(p *DeviceParams) *bool { return &p.DynamicWearLeveling })},
+	{key: "plane_alloc_scheme", lenient: true, unit: registry(ParseAllocScheme, func(p *DeviceParams) *AllocScheme { return &p.PlaneAllocScheme })},
+	{key: "write_buffer_flush_pct", unit: num(func(p *DeviceParams) *float64 { return &p.WriteBufferFlushPct })},
+	{key: "page_metadata_bytes", unit: num(func(p *DeviceParams) *int { return &p.PageMetadataBytes })},
+	{key: "bad_block_pct", unit: num(func(p *DeviceParams) *float64 { return &p.BadBlockPct })},
+	{key: "read_retry_limit", unit: num(func(p *DeviceParams) *int { return &p.ReadRetryLimit })},
+	{key: "io_merging_enabled", unit: boolean(func(p *DeviceParams) *bool { return &p.IOMergingEnabled })},
+	{key: "transaction_sched_ooo", unit: boolean(func(p *DeviceParams) *bool { return &p.TransactionSchedOOO })},
+	{key: "initial_occupancy_frac", unit: num(func(p *DeviceParams) *float64 { return &p.InitialOccupancyFrac })},
+
+	{key: "fault_rate", omitEmpty: true, unit: num(func(p *DeviceParams) *float64 { return &p.Faults.Rate })},
+	{key: "fault_seed", omitEmpty: true, unit: num(func(p *DeviceParams) *int64 { return &p.Faults.Seed })},
+	{key: "fault_die_failures", omitEmpty: true, unit: num(func(p *DeviceParams) *int { return &p.Faults.DieFailures })},
+}
+
+// FieldOf returns the field stored under a device-file key. Callers name
+// fields by literal keys, so an unknown key is a typo and panics.
+func FieldOf(key string) *Field {
+	for i := range deviceFields {
+		if deviceFields[i].key == key {
+			return &deviceFields[i]
+		}
+	}
+	panic("ssd: no device field " + strconv.Quote(key))
+}
+
+// fileSchema is the device file's struct type, built from the table so
+// that encoding/json decodes it by its usual rules: keys match case-
+// insensitively, the last duplicate wins and unknown keys are ignored.
+var fileSchema = func() reflect.Type {
+	fields := make([]reflect.StructField, len(deviceFields))
+	for i, f := range deviceFields {
+		tag := f.key
+		if f.omitEmpty {
+			tag += ",omitempty"
+		}
+		fields[i] = reflect.StructField{Name: "F" + strconv.Itoa(i), Type: f.fileType(),
+			Tag: reflect.StructTag(`json:"` + tag + `"`)}
+	}
+	return reflect.StructOf(fields)
+}()
+
+// fileDefaults is DefaultParams in file form: a lenient field's value
+// when the file leaves it zero.
+var fileDefaults = encodeFile(DefaultParams())
+
+func encodeFile(p DeviceParams) reflect.Value {
+	file := reflect.New(fileSchema).Elem()
+	for i, f := range deviceFields {
+		f.encode(&p, file.Field(i))
+	}
+	return file
+}
 
 // MarshalJSONParams serializes a device configuration.
 func MarshalJSONParams(p DeviceParams) ([]byte, error) {
-	j := deviceJSON{
-		Channels: p.Channels, ChipsPerChannel: p.ChipsPerChannel,
-		DiesPerChip: p.DiesPerChip, PlanesPerDie: p.PlanesPerDie,
-		BlocksPerPlane: p.BlocksPerPlane, PagesPerBlock: p.PagesPerBlock,
-		PageSizeBytes: p.PageSizeBytes,
-
-		FlashType:      p.FlashType.String(),
-		ReadLatencyUS:  float64(p.ReadLatency) / float64(time.Microsecond),
-		ProgramUS:      float64(p.ProgramLatency) / float64(time.Microsecond),
-		EraseUS:        float64(p.EraseLatency) / float64(time.Microsecond),
-		SuspendProgUS:  float64(p.SuspendProgram) / float64(time.Microsecond),
-		SuspendEraseUS: float64(p.SuspendErase) / float64(time.Microsecond),
-		SuspendEnabled: p.SuspendEnabled,
-		ChannelMTps:    p.ChannelMTps, ChannelWidthBit: p.ChannelWidthBit,
-
-		DataCacheMB: p.DataCacheBytes >> 20, CMTMB: p.CMTBytes >> 20,
-		CMTEntryBytes: p.CMTEntryBytes, MappingGranularity: p.MappingGranularity,
-		CacheLineKB: p.CacheLineBytes >> 10, CachePolicy: p.CachePolicy.String(),
-		ReadCacheEnabled: p.ReadCacheEnabled, ControllerMHz: p.ControllerMHz,
-		DRAMMHz: p.DRAMMHz, DRAMBusBits: p.DRAMBusBits,
-		ECCUS:      float64(p.ECCLatency) / float64(time.Microsecond),
-		FirmwareUS: float64(p.FirmwareOverhead) / float64(time.Microsecond),
-
-		Interface: p.HostInterface.String(), HostIfcModel: p.HostIfcModel.String(),
-		ZoneSizeMB: p.ZoneSizeMB, MaxOpenZones: p.MaxOpenZones, WriteStreams: p.WriteStreams,
-		QueueDepth: p.QueueDepth,
-		QueueCount: p.QueueCount, PCIeLanes: p.PCIeLanes, PCIeLaneMBps: p.PCIeLaneMBps,
-
-		OverprovisionRatio: p.OverprovisionRatio, GCThresholdPct: p.GCThresholdPct,
-		GCPolicy: p.GCPolicy.String(), CopybackEnabled: p.CopybackEnabled,
-		StaticWearLeveling: p.StaticWearLeveling, WearLevelingThresh: p.WearLevelingThresh,
-		DynamicWearLeveling: p.DynamicWearLeveling, PlaneAllocScheme: p.PlaneAllocScheme.String(),
-		WriteBufferFlushPct: p.WriteBufferFlushPct, PageMetadataBytes: p.PageMetadataBytes,
-		BadBlockPct: p.BadBlockPct, ReadRetryLimit: p.ReadRetryLimit,
-		IOMergingEnabled: p.IOMergingEnabled, TransactionSchedOOO: p.TransactionSchedOOO,
-		InitialOccupancyFrac: p.InitialOccupancyFrac,
-
-		FaultRate: p.Faults.Rate, FaultSeed: p.Faults.Seed,
-		FaultDieFailures: p.Faults.DieFailures,
-	}
-	return json.MarshalIndent(j, "", "  ")
+	return json.MarshalIndent(encodeFile(p).Interface(), "", "  ")
 }
 
 // UnmarshalJSONParams parses a device configuration and validates it.
+// Policy names resolve through the registry, and an unknown name is an
+// error rather than a silent default.
 func UnmarshalJSONParams(data []byte) (DeviceParams, error) {
-	var j deviceJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	file := reflect.New(fileSchema)
+	if err := json.Unmarshal(data, file.Interface()); err != nil {
 		return DeviceParams{}, fmt.Errorf("ssd: parse device json: %w", err)
 	}
-	p := DeviceParams{
-		Channels: j.Channels, ChipsPerChannel: j.ChipsPerChannel,
-		DiesPerChip: j.DiesPerChip, PlanesPerDie: j.PlanesPerDie,
-		BlocksPerPlane: j.BlocksPerPlane, PagesPerBlock: j.PagesPerBlock,
-		PageSizeBytes: j.PageSizeBytes,
-
-		ReadLatency: us(j.ReadLatencyUS), ProgramLatency: us(j.ProgramUS),
-		EraseLatency: us(j.EraseUS), SuspendProgram: us(j.SuspendProgUS),
-		SuspendErase: us(j.SuspendEraseUS), SuspendEnabled: j.SuspendEnabled,
-		ChannelMTps: j.ChannelMTps, ChannelWidthBit: j.ChannelWidthBit,
-
-		DataCacheBytes: j.DataCacheMB << 20, CMTBytes: j.CMTMB << 20,
-		CMTEntryBytes: j.CMTEntryBytes, MappingGranularity: j.MappingGranularity,
-		CacheLineBytes: j.CacheLineKB << 10, ReadCacheEnabled: j.ReadCacheEnabled,
-		ControllerMHz: j.ControllerMHz, DRAMMHz: j.DRAMMHz, DRAMBusBits: j.DRAMBusBits,
-		ECCLatency: us(j.ECCUS), FirmwareOverhead: us(j.FirmwareUS),
-
-		ZoneSizeMB: j.ZoneSizeMB, MaxOpenZones: j.MaxOpenZones,
-		WriteStreams: j.WriteStreams,
-		QueueDepth:   j.QueueDepth, QueueCount: j.QueueCount,
-		PCIeLanes: j.PCIeLanes, PCIeLaneMBps: j.PCIeLaneMBps,
-
-		OverprovisionRatio: j.OverprovisionRatio, GCThresholdPct: j.GCThresholdPct,
-		CopybackEnabled: j.CopybackEnabled, StaticWearLeveling: j.StaticWearLeveling,
-		WearLevelingThresh: j.WearLevelingThresh, DynamicWearLeveling: j.DynamicWearLeveling,
-		WriteBufferFlushPct: j.WriteBufferFlushPct, PageMetadataBytes: j.PageMetadataBytes,
-		BadBlockPct: j.BadBlockPct, ReadRetryLimit: j.ReadRetryLimit,
-		IOMergingEnabled: j.IOMergingEnabled, TransactionSchedOOO: j.TransactionSchedOOO,
-		InitialOccupancyFrac: j.InitialOccupancyFrac,
-
-		Faults: FaultProfile{Rate: j.FaultRate, Seed: j.FaultSeed, DieFailures: j.FaultDieFailures},
-	}
-	// Enum fields resolve through the policy registry: empty strings keep
-	// the lenient defaults (MLC, NVMe, LRU, greedy, CWDP, conventional)
-	// and unknown names error instead of silently defaulting. The
-	// host-interface model numerics default likewise, so pre-existing
-	// device files that omit them keep parsing.
-	p.FlashType, p.HostInterface = MLC, NVMe
-	p.CachePolicy, p.GCPolicy = CacheLRU, GCGreedy
-	p.HostIfcModel = IfcConventional
-	if p.ZoneSizeMB == 0 {
-		p.ZoneSizeMB = 256
-	}
-	if p.MaxOpenZones == 0 {
-		p.MaxOpenZones = 8
-	}
-	if p.WriteStreams == 0 {
-		p.WriteStreams = 4
-	}
-	var err error
-	if j.FlashType != "" {
-		if p.FlashType, err = ParseFlashType(j.FlashType); err != nil {
-			return DeviceParams{}, err
+	var p DeviceParams
+	for i, f := range deviceFields {
+		v := file.Elem().Field(i)
+		if f.lenient && v.IsZero() {
+			v = fileDefaults.Field(i)
 		}
-	}
-	if j.Interface != "" {
-		if p.HostInterface, err = ParseInterface(j.Interface); err != nil {
-			return DeviceParams{}, err
-		}
-	}
-	if j.CachePolicy != "" {
-		if p.CachePolicy, err = ParseCachePolicy(j.CachePolicy); err != nil {
-			return DeviceParams{}, err
-		}
-	}
-	if j.GCPolicy != "" {
-		if p.GCPolicy, err = ParseGCPolicy(j.GCPolicy); err != nil {
-			return DeviceParams{}, err
-		}
-	}
-	if j.PlaneAllocScheme != "" {
-		if p.PlaneAllocScheme, err = ParseAllocScheme(j.PlaneAllocScheme); err != nil {
-			return DeviceParams{}, err
-		}
-	}
-	if j.HostIfcModel != "" {
-		if p.HostIfcModel, err = ParseHostIfc(j.HostIfcModel); err != nil {
+		if err := f.decode(&p, v); err != nil {
 			return DeviceParams{}, err
 		}
 	}
@@ -229,3 +185,94 @@ func LoadParams(path string) (DeviceParams, error) {
 	}
 	return UnmarshalJSONParams(data)
 }
+
+// fileValue returns a typed pointer to a schema field.
+func fileValue[T any](file reflect.Value) *T { return file.Addr().Interface().(*T) }
+
+// number stores a number as it is; a grid value converts by truncation.
+type number[T int | int64 | float64] func(*DeviceParams) *T
+
+func num[T int | int64 | float64](at func(*DeviceParams) *T) unit { return number[T](at) }
+
+func (f number[T]) fileType() reflect.Type                     { return reflect.TypeFor[T]() }
+func (f number[T]) encode(p *DeviceParams, file reflect.Value) { *fileValue[T](file) = *f(p) }
+func (f number[T]) decode(p *DeviceParams, file reflect.Value) error {
+	*f(p) = *fileValue[T](file)
+	return nil
+}
+func (f number[T]) Get(p *DeviceParams) float64    { return float64(*f(p)) }
+func (f number[T]) Set(p *DeviceParams, v float64) { *f(p) = T(v) }
+
+// byteUnits stores a byte count in units of 1<<n bytes: 10 for KB, 20 for MB.
+type byteUnits[T int | int64] struct {
+	n  uint
+	at func(*DeviceParams) *T
+}
+
+func shift[T int | int64](n uint, at func(*DeviceParams) *T) unit { return byteUnits[T]{n, at} }
+
+func (f byteUnits[T]) fileType() reflect.Type { return reflect.TypeFor[T]() }
+func (f byteUnits[T]) encode(p *DeviceParams, file reflect.Value) {
+	*fileValue[T](file) = *f.at(p) >> f.n
+}
+func (f byteUnits[T]) decode(p *DeviceParams, file reflect.Value) error {
+	*f.at(p) = *fileValue[T](file) << f.n
+	return nil
+}
+func (f byteUnits[T]) Get(p *DeviceParams) float64    { return float64(*f.at(p) >> f.n) }
+func (f byteUnits[T]) Set(p *DeviceParams, v float64) { *f.at(p) = T(v) << f.n }
+
+// usec stores a duration in microseconds. Set rounds to the nearest
+// nanosecond: truncation would turn 0.003µs into 2.999…ns → 2ns and
+// break the decode→encode→decode fixed point FuzzParamsJSON pins.
+type usec func(*DeviceParams) *time.Duration
+
+func (f usec) fileType() reflect.Type { return reflect.TypeFor[float64]() }
+func (f usec) encode(p *DeviceParams, file reflect.Value) {
+	*fileValue[float64](file) = f.Get(p)
+}
+func (f usec) decode(p *DeviceParams, file reflect.Value) error {
+	f.Set(p, *fileValue[float64](file))
+	return nil
+}
+func (f usec) Get(p *DeviceParams) float64    { return float64(*f(p)) / float64(time.Microsecond) }
+func (f usec) Set(p *DeviceParams, v float64) { *f(p) = time.Duration(math.Round(v * 1000)) }
+
+// boolean stores a bool; its grid value is 1 for true and 0 for false.
+type boolean func(*DeviceParams) *bool
+
+func (f boolean) fileType() reflect.Type                     { return reflect.TypeFor[bool]() }
+func (f boolean) encode(p *DeviceParams, file reflect.Value) { *fileValue[bool](file) = *f(p) }
+func (f boolean) decode(p *DeviceParams, file reflect.Value) error {
+	*f(p) = *fileValue[bool](file)
+	return nil
+}
+func (f boolean) Get(p *DeviceParams) float64 {
+	if *f(p) {
+		return 1
+	}
+	return 0
+}
+func (f boolean) Set(p *DeviceParams, v float64) { *f(p) = v >= 0.5 }
+
+// enum stores a registry enum: its registry name (the type's String) in
+// the file, its registry index as a grid value.
+type enum[T ~uint8] struct {
+	parse func(string) (T, error)
+	at    func(*DeviceParams) *T
+}
+
+func registry[T ~uint8](parse func(string) (T, error), at func(*DeviceParams) *T) unit {
+	return enum[T]{parse, at}
+}
+
+func (f enum[T]) fileType() reflect.Type { return reflect.TypeFor[string]() }
+func (f enum[T]) encode(p *DeviceParams, file reflect.Value) {
+	*fileValue[string](file) = fmt.Sprint(*f.at(p))
+}
+func (f enum[T]) decode(p *DeviceParams, file reflect.Value) (err error) {
+	*f.at(p), err = f.parse(*fileValue[string](file))
+	return err
+}
+func (f enum[T]) Get(p *DeviceParams) float64    { return float64(*f.at(p)) }
+func (f enum[T]) Set(p *DeviceParams, v float64) { *f.at(p) = T(v) }

@@ -10,7 +10,6 @@ package ssdconf
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"autoblox/internal/ssd"
 )
@@ -60,7 +59,10 @@ type Param struct {
 	// constraint binds.
 	Layout bool
 
-	field field // nil for a parameter with no device field
+	// field is the device field the parameter sets, named by its device-
+	// file key; its grid values are in the field's file units. nil for a
+	// parameter with no device field.
+	field *ssd.Field
 }
 
 // Stride is the grid-index step one SGD move takes on this parameter:
@@ -184,98 +186,98 @@ func newSpace(cons Constraints, whatIf bool) *Space {
 	params := []Param{
 		// --- Chip layout (6) + page size.
 		{Name: "FlashChannelCount", Kind: Discrete, Tunable: true, Layout: true, Values: channels,
-			field: plain(func(d *device) *int { return &d.Channels })},
+			field: ssd.FieldOf("channels")},
 		{Name: "ChipNoPerChannel", Kind: Discrete, Tunable: true, Layout: true, Values: chips,
-			field: plain(func(d *device) *int { return &d.ChipsPerChannel })},
+			field: ssd.FieldOf("chips_per_channel")},
 		{Name: "DieNoPerChip", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{1, 2, 4, 8},
-			field: plain(func(d *device) *int { return &d.DiesPerChip })},
+			field: ssd.FieldOf("dies_per_chip")},
 		{Name: "PlaneNoPerDie", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{1, 2, 3, 4, 8, 16},
-			field: plain(func(d *device) *int { return &d.PlanesPerDie })},
+			field: ssd.FieldOf("planes_per_die")},
 		{Name: "BlockNoPerPlane", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{128, 256, 512, 1024, 2048},
-			field: plain(func(d *device) *int { return &d.BlocksPerPlane })},
+			field: ssd.FieldOf("blocks_per_plane")},
 		{Name: "PageNoPerBlock", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{64, 128, 256, 384, 512, 768, 1024},
-			field: plain(func(d *device) *int { return &d.PagesPerBlock })},
+			field: ssd.FieldOf("pages_per_block")},
 		{Name: "PageCapacity", Kind: Discrete, Unit: "B", Tunable: true, Layout: true, Values: []float64{2048, 4096, 8192, 16384},
-			field: plain(func(d *device) *int { return &d.PageSizeBytes })},
+			field: ssd.FieldOf("page_size_bytes")},
 
 		// --- DRAM (continuous in the paper's sense).
 		{Name: "DataCacheSize", Kind: Continuous, Unit: "MB", Tunable: true, Values: dataCache,
-			field: shifted(20, func(d *device) *int64 { return &d.DataCacheBytes })},
+			field: ssd.FieldOf("data_cache_mb")},
 		{Name: "CMTCapacity", Kind: Continuous, Unit: "MB", Tunable: true, Values: cmt,
-			field: shifted(20, func(d *device) *int64 { return &d.CMTBytes })},
+			field: ssd.FieldOf("cmt_mb")},
 
 		// --- Channel and flash timing.
 		{Name: "ChannelWidth", Kind: Discrete, Unit: "bit", Tunable: whatIf, Values: []float64{8, 16, 32},
-			field: plain(func(d *device) *int { return &d.ChannelWidthBit })},
+			field: ssd.FieldOf("channel_width_bit")},
 		{Name: "ChannelTransferRate", Kind: Discrete, Unit: "MT/s", Tunable: whatIf, Values: rate,
-			field: plain(func(d *device) *float64 { return &d.ChannelMTps })},
+			field: ssd.FieldOf("channel_mtps")},
 		{Name: "PageReadLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: read,
-			field: micros(func(d *device) *time.Duration { return &d.ReadLatency })},
+			field: ssd.FieldOf("read_latency_us")},
 		{Name: "PageProgramLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: prog,
-			field: micros(func(d *device) *time.Duration { return &d.ProgramLatency })},
+			field: ssd.FieldOf("program_latency_us")},
 		{Name: "BlockEraseLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: erase,
-			field: micros(func(d *device) *time.Duration { return &d.EraseLatency })},
+			field: ssd.FieldOf("erase_latency_us")},
 		{Name: "SuspendProgramTime", Kind: Discrete, Unit: "us", Tunable: true, Values: []float64{10, 25, 50, 100},
-			field: micros(func(d *device) *time.Duration { return &d.SuspendProgram })},
+			field: ssd.FieldOf("suspend_program_us")},
 		{Name: "SuspendEraseTime", Kind: Discrete, Unit: "us", Tunable: true, Values: []float64{25, 50, 100, 200},
-			field: micros(func(d *device) *time.Duration { return &d.SuspendErase })},
+			field: ssd.FieldOf("suspend_erase_us")},
 
 		// --- Host interface.
 		{Name: "QueueDepth", Kind: Discrete, Tunable: true, Values: []float64{1, 2, 4, 8, 16, 32, 64, 128, 256},
-			field: plain(func(d *device) *int { return &d.QueueDepth })},
+			field: ssd.FieldOf("queue_depth")},
 		{Name: "QueueCount", Kind: Discrete, Tunable: true, Values: []float64{1, 2, 4, 8, 16},
-			field: plain(func(d *device) *int { return &d.QueueCount })},
+			field: ssd.FieldOf("queue_count")},
 		{Name: "PCIeLanes", Kind: Discrete, Tunable: true, Values: pcieLanes,
-			field: plain(func(d *device) *int { return &d.PCIeLanes })},
+			field: ssd.FieldOf("pcie_lanes")},
 		{Name: "PCIeLaneBandwidth", Kind: Discrete, Unit: "MB/s", Tunable: whatIf, Values: []float64{250, 500, 985, 1969},
-			field: plain(func(d *device) *float64 { return &d.PCIeLaneMBps })},
+			field: ssd.FieldOf("pcie_lane_mbps")},
 
 		// --- FTL and policies.
 		{Name: "OverprovisioningRatio", Kind: Continuous, Tunable: true, Values: []float64{0.03, 0.05, 0.07, 0.10, 0.15, 0.20, 0.28},
-			field: plain(func(d *device) *float64 { return &d.OverprovisionRatio })},
+			field: ssd.FieldOf("overprovision_ratio")},
 		{Name: "GCThreshold", Kind: Continuous, Unit: "%", Tunable: true, Values: []float64{2, 5, 10, 15, 20},
-			field: plain(func(d *device) *float64 { return &d.GCThresholdPct })},
+			field: ssd.FieldOf("gc_threshold_pct")},
 		{Name: "StaticWearlevelingThreshold", Kind: Discrete, Tunable: true, Values: []float64{25, 50, 100, 200, 400},
-			field: plain(func(d *device) *int { return &d.WearLevelingThresh })},
+			field: ssd.FieldOf("wear_leveling_threshold")},
 		{Name: "PageMetadataCapacity", Kind: Discrete, Unit: "B", Tunable: true, Values: []float64{128, 224, 448, 896},
-			field: plain(func(d *device) *int { return &d.PageMetadataBytes })},
+			field: ssd.FieldOf("page_metadata_bytes")},
 		{Name: "ZoneSize", Kind: Discrete, Unit: "MB", Tunable: true, Values: []float64{64, 128, 256, 512, 1024},
-			field: plain(func(d *device) *int { return &d.ZoneSizeMB })},
+			field: ssd.FieldOf("zone_size_mb")},
 		{Name: "MaxOpenZones", Kind: Discrete, Tunable: true, Values: []float64{2, 4, 8, 16, 32},
-			field: plain(func(d *device) *int { return &d.MaxOpenZones })},
+			field: ssd.FieldOf("max_open_zones")},
 		{Name: "WriteStreams", Kind: Discrete, Tunable: true, Values: []float64{2, 4, 8, 16},
-			field: plain(func(d *device) *int { return &d.WriteStreams })},
+			field: ssd.FieldOf("write_streams")},
 		{Name: "BadBlockRatio", Kind: Continuous, Unit: "%", Tunable: true, Values: []float64{0.1, 0.5, 1, 2},
-			field: plain(func(d *device) *float64 { return &d.BadBlockPct })},
+			field: ssd.FieldOf("bad_block_pct")},
 		{Name: "ReadRetryLimit", Kind: Discrete, Tunable: true, Values: []float64{1, 2, 3, 5, 8},
-			field: plain(func(d *device) *int { return &d.ReadRetryLimit })},
+			field: ssd.FieldOf("read_retry_limit")},
 		{Name: "CacheLineSize", Kind: Discrete, Unit: "KB", Tunable: true, Values: []float64{4, 8, 16, 32},
-			field: shifted(10, func(d *device) *int { return &d.CacheLineBytes })},
+			field: ssd.FieldOf("cache_line_kb")},
 		{Name: "CMTEntrySize", Kind: Discrete, Unit: "B", Tunable: true, Values: []float64{4, 8, 16},
-			field: plain(func(d *device) *int { return &d.CMTEntryBytes })},
+			field: ssd.FieldOf("cmt_entry_bytes")},
 		{Name: "MappingGranularity", Kind: Discrete, Unit: "pages", Tunable: true, Values: []float64{1, 2, 4, 8},
-			field: plain(func(d *device) *int { return &d.MappingGranularity })},
+			field: ssd.FieldOf("mapping_granularity")},
 		{Name: "WriteBufferFlushThreshold", Kind: Continuous, Unit: "%", Tunable: true, Values: []float64{50, 60, 70, 80, 90},
-			field: plain(func(d *device) *float64 { return &d.WriteBufferFlushPct })},
+			field: ssd.FieldOf("write_buffer_flush_pct")},
 		{Name: "ControllerClock", Kind: Discrete, Unit: "MHz", Tunable: true, Values: []float64{200, 300, 400, 500, 667, 800},
-			field: plain(func(d *device) *int { return &d.ControllerMHz })},
+			field: ssd.FieldOf("controller_mhz")},
 		{Name: "DRAMFrequency", Kind: Discrete, Unit: "MHz", Tunable: true, Values: []float64{400, 533, 667, 800, 1066, 1200},
-			field: plain(func(d *device) *int { return &d.DRAMMHz })},
+			field: ssd.FieldOf("dram_mhz")},
 		{Name: "DRAMBusWidth", Kind: Discrete, Unit: "bit", Tunable: true, Values: []float64{16, 32, 64},
-			field: plain(func(d *device) *int { return &d.DRAMBusBits })},
+			field: ssd.FieldOf("dram_bus_bits")},
 		{Name: "ECCLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: []float64{2, 4, 8, 16},
-			field: micros(func(d *device) *time.Duration { return &d.ECCLatency })},
+			field: ssd.FieldOf("ecc_latency_us")},
 		{Name: "FirmwareOverhead", Kind: Discrete, Unit: "us", Tunable: true, Values: []float64{1, 2, 3, 5, 8},
-			field: micros(func(d *device) *time.Duration { return &d.FirmwareOverhead })},
+			field: ssd.FieldOf("firmware_overhead_us")},
 
 		// --- Booleans.
-		boolParam("StaticWearleveling", func(d *device) *bool { return &d.StaticWearLeveling }),
-		boolParam("DynamicWearleveling", func(d *device) *bool { return &d.DynamicWearLeveling }),
-		boolParam("CopybackEnabled", func(d *device) *bool { return &d.CopybackEnabled }),
-		boolParam("SuspendEnabled", func(d *device) *bool { return &d.SuspendEnabled }),
-		boolParam("ReadCacheEnabled", func(d *device) *bool { return &d.ReadCacheEnabled }),
-		boolParam("IOMergingEnabled", func(d *device) *bool { return &d.IOMergingEnabled }),
-		boolParam("TransactionSchedOOO", func(d *device) *bool { return &d.TransactionSchedOOO }),
+		boolParam("StaticWearleveling", "static_wear_leveling"),
+		boolParam("DynamicWearleveling", "dynamic_wear_leveling"),
+		boolParam("CopybackEnabled", "copyback_enabled"),
+		boolParam("SuspendEnabled", "suspend_enabled"),
+		boolParam("ReadCacheEnabled", "read_cache_enabled"),
+		boolParam("IOMergingEnabled", "io_merging_enabled"),
+		boolParam("TransactionSchedOOO", "transaction_sched_ooo"),
 		// No device field: the simulator models no compression, so
 		// ToDevice ignores this parameter and FromDevice leaves it at 0.
 		{Name: "CompressionEnabled", Kind: Boolean, Tunable: true, Values: []float64{0, 1}},
@@ -283,20 +285,14 @@ func newSpace(cons Constraints, whatIf bool) *Space {
 		// --- Categoricals. Grid values and labels derive from the policy
 		// registry in internal/ssd, so a policy added there shows up here
 		// (and in CLI help, JSON, and the tuner) without further edits.
-		catParam("PlaneAllocationScheme", ssd.AllocSchemeNames(), true,
-			func(d *device) *ssd.AllocScheme { return &d.PlaneAllocScheme }),
-		catParam("CachePolicy", ssd.CachePolicyNames(), true,
-			func(d *device) *ssd.CachePolicy { return &d.CachePolicy }),
-		catParam("GCPolicy", ssd.GCPolicyNames(), true,
-			func(d *device) *ssd.GCPolicy { return &d.GCPolicy }),
-		catParam("HostInterfaceModel", ssd.HostIfcNames(), true,
-			func(d *device) *ssd.HostIfc { return &d.HostIfcModel }),
+		catParam("PlaneAllocationScheme", ssd.AllocSchemeNames(), true, "plane_alloc_scheme"),
+		catParam("CachePolicy", ssd.CachePolicyNames(), true, "cache_policy"),
+		catParam("GCPolicy", ssd.GCPolicyNames(), true, "gc_policy"),
+		catParam("HostInterfaceModel", ssd.HostIfcNames(), true, "host_ifc"),
 
 		// --- Constrained (non-tunable) categoricals.
-		catParam("Interface", ssd.InterfaceNames(), false,
-			func(d *device) *ssd.Interface { return &d.HostInterface }),
-		catParam("FlashType", ssd.FlashTypeNames(), false,
-			func(d *device) *ssd.FlashType { return &d.FlashType }),
+		catParam("Interface", ssd.InterfaceNames(), false, "interface"),
+		catParam("FlashType", ssd.FlashTypeNames(), false, "flash_type"),
 	}
 
 	s := &Space{Params: params, Cons: cons, index: make(map[string]int, len(params))}
@@ -306,74 +302,18 @@ func newSpace(cons Constraints, whatIf bool) *Space {
 	return s
 }
 
-func boolParam(name string, at func(*device) *bool) Param {
-	return Param{Name: name, Kind: Boolean, Tunable: true, Values: []float64{0, 1}, field: flag(at)}
+func boolParam(name, key string) Param {
+	return Param{Name: name, Kind: Boolean, Tunable: true, Values: []float64{0, 1}, field: ssd.FieldOf(key)}
 }
 
 // catParam builds a categorical parameter whose grid indices are the
 // registry wire values 0..n-1 and whose labels are the registry names.
-func catParam[T ~uint8](name string, labels []string, tunable bool, at func(*device) *T) Param {
+func catParam(name string, labels []string, tunable bool, key string) Param {
 	values := make([]float64, len(labels))
 	for i := range values {
 		values[i] = float64(i)
 	}
-	return Param{Name: name, Kind: Categorical, Tunable: tunable, Values: values, Labels: labels, field: plain(at)}
-}
-
-// device is the simulator configuration a parameter's field points into.
-type device = ssd.DeviceParams
-
-// A field maps one parameter's grid value onto its device field (set)
-// and reads it back in grid units (get). Each implementation wraps one
-// accessor that returns a pointer to the field, so every parameter names
-// its field and unit once and ToDevice and FromDevice cannot disagree.
-type field interface {
-	set(d *device, v float64)
-	get(d *device) float64
-}
-
-// number is the field types a grid value converts to directly.
-type number interface {
-	~uint8 | ~int | ~int64 | ~float64
-}
-
-// plainField holds the grid value as is; integer fields truncate it.
-type plainField[T number] func(*device) *T
-
-func plain[T number](at func(*device) *T) field { return plainField[T](at) }
-
-func (f plainField[T]) set(d *device, v float64) { *f(d) = T(v) }
-func (f plainField[T]) get(d *device) float64    { return float64(*f(d)) }
-
-// shiftField holds a grid value counted in units of 1<<shift bytes
-// (10 for KB, 20 for MB).
-type shiftField[T ~int | ~int64] struct {
-	shift uint
-	at    func(*device) *T
-}
-
-func shifted[T ~int | ~int64](shift uint, at func(*device) *T) field {
-	return shiftField[T]{shift, at}
-}
-
-func (f shiftField[T]) set(d *device, v float64) { *f.at(d) = T(v) << f.shift }
-func (f shiftField[T]) get(d *device) float64    { return float64(*f.at(d) >> f.shift) }
-
-// micros holds a grid value in microseconds as a duration.
-type micros func(*device) *time.Duration
-
-func (f micros) set(d *device, v float64) { *f(d) = time.Duration(v * float64(time.Microsecond)) }
-func (f micros) get(d *device) float64    { return float64(*f(d)) / float64(time.Microsecond) }
-
-// flag holds grid value 1 as true and 0 as false.
-type flag func(*device) *bool
-
-func (f flag) set(d *device, v float64) { *f(d) = v >= 0.5 }
-func (f flag) get(d *device) float64 {
-	if *f(d) {
-		return 1
-	}
-	return 0
+	return Param{Name: name, Kind: Categorical, Tunable: tunable, Values: values, Labels: labels, field: ssd.FieldOf(key)}
 }
 
 // NumParams returns the parameter count (52).
@@ -428,7 +368,7 @@ func (s *Space) FromDevice(d ssd.DeviceParams) Config {
 	cfg := make(Config, len(s.Params))
 	for i, p := range s.Params {
 		if p.field != nil {
-			cfg[i] = nearestIndex(p.Values, p.field.get(&d))
+			cfg[i] = nearestIndex(p.Values, p.field.Get(&d))
 		}
 	}
 	// Constrained parameters always follow the constraints.
@@ -442,7 +382,7 @@ func (s *Space) ToDevice(cfg Config) ssd.DeviceParams {
 	d := ssd.DefaultParams()
 	for i, p := range s.Params {
 		if p.field != nil {
-			p.field.set(&d, p.Values[cfg[i]])
+			p.field.Set(&d, p.Values[cfg[i]])
 		}
 	}
 	d.Faults = s.Faults
