@@ -121,10 +121,10 @@ func (c *commonFlags) constraints() (autoblox.Constraints, error) {
 	cons := autoblox.DefaultConstraints()
 	cons.CapacityBytes = int64(c.capacity) << 30
 	var err error
-	if cons.Interface, err = ssd.ParseInterface(registryName(c.iface, ssd.InterfaceNames())); err != nil {
+	if cons.Interface, err = ssd.ParseInterface(registryName(c.iface, ssd.FieldOf("interface").Labels())); err != nil {
 		return cons, fmt.Errorf("-iface: %w", err)
 	}
-	if cons.Flash, err = ssd.ParseFlashType(registryName(c.flash, ssd.FlashTypeNames())); err != nil {
+	if cons.Flash, err = ssd.ParseFlashType(registryName(c.flash, ssd.FieldOf("flash_type").Labels())); err != nil {
 		return cons, fmt.Errorf("-flash: %w", err)
 	}
 	cons.PowerBudgetWatts = c.power

@@ -11,7 +11,7 @@
 //	tracegen -workload WebSearch | ssdsim -config zssd -trace -
 //	ssdsim -config 850pro -workload Database -requests 20000
 //	ssdsim -config intel750 -trace huge-100GB.trace          # constant memory
-//	ssdsim -config intel750 -workload Database -faultrate 0.001 -faultdies 1
+//	ssdsim -config intel750 -workload Database -set fault_rate=0.001 -set fault_die_failures=1
 package main
 
 import (
@@ -46,21 +46,14 @@ func run() int {
 	cat := flag.String("workload", "", "generate a synthetic workload instead of reading a trace")
 	requests := flag.Int("requests", 20000, "requests when generating a workload")
 	seed := flag.Int64("seed", 42, "generator seed")
-	channels := flag.Int("channels", 0, "override channel count")
-	cacheMB := flag.Int("cache", 0, "override data cache size (MB)")
-	qd := flag.Int("qd", 0, "override queue depth")
-	gcPolicy := flag.String("gc", "", "override GC victim policy: "+ssd.DescribeGCPolicies())
-	cachePolicy := flag.String("cachepolicy", "", "override cache replacement policy: "+ssd.DescribeCachePolicies())
-	alloc := flag.String("alloc", "", "override plane allocation scheme: "+strings.Join(ssd.AllocSchemeNames(), ", "))
-	iface := flag.String("iface", "", "override host interface model: "+ssd.DescribeHostIfcs())
-	zoneMB := flag.Int("zones", 0, "override ZNS zone size (MB)")
-	openZones := flag.Int("openzones", 0, "override ZNS max open zones")
-	streams := flag.Int("streams", 0, "override multi-stream write stream count")
 	trimRatio := flag.Float64("trim", 0, "fraction of generated writes emitted as TRIMs (with -workload)")
 	genStreams := flag.Int("tagstreams", 0, "stamp generated requests with stream tags 1..N (with -workload)")
-	faultRate := flag.Float64("faultrate", 0, "per-operation fault probability for program/erase/read (0 = no injection)")
-	faultSeed := flag.Int64("faultseed", 1, "seed of the private fault RNG stream")
-	faultDies := flag.Int("faultdies", 0, "fail this many whole dies at initialization")
+	var sets []string
+	flag.Func("set", "set a device field, `key=value`, after -config loads the device (repeatable); keys and\n"+
+		"units are the device file's (MB, KB or µs where the key says so, enums by registry name):"+ssd.DescribeFields(), func(s string) error {
+		sets = append(sets, s)
+		return nil
+	})
 	jsonOut := flag.Bool("json", false, "print the report as JSON instead of text")
 	metrics := flag.String("metrics", "", "write simulator metrics to this file (.json = JSON snapshot, else Prometheus text)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -92,58 +85,20 @@ func run() int {
 			return 2
 		}
 	}
-	if *channels > 0 {
-		dev.Channels = *channels
-	}
-	if *cacheMB > 0 {
-		dev.DataCacheBytes = int64(*cacheMB) << 20
-	}
-	if *qd > 0 {
-		dev.QueueDepth = *qd
-	}
-	if *gcPolicy != "" {
-		pol, err := ssd.ParseGCPolicy(*gcPolicy)
-		if err != nil {
+	for _, s := range sets {
+		if err := ssd.SetField(&dev, s); err != nil {
 			fmt.Fprintln(os.Stderr, "ssdsim:", err)
 			return 2
 		}
-		dev.GCPolicy = pol
 	}
-	if *cachePolicy != "" {
-		pol, err := ssd.ParseCachePolicy(*cachePolicy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			return 2
-		}
-		dev.CachePolicy = pol
+	if err := dev.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "ssdsim:", err)
+		return 2
 	}
-	if *alloc != "" {
-		scheme, err := ssd.ParseAllocScheme(*alloc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			return 2
-		}
-		dev.PlaneAllocScheme = scheme
-	}
-	if *iface != "" {
-		m, err := ssd.ParseHostIfc(*iface)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			return 2
-		}
-		dev.HostIfcModel = m
-	}
-	if *zoneMB > 0 {
-		dev.ZoneSizeMB = *zoneMB
-	}
-	if *openZones > 0 {
-		dev.MaxOpenZones = *openZones
-	}
-	if *streams > 0 {
-		dev.WriteStreams = *streams
-	}
-	if *faultRate > 0 || *faultDies > 0 {
-		dev.Faults = ssd.FaultProfile{Rate: *faultRate, Seed: *faultSeed, DieFailures: *faultDies}
+	msr := strings.EqualFold(*format, "msr")
+	if !msr && !strings.EqualFold(*format, "blktrace") {
+		fmt.Fprintf(os.Stderr, "ssdsim: unknown -format %q (valid: blktrace, msr)\n", *format)
+		return 2
 	}
 
 	var src trace.Source
@@ -156,7 +111,7 @@ func run() int {
 			Requests: *requests, Seed: *seed, TrimRatio: *trimRatio, Streams: *genStreams,
 		})
 	case *tracePath != "":
-		src, file, cleanup, err = openTraceSource(*tracePath, *format)
+		src, file, cleanup, err = openTraceSource(*tracePath, msr)
 	default:
 		fmt.Fprintln(os.Stderr, "ssdsim: need -trace or -workload")
 		return 2
@@ -311,7 +266,7 @@ func printJSONReport(dev ssd.DeviceParams, res *ssd.Result) error {
 // simulator's warm-up and measured sweeps can rewind it. Blktrace files
 // stream straight from disk in constant memory. MSR traces use the
 // buffered parser, which also sorts out-of-order arrivals.
-func openTraceSource(path, format string) (src trace.Source, f *os.File, cleanup func(), err error) {
+func openTraceSource(path string, msr bool) (src trace.Source, f *os.File, cleanup func(), err error) {
 	name := filepath.Base(path)
 	if path == "-" {
 		name = "stdin"
@@ -324,7 +279,7 @@ func openTraceSource(path, format string) (src trace.Source, f *os.File, cleanup
 	if err != nil {
 		return nil, nil, func() {}, err
 	}
-	if strings.EqualFold(format, "msr") {
+	if msr {
 		tr, err := trace.ParseMSR(f)
 		if err != nil {
 			cleanup()

@@ -72,3 +72,36 @@ func TestConfigFileMatchesPreset(t *testing.T) {
 		t.Fatalf("-config <file> report differs from -config intel750:\n%s\n%s", file, preset)
 	}
 }
+
+// TestUsageErrorsExit2 runs ssdsim in a child process on bad flag
+// values: an unknown trace format, each kind of bad -set and a -set
+// that leaves the device invalid. Each must exit with status 2 and say
+// why on stderr.
+func TestUsageErrorsExit2(t *testing.T) {
+	if args := os.Getenv("SSDSIM_USAGE_ARGS"); args != "" {
+		os.Args = append([]string{"ssdsim"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "db.trace")
+	if err := os.WriteFile(path, []byte("0.000001 0 8 W\n0.000002 8 8 R\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ args, want string }{
+		{"-format\ncsv", `unknown -format "csv"`},
+		{"-set\nno_such_key=1", `"no_such_key"`},
+		{"-set\nchannels", `"channels": want key=value`},
+		{"-set\ngc_policy=nope", `"gc_policy": unknown gc policy "nope"`},
+		{"-set\nchannels=1.5", `"channels": want int`},
+		{"-set\nchannels=0", "Channels must be >= 1"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrorsExit2$")
+		cmd.Env = append(os.Environ(), "SSDSIM_USAGE_ARGS="+c.args+"\n-trace\n"+path)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), c.want) {
+			t.Errorf("ssdsim %q exited with %v, want status 2 and %s; output:\n%s",
+				strings.ReplaceAll(c.args, "\n", " "), err, c.want, out)
+		}
+	}
+}

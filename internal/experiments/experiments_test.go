@@ -198,6 +198,20 @@ func TestRunAllFiltered(t *testing.T) {
 	}
 }
 
+// TestRunAllRejectsUnknownID checks that an unknown id fails the whole
+// run before any experiment runs, and that the error names it and the
+// valid ids.
+func TestRunAllRejectsUnknownID(t *testing.T) {
+	var buf bytes.Buffer
+	err := RunAllCSV(&buf, tinyScale(), map[string]bool{"fig2": true, "tab99": true}, "")
+	if err == nil || !strings.Contains(err.Error(), `tab99`) || !strings.Contains(err.Error(), strings.Join(IDs(), ", ")) {
+		t.Fatalf("RunAllCSV(-only fig2,tab99) = %v, want an error naming tab99 and the valid ids", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("RunAllCSV ran experiments before rejecting tab99:\n%s", buf.String())
+	}
+}
+
 func TestIDsComplete(t *testing.T) {
 	ids := IDs()
 	want := []string{"fig2", "fig4", "fig5", "tab1", "tab4", "tab5", "tab6", "tab7",

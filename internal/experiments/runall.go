@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 
 	"autoblox/internal/ssd"
@@ -148,10 +150,21 @@ func Table7(scale Scale) ([]WhatIfRun, *Env, error) {
 }
 
 // RunAllCSV executes every experiment at the given scale, writing each
-// table/figure to w. `only` filters by experiment id (empty = all).
+// table/figure to w. `only` filters by experiment id (empty = all); an
+// id not in IDs is an error before anything runs.
 // When csvDir is non-empty, each artifact also writes its underlying
 // data as CSV for external plotting.
 func RunAllCSV(w io.Writer, scale Scale, only map[string]bool, csvDir string) error {
+	var unknown []string
+	for id := range only {
+		if !slices.Contains(IDs(), id) {
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return fmt.Errorf("unknown experiment id %s (valid: %s)", strings.Join(unknown, ", "), strings.Join(IDs(), ", "))
+	}
 	want := func(id string) bool { return len(only) == 0 || only[id] }
 	exportCSV := func(write func(string) error) error {
 		if csvDir == "" {

@@ -86,9 +86,6 @@ func ParseAllocScheme(s string) (AllocScheme, error) {
 	return AllocScheme(v), err
 }
 
-// AllocSchemeNames returns the scheme mnemonics in value order.
-func AllocSchemeNames() []string { return allocSchemes.allNames() }
-
 // planeID flattens a (channel, chip, die, plane) coordinate.
 type planeID int32
 

@@ -43,8 +43,6 @@ var cachePolicyTable = []policyEntry[cacheReplacementPolicy]{
 
 var cachePolicies = domainOf("cache policy", cachePolicyTable)
 
-func (c CachePolicy) valid() bool { return cachePolicies.valid(uint8(c)) }
-
 // String returns the policy's registry name.
 func (c CachePolicy) String() string { return cachePolicies.name(uint8(c)) }
 
@@ -53,12 +51,6 @@ func ParseCachePolicy(s string) (CachePolicy, error) {
 	v, err := cachePolicies.parse(s)
 	return CachePolicy(v), err
 }
-
-// CachePolicyNames returns the registered policy names in value order.
-func CachePolicyNames() []string { return cachePolicies.allNames() }
-
-// DescribeCachePolicies renders the registry as CLI flag help.
-func DescribeCachePolicies() string { return cachePolicies.describe() }
 
 // --- DRAM caches: the data cache and the cached mapping table. ---
 

@@ -191,7 +191,7 @@ func TestCachePoliciesAllWork(t *testing.T) {
 	tr := testTrace(workload.VDI, 5000)
 	// Iterate the registry, not a literal list, so a newly registered
 	// policy is exercised automatically.
-	for i := range CachePolicyNames() {
+	for i := range cachePolicies.allNames() {
 		pol := CachePolicy(i)
 		p := DefaultParams()
 		p.CachePolicy = pol

@@ -37,8 +37,6 @@ var gcPolicyTable = []policyEntry[gcVictimPolicy]{
 
 var gcPolicies = domainOf("gc policy", gcPolicyTable)
 
-func (g GCPolicy) valid() bool { return gcPolicies.valid(uint8(g)) }
-
 // String returns the policy's registry name.
 func (g GCPolicy) String() string { return gcPolicies.name(uint8(g)) }
 
@@ -47,12 +45,6 @@ func ParseGCPolicy(s string) (GCPolicy, error) {
 	v, err := gcPolicies.parse(s)
 	return GCPolicy(v), err
 }
-
-// GCPolicyNames returns the registered policy names in value order.
-func GCPolicyNames() []string { return gcPolicies.allNames() }
-
-// DescribeGCPolicies renders the registry as CLI flag help.
-func DescribeGCPolicies() string { return gcPolicies.describe() }
 
 // newGCVictimPolicy instantiates the device's configured policy; the
 // caller validates p first.

@@ -39,8 +39,6 @@ var hostIfcTable = []policyEntry[struct{}]{
 
 var hostIfcs = domainOf("host interface model", hostIfcTable)
 
-func (h HostIfc) valid() bool { return hostIfcs.valid(uint8(h)) }
-
 // String returns the model's registry name.
 func (h HostIfc) String() string { return hostIfcs.name(uint8(h)) }
 
@@ -49,12 +47,6 @@ func ParseHostIfc(s string) (HostIfc, error) {
 	v, err := hostIfcs.parse(s)
 	return HostIfc(v), err
 }
-
-// HostIfcNames returns the registered model names in value order.
-func HostIfcNames() []string { return hostIfcs.allNames() }
-
-// DescribeHostIfcs renders the registry as CLI flag help.
-func DescribeHostIfcs() string { return hostIfcs.describe() }
 
 // laneCount returns the number of per-plane write lanes the configured
 // model needs, clamped so every plane keeps enough non-active blocks

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,14 +11,14 @@ import (
 )
 
 func TestHostIfcRegistry(t *testing.T) {
-	names := HostIfcNames()
+	names := hostIfcs.allNames()
 	want := []string{"conventional", "zns", "multistream"}
 	if len(names) != len(want) {
-		t.Fatalf("HostIfcNames = %v, want %v", names, want)
+		t.Fatalf("host_ifc names = %v, want %v", names, want)
 	}
 	for i, n := range want {
 		if names[i] != n {
-			t.Fatalf("HostIfcNames[%d] = %q, want %q", i, names[i], n)
+			t.Fatalf("host_ifc name %d = %q, want %q", i, names[i], n)
 		}
 		got, err := ParseHostIfc(n)
 		if err != nil {
@@ -30,8 +31,8 @@ func TestHostIfcRegistry(t *testing.T) {
 	if _, err := ParseHostIfc("open-channel"); err == nil {
 		t.Fatal("ParseHostIfc accepted an unknown model")
 	}
-	if DescribeHostIfcs() == "" {
-		t.Fatal("DescribeHostIfcs is empty")
+	if help := DescribeFields(); !strings.Contains(help, "host_ifc: conventional (") {
+		t.Fatalf("DescribeFields() does not describe host_ifc:\n%s", help)
 	}
 }
 

@@ -101,13 +101,13 @@ func eraseCounts(f *ftl) [][]int32 {
 func sweepPolicyMatrix(t *testing.T, faults FaultProfile, tweak func(*DeviceParams)) {
 	tr := workload.MustGenerate(workload.FIU,
 		workload.Options{Requests: 2500, Seed: 11, TrimRatio: 0.08, Streams: 3})
-	schemes := AllocSchemeNames()
+	schemes := allocSchemes.allNames()
 	if testing.Short() {
 		schemes = schemes[:4] // 144 combinations instead of 576
 	}
-	for ii := range HostIfcNames() {
-		for gi := range GCPolicyNames() {
-			for ci := range CachePolicyNames() {
+	for ii := range hostIfcs.allNames() {
+		for gi := range gcPolicies.allNames() {
+			for ci := range cachePolicies.allNames() {
 				for si := range schemes {
 					p := smallDevice()
 					p.HostIfcModel = HostIfc(ii)

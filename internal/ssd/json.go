@@ -2,19 +2,23 @@ package ssd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 )
 
 // The device file is DeviceParams as JSON, with durations in
 // microseconds and DRAM sizes in MB or KB, as the paper and SSD spec
 // sheets quote them, and policies by registry name. cmd/ssdsim loads
-// custom devices from it. deviceFields is its one definition, and
-// ssdconf's search space reads the same rows.
+// custom devices from it and sets single fields by the same keys
+// (SetField). deviceFields is its one definition, and ssdconf's search
+// space reads the same rows.
 
 // A Field is one DeviceParams leaf field as the device file and the
 // search space see it. Its Get and Set read and write the field in file
@@ -55,7 +59,7 @@ var deviceFields = []Field{
 	{key: "pages_per_block", unit: num(func(p *DeviceParams) *int { return &p.PagesPerBlock })},
 	{key: "page_size_bytes", unit: num(func(p *DeviceParams) *int { return &p.PageSizeBytes })},
 
-	{key: "flash_type", lenient: true, unit: registry(ParseFlashType, func(p *DeviceParams) *FlashType { return &p.FlashType })},
+	{key: "flash_type", lenient: true, unit: registry(flashTypes, func(p *DeviceParams) *FlashType { return &p.FlashType })},
 	{key: "read_latency_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.ReadLatency })},
 	{key: "program_latency_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.ProgramLatency })},
 	{key: "erase_latency_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.EraseLatency })},
@@ -70,7 +74,7 @@ var deviceFields = []Field{
 	{key: "cmt_entry_bytes", unit: num(func(p *DeviceParams) *int { return &p.CMTEntryBytes })},
 	{key: "mapping_granularity", unit: num(func(p *DeviceParams) *int { return &p.MappingGranularity })},
 	{key: "cache_line_kb", unit: shift(10, func(p *DeviceParams) *int { return &p.CacheLineBytes })},
-	{key: "cache_policy", lenient: true, unit: registry(ParseCachePolicy, func(p *DeviceParams) *CachePolicy { return &p.CachePolicy })},
+	{key: "cache_policy", lenient: true, unit: registry(cachePolicies, func(p *DeviceParams) *CachePolicy { return &p.CachePolicy })},
 	{key: "read_cache_enabled", unit: boolean(func(p *DeviceParams) *bool { return &p.ReadCacheEnabled })},
 	{key: "controller_mhz", unit: num(func(p *DeviceParams) *int { return &p.ControllerMHz })},
 	{key: "dram_mhz", unit: num(func(p *DeviceParams) *int { return &p.DRAMMHz })},
@@ -78,8 +82,8 @@ var deviceFields = []Field{
 	{key: "ecc_latency_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.ECCLatency })},
 	{key: "firmware_overhead_us", unit: usec(func(p *DeviceParams) *time.Duration { return &p.FirmwareOverhead })},
 
-	{key: "interface", lenient: true, unit: registry(ParseInterface, func(p *DeviceParams) *Interface { return &p.HostInterface })},
-	{key: "host_ifc", omitEmpty: true, lenient: true, unit: registry(ParseHostIfc, func(p *DeviceParams) *HostIfc { return &p.HostIfcModel })},
+	{key: "interface", lenient: true, unit: registry(interfaces, func(p *DeviceParams) *Interface { return &p.HostInterface })},
+	{key: "host_ifc", omitEmpty: true, lenient: true, unit: registry(hostIfcs, func(p *DeviceParams) *HostIfc { return &p.HostIfcModel })},
 	{key: "zone_size_mb", omitEmpty: true, lenient: true, unit: num(func(p *DeviceParams) *int { return &p.ZoneSizeMB })},
 	{key: "max_open_zones", omitEmpty: true, lenient: true, unit: num(func(p *DeviceParams) *int { return &p.MaxOpenZones })},
 	{key: "write_streams", omitEmpty: true, lenient: true, unit: num(func(p *DeviceParams) *int { return &p.WriteStreams })},
@@ -90,12 +94,12 @@ var deviceFields = []Field{
 
 	{key: "overprovision_ratio", unit: num(func(p *DeviceParams) *float64 { return &p.OverprovisionRatio })},
 	{key: "gc_threshold_pct", unit: num(func(p *DeviceParams) *float64 { return &p.GCThresholdPct })},
-	{key: "gc_policy", lenient: true, unit: registry(ParseGCPolicy, func(p *DeviceParams) *GCPolicy { return &p.GCPolicy })},
+	{key: "gc_policy", lenient: true, unit: registry(gcPolicies, func(p *DeviceParams) *GCPolicy { return &p.GCPolicy })},
 	{key: "copyback_enabled", unit: boolean(func(p *DeviceParams) *bool { return &p.CopybackEnabled })},
 	{key: "static_wear_leveling", unit: boolean(func(p *DeviceParams) *bool { return &p.StaticWearLeveling })},
 	{key: "wear_leveling_threshold", unit: num(func(p *DeviceParams) *int { return &p.WearLevelingThresh })},
 	{key: "dynamic_wear_leveling", unit: boolean(func(p *DeviceParams) *bool { return &p.DynamicWearLeveling })},
-	{key: "plane_alloc_scheme", lenient: true, unit: registry(ParseAllocScheme, func(p *DeviceParams) *AllocScheme { return &p.PlaneAllocScheme })},
+	{key: "plane_alloc_scheme", lenient: true, unit: registry(allocSchemes, func(p *DeviceParams) *AllocScheme { return &p.PlaneAllocScheme })},
 	{key: "write_buffer_flush_pct", unit: num(func(p *DeviceParams) *float64 { return &p.WriteBufferFlushPct })},
 	{key: "page_metadata_bytes", unit: num(func(p *DeviceParams) *int { return &p.PageMetadataBytes })},
 	{key: "bad_block_pct", unit: num(func(p *DeviceParams) *float64 { return &p.BadBlockPct })},
@@ -118,6 +122,69 @@ func FieldOf(key string) *Field {
 		}
 	}
 	panic("ssd: no device field " + strconv.Quote(key))
+}
+
+// enumUnit is the unit of a registry enum field.
+type enumUnit interface{ domain() *policyDomain }
+
+// Labels returns a registry enum's names in value order, and nil for
+// any other field.
+func (f *Field) Labels() []string {
+	if e, ok := f.unit.(enumUnit); ok {
+		return e.domain().allNames()
+	}
+	return nil
+}
+
+// A FieldError is a "key=value" assignment SetField cannot apply.
+type FieldError struct {
+	Key string // the whole assignment when it has no '='
+	Err error
+}
+
+func (e *FieldError) Error() string {
+	return "ssd: device field " + strconv.Quote(e.Key) + ": " + strings.TrimPrefix(e.Err.Error(), "ssd: ")
+}
+
+// SetField applies one "key=value" assignment to p: a device-file key
+// and its file value, decoded by the field's unit as a device file is,
+// except that a zero value is kept rather than defaulted. p is not
+// validated, and is unchanged on error.
+func SetField(p *DeviceParams, assignment string) error {
+	key, text, ok := strings.Cut(assignment, "=")
+	if !ok {
+		return &FieldError{assignment, errors.New("want key=value")}
+	}
+	i := slices.IndexFunc(deviceFields, func(f Field) bool { return f.key == key })
+	if i < 0 {
+		return &FieldError{key, errors.New("no such device-file key")}
+	}
+	file := reflect.New(deviceFields[i].fileType()).Elem()
+	if file.Kind() == reflect.String {
+		file.SetString(text)
+	} else if json.Unmarshal([]byte(text), file.Addr().Interface()) != nil {
+		return &FieldError{key, fmt.Errorf("want %s, got %q", file.Type(), text)}
+	}
+	q := *p
+	if err := deviceFields[i].decode(&q, file); err != nil {
+		return &FieldError{key, err}
+	}
+	*p = q
+	return nil
+}
+
+// DescribeFields renders the device-file keys as CLI help, one per
+// line in file order, each enum with its registry names and their
+// one-line descriptions.
+func DescribeFields() string {
+	var b strings.Builder
+	for _, f := range deviceFields {
+		b.WriteString("\n" + f.key)
+		if e, ok := f.unit.(enumUnit); ok {
+			b.WriteString(": " + e.domain().describe())
+		}
+	}
+	return b.String()
 }
 
 // fileSchema is the device file's struct type, built from the table so
@@ -258,20 +325,20 @@ func (f boolean) Set(p *DeviceParams, v float64) { *f(p) = v >= 0.5 }
 // enum stores a registry enum: its registry name (the type's String) in
 // the file, its registry index as a grid value.
 type enum[T ~uint8] struct {
-	parse func(string) (T, error)
-	at    func(*DeviceParams) *T
+	d  *policyDomain
+	at func(*DeviceParams) *T
 }
 
-func registry[T ~uint8](parse func(string) (T, error), at func(*DeviceParams) *T) unit {
-	return enum[T]{parse, at}
-}
+func registry[T ~uint8](d *policyDomain, at func(*DeviceParams) *T) unit { return enum[T]{d, at} }
 
+func (f enum[T]) domain() *policyDomain  { return f.d }
 func (f enum[T]) fileType() reflect.Type { return reflect.TypeFor[string]() }
 func (f enum[T]) encode(p *DeviceParams, file reflect.Value) {
 	*fileValue[string](file) = fmt.Sprint(*f.at(p))
 }
-func (f enum[T]) decode(p *DeviceParams, file reflect.Value) (err error) {
-	*f.at(p), err = f.parse(*fileValue[string](file))
+func (f enum[T]) decode(p *DeviceParams, file reflect.Value) error {
+	v, err := f.d.parse(*fileValue[string](file))
+	*f.at(p) = T(v)
 	return err
 }
 func (f enum[T]) Get(p *DeviceParams) float64    { return float64(*f.at(p)) }

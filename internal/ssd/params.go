@@ -37,8 +37,6 @@ var interfaceTable = []policyEntry[struct{}]{
 
 var interfaces = domainOf("interface", interfaceTable)
 
-func (i Interface) valid() bool { return interfaces.valid(uint8(i)) }
-
 func (i Interface) String() string { return interfaces.name(uint8(i)) }
 
 // ParseInterface resolves a registry name like "NVMe".
@@ -46,9 +44,6 @@ func ParseInterface(s string) (Interface, error) {
 	v, err := interfaces.parse(s)
 	return Interface(v), err
 }
-
-// InterfaceNames returns the interface labels in value order.
-func InterfaceNames() []string { return interfaces.allNames() }
 
 // FlashType selects the NAND cell technology.
 type FlashType uint8
@@ -71,8 +66,6 @@ var flashTypeTable = []policyEntry[struct{}]{
 
 var flashTypes = domainOf("flash type", flashTypeTable)
 
-func (f FlashType) valid() bool { return flashTypes.valid(uint8(f)) }
-
 func (f FlashType) String() string { return flashTypes.name(uint8(f)) }
 
 // ParseFlashType resolves a registry name like "MLC".
@@ -80,9 +73,6 @@ func ParseFlashType(s string) (FlashType, error) {
 	v, err := flashTypes.parse(s)
 	return FlashType(v), err
 }
-
-// FlashTypeNames returns the flash-type labels in value order.
-func FlashTypeNames() []string { return flashTypes.allNames() }
 
 // DeviceParams is a fully resolved SSD hardware configuration — the
 // simulator's input. ssdconf builds these from the tunable parameter
@@ -252,23 +242,10 @@ func (p *DeviceParams) Validate() error {
 		}
 	}
 	// Every registry-backed enum must name a registered policy.
-	if !p.PlaneAllocScheme.valid() {
-		return fmt.Errorf("ssd: invalid plane allocation scheme %d", p.PlaneAllocScheme)
-	}
-	if !p.GCPolicy.valid() {
-		return fmt.Errorf("ssd: invalid gc policy %d", p.GCPolicy)
-	}
-	if !p.CachePolicy.valid() {
-		return fmt.Errorf("ssd: invalid cache policy %d", p.CachePolicy)
-	}
-	if !p.HostInterface.valid() {
-		return fmt.Errorf("ssd: invalid host interface %d", p.HostInterface)
-	}
-	if !p.HostIfcModel.valid() {
-		return fmt.Errorf("ssd: invalid host interface model %d", p.HostIfcModel)
-	}
-	if !p.FlashType.valid() {
-		return fmt.Errorf("ssd: invalid flash type %d", p.FlashType)
+	for _, f := range deviceFields {
+		if e, ok := f.unit.(enumUnit); ok && !e.domain().valid(uint8(f.Get(p))) {
+			return fmt.Errorf("ssd: invalid %s %d", e.domain().label, int(f.Get(p)))
+		}
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 // registry, expose unique names, and reject unknown names with an error
 // (never a silent default).
 func TestPolicyRegistryRoundTrips(t *testing.T) {
-	for i, name := range GCPolicyNames() {
+	for i, name := range gcPolicies.allNames() {
 		v, err := ParseGCPolicy(name)
 		if err != nil || v != GCPolicy(i) {
 			t.Fatalf("ParseGCPolicy(%q) = %v, %v; want %d", name, v, err, i)
@@ -22,7 +22,7 @@ func TestPolicyRegistryRoundTrips(t *testing.T) {
 			t.Fatalf("GCPolicy(%d).String() = %q, want %q", i, GCPolicy(i).String(), name)
 		}
 	}
-	for i, name := range CachePolicyNames() {
+	for i, name := range cachePolicies.allNames() {
 		v, err := ParseCachePolicy(name)
 		if err != nil || v != CachePolicy(i) {
 			t.Fatalf("ParseCachePolicy(%q) = %v, %v; want %d", name, v, err, i)
@@ -31,25 +31,25 @@ func TestPolicyRegistryRoundTrips(t *testing.T) {
 			t.Fatalf("CachePolicy(%d).String() = %q, want %q", i, CachePolicy(i).String(), name)
 		}
 	}
-	for i, name := range AllocSchemeNames() {
+	for i, name := range allocSchemes.allNames() {
 		v, err := ParseAllocScheme(name)
 		if err != nil || v != AllocScheme(i) {
 			t.Fatalf("ParseAllocScheme(%q) = %v, %v; want %d", name, v, err, i)
 		}
 	}
-	for i, name := range InterfaceNames() {
+	for i, name := range interfaces.allNames() {
 		v, err := ParseInterface(name)
 		if err != nil || v != Interface(i) {
 			t.Fatalf("ParseInterface(%q) = %v, %v; want %d", name, v, err, i)
 		}
 	}
-	for i, name := range FlashTypeNames() {
+	for i, name := range flashTypes.allNames() {
 		v, err := ParseFlashType(name)
 		if err != nil || v != FlashType(i) {
 			t.Fatalf("ParseFlashType(%q) = %v, %v; want %d", name, v, err, i)
 		}
 	}
-	for _, lists := range [][]string{GCPolicyNames(), CachePolicyNames(), AllocSchemeNames(), InterfaceNames(), FlashTypeNames(), HostIfcNames()} {
+	for _, lists := range [][]string{gcPolicies.allNames(), cachePolicies.allNames(), allocSchemes.allNames(), interfaces.allNames(), flashTypes.allNames(), hostIfcs.allNames()} {
 		// A domain's wire value is a uint8 row index.
 		if len(lists) < 1 || len(lists) > 256 {
 			t.Fatalf("registry table has %d rows, want 1-256: %v", len(lists), lists)
@@ -76,16 +76,11 @@ func TestPolicyRegistryRoundTrips(t *testing.T) {
 }
 
 func TestDescribeHelpersListPolicies(t *testing.T) {
-	gc := DescribeGCPolicies()
-	for _, want := range []string{"greedy", "fifo", "costbenefit"} {
-		if !strings.Contains(gc, want) {
-			t.Fatalf("DescribeGCPolicies() = %q missing %q", gc, want)
-		}
-	}
-	cp := DescribeCachePolicies()
-	for _, want := range []string{"LRU", "CLOCK", "second-chance"} {
-		if !strings.Contains(cp, want) {
-			t.Fatalf("DescribeCachePolicies() = %q missing %q", cp, want)
+	help := DescribeFields()
+	for _, want := range []string{"greedy (fewest valid pages first)", "fifo", "costbenefit",
+		"LRU", "CLOCK", "second-chance", "plane_alloc_scheme: CWDP"} {
+		if !strings.Contains(help, want) {
+			t.Fatalf("DescribeFields() = %q missing %q", help, want)
 		}
 	}
 }
@@ -290,7 +285,7 @@ func TestLRUInclusionWholeSimulation(t *testing.T) {
 // pressure.
 func TestGCPoliciesAllSimulate(t *testing.T) {
 	tr := workload.MustGenerate(workload.FIU, workload.Options{Requests: 8000, Seed: 11})
-	for i := range GCPolicyNames() {
+	for i := range gcPolicies.allNames() {
 		pol := GCPolicy(i)
 		p := smallDevice()
 		p.GCPolicy = pol
@@ -304,7 +299,7 @@ func TestGCPoliciesAllSimulate(t *testing.T) {
 // BenchmarkGCVictimPolicy measures steady-state write cost per policy
 // with GC in the loop (victim selection is the dominant varying cost).
 func BenchmarkGCVictimPolicy(b *testing.B) {
-	for _, name := range GCPolicyNames() {
+	for _, name := range gcPolicies.allNames() {
 		pol, err := ParseGCPolicy(name)
 		if err != nil {
 			b.Fatal(err)

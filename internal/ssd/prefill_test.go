@@ -209,7 +209,7 @@ func TestStripePlaneIsPermutation(t *testing.T) {
 
 func TestImplicitPrefillMatchesPlacePage(t *testing.T) {
 	for scheme := 0; scheme < NumAllocSchemes; scheme++ {
-		for ifc := range HostIfcNames() {
+		for ifc := range hostIfcs.allNames() {
 			for _, occ := range []float64{0, 0.5, 0.85, 0.99} {
 				p := prefillDevice()
 				p.PlaneAllocScheme = AllocScheme(scheme)
@@ -256,7 +256,7 @@ func FuzzPrefillMatchesPlacePage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, scheme, ifc, ch, chips, dies, planes, bpp, ppb, occ, op, gcPct, dieFail uint8) {
 		p := DefaultParams()
 		p.PlaneAllocScheme = AllocScheme(scheme % NumAllocSchemes)
-		p.HostIfcModel = HostIfc(int(ifc) % len(HostIfcNames()))
+		p.HostIfcModel = HostIfc(int(ifc) % len(hostIfcs.allNames()))
 		p.Channels, p.ChipsPerChannel = 1+int(ch%4), 1+int(chips%4)
 		p.DiesPerChip, p.PlanesPerDie = 1+int(dies%4), 1+int(planes%4)
 		p.BlocksPerPlane, p.PagesPerBlock = 4+int(bpp%125), 4+int(ppb%125)

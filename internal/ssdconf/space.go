@@ -48,7 +48,6 @@ func (k Kind) String() string {
 type Param struct {
 	Name   string
 	Kind   Kind
-	Unit   string
 	Values []float64 // the grid; booleans use {0,1}; categoricals use 0..n-1
 	Labels []string  // for categoricals, one label per value
 	// Tunable marks parameters the search may move. Non-tunable
@@ -197,29 +196,29 @@ func newSpace(cons Constraints, whatIf bool) *Space {
 			field: ssd.FieldOf("blocks_per_plane")},
 		{Name: "PageNoPerBlock", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{64, 128, 256, 384, 512, 768, 1024},
 			field: ssd.FieldOf("pages_per_block")},
-		{Name: "PageCapacity", Kind: Discrete, Unit: "B", Tunable: true, Layout: true, Values: []float64{2048, 4096, 8192, 16384},
+		{Name: "PageCapacity", Kind: Discrete, Tunable: true, Layout: true, Values: []float64{2048, 4096, 8192, 16384},
 			field: ssd.FieldOf("page_size_bytes")},
 
 		// --- DRAM (continuous in the paper's sense).
-		{Name: "DataCacheSize", Kind: Continuous, Unit: "MB", Tunable: true, Values: dataCache,
+		{Name: "DataCacheSize", Kind: Continuous, Tunable: true, Values: dataCache,
 			field: ssd.FieldOf("data_cache_mb")},
-		{Name: "CMTCapacity", Kind: Continuous, Unit: "MB", Tunable: true, Values: cmt,
+		{Name: "CMTCapacity", Kind: Continuous, Tunable: true, Values: cmt,
 			field: ssd.FieldOf("cmt_mb")},
 
 		// --- Channel and flash timing.
-		{Name: "ChannelWidth", Kind: Discrete, Unit: "bit", Tunable: whatIf, Values: []float64{8, 16, 32},
+		{Name: "ChannelWidth", Kind: Discrete, Tunable: whatIf, Values: []float64{8, 16, 32},
 			field: ssd.FieldOf("channel_width_bit")},
-		{Name: "ChannelTransferRate", Kind: Discrete, Unit: "MT/s", Tunable: whatIf, Values: rate,
+		{Name: "ChannelTransferRate", Kind: Discrete, Tunable: whatIf, Values: rate,
 			field: ssd.FieldOf("channel_mtps")},
-		{Name: "PageReadLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: read,
+		{Name: "PageReadLatency", Kind: Discrete, Tunable: whatIf, Values: read,
 			field: ssd.FieldOf("read_latency_us")},
-		{Name: "PageProgramLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: prog,
+		{Name: "PageProgramLatency", Kind: Discrete, Tunable: whatIf, Values: prog,
 			field: ssd.FieldOf("program_latency_us")},
-		{Name: "BlockEraseLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: erase,
+		{Name: "BlockEraseLatency", Kind: Discrete, Tunable: whatIf, Values: erase,
 			field: ssd.FieldOf("erase_latency_us")},
-		{Name: "SuspendProgramTime", Kind: Discrete, Unit: "us", Tunable: true, Values: []float64{10, 25, 50, 100},
+		{Name: "SuspendProgramTime", Kind: Discrete, Tunable: true, Values: []float64{10, 25, 50, 100},
 			field: ssd.FieldOf("suspend_program_us")},
-		{Name: "SuspendEraseTime", Kind: Discrete, Unit: "us", Tunable: true, Values: []float64{25, 50, 100, 200},
+		{Name: "SuspendEraseTime", Kind: Discrete, Tunable: true, Values: []float64{25, 50, 100, 200},
 			field: ssd.FieldOf("suspend_erase_us")},
 
 		// --- Host interface.
@@ -229,45 +228,45 @@ func newSpace(cons Constraints, whatIf bool) *Space {
 			field: ssd.FieldOf("queue_count")},
 		{Name: "PCIeLanes", Kind: Discrete, Tunable: true, Values: pcieLanes,
 			field: ssd.FieldOf("pcie_lanes")},
-		{Name: "PCIeLaneBandwidth", Kind: Discrete, Unit: "MB/s", Tunable: whatIf, Values: []float64{250, 500, 985, 1969},
+		{Name: "PCIeLaneBandwidth", Kind: Discrete, Tunable: whatIf, Values: []float64{250, 500, 985, 1969},
 			field: ssd.FieldOf("pcie_lane_mbps")},
 
 		// --- FTL and policies.
 		{Name: "OverprovisioningRatio", Kind: Continuous, Tunable: true, Values: []float64{0.03, 0.05, 0.07, 0.10, 0.15, 0.20, 0.28},
 			field: ssd.FieldOf("overprovision_ratio")},
-		{Name: "GCThreshold", Kind: Continuous, Unit: "%", Tunable: true, Values: []float64{2, 5, 10, 15, 20},
+		{Name: "GCThreshold", Kind: Continuous, Tunable: true, Values: []float64{2, 5, 10, 15, 20},
 			field: ssd.FieldOf("gc_threshold_pct")},
 		{Name: "StaticWearlevelingThreshold", Kind: Discrete, Tunable: true, Values: []float64{25, 50, 100, 200, 400},
 			field: ssd.FieldOf("wear_leveling_threshold")},
-		{Name: "PageMetadataCapacity", Kind: Discrete, Unit: "B", Tunable: true, Values: []float64{128, 224, 448, 896},
+		{Name: "PageMetadataCapacity", Kind: Discrete, Tunable: true, Values: []float64{128, 224, 448, 896},
 			field: ssd.FieldOf("page_metadata_bytes")},
-		{Name: "ZoneSize", Kind: Discrete, Unit: "MB", Tunable: true, Values: []float64{64, 128, 256, 512, 1024},
+		{Name: "ZoneSize", Kind: Discrete, Tunable: true, Values: []float64{64, 128, 256, 512, 1024},
 			field: ssd.FieldOf("zone_size_mb")},
 		{Name: "MaxOpenZones", Kind: Discrete, Tunable: true, Values: []float64{2, 4, 8, 16, 32},
 			field: ssd.FieldOf("max_open_zones")},
 		{Name: "WriteStreams", Kind: Discrete, Tunable: true, Values: []float64{2, 4, 8, 16},
 			field: ssd.FieldOf("write_streams")},
-		{Name: "BadBlockRatio", Kind: Continuous, Unit: "%", Tunable: true, Values: []float64{0.1, 0.5, 1, 2},
+		{Name: "BadBlockRatio", Kind: Continuous, Tunable: true, Values: []float64{0.1, 0.5, 1, 2},
 			field: ssd.FieldOf("bad_block_pct")},
 		{Name: "ReadRetryLimit", Kind: Discrete, Tunable: true, Values: []float64{1, 2, 3, 5, 8},
 			field: ssd.FieldOf("read_retry_limit")},
-		{Name: "CacheLineSize", Kind: Discrete, Unit: "KB", Tunable: true, Values: []float64{4, 8, 16, 32},
+		{Name: "CacheLineSize", Kind: Discrete, Tunable: true, Values: []float64{4, 8, 16, 32},
 			field: ssd.FieldOf("cache_line_kb")},
-		{Name: "CMTEntrySize", Kind: Discrete, Unit: "B", Tunable: true, Values: []float64{4, 8, 16},
+		{Name: "CMTEntrySize", Kind: Discrete, Tunable: true, Values: []float64{4, 8, 16},
 			field: ssd.FieldOf("cmt_entry_bytes")},
-		{Name: "MappingGranularity", Kind: Discrete, Unit: "pages", Tunable: true, Values: []float64{1, 2, 4, 8},
+		{Name: "MappingGranularity", Kind: Discrete, Tunable: true, Values: []float64{1, 2, 4, 8},
 			field: ssd.FieldOf("mapping_granularity")},
-		{Name: "WriteBufferFlushThreshold", Kind: Continuous, Unit: "%", Tunable: true, Values: []float64{50, 60, 70, 80, 90},
+		{Name: "WriteBufferFlushThreshold", Kind: Continuous, Tunable: true, Values: []float64{50, 60, 70, 80, 90},
 			field: ssd.FieldOf("write_buffer_flush_pct")},
-		{Name: "ControllerClock", Kind: Discrete, Unit: "MHz", Tunable: true, Values: []float64{200, 300, 400, 500, 667, 800},
+		{Name: "ControllerClock", Kind: Discrete, Tunable: true, Values: []float64{200, 300, 400, 500, 667, 800},
 			field: ssd.FieldOf("controller_mhz")},
-		{Name: "DRAMFrequency", Kind: Discrete, Unit: "MHz", Tunable: true, Values: []float64{400, 533, 667, 800, 1066, 1200},
+		{Name: "DRAMFrequency", Kind: Discrete, Tunable: true, Values: []float64{400, 533, 667, 800, 1066, 1200},
 			field: ssd.FieldOf("dram_mhz")},
-		{Name: "DRAMBusWidth", Kind: Discrete, Unit: "bit", Tunable: true, Values: []float64{16, 32, 64},
+		{Name: "DRAMBusWidth", Kind: Discrete, Tunable: true, Values: []float64{16, 32, 64},
 			field: ssd.FieldOf("dram_bus_bits")},
-		{Name: "ECCLatency", Kind: Discrete, Unit: "us", Tunable: whatIf, Values: []float64{2, 4, 8, 16},
+		{Name: "ECCLatency", Kind: Discrete, Tunable: whatIf, Values: []float64{2, 4, 8, 16},
 			field: ssd.FieldOf("ecc_latency_us")},
-		{Name: "FirmwareOverhead", Kind: Discrete, Unit: "us", Tunable: true, Values: []float64{1, 2, 3, 5, 8},
+		{Name: "FirmwareOverhead", Kind: Discrete, Tunable: true, Values: []float64{1, 2, 3, 5, 8},
 			field: ssd.FieldOf("firmware_overhead_us")},
 
 		// --- Booleans.
@@ -285,14 +284,14 @@ func newSpace(cons Constraints, whatIf bool) *Space {
 		// --- Categoricals. Grid values and labels derive from the policy
 		// registry in internal/ssd, so a policy added there shows up here
 		// (and in CLI help, JSON, and the tuner) without further edits.
-		catParam("PlaneAllocationScheme", ssd.AllocSchemeNames(), true, "plane_alloc_scheme"),
-		catParam("CachePolicy", ssd.CachePolicyNames(), true, "cache_policy"),
-		catParam("GCPolicy", ssd.GCPolicyNames(), true, "gc_policy"),
-		catParam("HostInterfaceModel", ssd.HostIfcNames(), true, "host_ifc"),
+		catParam("PlaneAllocationScheme", true, "plane_alloc_scheme"),
+		catParam("CachePolicy", true, "cache_policy"),
+		catParam("GCPolicy", true, "gc_policy"),
+		catParam("HostInterfaceModel", true, "host_ifc"),
 
 		// --- Constrained (non-tunable) categoricals.
-		catParam("Interface", ssd.InterfaceNames(), false, "interface"),
-		catParam("FlashType", ssd.FlashTypeNames(), false, "flash_type"),
+		catParam("Interface", false, "interface"),
+		catParam("FlashType", false, "flash_type"),
 	}
 
 	s := &Space{Params: params, Cons: cons, index: make(map[string]int, len(params))}
@@ -306,14 +305,16 @@ func boolParam(name, key string) Param {
 	return Param{Name: name, Kind: Boolean, Tunable: true, Values: []float64{0, 1}, field: ssd.FieldOf(key)}
 }
 
-// catParam builds a categorical parameter whose grid indices are the
-// registry wire values 0..n-1 and whose labels are the registry names.
-func catParam(name string, labels []string, tunable bool, key string) Param {
-	values := make([]float64, len(labels))
+// catParam builds a categorical parameter on a registry enum field: its
+// grid indices are the registry wire values 0..n-1 and its labels are
+// the field's registry names.
+func catParam(name string, tunable bool, key string) Param {
+	field := ssd.FieldOf(key)
+	values := make([]float64, len(field.Labels()))
 	for i := range values {
 		values[i] = float64(i)
 	}
-	return Param{Name: name, Kind: Categorical, Tunable: tunable, Values: values, Labels: labels, field: ssd.FieldOf(key)}
+	return Param{Name: name, Kind: Categorical, Tunable: tunable, Values: values, Labels: field.Labels(), field: field}
 }
 
 // NumParams returns the parameter count (52).

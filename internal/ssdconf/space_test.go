@@ -39,12 +39,12 @@ func TestSpaceHas52Params(t *testing.T) {
 // index == registry wire value.
 func TestCategoricalLabelsMatchRegistry(t *testing.T) {
 	want := map[string][]string{
-		"PlaneAllocationScheme": ssd.AllocSchemeNames(),
-		"CachePolicy":           ssd.CachePolicyNames(),
-		"GCPolicy":              ssd.GCPolicyNames(),
-		"HostInterfaceModel":    ssd.HostIfcNames(),
-		"Interface":             ssd.InterfaceNames(),
-		"FlashType":             ssd.FlashTypeNames(),
+		"PlaneAllocationScheme": ssd.FieldOf("plane_alloc_scheme").Labels(),
+		"CachePolicy":           ssd.FieldOf("cache_policy").Labels(),
+		"GCPolicy":              ssd.FieldOf("gc_policy").Labels(),
+		"HostInterfaceModel":    ssd.FieldOf("host_ifc").Labels(),
+		"Interface":             ssd.FieldOf("interface").Labels(),
+		"FlashType":             ssd.FieldOf("flash_type").Labels(),
 	}
 	s := defaultSpace()
 	seen := 0
@@ -259,8 +259,8 @@ func TestVectorEncoding(t *testing.T) {
 	}
 	// One-hot blocks sum to 1 per categorical (alloc 16 + cache 4 +
 	// gc 3 + interface 2 + flash 3 trailing slots).
-	catLen := len(ssd.AllocSchemeNames()) + len(ssd.CachePolicyNames()) +
-		len(ssd.GCPolicyNames()) + len(ssd.InterfaceNames()) + len(ssd.FlashTypeNames())
+	catLen := len(ssd.FieldOf("plane_alloc_scheme").Labels()) + len(ssd.FieldOf("cache_policy").Labels()) +
+		len(ssd.FieldOf("gc_policy").Labels()) + len(ssd.FieldOf("interface").Labels()) + len(ssd.FieldOf("flash_type").Labels())
 	var catSum float64
 	for _, x := range v[len(v)-catLen:] {
 		catSum += x
