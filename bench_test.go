@@ -27,6 +27,16 @@ import (
 
 func benchScale() experiments.Scale { return experiments.DefaultScale() }
 
+// result returns the memoized result the paper artifact id prints from.
+func result[T any](b *testing.B, id string) T {
+	b.Helper()
+	r, err := experiments.Result(benchScale(), id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r.(T)
+}
+
 // geoMean of a map's values.
 func geoMean(m map[string]float64) float64 {
 	var sum float64
@@ -42,11 +52,7 @@ func geoMean(m map[string]float64) float64 {
 func BenchmarkFig2Clustering(b *testing.B) {
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc = r.Accuracy
+		acc = result[*experiments.Fig2Result](b, "fig2").Accuracy
 	}
 	b.ReportMetric(acc*100, "accuracy_%")
 }
@@ -56,15 +62,7 @@ func BenchmarkFig2Clustering(b *testing.B) {
 func BenchmarkFig4CoarsePruning(b *testing.B) {
 	var insensitive int
 	for i := 0; i < b.N; i++ {
-		e, err := experiments.StudiedEnv(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := experiments.RunFig45(e, string(workload.Database))
-		if err != nil {
-			b.Fatal(err)
-		}
-		insensitive = len(r.Coarse.Insensitive)
+		insensitive = len(result[*experiments.Fig45Result](b, "fig4").Coarse.Insensitive)
 	}
 	b.ReportMetric(float64(insensitive), "insensitive_params")
 }
@@ -75,29 +73,12 @@ func BenchmarkFig5FinePruning(b *testing.B) {
 	var kept int
 	var r2 float64
 	for i := 0; i < b.N; i++ {
-		e, err := experiments.StudiedEnv(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := experiments.RunFig45(e, string(workload.Database))
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := result[*experiments.Fig45Result](b, "fig5")
 		kept = len(r.Fine.Order)
 		r2 = r.Fine.R2
 	}
 	b.ReportMetric(float64(kept), "kept_params")
 	b.ReportMetric(r2, "ridge_r2")
-}
-
-// table1 memoizes the big Table 1 matrix run.
-func table1(b *testing.B) *experiments.MatrixResult {
-	b.Helper()
-	m, err := experiments.Matrix(benchScale(), "studied", experiments.StudiedEnv, experiments.Table1Options())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
 }
 
 // BenchmarkTable1LearnedConfigs tunes a configuration per studied
@@ -106,14 +87,14 @@ func table1(b *testing.B) *experiments.MatrixResult {
 func BenchmarkTable1LearnedConfigs(b *testing.B) {
 	var m *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
-		m = table1(b)
+		m = result[*experiments.MatrixResult](b, "tab1")
 	}
 	diag := map[string]float64{}
 	for _, t := range m.Targets {
 		diag[t] = m.Runs[t].Lat[t]
 	}
 	b.ReportMetric(geoMean(diag), "geomean_target_lat_x")
-	m.PrintMatrix(io.Discard, "tab1", "")
+	m.PrintMatrix(io.Discard)
 }
 
 // BenchmarkTable4NewWorkloads repeats the matrix for the six unseen
@@ -121,11 +102,7 @@ func BenchmarkTable1LearnedConfigs(b *testing.B) {
 func BenchmarkTable4NewWorkloads(b *testing.B) {
 	var m *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = experiments.Matrix(benchScale(), "new", experiments.NewWorkloadsEnv, experiments.MatrixOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		m = result[*experiments.MatrixResult](b, "tab4")
 	}
 	diag := map[string]float64{}
 	for _, t := range m.Targets {
@@ -140,7 +117,7 @@ func BenchmarkTable4NewWorkloads(b *testing.B) {
 func BenchmarkTable5CriticalParams(b *testing.B) {
 	var m *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
-		m = table1(b)
+		m = result[*experiments.MatrixResult](b, "tab5")
 	}
 	names := []string{"CMTCapacity", "DataCacheSize", "FlashChannelCount", "ChipNoPerChannel",
 		"DieNoPerChip", "PlaneNoPerDie", "BlockNoPerPlane", "PageNoPerBlock"}
@@ -165,14 +142,7 @@ func BenchmarkTable5CriticalParams(b *testing.B) {
 func BenchmarkTable6Overheads(b *testing.B) {
 	var o *experiments.OverheadResult
 	for i := 0; i < b.N; i++ {
-		e, err := experiments.StudiedEnv(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		o, err = experiments.RunTable6(e)
-		if err != nil {
-			b.Fatal(err)
-		}
+		o = result[*experiments.OverheadResult](b, "tab6")
 	}
 	b.ReportMetric(o.EfficiencyValidation.Seconds(), "validation_s")
 	b.ReportMetric(o.FeatureExtractPer100K.Seconds(), "feature_extract_s")
@@ -184,11 +154,7 @@ func BenchmarkTable6Overheads(b *testing.B) {
 func BenchmarkTable7WhatIf(b *testing.B) {
 	var runs []experiments.WhatIfRun
 	for i := 0; i < b.N; i++ {
-		var err error
-		runs, _, err = experiments.Table7(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs = result[*experiments.WhatIfTable](b, "tab7").Runs
 	}
 	achieved, iters := 0, 0
 	for _, r := range runs {
@@ -206,11 +172,7 @@ func BenchmarkTable7WhatIf(b *testing.B) {
 func BenchmarkTable8SLC(b *testing.B) {
 	var m *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = experiments.Matrix(benchScale(), "slc", experiments.SLCEnv, experiments.MatrixOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		m = result[*experiments.MatrixResult](b, "tab8")
 	}
 	diag := map[string]float64{}
 	for _, t := range m.Targets {
@@ -224,11 +186,7 @@ func BenchmarkTable8SLC(b *testing.B) {
 func BenchmarkTable9SATA(b *testing.B) {
 	var m *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = experiments.Matrix(benchScale(), "sata", experiments.SATAEnv, experiments.MatrixOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		m = result[*experiments.MatrixResult](b, "tab9")
 	}
 	diag := map[string]float64{}
 	for _, t := range m.Targets {
@@ -242,7 +200,7 @@ func BenchmarkTable9SATA(b *testing.B) {
 func BenchmarkFig7Energy(b *testing.B) {
 	var m *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
-		m = table1(b)
+		m = result[*experiments.MatrixResult](b, "fig7")
 	}
 	ratios := map[string]float64{}
 	for _, t := range m.Targets {
@@ -258,7 +216,7 @@ func BenchmarkFig7Energy(b *testing.B) {
 func BenchmarkFig8LearningTime(b *testing.B) {
 	var m *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
-		m = table1(b)
+		m = result[*experiments.MatrixResult](b, "fig8")
 	}
 	var iters, sims int
 	for _, t := range m.Targets {
@@ -271,25 +229,12 @@ func BenchmarkFig8LearningTime(b *testing.B) {
 	m.PrintLearningTime(io.Discard)
 }
 
-// ablation memoizes the Fig. 9/10 order-ablation run.
-func ablation(b *testing.B) *experiments.MatrixResult {
-	b.Helper()
-	m, err := experiments.Matrix(benchScale(), "ablate", experiments.StudiedEnv, experiments.MatrixOptions{
-		OrderAblation: true,
-		Targets:       []string{string(workload.Database), string(workload.KVStore)},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
 // BenchmarkFig9TuningOrder compares learning with vs without the §3.3
 // enforced tuning order (paper: ordered converges faster/better).
 func BenchmarkFig9TuningOrder(b *testing.B) {
 	var m *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
-		m = ablation(b)
+		m = result[*experiments.MatrixResult](b, "fig9")
 	}
 	var orderedG, unorderedG float64
 	var n int
@@ -304,7 +249,7 @@ func BenchmarkFig9TuningOrder(b *testing.B) {
 	}
 	b.ReportMetric(orderedG/float64(n), "ordered_grade")
 	b.ReportMetric(unorderedG/float64(n), "unordered_grade")
-	m.PrintOrderAblation(io.Discard)
+	m.PrintOrderTime(io.Discard)
 }
 
 // BenchmarkFig10Trajectory reports the final best grade of the ordered
@@ -312,7 +257,7 @@ func BenchmarkFig9TuningOrder(b *testing.B) {
 func BenchmarkFig10Trajectory(b *testing.B) {
 	var m *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
-		m = ablation(b)
+		m = result[*experiments.MatrixResult](b, "fig10")
 	}
 	r := m.Runs[string(workload.Database)]
 	if r.OrderedFresh != nil && len(r.OrderedFresh.Trajectory) > 0 {
@@ -328,11 +273,7 @@ func BenchmarkFig10Trajectory(b *testing.B) {
 func BenchmarkFig11AlphaSweep(b *testing.B) {
 	var r *experiments.SweepResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.AlphaSweep(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r = result[*experiments.SweepResult](b, "fig11")
 	}
 	mid := indexOf(r.Values, 0.5)
 	db := string(workload.Database)
@@ -345,11 +286,7 @@ func BenchmarkFig11AlphaSweep(b *testing.B) {
 func BenchmarkFig12BetaSweep(b *testing.B) {
 	var r *experiments.SweepResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.BetaSweep(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r = result[*experiments.SweepResult](b, "fig12")
 	}
 	mid := indexOf(r.Values, 0.1)
 	db := string(workload.Database)

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"autoblox"
@@ -121,25 +120,14 @@ func (c *commonFlags) constraints() (autoblox.Constraints, error) {
 	cons := autoblox.DefaultConstraints()
 	cons.CapacityBytes = int64(c.capacity) << 30
 	var err error
-	if cons.Interface, err = ssd.ParseInterface(registryName(c.iface, ssd.FieldOf("interface").Labels())); err != nil {
+	if cons.Interface, err = ssd.ParseInterface(c.iface); err != nil {
 		return cons, fmt.Errorf("-iface: %w", err)
 	}
-	if cons.Flash, err = ssd.ParseFlashType(registryName(c.flash, ssd.FieldOf("flash_type").Labels())); err != nil {
+	if cons.Flash, err = ssd.ParseFlashType(c.flash); err != nil {
 		return cons, fmt.Errorf("-flash: %w", err)
 	}
 	cons.PowerBudgetWatts = c.power
 	return cons, nil
-}
-
-// registryName returns the registered name equal to s ignoring case, or
-// s unchanged so that the registry's parse reports it.
-func registryName(s string, names []string) string {
-	for _, n := range names {
-		if strings.EqualFold(s, n) {
-			return n
-		}
-	}
-	return s
 }
 
 // setupObs activates the observability flags, exiting on error.

@@ -3,10 +3,11 @@
 //
 // Usage:
 //
-//	experiments [-scale default|paper] [-requests N] [-iters N] [-seed N] [-only id1,id2,...]
+//	experiments [-scale default|paper] [-requests N] [-iters N] [-seed N] [-only id1,id2,...] [-csv dir]
 //
-// Experiment ids: fig2 fig4 fig5 tab1 tab4 tab5 tab6 tab7 tab8 tab9
-// fig7 fig8 fig9 fig10 fig11 fig12.
+// -list prints the experiment ids in print order, and -only prints just
+// the sections it names. -csv also writes the data behind each printed
+// section; sections printed from one build share its CSV files.
 //
 // The observability flags -metrics <file>, -trace <file> (Chrome
 // trace_event JSONL), -pprof <addr> and -progress are also accepted,

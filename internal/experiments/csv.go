@@ -12,7 +12,8 @@ import (
 
 // CSV export: each artifact can dump its underlying data as a CSV file
 // for external plotting (the paper's figures are plots; the text tables
-// this package prints are their terminal rendering).
+// this package prints are their terminal rendering). Each WriteCSV takes
+// the ids of its table row (runall.go) and names its files after them.
 
 // writeCSV writes rows to dir/name.csv.
 func writeCSV(dir, name string, header []string, rows [][]string) error {
@@ -38,17 +39,18 @@ func writeCSV(dir, name string, header []string, rows [][]string) error {
 func f2s(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
 // WriteCSV dumps the Fig. 2 scatter: one row per training window.
-func (r *Fig2Result) WriteCSV(dir string) error {
+func (r *Fig2Result) WriteCSV(dir string, ids []string) error {
 	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
 		rows = append(rows, []string{p.Category, f2s(p.X), f2s(p.Y), strconv.Itoa(p.Cluster)})
 	}
-	return writeCSV(dir, "fig2_scatter", []string{"category", "pc1", "pc2", "cluster"}, rows)
+	return writeCSV(dir, ids[0]+"_scatter", []string{"category", "pc1", "pc2", "cluster"}, rows)
 }
 
-// WriteCSV dumps the Fig. 4 sweeps and Fig. 5 coefficients. Rows come
-// out in parameter-name order, each sweep in its own order.
-func (r *Fig45Result) WriteCSV(dir string) error {
+// WriteCSV dumps the Fig. 4 sweeps and Fig. 5 coefficients (ids[0]
+// and ids[1]). Rows come out in parameter-name order, each sweep in its
+// own order.
+func (r *Fig45Result) WriteCSV(dir string, ids []string) error {
 	byName := func(a, b []string) int { return strings.Compare(a[0], b[0]) }
 	var sweepRows [][]string
 	for name, sweep := range r.Coarse.Sweeps {
@@ -58,7 +60,7 @@ func (r *Fig45Result) WriteCSV(dir string) error {
 		}
 	}
 	slices.SortStableFunc(sweepRows, byName)
-	if err := writeCSV(dir, "fig4_sweeps",
+	if err := writeCSV(dir, ids[0]+"_sweeps",
 		[]string{"parameter", "value", "multiplier", "performance"}, sweepRows); err != nil {
 		return err
 	}
@@ -67,12 +69,13 @@ func (r *Fig45Result) WriteCSV(dir string) error {
 		coefRows = append(coefRows, []string{name, f2s(coef)})
 	}
 	slices.SortFunc(coefRows, byName)
-	return writeCSV(dir, "fig5_coefficients", []string{"parameter", "coefficient"}, coefRows)
+	return writeCSV(dir, ids[1]+"_coefficients", []string{"parameter", "coefficient"}, coefRows)
 }
 
 // WriteCSV dumps a learned-configuration matrix: one row per
 // (target, workload) cell plus energy and learning-time side tables.
-func (m *MatrixResult) WriteCSV(dir, id string) error {
+func (m *MatrixResult) WriteCSV(dir string, ids []string) error {
+	id := ids[0]
 	var cells [][]string
 	for _, target := range m.Targets {
 		run := m.Runs[target]
@@ -109,7 +112,7 @@ func (m *MatrixResult) WriteCSV(dir, id string) error {
 }
 
 // WriteCSV dumps an α/β sweep: one row per (workload, value).
-func (r *SweepResult) WriteCSV(dir string) error {
+func (r *SweepResult) WriteCSV(dir string, ids []string) error {
 	var rows [][]string
 	for _, wl := range r.Workloads {
 		for i, v := range r.Values {
@@ -117,10 +120,6 @@ func (r *SweepResult) WriteCSV(dir string) error {
 				wl, f2s(v), f2s(r.Lat[wl][i]), f2s(r.Tput[wl][i]), f2s(r.NonTarget[wl][i])})
 		}
 	}
-	name := "fig11_alpha"
-	if r.Param == "beta" {
-		name = "fig12_beta"
-	}
-	return writeCSV(dir, name,
+	return writeCSV(dir, ids[0]+"_"+r.Param,
 		[]string{"workload", r.Param, "latency_speedup", "throughput_speedup", "nontarget_latency_speedup"}, rows)
 }

@@ -14,7 +14,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"autoblox/internal/core"
@@ -225,9 +224,4 @@ func (e *Env) InitialConfigs() []ssdconf.Config {
 		out = append(out, cfg)
 	}
 	return out
-}
-
-// section prints a header for an experiment report.
-func section(w io.Writer, id, title string) {
-	fmt.Fprintf(w, "\n=== %s — %s ===\n", id, title)
 }

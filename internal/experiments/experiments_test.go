@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,11 +22,18 @@ func tinyScale() Scale {
 	return Scale{Requests: 2000, MaxIterations: 4, SGDSteps: 3, PruneSamples: 16, Seed: 7}
 }
 
-func TestFig2(t *testing.T) {
-	r, err := Fig2(tinyScale())
+// resultOf returns the table's memoized result for id at tinyScale.
+func resultOf[T any](t *testing.T, id string) T {
+	t.Helper()
+	r, err := Result(tinyScale(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r.(T)
+}
+
+func TestFig2(t *testing.T) {
+	r := resultOf[*Fig2Result](t, "fig2")
 	if r.Accuracy < 0.7 {
 		t.Fatalf("clustering accuracy %.2f too low even at tiny scale", r.Accuracy)
 	}
@@ -97,8 +105,9 @@ func TestFig45(t *testing.T) {
 		t.Fatal("fine pruning produced no order")
 	}
 	var buf bytes.Buffer
-	r.Print(&buf)
-	for _, want := range []string{"fig4", "fig5", "tuning order"} {
+	r.PrintCoarse(&buf)
+	r.PrintFine(&buf)
+	for _, want := range []string{"insensitive parameters", "ridge fit", "tuning order"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("Print output missing %q", want)
 		}
@@ -106,7 +115,11 @@ func TestFig45(t *testing.T) {
 }
 
 func TestMatrixSmall(t *testing.T) {
-	m, err := Matrix(tinyScale(), "test-small", StudiedEnv, MatrixOptions{
+	e, err := StudiedEnv(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := RunMatrix(e, MatrixOptions{
 		Targets: []string{string(workload.Database), string(workload.WebSearch)},
 		NoOrder: true,
 	})
@@ -125,19 +138,18 @@ func TestMatrixSmall(t *testing.T) {
 			t.Fatalf("%s: no energy data", target)
 		}
 	}
-	// Memoized on second call.
-	m2, err := Matrix(tinyScale(), "test-small", StudiedEnv, MatrixOptions{})
-	if err != nil || m2 != m {
-		t.Fatal("Matrix not memoized")
+	// The ids of one table row share one memoized build.
+	if resultOf[*MatrixResult](t, "tab1") != resultOf[*MatrixResult](t, "tab5") {
+		t.Fatal("tab5 and tab1 got different *MatrixResult values")
 	}
 
 	var buf bytes.Buffer
-	m.PrintMatrix(&buf, "tab1", "test")
+	m.PrintMatrix(&buf)
 	m.PrintCriticalParams(&buf)
 	m.PrintEnergy(&buf)
 	m.PrintLearningTime(&buf)
 	out := buf.String()
-	for _, want := range []string{"geomean(non-tgt)", "tab5", "fig7", "fig8", "average iterations"} {
+	for _, want := range []string{"geomean(non-tgt)", "CMTCapacity", "ratio", "converged", "average iterations"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("matrix prints missing %q", want)
 		}
@@ -214,8 +226,8 @@ func TestRunAllRejectsUnknownID(t *testing.T) {
 
 func TestIDsComplete(t *testing.T) {
 	ids := IDs()
-	want := []string{"fig2", "fig4", "fig5", "tab1", "tab4", "tab5", "tab6", "tab7",
-		"tab8", "tab9", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}
+	want := []string{"fig2", "fig4", "fig5", "tab1", "tab5", "fig7", "fig8", "tab4",
+		"tab6", "tab7", "tab8", "tab9", "fig9", "fig10", "fig11", "fig12"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v", ids)
 	}
@@ -235,21 +247,7 @@ func TestScales(t *testing.T) {
 
 func TestCSVExport(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Fig2(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteCSV(dir); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Matrix(tinyScale(), "test-small", StudiedEnv, MatrixOptions{
-		Targets: []string{string(workload.Database), string(workload.WebSearch)},
-		NoOrder: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteCSV(dir, "tab1"); err != nil {
+	if err := RunAllCSV(io.Discard, tinyScale(), map[string]bool{"fig2": true, "tab1": true}, dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig2_scatter", "tab1_matrix", "tab1_energy", "tab1_learning"} {
@@ -263,9 +261,10 @@ func TestCSVExport(t *testing.T) {
 		}
 	}
 	// Matrix CSV has one row per (target, workload) pair + header.
+	n := len(workload.Studied())
 	data, _ := os.ReadFile(filepath.Join(dir, "tab1_matrix.csv"))
-	if got := strings.Count(string(data), "\n"); got != 2*2+1 {
-		t.Fatalf("matrix rows = %d, want 5", got)
+	if got := strings.Count(string(data), "\n"); got != n*n+1 {
+		t.Fatalf("matrix rows = %d, want %d", got, n*n+1)
 	}
 }
 
@@ -283,7 +282,7 @@ func TestFig45CSVInNameOrder(t *testing.T) {
 	var first map[string][]byte
 	for run := 0; run < 2; run++ {
 		dir := t.TempDir()
-		if err := r.WriteCSV(dir); err != nil {
+		if err := r.WriteCSV(dir, []string{"fig4", "fig5"}); err != nil {
 			t.Fatal(err)
 		}
 		files := map[string][]byte{}
@@ -323,5 +322,50 @@ func TestTable6HonoursSimTimeout(t *testing.T) {
 	e.Scale.SimTimeout = time.Nanosecond
 	if _, err := RunTable6(e); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunTable6 with a 1ns simulation timeout: err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestFig4TiesInNameOrder prints one result twice: parameters of equal
+// sensitivity (most are flat at 0) must come out in name order, so the
+// two prints are identical.
+func TestFig4TiesInNameOrder(t *testing.T) {
+	r := &Fig45Result{Coarse: &core.CoarseResult{Sensitivity: map[string]float64{"Top": 0.5}}}
+	for i := 0; i < 26; i++ {
+		r.Coarse.Sensitivity[string(rune('Z'-i))+"Flat"] = 0
+	}
+	var first string
+	for run := 0; run < 2; run++ {
+		var buf bytes.Buffer
+		r.PrintCoarse(&buf)
+		lines := strings.Split(buf.String(), "\n")
+		if !strings.HasPrefix(lines[1], "Top ") {
+			t.Fatalf("most sensitive parameter not first:\n%s", buf.String())
+		}
+		var tied []string
+		for _, line := range lines[2:28] {
+			tied = append(tied, strings.Fields(line)[0])
+		}
+		if !sort.StringsAreSorted(tied) {
+			t.Fatalf("tied parameters not in name order: %v", tied)
+		}
+		if run == 1 && buf.String() != first {
+			t.Fatalf("two prints of one result differ:\n%s\n---\n%s", first, buf.String())
+		}
+		first = buf.String()
+	}
+}
+
+// TestOnlyPrintsOwnSection runs each id alone: the output must be that
+// id's section and no other, even where its row prints several.
+func TestOnlyPrintsOwnSection(t *testing.T) {
+	for _, id := range IDs() {
+		var buf bytes.Buffer
+		if err := RunAllCSV(&buf, tinyScale(), map[string]bool{id: true}, ""); err != nil {
+			t.Fatalf("-only %s: %v", id, err)
+		}
+		out := buf.String()
+		if n := strings.Count(out, "\n=== "); n != 1 || !strings.HasPrefix(out, "\n=== "+id+" — ") {
+			t.Errorf("-only %s printed %d headers, want its own one:\n%s", id, n, out)
+		}
 	}
 }

@@ -49,7 +49,6 @@ func RunFig2(scale Scale) (*Fig2Result, error) {
 
 // Print renders the Fig. 2 scatter (PCA dims 1–2) and accuracy.
 func (r *Fig2Result) Print(w io.Writer) {
-	section(w, "fig2", "Learning-based workload clustering (PCA scatter)")
 	fmt.Fprintf(w, "%-16s %10s %10s %8s\n", "category", "pc1", "pc2", "cluster")
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "%-16s %10.3f %10.3f %8d\n", p.Category, p.X, p.Y, p.Cluster)
@@ -79,15 +78,15 @@ func RunFig45(e *Env, target string) (*Fig45Result, error) {
 	return &Fig45Result{Target: target, Coarse: coarse, Fine: fine}, nil
 }
 
-// Print renders the Fig. 4 sensitivity sweep summary and the Fig. 5
-// ridge coefficients.
-func (r *Fig45Result) Print(w io.Writer) {
-	section(w, "fig4", "Coarse-grained pruning — parameter sensitivity sweeps ("+r.Target+")")
+// PrintCoarse renders the Fig. 4 sensitivity sweep summary, most
+// sensitive parameter first and ties in name order.
+func (r *Fig45Result) PrintCoarse(w io.Writer) {
 	names := make([]string, 0, len(r.Coarse.Sensitivity))
 	for n := range r.Coarse.Sensitivity {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(a, b int) bool {
+	sort.Strings(names)
+	sort.SliceStable(names, func(a, b int) bool {
 		return r.Coarse.Sensitivity[names[a]] > r.Coarse.Sensitivity[names[b]]
 	})
 	fmt.Fprintf(w, "%-28s %12s %6s\n", "parameter", "sensitivity", "flat?")
@@ -100,8 +99,10 @@ func (r *Fig45Result) Print(w io.Writer) {
 	}
 	fmt.Fprintf(w, "insensitive parameters (%d, paper finds ~12): %v\n",
 		len(r.Coarse.Insensitive), r.Coarse.Insensitive)
+}
 
-	section(w, "fig5", "Fine-grained pruning — ridge coefficients ("+r.Target+")")
+// PrintFine renders the Fig. 5 ridge coefficients and tuning order.
+func (r *Fig45Result) PrintFine(w io.Writer) {
 	fmt.Fprintf(w, "%-28s %12s\n", "parameter", "coefficient")
 	for _, n := range r.Fine.Order {
 		fmt.Fprintf(w, "%-28s %+12.5f\n", n, r.Fine.Coefficients[n])
@@ -110,7 +111,9 @@ func (r *Fig45Result) Print(w io.Writer) {
 		r.Fine.Pruned, r.Fine.R2, r.Fine.Order)
 }
 
-// SweepResult carries the α (Fig. 11) or β (Fig. 12) study.
+// SweepResult carries the α (Fig. 11) or β (Fig. 12) study: for each
+// target, the learned configuration's speedups as the grade weight
+// Param varies.
 type SweepResult struct {
 	Param     string // "alpha" or "beta"
 	Values    []float64
@@ -122,23 +125,12 @@ type SweepResult struct {
 	NonTarget map[string][]float64
 }
 
-// RunAlphaSweep reproduces Fig. 11: learned-configuration latency and
-// throughput for the target as α varies, for three representative
-// workloads.
-func RunAlphaSweep(e *Env, values []float64, targets []string) (*SweepResult, error) {
-	return runSweep(e, "alpha", values, targets)
-}
-
-// RunBetaSweep reproduces Fig. 12: target vs non-target performance as β
-// varies.
-func RunBetaSweep(e *Env, values []float64, targets []string) (*SweepResult, error) {
-	return runSweep(e, "beta", values, targets)
-}
-
-func runSweep(e *Env, param string, values []float64, targets []string) (*SweepResult, error) {
-	if len(values) == 0 {
-		values = []float64{0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99}
-	}
+// runSweep reproduces Fig. 11 (param "alpha") or Fig. 12 ("beta"): it
+// tunes each of three representative workloads once per value of the
+// grade weight.
+func runSweep(e *Env, param string) (*SweepResult, error) {
+	values := []float64{0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99}
+	targets := []string{string(workload.Database), string(workload.KVStore), string(workload.LiveMaps)}
 	res := &SweepResult{Param: param, Values: values, Workloads: targets,
 		Lat: map[string][]float64{}, Tput: map[string][]float64{}, NonTarget: map[string][]float64{}}
 	for _, target := range targets {
@@ -178,11 +170,6 @@ func runSweep(e *Env, param string, values []float64, targets []string) (*SweepR
 
 // Print renders the sweep as a table per workload.
 func (r *SweepResult) Print(w io.Writer) {
-	id, title := "fig11", "Impact of α (latency/throughput balance)"
-	if r.Param == "beta" {
-		id, title = "fig12", "Impact of β (target/non-target balance)"
-	}
-	section(w, id, title)
 	for _, wl := range r.Workloads {
 		fmt.Fprintf(w, "target %s:\n", wl)
 		fmt.Fprintf(w, "  %-8s %10s %10s %14s\n", r.Param, "lat x", "tput x", "non-tgt lat x")
@@ -205,7 +192,6 @@ type OverheadResult struct {
 
 // Print renders Table 6.
 func (o *OverheadResult) Print(w io.Writer) {
-	section(w, "tab6", "Overhead sources of AutoBlox")
 	rows := []struct {
 		name string
 		d    time.Duration

@@ -182,8 +182,7 @@ func geoMeanExcluding(m map[string]float64, exclude string, order []string) floa
 // PrintMatrix renders the Table 1/4/8/9 layout: rows are measured
 // workloads, columns are target workloads, cells are lat/tput speedups
 // with the target-on-diagonal in brackets.
-func (m *MatrixResult) PrintMatrix(w io.Writer, id, title string) {
-	section(w, id, title)
+func (m *MatrixResult) PrintMatrix(w io.Writer) {
 	fmt.Fprintf(w, "%-16s", "workload \\ target")
 	for _, t := range m.Targets {
 		fmt.Fprintf(w, " %12s", truncate(t, 12))
@@ -252,7 +251,6 @@ func anyMax(m *MatrixResult) bool {
 // PrintCriticalParams renders Table 5: the critical parameter values of
 // each learned configuration next to the reference.
 func (m *MatrixResult) PrintCriticalParams(w io.Writer) {
-	section(w, "tab5", "Critical parameters of learned configurations")
 	names := []string{"CMTCapacity", "DataCacheSize", "FlashChannelCount", "ChipNoPerChannel",
 		"DieNoPerChip", "PlaneNoPerDie", "BlockNoPerPlane", "PageNoPerBlock"}
 	fmt.Fprintf(w, "%-22s %10s", "parameter", "reference")
@@ -280,7 +278,6 @@ func (m *MatrixResult) PrintCriticalParams(w io.Writer) {
 // PrintEnergy renders Fig. 7: baseline vs learned energy per workload
 // (each target's configuration measured on its own workload).
 func (m *MatrixResult) PrintEnergy(w io.Writer) {
-	section(w, "fig7", "Energy of learned configurations vs baseline")
 	fmt.Fprintf(w, "%-16s %14s %14s %8s\n", "workload", "baseline (J)", "learned (J)", "ratio")
 	for _, t := range m.Targets {
 		e := m.Runs[t].Energy[t]
@@ -291,7 +288,6 @@ func (m *MatrixResult) PrintEnergy(w io.Writer) {
 // PrintLearningTime renders Fig. 8: per-target tuning wall time,
 // iterations and simulator invocations.
 func (m *MatrixResult) PrintLearningTime(w io.Writer) {
-	section(w, "fig8", "Learning time per target workload")
 	fmt.Fprintf(w, "%-16s %12s %10s %9s %10s\n", "target", "wall time", "iters", "sims", "converged")
 	var totalIters int
 	for _, t := range m.Targets {
@@ -304,11 +300,9 @@ func (m *MatrixResult) PrintLearningTime(w io.Writer) {
 		float64(totalIters)/float64(len(m.Targets)))
 }
 
-// PrintOrderAblation renders Fig. 9 (learning time with vs without the
-// enforced order) and Fig. 10 (grade trajectories) for the targets where
-// the ablation ran.
-func (m *MatrixResult) PrintOrderAblation(w io.Writer) {
-	section(w, "fig9", "Learning time with vs without enforced tuning order")
+// PrintOrderTime renders Fig. 9: learning time with vs without the
+// enforced order, for the targets where the ablation ran.
+func (m *MatrixResult) PrintOrderTime(w io.Writer) {
 	fmt.Fprintf(w, "%-16s %14s %14s %11s %11s %7s %7s\n",
 		"target", "ordered time", "no-order time", "ordered G", "no-order G", "o.sims", "n.sims")
 	for _, t := range m.Targets {
@@ -321,7 +315,11 @@ func (m *MatrixResult) PrintOrderAblation(w io.Writer) {
 			r.OrderedFresh.BestGrade, r.NoOrderResult.BestGrade,
 			r.OrderedFresh.SimRuns, r.NoOrderResult.SimRuns)
 	}
-	section(w, "fig10", "Best-grade trajectory (ordered | unordered)")
+}
+
+// PrintTrajectories renders Fig. 10: the best-grade trajectories with
+// and without the enforced order.
+func (m *MatrixResult) PrintTrajectories(w io.Writer) {
 	for _, t := range m.Targets {
 		r := m.Runs[t]
 		if r.NoOrderResult == nil || r.OrderedFresh == nil {

@@ -126,18 +126,22 @@ type WhatIfRun struct {
 	Result *core.WhatIfResult
 }
 
+// WhatIfTable is the Table 7 what-if analysis with its environment.
+type WhatIfTable struct {
+	Runs []WhatIfRun
+	Env  *Env
+}
+
 // RunTable7 reproduces the what-if analysis: 3× latency targets for the
 // latency-sensitive workloads and 3× throughput targets for the
 // throughput-intensive ones, over the expanded bounds.
-func RunTable7(scale Scale, goalFactor float64) ([]WhatIfRun, *Env, error) {
-	if goalFactor <= 0 {
-		goalFactor = 3
-	}
+func RunTable7(scale Scale) (*WhatIfTable, error) {
+	const goalFactor = 3
 	cons := ssdconf.DefaultConstraints()
 	cats := []workload.Category{workload.VDI, workload.WebSearch, workload.Database, workload.KVStore}
 	env, err := NewWhatIfEnv(scale, cons, intelRef(), cats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	goals := []core.WhatIfGoal{
 		{Target: "VDI", LatencyReduction: goalFactor},
@@ -145,7 +149,7 @@ func RunTable7(scale Scale, goalFactor float64) ([]WhatIfRun, *Env, error) {
 		{Target: "Database", ThroughputGain: goalFactor},
 		{Target: "KVStore", ThroughputGain: goalFactor},
 	}
-	var out []WhatIfRun
+	out := &WhatIfTable{Env: env}
 	for _, goal := range goals {
 		opts := env.tunerOptions()
 		// What-if explores a much larger space; give it more room
@@ -154,16 +158,16 @@ func RunTable7(scale Scale, goalFactor float64) ([]WhatIfRun, *Env, error) {
 		res, err := core.WhatIf(env.ctx(), env.Space, env.Validator, env.Grader, goal,
 			[]ssdconf.Config{env.RefCfg}, opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: what-if %s: %w", goal.Target, err)
+			return nil, fmt.Errorf("experiments: what-if %s: %w", goal.Target, err)
 		}
-		out = append(out, WhatIfRun{Goal: goal, Result: res})
+		out.Runs = append(out.Runs, WhatIfRun{Goal: goal, Result: res})
 	}
-	return out, env, nil
+	return out, nil
 }
 
-// PrintTable7 renders the what-if critical-parameter table.
-func PrintTable7(w io.Writer, runs []WhatIfRun, env *Env) {
-	section(w, "tab7", "What-if analysis: optimized configurations for performance targets")
+// Print renders the what-if critical-parameter table.
+func (t *WhatIfTable) Print(w io.Writer) {
+	runs, env := t.Runs, t.Env
 	fmt.Fprintf(w, "%-22s %10s", "parameter", "baseline")
 	for _, r := range runs {
 		fmt.Fprintf(w, " %10s", truncate(r.Goal.Target, 10))

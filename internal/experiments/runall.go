@@ -88,76 +88,137 @@ func SATAEnv(scale Scale) (*Env, error) {
 	})
 }
 
-// Matrix memoizes RunMatrix per (env tag, scale).
-func Matrix(scale Scale, tag string, envFn func(Scale) (*Env, error), opts MatrixOptions) (*MatrixResult, error) {
-	return memoized(scale, "mtx-"+tag, func() (*MatrixResult, error) {
-		e, err := envFn(scale)
+// An artifact is one row of the evaluation table: one build, the paper
+// artifacts printed from its result, and its CSV export.
+type artifact struct {
+	build    func(Scale) (any, error)
+	sections []section
+	csv      func(r any, dir string, ids []string) error // nil: no CSV
+}
+
+// A section is one paper artifact: its id, its title, and the print of
+// its body from the row's result.
+type section struct {
+	id, title string
+	print     func(r any, w io.Writer)
+}
+
+// row types an artifact's build and CSV export by its result type.
+func row[T any](build func(Scale) (T, error), csv func(T, string, []string) error, secs ...section) artifact {
+	a := artifact{build: func(s Scale) (any, error) { return build(s) }, sections: secs}
+	if csv != nil {
+		a.csv = func(r any, dir string, ids []string) error { return csv(r.(T), dir, ids) }
+	}
+	return a
+}
+
+// sec types a section's print by its row's result type.
+func sec[T any](id, title string, print func(T, io.Writer)) section {
+	return section{id, title, func(r any, w io.Writer) { print(r.(T), w) }}
+}
+
+// onEnv runs an experiment on the environment env builds for the scale.
+func onEnv[T any](env func(Scale) (*Env, error), run func(*Env) (T, error)) func(Scale) (T, error) {
+	return func(s Scale) (T, error) {
+		e, err := env(s)
 		if err != nil {
-			return nil, err
+			var zero T
+			return zero, err
 		}
-		return RunMatrix(e, opts)
-	})
+		return run(e)
+	}
 }
 
-// Fig2 memoizes RunFig2.
-func Fig2(scale Scale) (*Fig2Result, error) {
-	return memoized(scale, "fig2", func() (*Fig2Result, error) { return RunFig2(scale) })
+// matrix runs RunMatrix with opts.
+func matrix(opts MatrixOptions) func(*Env) (*MatrixResult, error) {
+	return func(e *Env) (*MatrixResult, error) { return RunMatrix(e, opts) }
 }
 
-// Table1Options are the passes the Table 1 reproduction runs.
-func Table1Options() MatrixOptions {
-	return MatrixOptions{IgnoreNonTarget: true}
+// sweep runs the α or β study.
+func sweep(param string) func(*Env) (*SweepResult, error) {
+	return func(e *Env) (*SweepResult, error) { return runSweep(e, param) }
 }
 
-// sweepTargets are the three representative workloads of Figs. 11–12.
-func sweepTargets() []string {
-	return []string{string(workload.Database), string(workload.KVStore), string(workload.LiveMaps)}
+// artifacts is the paper's evaluation (§4), one row per build, in print
+// order.
+var artifacts = []artifact{
+	row(RunFig2, (*Fig2Result).WriteCSV,
+		sec("fig2", "Learning-based workload clustering (PCA scatter)", (*Fig2Result).Print)),
+	row(onEnv(StudiedEnv, func(e *Env) (*Fig45Result, error) { return RunFig45(e, string(workload.Database)) }),
+		(*Fig45Result).WriteCSV,
+		sec("fig4", "Coarse-grained pruning — parameter sensitivity sweeps (Database)", (*Fig45Result).PrintCoarse),
+		sec("fig5", "Fine-grained pruning — ridge coefficients (Database)", (*Fig45Result).PrintFine)),
+	row(onEnv(StudiedEnv, matrix(MatrixOptions{IgnoreNonTarget: true})), (*MatrixResult).WriteCSV,
+		sec("tab1", "Learned configurations, NVMe MLC (vs Intel 750) — lat/tput speedups", (*MatrixResult).PrintMatrix),
+		sec("tab5", "Critical parameters of learned configurations", (*MatrixResult).PrintCriticalParams),
+		sec("fig7", "Energy of learned configurations vs baseline", (*MatrixResult).PrintEnergy),
+		sec("fig8", "Learning time per target workload", (*MatrixResult).PrintLearningTime)),
+	row(onEnv(NewWorkloadsEnv, matrix(MatrixOptions{})), (*MatrixResult).WriteCSV,
+		sec("tab4", "Learned configurations for new (unseen) workloads (vs Intel 750)", (*MatrixResult).PrintMatrix)),
+	row(onEnv(StudiedEnv, RunTable6), nil,
+		sec("tab6", "Overhead sources of AutoBlox", (*OverheadResult).Print)),
+	row(RunTable7, nil,
+		sec("tab7", "What-if analysis: optimized configurations for performance targets", (*WhatIfTable).Print)),
+	row(onEnv(SLCEnv, matrix(MatrixOptions{})), (*MatrixResult).WriteCSV,
+		sec("tab8", "Learned configurations, NVMe SLC (vs Samsung Z-SSD)", (*MatrixResult).PrintMatrix)),
+	row(onEnv(SATAEnv, matrix(MatrixOptions{})), (*MatrixResult).WriteCSV,
+		sec("tab9", "Learned configurations, SATA MLC (vs Samsung 850 PRO)", (*MatrixResult).PrintMatrix)),
+	row(onEnv(StudiedEnv, matrix(MatrixOptions{OrderAblation: true,
+		Targets: []string{string(workload.Database), string(workload.KVStore)}})), nil,
+		sec("fig9", "Learning time with vs without enforced tuning order", (*MatrixResult).PrintOrderTime),
+		sec("fig10", "Best-grade trajectory (ordered | unordered)", (*MatrixResult).PrintTrajectories)),
+	row(onEnv(StudiedEnv, sweep("alpha")), (*SweepResult).WriteCSV,
+		sec("fig11", "Impact of α (latency/throughput balance)", (*SweepResult).Print)),
+	row(onEnv(StudiedEnv, sweep("beta")), (*SweepResult).WriteCSV,
+		sec("fig12", "Impact of β (target/non-target balance)", (*SweepResult).Print)),
 }
 
-// AlphaSweep memoizes the Fig. 11 study.
-func AlphaSweep(scale Scale) (*SweepResult, error) {
-	return memoSweep(scale, "alpha", RunAlphaSweep)
+// ids returns the ids the row prints.
+func (a *artifact) ids() []string {
+	ids := make([]string, len(a.sections))
+	for i, s := range a.sections {
+		ids[i] = s.id
+	}
+	return ids
 }
 
-// BetaSweep memoizes the Fig. 12 study.
-func BetaSweep(scale Scale) (*SweepResult, error) {
-	return memoSweep(scale, "beta", RunBetaSweep)
+// result returns the row's build for the scale, memoized under its
+// first id.
+func (a *artifact) result(scale Scale) (any, error) {
+	return memoized(scale, a.sections[0].id, func() (any, error) { return a.build(scale) })
 }
 
-func memoSweep(scale Scale, tag string, run func(*Env, []float64, []string) (*SweepResult, error)) (*SweepResult, error) {
-	return memoized(scale, "sweep-"+tag, func() (*SweepResult, error) {
-		e, err := StudiedEnv(scale)
-		if err != nil {
-			return nil, err
+// artifactOf returns the row that prints id, or nil.
+func artifactOf(id string) *artifact {
+	for i := range artifacts {
+		if slices.Contains(artifacts[i].ids(), id) {
+			return &artifacts[i]
 		}
-		return run(e, nil, sweepTargets())
-	})
+	}
+	return nil
 }
 
-// table7Result is one memoized what-if analysis with its environment.
-type table7Result struct {
-	runs []WhatIfRun
-	env  *Env
-}
-
-// Table7 memoizes the what-if analysis.
-func Table7(scale Scale) ([]WhatIfRun, *Env, error) {
-	r, err := memoized(scale, "tab7", func() (table7Result, error) {
-		runs, env, err := RunTable7(scale, 3)
-		return table7Result{runs, env}, err
-	})
-	return r.runs, r.env, err
+// Result returns the memoized result the artifact id prints from:
+// *Fig2Result, *Fig45Result, *MatrixResult, *OverheadResult,
+// *WhatIfTable or *SweepResult. Ids that share a row share the result.
+func Result(scale Scale, id string) (any, error) {
+	a := artifactOf(id)
+	if a == nil {
+		return nil, fmt.Errorf("unknown experiment id %s (valid: %s)", id, strings.Join(IDs(), ", "))
+	}
+	return a.result(scale)
 }
 
 // RunAllCSV executes every experiment at the given scale, writing each
 // table/figure to w. `only` filters by experiment id (empty = all); an
-// id not in IDs is an error before anything runs.
-// When csvDir is non-empty, each artifact also writes its underlying
-// data as CSV for external plotting.
+// id not in IDs is an error before anything runs. A row runs when one
+// of its ids is wanted and prints only the wanted ones.
+// When csvDir is non-empty, each row also writes its underlying data as
+// CSV for external plotting.
 func RunAllCSV(w io.Writer, scale Scale, only map[string]bool, csvDir string) error {
 	var unknown []string
 	for id := range only {
-		if !slices.Contains(IDs(), id) {
+		if artifactOf(id) == nil {
 			unknown = append(unknown, id)
 		}
 	}
@@ -165,152 +226,40 @@ func RunAllCSV(w io.Writer, scale Scale, only map[string]bool, csvDir string) er
 		slices.Sort(unknown)
 		return fmt.Errorf("unknown experiment id %s (valid: %s)", strings.Join(unknown, ", "), strings.Join(IDs(), ", "))
 	}
-	want := func(id string) bool { return len(only) == 0 || only[id] }
-	exportCSV := func(write func(string) error) error {
-		if csvDir == "" {
-			return nil
+	for i := range artifacts {
+		a := &artifacts[i]
+		var secs []section
+		for _, s := range a.sections {
+			if len(only) == 0 || only[s.id] {
+				secs = append(secs, s)
+			}
 		}
-		return write(csvDir)
-	}
-
-	if want("fig2") {
-		r, err := Fig2(scale)
+		if len(secs) == 0 {
+			continue
+		}
+		r, err := a.result(scale)
 		if err != nil {
 			return err
 		}
-		r.Print(w)
-		if err := exportCSV(r.WriteCSV); err != nil {
-			return err
+		for _, s := range secs {
+			fmt.Fprintf(w, "\n=== %s — %s ===\n", s.id, s.title)
+			s.print(r, w)
 		}
-	}
-
-	if want("fig4") || want("fig5") {
-		e, err := StudiedEnv(scale)
-		if err != nil {
-			return err
-		}
-		r, err := RunFig45(e, string(workload.Database))
-		if err != nil {
-			return err
-		}
-		r.Print(w)
-		if err := exportCSV(r.WriteCSV); err != nil {
-			return err
-		}
-	}
-
-	if want("tab1") || want("tab5") || want("fig7") || want("fig8") {
-		m, err := Matrix(scale, "studied", StudiedEnv, Table1Options())
-		if err != nil {
-			return err
-		}
-		if want("tab1") {
-			m.PrintMatrix(w, "tab1", "Learned configurations, NVMe MLC (vs Intel 750) — lat/tput speedups")
-		}
-		if want("tab5") {
-			m.PrintCriticalParams(w)
-		}
-		if want("fig7") {
-			m.PrintEnergy(w)
-		}
-		if want("fig8") {
-			m.PrintLearningTime(w)
-		}
-		if err := exportCSV(func(d string) error { return m.WriteCSV(d, "tab1") }); err != nil {
-			return err
-		}
-	}
-
-	if want("tab4") {
-		m, err := Matrix(scale, "new", NewWorkloadsEnv, MatrixOptions{})
-		if err != nil {
-			return err
-		}
-		m.PrintMatrix(w, "tab4", "Learned configurations for new (unseen) workloads (vs Intel 750)")
-		if err := exportCSV(func(d string) error { return m.WriteCSV(d, "tab4") }); err != nil {
-			return err
-		}
-	}
-
-	if want("tab6") {
-		e, err := StudiedEnv(scale)
-		if err != nil {
-			return err
-		}
-		o, err := RunTable6(e)
-		if err != nil {
-			return err
-		}
-		o.Print(w)
-	}
-
-	if want("tab7") {
-		runs, env, err := Table7(scale)
-		if err != nil {
-			return err
-		}
-		PrintTable7(w, runs, env)
-	}
-
-	if want("tab8") {
-		m, err := Matrix(scale, "slc", SLCEnv, MatrixOptions{})
-		if err != nil {
-			return err
-		}
-		m.PrintMatrix(w, "tab8", "Learned configurations, NVMe SLC (vs Samsung Z-SSD)")
-		if err := exportCSV(func(d string) error { return m.WriteCSV(d, "tab8") }); err != nil {
-			return err
-		}
-	}
-
-	if want("tab9") {
-		m, err := Matrix(scale, "sata", SATAEnv, MatrixOptions{})
-		if err != nil {
-			return err
-		}
-		m.PrintMatrix(w, "tab9", "Learned configurations, SATA MLC (vs Samsung 850 PRO)")
-		if err := exportCSV(func(d string) error { return m.WriteCSV(d, "tab9") }); err != nil {
-			return err
-		}
-	}
-
-	if want("fig9") || want("fig10") {
-		m, err := Matrix(scale, "ablate", StudiedEnv, MatrixOptions{
-			OrderAblation: true,
-			Targets:       []string{string(workload.Database), string(workload.KVStore)},
-		})
-		if err != nil {
-			return err
-		}
-		m.PrintOrderAblation(w)
-	}
-
-	if want("fig11") {
-		r, err := AlphaSweep(scale)
-		if err != nil {
-			return err
-		}
-		r.Print(w)
-		if err := exportCSV(r.WriteCSV); err != nil {
-			return err
-		}
-	}
-
-	if want("fig12") {
-		r, err := BetaSweep(scale)
-		if err != nil {
-			return err
-		}
-		r.Print(w)
-		if err := exportCSV(r.WriteCSV); err != nil {
-			return err
+		if csvDir != "" && a.csv != nil {
+			if err := a.csv(r, csvDir, a.ids()); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// IDs lists the experiment identifiers RunAllCSV understands.
+// IDs lists the experiment identifiers RunAllCSV understands, in print
+// order.
 func IDs() []string {
-	return []string{"fig2", "fig4", "fig5", "tab1", "tab4", "tab5", "tab6", "tab7", "tab8", "tab9",
-		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}
+	var ids []string
+	for i := range artifacts {
+		ids = append(ids, artifacts[i].ids()...)
+	}
+	return ids
 }

@@ -203,3 +203,32 @@ func TestSetFieldKeepsZero(t *testing.T) {
 		t.Fatalf("SetField(zone_size_mb=0) = %v, ZoneSizeMB %d; want nil, 0", err, p.ZoneSizeMB)
 	}
 }
+
+// TestEnumNamesIgnoreCase: SetField and a device file take enum names
+// in any case and store the canonical value, and the file written back
+// spells each name canonically.
+func TestEnumNamesIgnoreCase(t *testing.T) {
+	p := Samsung850Pro()
+	if err := SetField(&p, "interface=nvme"); err != nil || p.HostInterface != NVMe {
+		t.Fatalf("SetField(interface=nvme) = %v, interface %v; want nil, NVMe", err, p.HostInterface)
+	}
+	if err := SetField(&p, "host_ifc=ZNS"); err != nil || p.HostIfcModel != IfcZNS {
+		t.Fatalf("SetField(host_ifc=ZNS) = %v, host_ifc %v; want nil, zns", err, p.HostIfcModel)
+	}
+	want, err := MarshalJSONParams(Intel750())
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := strings.Replace(string(want), `"interface": "NVMe"`, `"interface": "nvme"`, 1)
+	if file == string(want) {
+		t.Fatal(`Intel 750 device file has no "interface": "NVMe" line`)
+	}
+	got, err := UnmarshalJSONParams([]byte(file))
+	if err != nil || got != Intel750() {
+		t.Fatalf(`device file with "interface": "nvme" = %v, %+v; want Intel 750`, err, got)
+	}
+	back, err := MarshalJSONParams(got)
+	if err != nil || string(back) != string(want) {
+		t.Fatalf("re-encoded file differs from the canonical one:\n%s", back)
+	}
+}

@@ -38,21 +38,25 @@ func domainOf[T any](label string, table []policyEntry[T]) *policyDomain {
 	return newPolicyDomain(label, names, docs)
 }
 
-// policyDomain owns one policy domain's name↔value mapping.
+// policyDomain owns one policy domain's name↔value mapping. Names
+// match without regard to case: "nvme", "NVMe" and "NVME" all parse to
+// NVMe, and name always returns the canonical spelling.
 type policyDomain struct {
 	label string   // human label used in error messages, e.g. "gc policy"
 	names []string // value -> canonical name; dense from 0
 	docs  []string // value -> one-line description
-	index map[string]uint8
 }
 
-// newPolicyDomain indexes a domain's names. The tables are package
-// literals of 1–256 distinct, non-empty names; TestPolicyRegistryRoundTrips
-// pins that for every table.
+// newPolicyDomain builds a domain from its names. The tables are
+// package literals of 1–256 distinct, non-empty names;
+// TestPolicyRegistryRoundTrips pins that for every table. It panics if
+// two names differ only in case, as parse could not tell them apart.
 func newPolicyDomain(label string, names, docs []string) *policyDomain {
-	d := &policyDomain{label: label, names: names, docs: docs, index: make(map[string]uint8, len(names))}
+	d := &policyDomain{label: label, names: names, docs: docs}
 	for i, n := range names {
-		d.index[n] = uint8(i)
+		if v, _ := d.parse(n); int(v) != i {
+			panic(fmt.Sprintf("ssd: %s names %q and %q differ only in case", label, names[v], n))
+		}
 	}
 	return d
 }
@@ -67,8 +71,10 @@ func (d *policyDomain) name(v uint8) string {
 }
 
 func (d *policyDomain) parse(s string) (uint8, error) {
-	if v, ok := d.index[s]; ok {
-		return v, nil
+	for i, n := range d.names {
+		if strings.EqualFold(s, n) {
+			return uint8(i), nil
+		}
 	}
 	return 0, fmt.Errorf("ssd: unknown %s %q (valid: %s)", d.label, s, strings.Join(d.names, ", "))
 }

@@ -75,6 +75,17 @@ func TestPolicyRegistryRoundTrips(t *testing.T) {
 	}
 }
 
+// TestPolicyDomainRejectsCaseTwins: names match without regard to case,
+// so a domain whose names differ only in case cannot be built.
+func TestPolicyDomainRejectsCaseTwins(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("newPolicyDomain accepted LRU and lru in one domain")
+		}
+	}()
+	newPolicyDomain("cache policy", []string{"LRU", "lru"}, []string{"", ""})
+}
+
 func TestDescribeHelpersListPolicies(t *testing.T) {
 	help := DescribeFields()
 	for _, want := range []string{"greedy (fewest valid pages first)", "fifo", "costbenefit",

@@ -283,8 +283,7 @@ type engine struct {
 // blocks) carries over.
 //
 // A timeline is when its resource is free again. acquire advances every
-// one, except flashRead's bounded plane wait and chargeGC, which adds GC
-// work to a plane and a channel.
+// one, except flashRead's bounded plane wait.
 type pass struct {
 	Counters
 	hostFree    int64   // shared host-link timeline
@@ -683,11 +682,11 @@ func (e *engine) channelXfer(pl planeID, t int64) int64 {
 	return start
 }
 
-// chargeGC adds the time cost of GC activity to the plane (and channel,
-// unless copyback keeps moves on-chip). GC work that could have run
-// during the plane's preceding idle gap is absorbed — real controllers
-// collect garbage in the background, so only the portion that spills
-// into foreground time delays requests. t is the trigger time.
+// chargeGC adds the time cost of GC activity triggered at t to the
+// plane (and channel, unless copyback keeps moves on-chip). It runs
+// right after the triggering page program, which leaves both timelines
+// past t, so the GC work queues behind that program and all of it is
+// a pause that later requests on the plane observe (gcHist).
 func (e *engine) chargeGC(pl planeID, moves, erases int32, t int64) {
 	if moves == 0 && erases == 0 {
 		return
@@ -695,22 +694,13 @@ func (e *engine) chargeGC(pl planeID, moves, erases int32, t int64) {
 	per := e.readNS + e.progNS
 	if !e.p.CopybackEnabled {
 		per += 2 * e.xferNS
-		ch := e.ftl.alloc.channelOf(pl)
-		e.channelFree[ch] += int64(moves) * 2 * e.xferNS
-		e.channelBusyNS += int64(moves) * 2 * e.xferNS
+		xfer := int64(moves) * 2 * e.xferNS
+		acquire(&e.channelFree[e.ftl.alloc.channelOf(pl)], t, xfer)
+		e.channelBusyNS += xfer
 	}
 	busy := int64(moves)*per + int64(erases)*e.eraseNS
-	if idle := t - e.planeFree[pl]; idle > 0 {
-		if idle >= busy {
-			busy = 0
-		} else {
-			busy -= idle
-		}
-	}
-	// The foreground spill (post-idle-absorption) is the GC pause a
-	// request actually observes; absorbed background GC records as 0.
 	e.gcHist.Record(busy)
-	e.planeFree[pl] += busy
+	acquire(&e.planeFree[pl], t, busy)
 }
 
 func (e *engine) buildResult(count, latSum int64, totalBytes uint64, firstArrival, lastCompletion int64) *Result {
