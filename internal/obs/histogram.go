@@ -136,37 +136,23 @@ func (h *Histogram) Min() int64 {
 // exact nearest-rank value and overshoots it by at most one bucket width
 // (relative error ≤ 1/32); samples below 32 are exact.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if cum >= rank {
-			v := bucketHigh(i)
-			if mx := h.max.Load(); v > mx {
-				v = mx
-			}
-			return v
-		}
-	}
-	return h.max.Load()
+	s := h.Snapshot()
+	return s.quantile(q)
 }
+
+// histState is read access to a histogram's fields: Histogram loads
+// them atomically, LocalHistogram reads them directly. Snapshot reads
+// through it, so both forms share one snapshot and quantile
+// implementation.
+type histState interface {
+	Count() int64
+	Sum() int64
+	Min() int64
+	Max() int64
+	bucket(i int) int64
+}
+
+func (h *Histogram) bucket(i int) int64 { return h.buckets[i].Load() }
 
 // Bucket is one non-empty bucket of a histogram snapshot.
 type Bucket struct {
@@ -194,15 +180,78 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{
-		Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(),
-		P50: h.Quantile(0.50), P95: h.Quantile(0.95),
-		P99: h.Quantile(0.99), P999: h.Quantile(0.999),
-	}
+	return snapshot(h)
+}
+
+func snapshot(h histState) HistogramSnapshot {
+	s := HistogramSnapshot{Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max()}
 	for i := 0; i < histBuckets; i++ {
-		if c := h.buckets[i].Load(); c > 0 {
+		if c := h.bucket(i); c > 0 {
 			s.Buckets = append(s.Buckets, Bucket{Low: bucketLow(i), High: bucketHigh(i), Count: c})
 		}
 	}
+	s.P50, s.P95 = s.quantile(0.50), s.quantile(0.95)
+	s.P99, s.P999 = s.quantile(0.99), s.quantile(0.999)
 	return s
 }
+
+// quantile is Histogram.Quantile on the snapshot's buckets.
+func (s *HistogramSnapshot) quantile(q float64) int64 {
+	if s.Count == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(q * float64(s.Count)))
+	rank = min(max(rank, 1), s.Count)
+	var cum int64
+	for _, b := range s.Buckets {
+		if cum += b.Count; cum >= rank {
+			return min(b.High, s.Max)
+		}
+	}
+	return s.Max
+}
+
+// LocalHistogram is Histogram's single-writer form: the same bucket
+// layout, quantiles and snapshot, recorded with plain adds instead of
+// atomics. It is not safe for concurrent use: one goroutine records
+// into it and hands its Snapshot on (Histogram.Merge folds that into a
+// shared histogram exactly). The zero value is an empty histogram.
+type LocalHistogram struct {
+	count, sum, min, max int64 // min and max are valid only when count > 0
+	buckets              [histBuckets]int64
+}
+
+// Record adds one sample; negative samples clamp to 0.
+func (h *LocalHistogram) Record(v int64) {
+	v = max(v, 0)
+	h.count++
+	h.sum += v
+	h.buckets[bucketIndex(v)]++
+	if h.count == 1 || v < h.min {
+		h.min = v
+	}
+	h.max = max(h.max, v)
+}
+
+// Count returns the number of recorded samples.
+func (h *LocalHistogram) Count() int64 { return h.count }
+
+// Sum returns the sum of recorded samples.
+func (h *LocalHistogram) Sum() int64 { return h.sum }
+
+// Min returns the smallest recorded sample (0 when empty).
+func (h *LocalHistogram) Min() int64 { return h.min }
+
+// Max returns the largest recorded sample (0 when empty).
+func (h *LocalHistogram) Max() int64 { return h.max }
+
+// Quantile is Histogram.Quantile on the recorded samples.
+func (h *LocalHistogram) Quantile(q float64) int64 {
+	s := h.Snapshot()
+	return s.quantile(q)
+}
+
+// Snapshot copies the histogram state.
+func (h *LocalHistogram) Snapshot() HistogramSnapshot { return snapshot(h) }
+
+func (h *LocalHistogram) bucket(i int) int64 { return h.buckets[i] }

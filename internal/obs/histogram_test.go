@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -166,5 +167,66 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 	if n != h.Count() {
 		t.Fatalf("snapshot bucket counts sum to %d, want %d", n, h.Count())
+	}
+}
+
+// TestLocalHistogramMatchesHistogram: on the same samples the
+// single-writer form reads exactly as Histogram does, through every
+// accessor and the snapshot, and folding its snapshot into a registry
+// histogram equals recording the samples there directly.
+func TestLocalHistogramMatchesHistogram(t *testing.T) {
+	edge := []int64{math.MinInt64, -100, -1, 0, 1, 17, 31, 32, 33, 63, 64,
+		1 << 40, math.MaxInt64 - 1, math.MaxInt64}
+	rng := rand.New(rand.NewSource(5))
+	random := make([]int64, 5000)
+	for i := range random {
+		random[i] = rng.Int63() >> uint(rng.Intn(63))
+	}
+	for _, tc := range []struct {
+		name    string
+		samples []int64
+	}{
+		{"empty", nil},
+		{"one negative", []int64{-7}},
+		{"one small", []int64{12}},
+		{"near MaxInt64", []int64{math.MaxInt64, math.MaxInt64 - 3}},
+		{"edges", edge},
+		{"random", random},
+		{"random and edges", append(append([]int64(nil), random...), edge...)},
+	} {
+		h := NewHistogram()
+		var l LocalHistogram
+		for _, v := range tc.samples {
+			h.Record(v)
+			l.Record(v)
+		}
+		if l.Count() != h.Count() || l.Sum() != h.Sum() || l.Min() != h.Min() || l.Max() != h.Max() {
+			t.Fatalf("%s: local count/sum/min/max %d/%d/%d/%d, Histogram %d/%d/%d/%d", tc.name,
+				l.Count(), l.Sum(), l.Min(), l.Max(), h.Count(), h.Sum(), h.Min(), h.Max())
+		}
+		for _, q := range []float64{0, 0.001, 0.25, 0.5, 0.95, 0.99, 0.999, 1} {
+			if got, want := l.Quantile(q), h.Quantile(q); got != want {
+				t.Fatalf("%s: local Quantile(%g) = %d, Histogram %d", tc.name, q, got, want)
+			}
+		}
+		if got, want := l.Snapshot(), h.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: local snapshot %+v, Histogram %+v", tc.name, got, want)
+		}
+
+		// Fold into a registry histogram that already holds samples, as
+		// a simulator's run merges into the shared request-latency one.
+		reg := NewRegistry()
+		merged, direct := reg.Histogram("merged"), reg.Histogram("direct")
+		for _, v := range []int64{5, 900, 1 << 20} {
+			merged.Record(v)
+			direct.Record(v)
+		}
+		merged.Merge(l.Snapshot())
+		for _, v := range tc.samples {
+			direct.Record(v)
+		}
+		if got, want := merged.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: merged snapshot %+v, recorded directly %+v", tc.name, got, want)
+		}
 	}
 }

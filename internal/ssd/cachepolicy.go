@@ -72,6 +72,10 @@ type dataCache struct {
 	index    []cacheSlot // power-of-two length, at most half full
 	shift    uint8       // 32 - log2(len(index)), for hashing
 	dirty    int
+	// cleanTail is where flushOldestDirty resumes: every node older
+	// than it is clean. 0 claims nothing, and the scan starts at the
+	// back of the list.
+	cleanTail int32
 }
 
 type cacheNode struct {
@@ -199,9 +203,14 @@ func (d *dataCache) grow() {
 	}
 }
 
-// unlink takes node n out of the recency list.
+// unlink takes node n out of the recency list. When n is the
+// clean-tail cursor, the cursor moves to n's newer neighbour: the nodes
+// older than that neighbour are then the ones older than n, all clean.
 func (d *dataCache) unlink(n int32) {
 	nd := &d.nodes[n]
+	if d.cleanTail == n {
+		d.cleanTail = nd.prev
+	}
 	d.nodes[nd.prev].next = nd.next
 	d.nodes[nd.next].prev = nd.prev
 }
@@ -241,11 +250,18 @@ func (d *dataCache) insert(lp int64, dirty bool) (evictedLP int64, dirtyEvict, h
 	key := int32(lp)
 	slot, n := d.find(key)
 	if n != 0 {
-		if nd := &d.nodes[n]; dirty && !nd.dirty {
+		nd := &d.nodes[n]
+		dirtied := dirty && !nd.dirty
+		if dirtied {
 			nd.dirty = true
 			d.dirty++
 		}
 		d.pol.touched(d, n)
+		if dirtied && d.nodes[0].next != n {
+			// The policy left the newly dirty node in place, possibly
+			// older than the clean-tail cursor: rescan from the back.
+			d.cleanTail = 0
+		}
 		return 0, false, true
 	}
 	if dirty {
@@ -299,6 +315,9 @@ func (d *dataCache) invalidate(lp int64) {
 		d.nodes[moved.next].prev = n
 		i, _ := d.find(moved.lp)
 		d.index[i].node = n
+		if d.cleanTail == last {
+			d.cleanTail = n
+		}
 	}
 	d.nodes = d.nodes[:last]
 }
@@ -312,12 +331,20 @@ func (d *dataCache) dirtyFraction() float64 {
 }
 
 // flushOldestDirty marks the least-recently-used dirty entry clean,
-// returning its logical page; ok is false when no entry is dirty.
+// returning its logical page; ok is false when no entry is dirty. The
+// scan resumes at the clean-tail cursor instead of the back of the
+// list, and leaves the cursor on the entry it cleaned: repeated
+// write-back walks each clean entry once, not once per call.
 func (d *dataCache) flushOldestDirty() (lp int64, ok bool) {
-	for n := d.back(); n != 0; n = d.nodes[n].prev {
+	n := d.cleanTail
+	if n == 0 {
+		n = d.back()
+	}
+	for ; n != 0; n = d.nodes[n].prev {
 		if nd := &d.nodes[n]; nd.dirty {
 			nd.dirty = false
 			d.dirty--
+			d.cleanTail = n
 			return int64(nd.lp), true
 		}
 	}

@@ -207,6 +207,9 @@ type ftl struct {
 	// locality structure on the scaled device) and the DRAM cache / CMT
 	// entry counts are divided by it (preserving coverage ratios).
 	capScale int64
+	// sectorsPerFoldedPage is sectorsPerPage × capScale: the sectors one
+	// simulated logical page stands for.
+	sectorsPerFoldedPage uint64
 
 	planes []flashPlane
 	ppaLayout
@@ -275,6 +278,7 @@ func newFTL(p *DeviceParams, c *Counters) (*ftl, error) {
 	if f.capScale < 1 {
 		f.capScale = 1
 	}
+	f.sectorsPerFoldedPage = uint64(f.sectorsPerPage * f.capScale)
 	f.gcMinFree = int32(float64(bpp) * p.GCThresholdPct / 100)
 	if f.gcMinFree < 1 {
 		f.gcMinFree = 1
@@ -418,22 +422,21 @@ func scaleGeometry(p *DeviceParams, planes int) (bpp, ppb int32) {
 // space, so a request whose folded range wraps past the end of the
 // logical space is modeled page for page instead of collapsing to a
 // single page; it is clamped to logicalPages because the modular space
-// cannot hold more distinct pages than that.
+// cannot hold more distinct pages than that. Folding a sector to its
+// page and the page to the scaled space is one division by
+// sectorsPerFoldedPage, since ⌊⌊a/b⌋/c⌋ = ⌊a/(bc)⌋.
 func (f *ftl) pageSpan(lba uint64, sectors uint32) (firstLP, nPages int64) {
 	end := lba + uint64(sectors)
 	if sectors == 0 {
 		end = lba + 1 // defensive: zero-length request touches its page
 	}
-	first := int64(lba/uint64(f.sectorsPerPage)) / f.capScale
-	last := int64((end-1)/uint64(f.sectorsPerPage)) / f.capScale
-	nPages = last - first + 1
-	if nPages < 1 {
-		nPages = 1
+	first := int64(lba / f.sectorsPerFoldedPage)
+	last := int64((end - 1) / f.sectorsPerFoldedPage)
+	nPages = min(max(last-first+1, 1), f.logicalPages)
+	if first >= f.logicalPages {
+		first %= f.logicalPages
 	}
-	if nPages > f.logicalPages {
-		nPages = f.logicalPages
-	}
-	return first % f.logicalPages, nPages
+	return first, nPages
 }
 
 // prefill marks frac of logical pages as written, without timing — the

@@ -14,10 +14,15 @@ import (
 // (j mod QueueDepth) of queue q frees. Total outstanding commands are
 // therefore QueueDepth × QueueCount for NVMe, matching real devices.
 
-// hostQueues tracks per-queue completion windows.
+// hostQueues tracks per-queue completion windows in one flat array:
+// queue q's window is windows[q*depth : (q+1)*depth], and next[q] is the
+// index in windows of the slot its next request takes. Advancing next[q]
+// by one and wrapping it at the window's end is the "j mod QueueDepth"
+// above without a division per queue per request.
 type hostQueues struct {
-	windows [][]int64 // [queue][slot] completion times
-	counts  []int     // requests admitted per queue
+	windows []int64 // completion times, depth slots per queue
+	next    []int   // per queue: index in windows of its next slot
+	depth   int
 }
 
 func newHostQueues(p *DeviceParams) *hostQueues {
@@ -35,43 +40,43 @@ func newHostQueues(p *DeviceParams) *hostQueues {
 	if qd < 1 {
 		qd = 1
 	}
-	h := &hostQueues{windows: make([][]int64, qc), counts: make([]int, qc)}
-	for i := range h.windows {
-		h.windows[i] = make([]int64, qd)
+	h := &hostQueues{windows: make([]int64, qc*qd), next: make([]int, qc), depth: qd}
+	for q := range h.next {
+		h.next[q] = q * qd
 	}
 	return h
 }
 
-// hostSlot identifies the queue slot an admitted request occupies; pass
-// it to complete. A plain value token (rather than a commit closure)
-// keeps admission allocation-free on the per-request hot path.
-type hostSlot struct{ q, slot int }
+// hostSlot is the index in hostQueues.windows of the slot an admitted
+// request occupies; pass it to complete. A plain value token (rather
+// than a commit closure) keeps admission allocation-free on the
+// per-request hot path.
+type hostSlot int
 
 // admit returns the dispatch time for a request arriving at `arrival` on
 // the least-loaded queue, and the slot to release via complete.
 func (h *hostQueues) admit(arrival int64) (dispatch int64, s hostSlot) {
 	// Host drivers steer submissions to the queue with the earliest free
 	// slot (per-CPU queues drained independently).
-	bestQ, bestSlot, bestGate := 0, 0, int64(1<<62)
-	for q := range h.windows {
-		slot := h.counts[q] % len(h.windows[q])
-		gate := h.windows[q][slot]
-		if gate < bestGate {
-			bestQ, bestSlot, bestGate = q, slot, gate
+	bestQ, bestGate := 0, int64(1<<62)
+	for q, i := range h.next {
+		if gate := h.windows[i]; gate < bestGate {
+			bestQ, bestGate = q, gate
 		}
 	}
-	dispatch = arrival
-	if bestGate > dispatch {
-		dispatch = bestGate
+	slot := h.next[bestQ]
+	next := slot + 1
+	if next == (bestQ+1)*h.depth {
+		next -= h.depth
 	}
-	h.counts[bestQ]++
-	return dispatch, hostSlot{q: bestQ, slot: bestSlot}
+	h.next[bestQ] = next
+	return max(arrival, bestGate), hostSlot(slot)
 }
 
 // complete records the completion time of the request occupying s,
 // freeing the slot for the next admission.
 func (h *hostQueues) complete(s hostSlot, done int64) {
-	h.windows[s.q][s.slot] = done
+	h.windows[s] = done
 }
 
 const (

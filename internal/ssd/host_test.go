@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -127,8 +128,78 @@ func TestSATASingleQueue(t *testing.T) {
 	p.HostInterface = SATA
 	p.QueueCount, p.QueueDepth = 8, 256
 	h := newHostQueues(&p)
-	if len(h.windows) != 1 || len(h.windows[0]) != 32 {
-		t.Fatalf("SATA should clamp to one 32-deep queue, got %dx%d", len(h.windows), len(h.windows[0]))
+	if len(h.next) != 1 || h.depth != 32 || len(h.windows) != 32 {
+		t.Fatalf("SATA should clamp to one 32-deep queue, got %dx%d (%d slots)", len(h.next), h.depth, len(h.windows))
+	}
+}
+
+// refHostQueues is the modulo form of hostQueues: request j of queue q
+// takes slot j mod QueueDepth of a per-queue window.
+type refHostQueues struct {
+	windows [][]int64 // [queue][slot] completion times
+	counts  []int     // requests admitted per queue
+}
+
+func newRefHostQueues(h *hostQueues) *refHostQueues {
+	r := &refHostQueues{windows: make([][]int64, len(h.next)), counts: make([]int, len(h.next))}
+	for q := range r.windows {
+		r.windows[q] = make([]int64, h.depth)
+	}
+	return r
+}
+
+func (r *refHostQueues) admit(arrival int64) (dispatch int64, q, slot int) {
+	bestGate := int64(1 << 62)
+	for i := range r.windows {
+		s := r.counts[i] % len(r.windows[i])
+		if gate := r.windows[i][s]; gate < bestGate {
+			q, slot, bestGate = i, s, gate
+		}
+	}
+	r.counts[q]++
+	return max(arrival, bestGate), q, slot
+}
+
+// TestHostQueuesMatchModuloReference drives hostQueues and the modulo
+// reference with the same seeded arrivals and completions, completing
+// admitted requests out of order, and requires every dispatch time and
+// slot to match.
+func TestHostQueuesMatchModuloReference(t *testing.T) {
+	for _, ifc := range []Interface{NVMe, SATA} {
+		for _, qc := range []int{1, 2, 8, 16} {
+			for _, qd := range []int{1, 2, 32, 256} {
+				p := DefaultParams()
+				p.HostInterface, p.QueueCount, p.QueueDepth = ifc, qc, qd
+				h := newHostQueues(&p)
+				ref := newRefHostQueues(h)
+				rng := rand.New(rand.NewSource(int64(qc*1000 + qd)))
+				type pending struct {
+					s       hostSlot
+					q, slot int
+				}
+				var open []pending
+				arrival := int64(0)
+				for step := 0; step < 20000; step++ {
+					if len(open) > 0 && rng.Intn(3) > 0 {
+						i := rng.Intn(len(open))
+						done := arrival + rng.Int63n(50_000)
+						h.complete(open[i].s, done)
+						ref.windows[open[i].q][open[i].slot] = done
+						open[i] = open[len(open)-1]
+						open = open[:len(open)-1]
+						continue
+					}
+					arrival += rng.Int63n(2_000)
+					d, s := h.admit(arrival)
+					wd, q, slot := ref.admit(arrival)
+					if d != wd || int(s) != q*h.depth+slot {
+						t.Fatalf("%v %dx%d step %d: admit = (%d, slot %d), reference (%d, queue %d slot %d)",
+							ifc, qc, qd, step, d, s, wd, q, slot)
+					}
+					open = append(open, pending{s, q, slot})
+				}
+			}
+		}
 	}
 }
 

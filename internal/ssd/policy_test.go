@@ -590,7 +590,37 @@ func TestDataCacheMatchesReference(t *testing.T) {
 				driveCache(t, CachePolicy(pol), capacity, pool, ops)
 			}
 		}
+		driveCache(t, CachePolicy(pol), 64, pool, cleanTailOps())
 	}
+}
+
+// cleanTailOps builds a long clean tail under a run of dirty entries,
+// flushes a few of those so flushOldestDirty's clean-tail cursor sits
+// above the tail, then write-hits an entry deep in the tail. FIFO and
+// CLOCK leave that entry in place, older than the cursor, so the next
+// flush must find it by falling back to the back of the list.
+func cleanTailOps() []byte {
+	const (
+		insertClean = 0
+		insertDirty = 3
+		flush       = 9
+	)
+	var ops []byte
+	op := func(kind byte, idx int) { ops = append(ops, kind, byte(idx), byte(idx>>8)) }
+	for k := 0; k < 40; k++ {
+		op(insertClean, 2*k) // pool index 2k holds key k
+	}
+	for k := 0; k < 20; k++ {
+		op(insertDirty, 2*k+1)
+	}
+	for i := 0; i < 3; i++ {
+		op(flush, 0)
+	}
+	op(insertDirty, 2*10)
+	for i := 0; i < 3; i++ {
+		op(flush, 0)
+	}
+	return ops
 }
 
 // FuzzDataCache runs the reference comparison on fuzzed operations.

@@ -268,9 +268,10 @@ type engine struct {
 	hostBps                 float64
 
 	// latHist is the per-run request-latency histogram Result quantiles
-	// are computed from (always allocated); RunSourceContext merges it
+	// are computed from. Only the engine's goroutine records it, so it
+	// takes the single-writer form; RunSourceContext merges its snapshot
 	// into the registry's request-latency histogram after the run.
-	latHist *obs.Histogram
+	latHist obs.LocalHistogram
 	// Registry-backed histograms; nil (no-op) when the simulator runs
 	// uninstrumented.
 	gcHist, stallHist *obs.Histogram
@@ -308,7 +309,7 @@ func (e *engine) release() {
 }
 
 func newEngine(p *DeviceParams) (*engine, error) {
-	e := &engine{p: p, latHist: obs.NewHistogram()}
+	e := &engine{p: p}
 	f, err := newFTL(p, &e.Counters)
 	if err != nil {
 		return nil, err
@@ -461,8 +462,7 @@ func (e *engine) run(ctx context.Context, src trace.Source) (*Result, error) {
 func (e *engine) servePages(req trace.Request, t int64) (done, firstLP, nPages int64) {
 	firstLP, nPages = e.ftl.pageSpan(req.LBA, req.Sectors)
 	done = t
-	for k := int64(0); k < nPages; k++ {
-		lp := (firstLP + k) % e.ftl.logicalPages
+	for k, lp := int64(0), firstLP; k < nPages; k++ {
 		var c int64
 		switch req.Op {
 		case trace.Read:
@@ -473,6 +473,10 @@ func (e *engine) servePages(req trace.Request, t int64) (done, firstLP, nPages i
 			c = e.writePage(lp, t, req.Stream)
 		}
 		done = max(done, c)
+		// lp is (firstLP + k) % logicalPages, wrapped by comparison.
+		if lp++; lp == e.ftl.logicalPages {
+			lp = 0
+		}
 	}
 	return done, firstLP, nPages
 }
@@ -706,11 +710,11 @@ func (e *engine) chargeGC(pl planeID, moves, erases int32, t int64) {
 func (e *engine) buildResult(count, latSum int64, totalBytes uint64, firstArrival, lastCompletion int64) *Result {
 	r := &Result{Requests: int(count), Counters: e.Counters}
 	r.AvgLatency = time.Duration(latSum / count)
-	r.P50Latency = time.Duration(e.latHist.Quantile(0.50))
-	r.P95Latency = time.Duration(e.latHist.Quantile(0.95))
-	r.P99Latency = time.Duration(e.latHist.Quantile(0.99))
-	r.P999Latency = time.Duration(e.latHist.Quantile(0.999))
 	r.LatencyHistogram = e.latHist.Snapshot()
+	r.P50Latency = time.Duration(r.LatencyHistogram.P50)
+	r.P95Latency = time.Duration(r.LatencyHistogram.P95)
+	r.P99Latency = time.Duration(r.LatencyHistogram.P99)
+	r.P999Latency = time.Duration(r.LatencyHistogram.P999)
 
 	// A single-request trace (or one whose arrivals all coincide before a
 	// shared completion) can yield lastCompletion == firstArrival, and a

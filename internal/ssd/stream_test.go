@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -203,6 +204,94 @@ func TestPageSpanWrap(t *testing.T) {
 	}
 	if wrapped.UserReads != 4 {
 		t.Fatalf("4-page read did %d flash reads, want 4", wrapped.UserReads)
+	}
+}
+
+// TestPageSpanSingleDivisor: pageSpan's one division by
+// sectorsPerFoldedPage gives the span of the two-step fold (sector to
+// page, page to scaled page) for random requests, on a device whose
+// capScale is 1, on the default device, and on one whose 100 blocks per
+// plane fold to 12 simulated blocks, so capScale truncates 100/12 to 8.
+// servePages then visits exactly the pages (firstLP+k) % logicalPages,
+// also when the span wraps past the end of the logical space.
+func TestPageSpanSingleDivisor(t *testing.T) {
+	twoStep := func(f *ftl, lba uint64, sectors uint32) (firstLP, nPages int64) {
+		end := lba + uint64(sectors)
+		if sectors == 0 {
+			end = lba + 1
+		}
+		first := int64(lba/uint64(f.sectorsPerPage)) / f.capScale
+		last := int64((end-1)/uint64(f.sectorsPerPage)) / f.capScale
+		nPages = min(max(last-first+1, 1), f.logicalPages)
+		return first % f.logicalPages, nPages
+	}
+	odd := DefaultParams()
+	odd.BlocksPerPlane = 100
+	odd.ChipsPerChannel *= 2
+	for _, g := range []struct {
+		name string
+		p    DeviceParams
+	}{{"small", smallDevice()}, {"default", DefaultParams()}, {"bpp100", odd}} {
+		g.p.InitialOccupancyFrac = 0
+		f, err := newFTL(&g.p, new(Counters))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.name == "bpp100" {
+			realPhys := int64(g.p.TotalPlanes()) * int64(g.p.BlocksPerPlane) * int64(g.p.PagesPerBlock)
+			simPhys := int64(len(f.planes)) * int64(f.blocksPerPlane) * int64(f.pagesPerBlock)
+			if realPhys%simPhys == 0 {
+				t.Fatalf("bpp100: capScale %d does not truncate (%d / %d)", f.capScale, realPhys, simPhys)
+			}
+		}
+		rng := rand.New(rand.NewSource(37))
+		spp := uint64(f.sectorsPerPage)
+		for i := 0; i < 200000; i++ {
+			lba := rng.Uint64() >> uint(2+rng.Intn(62))
+			sectors := uint32(rng.Int63n(1 << uint(rng.Intn(33))))
+			if i%4 == 0 {
+				// Start within a few folded pages of the end of the
+				// logical space, so spans wrap.
+				lba = uint64(f.logicalPages-int64(rng.Intn(4)))*f.sectorsPerFoldedPage - uint64(rng.Intn(int(spp)))
+			}
+			first, n := f.pageSpan(lba, sectors)
+			wantFirst, wantN := twoStep(f, lba, sectors)
+			if first != wantFirst || n != wantN {
+				t.Fatalf("%s: pageSpan(%d, %d) = (%d, %d), two-step fold (%d, %d)",
+					g.name, lba, sectors, first, n, wantFirst, wantN)
+			}
+		}
+
+		// Writes in the warm-up pass map every page they visit and time
+		// nothing, so the mapped set of a fresh engine is the visited set.
+		L := f.logicalPages
+		for _, r := range []struct {
+			lba     uint64
+			sectors uint32
+		}{
+			{0, uint32(3 * spp)},
+			{uint64(L-1) * f.sectorsPerFoldedPage, uint32(4 * f.sectorsPerFoldedPage)},
+			{uint64(L-2)*f.sectorsPerFoldedPage + 1, uint32(5 * f.sectorsPerFoldedPage)},
+			{uint64(3*L+5) * f.sectorsPerFoldedPage, uint32(2 * f.sectorsPerFoldedPage)},
+		} {
+			e, err := newEngine(&g.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.warming = true
+			_, first, n := e.servePages(trace.Request{LBA: r.lba, Sectors: r.sectors, Op: trace.Write}, 0)
+			want := map[int64]bool{}
+			for k := int64(0); k < n; k++ {
+				want[(first+k)%L] = true
+			}
+			for lp := int64(0); lp < L; lp++ {
+				if mapped := e.ftl.resolve(lp) != unmapped; mapped != want[lp] {
+					t.Fatalf("%s: write at lba %d (first %d, %d pages): page %d mapped %v, want %v",
+						g.name, r.lba, first, n, lp, mapped, want[lp])
+				}
+			}
+			e.release()
+		}
 	}
 }
 
