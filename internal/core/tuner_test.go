@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -586,5 +587,49 @@ func TestWhatIfThroughputGoalUsesStress(t *testing.T) {
 	}
 	if res.ThroughputSpeedup <= 0 {
 		t.Fatalf("bad throughput speedup %g", res.ThroughputSpeedup)
+	}
+}
+
+// TestWhatIfStressLeavesPersistAlone: the throughput what-if's stress
+// validator measures compressed arrivals under the target's trace
+// names, so it must not write the durable cache. After a stress run on
+// a validator with a PersistentCache, a fresh validator on the same
+// cache measures the target's reference exactly as an uncached run.
+func TestWhatIfStressLeavesPersistAlone(t *testing.T) {
+	ctx := context.Background()
+	space := ssdconf.NewWhatIfSpace(ssdconf.DefaultConstraints())
+	traces := map[string]*trace.Trace{
+		"Recomm": workload.MustGenerate(workload.Recomm, workload.Options{Requests: 1500, Seed: 14}),
+	}
+	ref := space.FromDevice(ssd.Intel750())
+	pc, err := OpenPersistentCache(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	// The grader comes from an uncached validator, so nothing but the
+	// stress run could put the reference in the cache.
+	g, err := NewGrader(ctx, NewValidator(space, traces), ref, DefaultAlpha, DefaultBeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewValidator(space, traces)
+	v.Persist = pc
+	if _, err := WhatIf(ctx, space, v, g, WhatIfGoal{Target: "Recomm", ThroughputGain: 1.1},
+		[]ssdconf.Config{ref}, TunerOptions{Seed: 8, MaxIterations: 3, SGDSteps: 2}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewValidator(space, traces)
+	fresh.Persist = pc
+	got, err := fresh.MeasureCluster(ctx, ref, "Recomm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewValidator(space, traces).MeasureCluster(ctx, ref, "Recomm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reference through the cache the what-if used %+v, uncached %+v", got, want)
 	}
 }

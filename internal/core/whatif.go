@@ -125,9 +125,13 @@ func WhatIf(ctx context.Context, space *ssdconf.Space, v *Validator, g *Grader, 
 			groups[cl] = compressed
 		}
 		stress := NewValidatorSources(v.Space, groups)
-		// The rebuilt validator must inherit the original's execution and
+		// The rebuilt validator inherits the original's execution and
 		// resilience settings, or a stress run would silently drop back to
-		// serial, un-instrumented, timeout-free measurement.
+		// serial, un-instrumented, timeout-free measurement. It must not
+		// inherit Persist or Backend: the durable cache keys results by
+		// trace name, so compressed-arrival results would be stored under
+		// the uncompressed traces' names and poison later runs, and fleet
+		// workers would regenerate the uncompressed traces.
 		stress.Parallel = v.Parallel
 		stress.Obs = v.Obs
 		stress.SimTimeout = v.SimTimeout

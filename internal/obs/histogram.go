@@ -78,21 +78,26 @@ func (h *Histogram) Record(v int64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
+	v = max(v, 0)
 	h.buckets[bucketIndex(v)].Add(1)
+	h.addTotals(1, v, v, v)
+}
+
+// addTotals folds count samples with total sum, least value lo and
+// greatest value hi into h's count, sum, min and max. Record and both
+// merges share it.
+func (h *Histogram) addTotals(count, sum, lo, hi int64) {
+	h.count.Add(count)
+	h.sum.Add(sum)
 	for {
 		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
+		if lo >= cur || h.min.CompareAndSwap(cur, lo) {
 			break
 		}
 	}
 	for {
 		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
+		if hi <= cur || h.max.CompareAndSwap(cur, hi) {
 			break
 		}
 	}
@@ -214,15 +219,19 @@ func (s *HistogramSnapshot) quantile(q float64) int64 {
 // LocalHistogram is Histogram's single-writer form: the same bucket
 // layout, quantiles and snapshot, recorded with plain adds instead of
 // atomics. It is not safe for concurrent use: one goroutine records
-// into it and hands its Snapshot on (Histogram.Merge folds that into a
-// shared histogram exactly). The zero value is an empty histogram.
+// into it, and Histogram.MergeLocal folds it into a shared histogram
+// exactly. The zero value is an empty histogram.
 type LocalHistogram struct {
 	count, sum, min, max int64 // min and max are valid only when count > 0
 	buckets              [histBuckets]int64
 }
 
-// Record adds one sample; negative samples clamp to 0.
+// Record adds one sample; negative samples clamp to 0. A nil receiver
+// records nothing, as Histogram's does.
 func (h *LocalHistogram) Record(v int64) {
+	if h == nil {
+		return
+	}
 	v = max(v, 0)
 	h.count++
 	h.sum += v
@@ -244,12 +253,6 @@ func (h *LocalHistogram) Min() int64 { return h.min }
 
 // Max returns the largest recorded sample (0 when empty).
 func (h *LocalHistogram) Max() int64 { return h.max }
-
-// Quantile is Histogram.Quantile on the recorded samples.
-func (h *LocalHistogram) Quantile(q float64) int64 {
-	s := h.Snapshot()
-	return s.quantile(q)
-}
 
 // Snapshot copies the histogram state.
 func (h *LocalHistogram) Snapshot() HistogramSnapshot { return snapshot(h) }

@@ -23,23 +23,24 @@ func (h *Histogram) Merge(s HistogramSnapshot) {
 	if h == nil || s.Count == 0 {
 		return
 	}
-	h.count.Add(s.Count)
-	h.sum.Add(s.Sum)
 	for _, b := range s.Buckets {
 		h.buckets[bucketIndex(b.Low)].Add(b.Count)
 	}
-	for {
-		cur := h.min.Load()
-		if s.Min >= cur || h.min.CompareAndSwap(cur, s.Min) {
-			break
+	h.addTotals(s.Count, s.Sum, s.Min, s.Max)
+}
+
+// MergeLocal folds l into h exactly as Merge(l.Snapshot()) does,
+// without building the snapshot (no-op on nil h, nil l or an empty l).
+func (h *Histogram) MergeLocal(l *LocalHistogram) {
+	if h == nil || l == nil || l.count == 0 {
+		return
+	}
+	for i, c := range &l.buckets {
+		if c > 0 {
+			h.buckets[i].Add(c)
 		}
 	}
-	for {
-		cur := h.max.Load()
-		if s.Max <= cur || h.max.CompareAndSwap(cur, s.Max) {
-			break
-		}
-	}
+	h.addTotals(l.count, l.sum, l.min, l.max)
 }
 
 // DeltaSince returns the changes in s relative to an earlier snapshot

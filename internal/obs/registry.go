@@ -105,19 +105,25 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
+	return intern(&r.mu, r.counters, name, func() *Counter { return &Counter{} })
+}
+
+// intern returns the handle named name in m, which mu guards, creating
+// it with newHandle on first use.
+func intern[T any](mu *sync.RWMutex, m map[string]*T, name string, newHandle func() *T) *T {
+	mu.RLock()
+	h, ok := m[name]
+	mu.RUnlock()
 	if ok {
-		return c
+		return h
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	mu.Lock()
+	defer mu.Unlock()
+	if h, ok = m[name]; !ok {
+		h = newHandle()
+		m[name] = h
 	}
-	return c
+	return h
 }
 
 // CounterOf returns r's named counter, or a private counter on a nil
@@ -137,19 +143,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return intern(&r.mu, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns (creating if needed) the named histogram; nil on a
@@ -158,19 +152,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h, ok := r.histograms[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.histograms[name]; !ok {
-		h = NewHistogram()
-		r.histograms[name] = h
-	}
-	return h
+	return intern(&r.mu, r.histograms, name, NewHistogram)
 }
 
 // Snapshot is a point-in-time JSON-serializable copy of a registry.

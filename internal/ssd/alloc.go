@@ -80,12 +80,6 @@ func (a AllocScheme) String() string {
 	return allocSchemes.name(uint8(a))
 }
 
-// ParseAllocScheme resolves a mnemonic like "CWDP".
-func ParseAllocScheme(s string) (AllocScheme, error) {
-	v, err := allocSchemes.parse(s)
-	return AllocScheme(v), err
-}
-
 // planeID flattens a (channel, chip, die, plane) coordinate.
 type planeID int32
 

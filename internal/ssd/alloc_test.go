@@ -11,18 +11,18 @@ func TestAllocSchemeNames(t *testing.T) {
 		if !s.valid() {
 			t.Fatalf("scheme %d invalid", i)
 		}
-		parsed, err := ParseAllocScheme(s.String())
+		parsed, err := allocSchemes.parse(s.String())
 		if err != nil {
-			t.Fatalf("ParseAllocScheme(%s): %v", s, err)
+			t.Fatalf("allocSchemes.parse(%s): %v", s, err)
 		}
-		if parsed != s {
-			t.Fatalf("round trip %s -> %s", s, parsed)
+		if AllocScheme(parsed) != s {
+			t.Fatalf("round trip %s -> %s", s, AllocScheme(parsed))
 		}
 	}
 	if AllocScheme(200).valid() {
 		t.Fatal("200 should be invalid")
 	}
-	if _, err := ParseAllocScheme("XXXX"); err == nil {
+	if _, err := allocSchemes.parse("XXXX"); err == nil {
 		t.Fatal("expected parse error")
 	}
 }

@@ -46,12 +46,6 @@ var cachePolicies = domainOf("cache policy", cachePolicyTable)
 // String returns the policy's registry name.
 func (c CachePolicy) String() string { return cachePolicies.name(uint8(c)) }
 
-// ParseCachePolicy resolves a registry name like "LRU".
-func ParseCachePolicy(s string) (CachePolicy, error) {
-	v, err := cachePolicies.parse(s)
-	return CachePolicy(v), err
-}
-
 // --- DRAM caches: the data cache and the cached mapping table. ---
 
 // dataCache simulates a controller DRAM cache. The data cache keys it by

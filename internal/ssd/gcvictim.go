@@ -40,12 +40,6 @@ var gcPolicies = domainOf("gc policy", gcPolicyTable)
 // String returns the policy's registry name.
 func (g GCPolicy) String() string { return gcPolicies.name(uint8(g)) }
 
-// ParseGCPolicy resolves a registry name like "greedy".
-func ParseGCPolicy(s string) (GCPolicy, error) {
-	v, err := gcPolicies.parse(s)
-	return GCPolicy(v), err
-}
-
 // newGCVictimPolicy instantiates the device's configured policy; the
 // caller validates p first.
 func newGCVictimPolicy(p *DeviceParams) gcVictimPolicy {

@@ -42,12 +42,6 @@ var hostIfcs = domainOf("host interface model", hostIfcTable)
 // String returns the model's registry name.
 func (h HostIfc) String() string { return hostIfcs.name(uint8(h)) }
 
-// ParseHostIfc resolves a registry name like "zns".
-func ParseHostIfc(s string) (HostIfc, error) {
-	v, err := hostIfcs.parse(s)
-	return HostIfc(v), err
-}
-
 // laneCount returns the number of per-plane write lanes the configured
 // model needs, clamped so every plane keeps enough non-active blocks
 // for GC to make progress (each lane pins one active block per plane).

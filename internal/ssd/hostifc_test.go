@@ -20,16 +20,16 @@ func TestHostIfcRegistry(t *testing.T) {
 		if names[i] != n {
 			t.Fatalf("host_ifc name %d = %q, want %q", i, names[i], n)
 		}
-		got, err := ParseHostIfc(n)
+		got, err := hostIfcs.parse(n)
 		if err != nil {
-			t.Fatalf("ParseHostIfc(%q): %v", n, err)
+			t.Fatalf("hostIfcs.parse(%q): %v", n, err)
 		}
-		if got != HostIfc(i) || got.String() != n {
-			t.Fatalf("ParseHostIfc(%q) = %d (%q), want %d", n, got, got.String(), i)
+		if got != uint8(i) || HostIfc(got).String() != n {
+			t.Fatalf("hostIfcs.parse(%q) = %d (%q), want %d", n, got, HostIfc(got).String(), i)
 		}
 	}
-	if _, err := ParseHostIfc("open-channel"); err == nil {
-		t.Fatal("ParseHostIfc accepted an unknown model")
+	if _, err := hostIfcs.parse("open-channel"); err == nil {
+		t.Fatal("hostIfcs.parse accepted an unknown model")
 	}
 	if help := DescribeFields(); !strings.Contains(help, "host_ifc: conventional (") {
 		t.Fatalf("DescribeFields() does not describe host_ifc:\n%s", help)

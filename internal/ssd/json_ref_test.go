@@ -87,6 +87,17 @@ type refDeviceJSON struct {
 // nanosecond.
 func refUS(v float64) time.Duration { return time.Duration(math.Round(v * 1000)) }
 
+// refParse decodes enum name s into *dst through its domain; an empty
+// name leaves *dst alone.
+func refParse[T ~uint8](d *policyDomain, s string, dst *T) error {
+	if s == "" {
+		return nil
+	}
+	v, err := d.parse(s)
+	*dst = T(v)
+	return err
+}
+
 // refMarshalJSONParams is the hand-written encoder.
 func refMarshalJSONParams(p DeviceParams) ([]byte, error) {
 	j := refDeviceJSON{
@@ -187,35 +198,16 @@ func refUnmarshalJSONParams(data []byte) (DeviceParams, error) {
 	if p.WriteStreams == 0 {
 		p.WriteStreams = 4
 	}
-	var err error
-	if j.FlashType != "" {
-		if p.FlashType, err = ParseFlashType(j.FlashType); err != nil {
-			return DeviceParams{}, err
-		}
-	}
-	if j.Interface != "" {
-		if p.HostInterface, err = ParseInterface(j.Interface); err != nil {
-			return DeviceParams{}, err
-		}
-	}
-	if j.CachePolicy != "" {
-		if p.CachePolicy, err = ParseCachePolicy(j.CachePolicy); err != nil {
-			return DeviceParams{}, err
-		}
-	}
-	if j.GCPolicy != "" {
-		if p.GCPolicy, err = ParseGCPolicy(j.GCPolicy); err != nil {
-			return DeviceParams{}, err
-		}
-	}
-	if j.PlaneAllocScheme != "" {
-		if p.PlaneAllocScheme, err = ParseAllocScheme(j.PlaneAllocScheme); err != nil {
-			return DeviceParams{}, err
-		}
-	}
-	if j.HostIfcModel != "" {
-		if p.HostIfcModel, err = ParseHostIfc(j.HostIfcModel); err != nil {
-			return DeviceParams{}, err
+	for _, e := range []error{
+		refParse(flashTypes, j.FlashType, &p.FlashType),
+		refParse(interfaces, j.Interface, &p.HostInterface),
+		refParse(cachePolicies, j.CachePolicy, &p.CachePolicy),
+		refParse(gcPolicies, j.GCPolicy, &p.GCPolicy),
+		refParse(allocSchemes, j.PlaneAllocScheme, &p.PlaneAllocScheme),
+		refParse(hostIfcs, j.HostIfcModel, &p.HostIfcModel),
+	} {
+		if e != nil {
+			return DeviceParams{}, e
 		}
 	}
 	if err := p.Validate(); err != nil {

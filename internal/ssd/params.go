@@ -1,4 +1,4 @@
-// Package ssd implements a discrete-event, multi-queue SSD simulator in
+// Package ssd implements a resource-timeline, multi-queue SSD simulator in
 // the spirit of MQSim (Tavakkol et al., FAST'18), which the paper uses
 // for efficiency validation. The simulator models the resources whose
 // contention determines SSD performance — channel buses, dies/planes,

@@ -14,27 +14,27 @@ import (
 // (never a silent default).
 func TestPolicyRegistryRoundTrips(t *testing.T) {
 	for i, name := range gcPolicies.allNames() {
-		v, err := ParseGCPolicy(name)
-		if err != nil || v != GCPolicy(i) {
-			t.Fatalf("ParseGCPolicy(%q) = %v, %v; want %d", name, v, err, i)
+		v, err := gcPolicies.parse(name)
+		if err != nil || v != uint8(i) {
+			t.Fatalf("gcPolicies.parse(%q) = %v, %v; want %d", name, v, err, i)
 		}
 		if GCPolicy(i).String() != name {
 			t.Fatalf("GCPolicy(%d).String() = %q, want %q", i, GCPolicy(i).String(), name)
 		}
 	}
 	for i, name := range cachePolicies.allNames() {
-		v, err := ParseCachePolicy(name)
-		if err != nil || v != CachePolicy(i) {
-			t.Fatalf("ParseCachePolicy(%q) = %v, %v; want %d", name, v, err, i)
+		v, err := cachePolicies.parse(name)
+		if err != nil || v != uint8(i) {
+			t.Fatalf("cachePolicies.parse(%q) = %v, %v; want %d", name, v, err, i)
 		}
 		if CachePolicy(i).String() != name {
 			t.Fatalf("CachePolicy(%d).String() = %q, want %q", i, CachePolicy(i).String(), name)
 		}
 	}
 	for i, name := range allocSchemes.allNames() {
-		v, err := ParseAllocScheme(name)
-		if err != nil || v != AllocScheme(i) {
-			t.Fatalf("ParseAllocScheme(%q) = %v, %v; want %d", name, v, err, i)
+		v, err := allocSchemes.parse(name)
+		if err != nil || v != uint8(i) {
+			t.Fatalf("allocSchemes.parse(%q) = %v, %v; want %d", name, v, err, i)
 		}
 	}
 	for i, name := range interfaces.allNames() {
@@ -62,14 +62,14 @@ func TestPolicyRegistryRoundTrips(t *testing.T) {
 			seen[n] = true
 		}
 	}
-	if _, err := ParseGCPolicy("oracle"); err == nil {
+	if _, err := gcPolicies.parse("oracle"); err == nil {
 		t.Fatal("unknown gc policy accepted")
 	}
-	if _, err := ParseCachePolicy("MRU"); err == nil {
+	if _, err := cachePolicies.parse("MRU"); err == nil {
 		t.Fatal("unknown cache policy accepted")
 	}
 	// The error message lists the valid names for the operator.
-	_, err := ParseGCPolicy("nope")
+	_, err := gcPolicies.parse("nope")
 	if err == nil || !strings.Contains(err.Error(), "costbenefit") {
 		t.Fatalf("parse error should list valid names, got %v", err)
 	}
@@ -310,11 +310,8 @@ func TestGCPoliciesAllSimulate(t *testing.T) {
 // BenchmarkGCVictimPolicy measures steady-state write cost per policy
 // with GC in the loop (victim selection is the dominant varying cost).
 func BenchmarkGCVictimPolicy(b *testing.B) {
-	for _, name := range gcPolicies.allNames() {
-		pol, err := ParseGCPolicy(name)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for i, name := range gcPolicies.allNames() {
+		pol := GCPolicy(i)
 		b.Run(name, func(b *testing.B) {
 			p := smallDevice()
 			p.GCPolicy = pol

@@ -3,6 +3,8 @@ package ssd
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync"
 	"time"
 
 	"autoblox/internal/obs"
@@ -17,8 +19,7 @@ type Result struct {
 	// P50/P95/P99/P999Latency are request-latency quantiles estimated
 	// from a log-linear histogram of every request (conservative
 	// nearest-rank upper bounds, ≤1/32 relative bucket error — see
-	// obs.Histogram.Quantile). The histogram replaces the former
-	// sort-the-whole-latency-slice single-P99 computation.
+	// obs.Histogram.Quantile).
 	P50Latency  time.Duration
 	P95Latency  time.Duration
 	P99Latency  time.Duration
@@ -96,11 +97,13 @@ type Counters struct {
 // Simulator runs traces against a device configuration.
 type Simulator struct {
 	p DeviceParams
-	// Obs, when non-nil, receives cross-run metrics: the shared
-	// per-request latency histogram plus GC-pause and channel-stall
-	// distributions. It never influences simulation results — instrumented
-	// and uninstrumented runs are bit-for-bit identical — and may be
-	// shared by concurrently running simulators (recording is atomic).
+	// Obs, when non-nil, receives cross-run metrics: the request-latency,
+	// GC-pause and channel-stall distributions and the fault counters of
+	// each run's measured pass. It never influences simulation results —
+	// instrumented and uninstrumented runs are bit-for-bit identical — and
+	// may be shared by concurrently running simulators: each run records
+	// into its own histograms and merges them into Obs once, after the
+	// run.
 	Obs *obs.Registry
 }
 
@@ -157,6 +160,9 @@ func (s *Simulator) RunSourceContext(ctx context.Context, src trace.Source) (*Re
 		return nil, err
 	}
 	defer eng.release()
+	if s.Obs != nil {
+		eng.gcHist, eng.stallHist = pooledHist(), pooledHist()
+	}
 	n, err := eng.warmup(ctx, src)
 	if err != nil {
 		return nil, err
@@ -168,27 +174,28 @@ func (s *Simulator) RunSourceContext(ctx context.Context, src trace.Source) (*Re
 	if err := src.Err(); err != nil {
 		return nil, fmt.Errorf("ssd: rewind for measured pass: %w", err)
 	}
-	// Observability handles attach after warm-up so registry histograms
-	// only see measured-phase events (warm-up replays the trace once).
-	if s.Obs != nil {
-		eng.gcHist = s.Obs.Histogram(MetricGCPause)
-		eng.stallHist = s.Obs.Histogram(MetricChannelStall)
-	}
 	res, err := eng.run(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	// The run's private latency histogram folds into the shared one once,
-	// exactly: concurrent simulations never contend on it per request.
-	s.Obs.Histogram(MetricRequestLatency).Merge(res.LatencyHistogram)
-	if eng.ftl.faults != nil && s.Obs != nil {
-		s.Obs.Counter(MetricFaultProgramFailures).Add(res.ProgramFailures)
-		s.Obs.Counter(MetricFaultEraseFailures).Add(res.EraseFailures)
-		s.Obs.Counter(MetricFaultReadRetries).Add(res.ReadRetries)
-		s.Obs.Counter(MetricFaultECCSoftDecodes).Add(res.ECCSoftDecodes)
-		s.Obs.Counter(MetricFaultRetiredBlocks).Add(res.RetiredBlocks)
-	}
+	eng.publish(s.Obs)
 	return res, nil
+}
+
+// publish folds the finished run's histograms and fault counters into
+// reg (a no-op on nil). It is the one place a run writes the registry,
+// so concurrent simulations never contend on it per event.
+func (e *engine) publish(reg *obs.Registry) {
+	reg.Histogram(MetricRequestLatency).MergeLocal(&e.latHist)
+	reg.Histogram(MetricGCPause).MergeLocal(e.gcHist)
+	reg.Histogram(MetricChannelStall).MergeLocal(e.stallHist)
+	if fa := e.ftl.faults; fa != nil {
+		reg.Counter(MetricFaultProgramFailures).Add(e.ProgramFailures)
+		reg.Counter(MetricFaultEraseFailures).Add(e.EraseFailures)
+		reg.Counter(MetricFaultReadRetries).Add(e.ReadRetries)
+		reg.Counter(MetricFaultECCSoftDecodes).Add(e.ECCSoftDecodes)
+		reg.Counter(MetricFaultRetiredBlocks).Add(fa.retiredBlocks)
+	}
 }
 
 // warmup replays the trace once with timing disabled so the CMT, the
@@ -268,13 +275,17 @@ type engine struct {
 	hostBps                 float64
 
 	// latHist is the per-run request-latency histogram Result quantiles
-	// are computed from. Only the engine's goroutine records it, so it
-	// takes the single-writer form; RunSourceContext merges its snapshot
-	// into the registry's request-latency histogram after the run.
-	latHist obs.LocalHistogram
-	// Registry-backed histograms; nil (no-op) when the simulator runs
-	// uninstrumented.
-	gcHist, stallHist *obs.Histogram
+	// are computed from; gcHist and stallHist are the GC-pause and
+	// channel-stall histograms of an instrumented run, nil (no-op)
+	// otherwise. Only the engine's goroutine records them, so they take
+	// the single-writer form, and publish merges them into the registry
+	// after the run. Warm-up charges no timeline, so they hold the
+	// measured pass only.
+	latHist           obs.LocalHistogram
+	gcHist, stallHist *obs.LocalHistogram
+
+	// readBound is the longest a read waits for work queued on its plane.
+	readBound int64
 }
 
 // pass is what one sweep accumulates: the op counters and the
@@ -283,8 +294,9 @@ type engine struct {
 // traffic, while device state (placement, occupancy, wear, retired
 // blocks) carries over.
 //
-// A timeline is when its resource is free again. acquire advances every
-// one, except flashRead's bounded plane wait.
+// A timeline is when its resource is free again. Two primitives write
+// every one: acquire for queued work and bypass for a read's bounded
+// plane wait.
 type pass struct {
 	Counters
 	hostFree    int64   // shared host-link timeline
@@ -300,12 +312,29 @@ func (p *pass) reset() {
 	clear(p.timelines)
 }
 
+// histPool holds the GC-pause and channel-stall histograms of finished
+// instrumented simulations, so the next one records into them instead
+// of allocating its own.
+var histPool = sync.Pool{New: func() any { return new(obs.LocalHistogram) }}
+
+// pooledHist returns an empty histogram from histPool.
+func pooledHist() *obs.LocalHistogram {
+	h := histPool.Get().(*obs.LocalHistogram)
+	*h = obs.LocalHistogram{}
+	return h
+}
+
 // release hands the engine's caches to the pools newCMT and
-// newDataCache draw from; the engine must not be used afterwards.
+// newDataCache draw from, and its histograms to histPool; the engine
+// must not be used afterwards.
 func (e *engine) release() {
 	cmtPool.Put(e.cmt)
 	dataCachePool.Put(e.cache)
-	e.cmt, e.cache = nil, nil
+	if e.gcHist != nil {
+		histPool.Put(e.gcHist)
+		histPool.Put(e.stallHist)
+	}
+	e.cmt, e.cache, e.gcHist, e.stallHist = nil, nil, nil, nil
 }
 
 func newEngine(p *DeviceParams) (*engine, error) {
@@ -333,6 +362,16 @@ func newEngine(p *DeviceParams) (*engine, error) {
 	e.readNS = p.ReadLatency.Nanoseconds()
 	e.progNS = p.ProgramLatency.Nanoseconds()
 	e.eraseNS = p.EraseLatency.Nanoseconds()
+	// Out-of-order transaction scheduling lets a read bypass queued
+	// programs (it waits for at most one), and program suspension bounds
+	// the wait further.
+	e.readBound = math.MaxInt64
+	if p.TransactionSchedOOO {
+		e.readBound = e.progNS
+	}
+	if p.SuspendEnabled {
+		e.readBound = min(e.readBound, p.SuspendProgram.Nanoseconds())
+	}
 	e.xferNS = int64(float64(p.PageSizeBytes) / p.ChannelBandwidthBps() * 1e9)
 	// DRAM move of one page: bus width × frequency.
 	dramBps := float64(p.DRAMMHz) * 1e6 * float64(p.DRAMBusBits) / 8 * 2 // DDR
@@ -340,17 +379,10 @@ func newEngine(p *DeviceParams) (*engine, error) {
 	e.eccNS = p.ECCLatency.Nanoseconds()
 	e.fwNS = p.FirmwareOverhead.Nanoseconds()
 	e.hostBps = p.HostBandwidthBps()
-	if p.HostInterface == SATA {
-		e.hostCmdNS = 25_000 // AHCI command overhead
-	} else {
-		qc := p.QueueCount
-		if qc < 1 {
-			qc = 1
-		}
-		e.hostCmdNS = int64(8_000 / qc)
-		if e.hostCmdNS < 1_000 {
-			e.hostCmdNS = 1_000
-		}
+	e.hostCmdNS = 25_000 // SATA: AHCI command overhead
+	if p.HostInterface != SATA {
+		// NVMe: 8 µs split over the queues, at least 1 µs.
+		e.hostCmdNS = int64(max(8_000/max(p.QueueCount, 1), 1_000))
 	}
 	f.prefill(p.InitialOccupancyFrac)
 	if f.fatal != nil {
@@ -435,9 +467,7 @@ func (e *engine) run(ctx context.Context, src trace.Source) (*Result, error) {
 		latSum += lat
 		count++
 		e.latHist.Record(lat)
-		if done > lastCompletion {
-			lastCompletion = done
-		}
+		lastCompletion = max(lastCompletion, done)
 	}
 	if err := src.Err(); err != nil {
 		return nil, fmt.Errorf("ssd: measured sweep: %w", err)
@@ -620,6 +650,10 @@ func (e *engine) mappingAccess(lp, t int64, write bool) int64 {
 	return t
 }
 
+// The two timeline primitives: every store to a resource timeline
+// outside set-up and the warm-up reset is one of these
+// (TestTimelineStoresOnlyInPrimitives).
+
 // acquire occupies the resource whose timeline is *free for dur ns,
 // starting no earlier than t, and returns the start; start-t is the
 // time the work waited for the resource.
@@ -629,32 +663,31 @@ func acquire(free *int64, t, dur int64) (start int64) {
 	return start
 }
 
+// bypass is acquire for work that may skip the resource's backlog: it
+// waits for queued work at most bound ns, and the resource is then free
+// at start+dur. Queued work the caller skipped drops off the timeline.
+func bypass(free *int64, t, bound, dur int64) (start int64) {
+	start = t
+	if wait := *free - t; wait > 0 {
+		start += min(wait, bound)
+	}
+	*free = start + dur
+	return start
+}
+
 // flashRead charges one page read on plane pl starting no earlier than t
 // and returns its completion time (after the channel transfer and ECC).
+// The read bypasses work queued on its plane for at most readBound, and
+// the plane is free again when the read's cell work ends.
 func (e *engine) flashRead(pl planeID, t int64) int64 {
-	// The read waits for its plane, but out-of-order transaction
-	// scheduling lets it bypass queued programs (it waits for at most
-	// one), and program suspension bounds the wait further. The plane is
-	// then free when the read's cell work ends: a backlog the read
-	// bypassed drops off the timeline, so this update is not an acquire.
-	begin := t
-	if wait := e.planeFree[pl] - t; wait > 0 {
-		if e.p.TransactionSchedOOO {
-			wait = min(wait, e.progNS)
-		}
-		if e.p.SuspendEnabled {
-			wait = min(wait, e.p.SuspendProgram.Nanoseconds())
-		}
-		begin += wait
-	}
-	cellDone := begin + e.readNS
+	cells := e.readNS
 	var softDecode int64
-	if fa := e.ftl.faults; fa != nil && !e.warming {
+	if fa := e.ftl.faults; fa != nil {
 		// Stepped read-retry: each retry re-senses the page at a shifted
 		// read voltage, re-occupying the plane; an exhausted ladder falls
 		// back to an ECC soft-decode pass charged after the transfer.
 		if steps := fa.readRetrySteps(e.p.ReadRetryLimit); steps > 0 {
-			cellDone += int64(steps) * e.readNS
+			cells += int64(steps) * e.readNS
 			e.ReadRetries += int64(steps)
 			if steps >= e.p.ReadRetryLimit {
 				e.ECCSoftDecodes++
@@ -662,27 +695,27 @@ func (e *engine) flashRead(pl planeID, t int64) int64 {
 			}
 		}
 	}
-	e.planeFree[pl] = cellDone
-	return e.channelXfer(pl, cellDone) + e.xferNS + e.eccNS + softDecode
+	cellDone := bypass(&e.planeFree[pl], t, e.readBound, cells) + cells
+	return e.channelXfer(pl, cellDone, e.xferNS) + e.xferNS + e.eccNS + softDecode
 }
 
 // flashProgram charges one page program on plane pl (bus transfer first,
 // then the cell program). It returns the bus-transfer start time.
 func (e *engine) flashProgram(pl planeID, t int64) (busStart int64) {
-	busStart = e.channelXfer(pl, t)
+	busStart = e.channelXfer(pl, t, e.xferNS)
 	acquire(&e.planeFree[pl], busStart+e.xferNS, e.progNS)
 	return busStart
 }
 
-// channelXfer moves one page over pl's channel bus, starting no earlier
-// than t, and returns the transfer's start. A start after t is a
-// channel stall.
-func (e *engine) channelXfer(pl planeID, t int64) int64 {
-	start := acquire(&e.channelFree[e.ftl.alloc.channelOf(pl)], t, e.xferNS)
+// channelXfer occupies pl's channel bus for dur ns, starting no earlier
+// than t, and returns the transfer's start. Reads, programs and GC
+// moves all cross the bus here; a start after t is a channel stall.
+func (e *engine) channelXfer(pl planeID, t, dur int64) int64 {
+	start := acquire(&e.channelFree[e.ftl.alloc.channelOf(pl)], t, dur)
 	if start > t {
 		e.stallHist.Record(start - t)
 	}
-	e.channelBusyNS += e.xferNS
+	e.channelBusyNS += dur
 	return start
 }
 
@@ -696,11 +729,9 @@ func (e *engine) chargeGC(pl planeID, moves, erases int32, t int64) {
 		return
 	}
 	per := e.readNS + e.progNS
-	if !e.p.CopybackEnabled {
+	if !e.p.CopybackEnabled && moves > 0 {
 		per += 2 * e.xferNS
-		xfer := int64(moves) * 2 * e.xferNS
-		acquire(&e.channelFree[e.ftl.alloc.channelOf(pl)], t, xfer)
-		e.channelBusyNS += xfer
+		e.channelXfer(pl, t, int64(moves)*2*e.xferNS)
 	}
 	busy := int64(moves)*per + int64(erases)*e.eraseNS
 	e.gcHist.Record(busy)
@@ -724,10 +755,7 @@ func (e *engine) buildResult(count, latSum int64, totalBytes uint64, firstArriva
 	// throughput and average power stay finite and meaningful.
 	makespan := lastCompletion - firstArrival
 	if makespan <= 0 {
-		makespan = latSum
-		if makespan <= 0 {
-			makespan = 1
-		}
+		makespan = max(latSum, 1)
 	}
 	r.Makespan = time.Duration(makespan)
 	r.ThroughputBps = float64(totalBytes) / (float64(makespan) / 1e9)
@@ -738,10 +766,9 @@ func (e *engine) buildResult(count, latSum int64, totalBytes uint64, firstArriva
 		r.FactoryBadBlocks = fa.factoryBadBlocks
 	}
 	r.ChannelUtilization = float64(e.channelBusyNS) / (float64(makespan) * float64(e.p.Channels))
+	r.WriteAmplification = 1
 	if r.UserPrograms > 0 {
 		r.WriteAmplification = float64(r.UserPrograms+r.GCPrograms) / float64(r.UserPrograms)
-	} else {
-		r.WriteAmplification = 1
 	}
 
 	r.Wear = e.wear(makespan)

@@ -421,8 +421,14 @@ func TestSimulatorRunDeterminism(t *testing.T) {
 // exactly the samples of every measured request (the per-run histogram
 // records each one, and obs.TestHistogramMergeExact shows a merge equals
 // recording the samples directly). The runs share the registry
-// concurrently, and each result equals its uninstrumented twin.
+// concurrently, and each result equals its uninstrumented twin. The
+// whole shared registry (the GC-pause and channel-stall histograms and
+// the fault counters too) equals the merge of the same runs made each
+// on its own registry.
 func TestRegistryLatencyMatchesPerRequest(t *testing.T) {
+	faulty := smallDevice()
+	faulty.InitialOccupancyFrac, faulty.OverprovisionRatio = 0.5, 0.25
+	faulty.Faults = FaultProfile{Rate: 0.01, Seed: 7}
 	runs := []struct {
 		p  DeviceParams
 		tr *trace.Trace
@@ -430,6 +436,15 @@ func TestRegistryLatencyMatchesPerRequest(t *testing.T) {
 		{smallDevice(), testTrace(workload.Database, 3000)},
 		{Intel750(), testTrace(workload.WebSearch, 2000)},
 		{Samsung850Pro(), testTrace(workload.KVStore, 2500)},
+		{faulty, testTrace(workload.Database, 3000)},
+	}
+	instrumented := func(p DeviceParams, tr *trace.Trace, reg *obs.Registry) (*Result, error) {
+		sim, err := NewSimulator(p)
+		if err != nil {
+			return nil, err
+		}
+		sim.Obs = reg
+		return sim.Run(tr)
 	}
 	reg := obs.NewRegistry()
 	results := make([]*Result, len(runs))
@@ -439,17 +454,12 @@ func TestRegistryLatencyMatchesPerRequest(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p DeviceParams, tr *trace.Trace) {
 			defer wg.Done()
-			sim, err := NewSimulator(p)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sim.Obs = reg
-			results[i], errs[i] = sim.Run(tr)
+			results[i], errs[i] = instrumented(p, tr, reg)
 		}(i, r.p, r.tr)
 	}
 	wg.Wait()
 	want := obs.NewHistogram()
+	merged := obs.NewRegistry()
 	requests := 0
 	for i, r := range runs {
 		if errs[i] != nil {
@@ -460,6 +470,11 @@ func TestRegistryLatencyMatchesPerRequest(t *testing.T) {
 		}
 		want.Merge(results[i].LatencyHistogram)
 		requests += results[i].Requests
+		own := obs.NewRegistry()
+		if _, err := instrumented(r.p, r.tr, own); err != nil {
+			t.Fatal(err)
+		}
+		merged.Absorb(own.Snapshot(), "", "")
 	}
 	got := reg.Histogram(MetricRequestLatency).Snapshot()
 	if got.Count != int64(requests) {
@@ -467,5 +482,17 @@ func TestRegistryLatencyMatchesPerRequest(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want.Snapshot()) {
 		t.Fatalf("registry histogram %+v, per-request recording %+v", got, want.Snapshot())
+	}
+	shared := reg.Snapshot()
+	for _, name := range []string{MetricGCPause, MetricChannelStall} {
+		if shared.Histograms[name].Count == 0 {
+			t.Fatalf("no run recorded %s", name)
+		}
+	}
+	if shared.Counters[MetricFaultReadRetries] == 0 {
+		t.Fatalf("no run counted %s", MetricFaultReadRetries)
+	}
+	if !reflect.DeepEqual(shared, merged.Snapshot()) {
+		t.Fatalf("shared registry %+v,\nmerge of one registry per run %+v", shared, merged.Snapshot())
 	}
 }
